@@ -104,8 +104,7 @@ pub struct McConfig {
     /// [`Slice`](mcp_netlist::Slice) of the time-frame expansion instead
     /// of the whole circuit (default: on). Verdicts — and the canonical
     /// report — are identical either way; only engine effort differs.
-    /// Disable (`--no-slice`, or the `MCPATH_NO_SLICE` env var) to
-    /// A/B-measure whole-circuit engine cost.
+    /// Disable (`--no-slice`) to A/B-measure whole-circuit engine cost.
     pub slice: bool,
     /// Statically classify pairs whose sink D input the dataflow
     /// analysis proves constant at the first Kleene iterate, before the
@@ -113,8 +112,7 @@ pub struct McConfig {
     /// never transitions, so such pairs are multi-cycle for every `k`;
     /// the engines would reach the same verdict the expensive way.
     /// Verdicts — and the canonical report — are identical either way.
-    /// Disable (`--no-static-classify`, or the
-    /// `MCPATH_NO_STATIC_CLASSIFY` env var) to A/B-measure the saving.
+    /// Disable (`--no-static-classify`) to A/B-measure the saving.
     pub static_classify: bool,
     /// Worker threads for the pair loop (pairs are independent). `1` =
     /// sequential. The BDD engine is inherently sequential and ignores
@@ -130,9 +128,10 @@ pub struct McConfig {
     pub shard: Option<ShardSpec>,
     /// Root of the content-addressed stage-artifact store
     /// ([`CasStore`](crate::CasStore)); `None` (the default) disables
-    /// caching entirely. Set via `--cache-dir` or the `MCPATH_CACHE_DIR`
-    /// environment variable. Where the artifacts *live* never affects
-    /// what they *say*, so this knob is excluded from
+    /// caching entirely. The CLI sets it from `--cache-dir` or the
+    /// `MCPATH_CACHE_DIR` environment variable; the library default
+    /// never reads the environment. Where the artifacts *live* never
+    /// affects what they *say*, so this knob is excluded from
     /// [`McConfig::fingerprint`] and from every stage key.
     pub cache_dir: Option<std::path::PathBuf>,
 }
@@ -149,12 +148,12 @@ impl Default for McConfig {
             learn_budget: 8_000_000,
             include_self_pairs: true,
             lint: true,
-            slice: std::env::var_os("MCPATH_NO_SLICE").is_none(),
-            static_classify: std::env::var_os("MCPATH_NO_STATIC_CLASSIFY").is_none(),
+            slice: true,
+            static_classify: true,
             threads: 1,
             scheduler: Scheduler::default(),
             shard: None,
-            cache_dir: std::env::var_os("MCPATH_CACHE_DIR").map(std::path::PathBuf::from),
+            cache_dir: None,
         }
     }
 }
@@ -168,8 +167,7 @@ impl McConfig {
     /// The simulation lane width of the compiled prefilter kernel
     /// (64, 128, 256 or 512 patterns per pass) — a view onto
     /// [`FilterConfig::lanes`], which is the single source of truth.
-    /// Defaults to 256; the CLI sets it via `--sim-lanes`, the
-    /// environment via `MCPATH_SIM_LANES`.
+    /// Defaults to 256; the CLI sets it via `--sim-lanes`.
     pub fn sim_lanes(&self) -> u32 {
         self.sim.lanes
     }
@@ -184,8 +182,8 @@ impl McConfig {
     /// budget (learning moves pairs between the implication and ATPG
     /// steps), and self-pair inclusion. Deliberately *excludes* knobs
     /// proven verdict-neutral by the determinism test suite — threads,
-    /// scheduler, sharding, slicing, sim lane width, tape vs reference
-    /// kernel, the static pre-classification pass (it resolves pairs the
+    /// scheduler, sharding, slicing, sim lane width, the static
+    /// pre-classification pass (it resolves pairs the
     /// engines would classify identically) — and the lint gate, so a
     /// resumed run may change any of those. Shard neutrality is what
     /// lets `merge` check every shard ledger against one fingerprint,
@@ -229,26 +227,12 @@ mod tests {
         assert_eq!(cfg.sim.idle_words, 128);
         assert!(cfg.include_self_pairs);
         assert!(cfg.lint);
-        if std::env::var_os("MCPATH_NO_SLICE").is_none() {
-            assert!(cfg.slice, "slicing defaults to on");
-        } else {
-            assert!(!cfg.slice, "MCPATH_NO_SLICE must disable slicing");
-        }
-        if std::env::var_os("MCPATH_NO_STATIC_CLASSIFY").is_none() {
-            assert!(cfg.static_classify, "static pre-pass defaults to on");
-        } else {
-            assert!(!cfg.static_classify);
-        }
+        assert!(cfg.slice, "slicing defaults to on");
+        assert!(cfg.static_classify, "static pre-pass defaults to on");
         assert_eq!(cfg.threads, 1);
         assert_eq!(cfg.scheduler, Scheduler::WorkSteal);
-        if std::env::var_os("MCPATH_SIM_LANES").is_none() {
-            assert_eq!(cfg.sim_lanes(), 256, "lane width defaults to 256");
-        }
-        if std::env::var_os("MCPATH_NO_TAPE").is_none() {
-            assert!(cfg.sim.tape, "tape kernel defaults to on");
-        } else {
-            assert!(!cfg.sim.tape, "MCPATH_NO_TAPE must disable the tape");
-        }
+        assert_eq!(cfg.sim_lanes(), 256, "lane width defaults to 256");
+        assert_eq!(cfg.cache_dir, None, "no store unless the caller names one");
     }
 
     #[test]
@@ -264,10 +248,6 @@ mod tests {
         neutral.slice = !neutral.slice;
         neutral.lint = !neutral.lint;
         neutral.sim.lanes = 64;
-        neutral.sim.tape = !neutral.sim.tape;
-        // Every kernel tier computes the same outcome, so the tier must
-        // never invalidate cached verdicts.
-        neutral.sim.kernel = mcp_sim::SimKernel::Reference;
         neutral.static_classify = !neutral.static_classify;
         neutral.shard = Some(ShardSpec { index: 1, count: 4 });
         neutral.cache_dir = Some(std::path::PathBuf::from("/tmp/mcpath-cache"));

@@ -37,8 +37,7 @@ pub enum AnalyzeError {
         got: u32,
     },
     /// The simulation lane width is not one of the supported values
-    /// (64, 128, 256, 512). Reachable via `--sim-lanes` or the
-    /// `MCPATH_SIM_LANES` environment variable.
+    /// (64, 128, 256, 512). Reachable via `--sim-lanes`.
     InvalidSimLanes {
         /// The rejected value.
         got: u32,
@@ -300,10 +299,9 @@ pub(crate) fn analyze_inner(
     if matches!(cfg.engine, Engine::Bdd { .. }) && cfg.cycles != 2 {
         return Err(AnalyzeError::BddNeedsTwoCycles { got: cfg.cycles });
     }
-    // Validated even when the tape kernel (or the filter itself) is off:
-    // a bad `--sim-lanes` / `MCPATH_SIM_LANES` value is a config error
-    // either way, and catching it here keeps `mc_filter` panic-free in
-    // pipeline use.
+    // Validated even when the filter is off: a bad `--sim-lanes` value
+    // is a config error either way, and catching it here keeps
+    // `mc_filter` panic-free in pipeline use.
     if cfg.sim.lane_words().is_none() {
         return Err(AnalyzeError::InvalidSimLanes { got: cfg.sim.lanes });
     }
@@ -1319,9 +1317,8 @@ mod tests {
         let err = analyze(&nl, &bad_lanes).unwrap_err();
         assert!(matches!(err, AnalyzeError::InvalidSimLanes { got: 96 }));
         assert!(err.to_string().contains("96"));
-        // Rejected even when the tape kernel — or the filter — is off:
-        // the config is wrong regardless of which path would consume it.
-        bad_lanes.sim.tape = false;
+        // Rejected even when the filter is off: the config is wrong
+        // regardless of whether anything would consume it.
         bad_lanes.use_sim_filter = false;
         assert!(matches!(
             analyze(&nl, &bad_lanes),
@@ -1330,17 +1327,16 @@ mod tests {
     }
 
     #[test]
-    fn tape_and_lane_width_do_not_change_the_canonical_report() {
+    fn lane_width_does_not_change_the_canonical_report() {
         let nl = suite::quick_suite().remove(2); // m526
-        let baseline = {
-            let mut cfg = McConfig::default();
-            cfg.sim.tape = false;
-            serde_json::to_string(&analyze(&nl, &cfg).expect("analyze").canonical())
-                .expect("serialize")
-        };
+        let baseline = serde_json::to_string(
+            &analyze(&nl, &McConfig::default())
+                .expect("analyze")
+                .canonical(),
+        )
+        .expect("serialize");
         for lanes in mcp_sim::filter::SUPPORTED_LANES {
             let mut cfg = McConfig::default();
-            cfg.sim.tape = true;
             cfg.sim.lanes = lanes;
             let bytes = serde_json::to_string(&analyze(&nl, &cfg).expect("analyze").canonical())
                 .expect("serialize");

@@ -48,11 +48,12 @@ impl PairClass {
     }
 }
 
-/// The sim-kernel tier that actually ran the random-pattern prefilter —
-/// the post-fallback reality, recorded in [`StepStats::sim_kernel`] and
-/// the `stats` table. More specific than the configured
-/// `--sim-kernel`: a jit request on a non-x86-64 host lands on `Fused`,
-/// and a successful jit records which emitter fired.
+/// The kernel that ran the random-pattern prefilter, recorded in
+/// [`StepStats::sim_kernel`] and the `stats` table. The host decides it:
+/// native code from one of the two emitters where the JIT targets the
+/// host, the fused interpreter elsewhere. `Tape` and `Reference` are
+/// never produced any more; they stay decodable so reports saved by
+/// older binaries, which could run those kernels, still load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimKernelTier {
     /// Native code from the AVX2 emitter.
@@ -61,9 +62,10 @@ pub enum SimKernelTier {
     JitScalar,
     /// The fused-tape interpreter.
     Fused,
-    /// The unfused tape interpreter.
+    /// The unfused tape interpreter (older reports only).
     Tape,
-    /// The graph-walking 64-lane reference simulator.
+    /// The graph-walking 64-lane reference simulator (older reports
+    /// only).
     Reference,
 }
 
@@ -129,9 +131,9 @@ pub struct StepStats {
     pub unknown: usize,
     /// 64-pattern words simulated by the prefilter.
     pub sim_words: u64,
-    /// Kernel tier that ran the prefilter, `None` when the sim filter
-    /// was off (or in reports from before the tier ladder existed).
-    /// Host-dependent (the jit tier falls back per host), so
+    /// Kernel that ran the prefilter, `None` when the sim filter was off
+    /// (or in reports from before kernels were recorded).
+    /// Host-dependent (hosts without native code run `Fused`), so
     /// [`McReport::canonical`] clears it.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub sim_kernel: Option<SimKernelTier>,
@@ -225,8 +227,8 @@ impl McReport {
         r.stats.time_pairs = Duration::ZERO;
         r.stats.time_total = Duration::ZERO;
         r.stats.sim_words = 0;
-        // The tier is a host/flag fact, not a circuit fact: the same
-        // run jits on one machine and falls back to `fused` on another.
+        // The kernel is a host fact, not a circuit fact: the same run
+        // jits on one machine and falls back to `fused` on another.
         r.stats.sim_kernel = None;
         r.stats.multi_by_atpg = r.stats.multi_total();
         r.stats.multi_by_static = 0;

@@ -355,8 +355,8 @@ pub(crate) fn run_prefilters(
         let consts = base_consts.as_deref().unwrap_or(&[]);
         let (out, sim_stats) = mc_filter_stats_seeded(netlist, &candidates, &cfg.sim, consts);
         stats.time_sim = t_sim.stop();
-        // Re-record the sim time under the kernel tier that actually ran
-        // (known only after the filter returns): per-tier children of
+        // Re-record the sim time under the kernel that actually ran
+        // (known only after the filter returns): per-kernel children of
         // `analyze/sim` are what `sim_words_per_sec` attributes against,
         // so warm/static-heavy phases that never simulate don't deflate
         // the rate.
@@ -367,7 +367,6 @@ pub(crate) fn run_prefilters(
         obs.metrics.sim_words.add(out.words_simulated);
         obs.metrics.sim_pairs_dropped.add(out.dropped() as u64);
         obs.metrics.sim_passes.add(sim_stats.passes);
-        obs.metrics.sim_tape_ops.add(sim_stats.tape_ops);
         obs.metrics.sim_fused_ops.add(sim_stats.fused_ops);
         obs.metrics.jit_compiles.add(sim_stats.jit_compiles);
         obs.metrics.jit_bytes.add(sim_stats.jit_bytes);
@@ -618,15 +617,11 @@ mod tests {
             config_slice(STAGE_PREFILTERED, &base),
             config_slice(STAGE_PREFILTERED, &seed)
         );
-        // Verdict-neutral knobs never enter any stage key. The kernel
-        // tier in particular: every tier computes the same outcome, so
-        // switching `--sim-kernel` (or losing the jit to a host
-        // fallback) must not invalidate cached prefilter artifacts.
+        // Verdict-neutral knobs never enter any stage key.
         let mut neutral = base.clone();
         neutral.threads = 8;
         neutral.slice = !neutral.slice;
         neutral.static_classify = !neutral.static_classify;
-        neutral.sim.kernel = mcp_sim::SimKernel::Reference;
         neutral.sim.lanes = 64;
         for stage in STAGES {
             assert_eq!(

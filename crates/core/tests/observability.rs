@@ -7,7 +7,6 @@
 use mcp_core::{analyze, analyze_with, Engine, McConfig, Scheduler};
 use mcp_gen::{circuits, suite};
 use mcp_obs::{read_journal_file, FileSink, ObsCtx};
-use mcp_sim::SimKernel;
 
 #[test]
 fn fig1_step_totals_cover_every_structural_pair() {
@@ -190,71 +189,37 @@ fn full_counter_snapshots_are_thread_independent_within_a_slice_mode() {
     }
 }
 
-/// The prefilter's compiled kernel ladder is an implementation detail:
-/// the canonical report is byte-identical across every kernel tier
-/// (jit, fused, tape, reference), at every supported lane width, at
-/// every thread count, under both schedulers. The kernel-effort
-/// counters (`sim_passes`, `sim_tape_ops`, `sim_fused_ops`, `jit_*`)
-/// are the only observable difference, and `canonical()` projects them
-/// out.
+/// The prefilter's kernel is an implementation detail: the canonical
+/// report is byte-identical at every supported lane width, at every
+/// thread count, under both schedulers. The kernel-effort counters
+/// (`sim_passes`, `sim_fused_ops`, `jit_*`) are the only observable
+/// difference, and `canonical()` projects them out.
 #[test]
-fn reports_are_byte_identical_across_kernel_tiers_lane_widths_and_threads() {
+fn reports_are_byte_identical_across_lane_widths_and_threads() {
     let nl = suite::quick_suite().remove(1); // m298: sim drops + survivors
-    let mk = |kernel: Option<SimKernel>, lanes: u32, threads: usize, scheduler: Scheduler| {
+    let mk = |lanes: u32, threads: usize, scheduler: Scheduler| {
         let mut cfg = McConfig {
             threads,
             scheduler,
             ..McConfig::default()
         };
-        match kernel {
-            None => cfg.sim.tape = false,
-            Some(k) => {
-                cfg.sim.tape = true;
-                cfg.sim.kernel = k;
-            }
-        }
         cfg.sim.lanes = lanes;
         let report = analyze(&nl, &cfg).expect("analyze");
         let canon = serde_json::to_string(&report.canonical()).expect("serialize");
         (canon, report.metrics.counters)
     };
-    let (baseline, ref_counters) = mk(None, 64, 1, Scheduler::WorkSteal);
-    assert_eq!(
-        ref_counters.sim_passes, 0,
-        "reference path must not count kernel passes"
-    );
-    assert_eq!(ref_counters.sim_tape_ops, 0);
-    assert_eq!(ref_counters.sim_fused_ops, 0);
-    assert_eq!(ref_counters.jit_compiles, 0);
-    for kernel in [SimKernel::Jit, SimKernel::Fused, SimKernel::Tape] {
-        for lanes in [64u32, 128, 256, 512] {
-            for threads in [1usize, 2, 8] {
-                for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-                    let (canon, counters) = mk(Some(kernel), lanes, threads, scheduler);
-                    assert_eq!(
-                        canon, baseline,
-                        "canonical report drifted at kernel={kernel:?} lanes={lanes} \
-                         threads={threads} scheduler={scheduler:?}"
-                    );
-                    assert!(
-                        counters.sim_passes > 0,
-                        "compiled tiers must count kernel passes (kernel={kernel:?})"
-                    );
-                    match kernel {
-                        SimKernel::Tape => {
-                            assert!(counters.sim_tape_ops > 0);
-                            assert_eq!(counters.sim_fused_ops, 0);
-                        }
-                        // Fused always interprets; Jit lands on native
-                        // code or the fused fallback — both count fused
-                        // instructions, never tape instructions.
-                        SimKernel::Fused | SimKernel::Jit => {
-                            assert_eq!(counters.sim_tape_ops, 0);
-                            assert!(counters.sim_fused_ops > 0);
-                        }
-                        SimKernel::Reference => unreachable!(),
-                    }
-                }
+    let (baseline, _) = mk(64, 1, Scheduler::WorkSteal);
+    for lanes in [64u32, 128, 256, 512] {
+        for threads in [1usize, 2, 8] {
+            for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
+                let (canon, counters) = mk(lanes, threads, scheduler);
+                assert_eq!(
+                    canon, baseline,
+                    "canonical report drifted at lanes={lanes} threads={threads} \
+                     scheduler={scheduler:?}"
+                );
+                assert!(counters.sim_passes > 0, "the kernel counts its passes");
+                assert!(counters.sim_fused_ops > 0, "the kernel counts its ops");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Regression-aware artifact comparison for `mcpath stats --compare`.
 //!
 //! Wall-clock numbers are noise on shared or single-core CI runners, but
-//! the pipeline's *counters* (implications, SAT conflicts, tape ops,
+//! the pipeline's *counters* (implications, SAT conflicts, kernel ops,
 //! slice sizes) are deterministic for a fixed seed and config. This
 //! module flattens two artifacts — saved `McReport`s, `MetricsSnapshot`s,
 //! `BENCH_*.json` files, or NDJSON ledgers — down to their integer

@@ -192,11 +192,12 @@ pub struct PairEvent {
     /// work for them.
     #[serde(default, skip_serializing_if = "is_false")]
     pub cached: bool,
-    /// For `random_sim` drops: which kernel tier simulated the witness
-    /// (`jit-avx2`, `jit-scalar`, `fused`, `tape`, `reference`). `None`
-    /// for every other step — cached splices and static-resolved pairs
-    /// simulate zero words, and tagging only real sim work is what lets
-    /// per-tier throughput attribution exclude them.
+    /// For `random_sim` drops: which kernel simulated the witness
+    /// (`jit-avx2`, `jit-scalar` or `fused`; older ledgers may also say
+    /// `tape` or `reference`). `None` for every other step — cached
+    /// splices and static-resolved pairs simulate zero words, and
+    /// tagging only real sim work is what lets per-kernel throughput
+    /// attribution exclude them.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub kernel: Option<String>,
 }

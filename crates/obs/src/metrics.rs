@@ -71,20 +71,14 @@ pub struct Metrics {
     pub sim_words: Counter,
     /// Random simulation: candidate pairs dropped by the prefilter.
     pub sim_pairs_dropped: Counter,
-    /// Random simulation: wide evaluation passes of the compiled tape
-    /// kernel (each pass covers `lanes / 64` words). Zero when the
-    /// prefilter ran on the graph-walking reference path.
+    /// Random simulation: wide evaluation passes of the compiled kernel
+    /// (each pass covers `lanes / 64` words).
     pub sim_passes: Counter,
-    /// Random simulation: tape instructions executed by the compiled
-    /// kernel (instructions per eval × evals). Zero on the reference
-    /// path.
-    pub sim_tape_ops: Counter,
     /// Random simulation: fused instructions executed (after NOT fusion
-    /// and dead-slot elimination). Moves on the `fused` and `jit` kernel
-    /// tiers only.
+    /// and dead-slot elimination): instructions per eval × evals.
     pub sim_fused_ops: Counter,
     /// JIT kernel: native-code compilations performed (one per filter
-    /// run that landed on the jit tier).
+    /// run on a host with native code).
     pub jit_compiles: Counter,
     /// JIT kernel: bytes of machine code emitted.
     pub jit_bytes: Counter,
@@ -173,7 +167,6 @@ impl Metrics {
             sim_words: self.sim_words.get(),
             sim_pairs_dropped: self.sim_pairs_dropped.get(),
             sim_passes: self.sim_passes.get(),
-            sim_tape_ops: self.sim_tape_ops.get(),
             sim_fused_ops: self.sim_fused_ops.get(),
             jit_compiles: self.jit_compiles.get(),
             jit_bytes: self.jit_bytes.get(),
@@ -227,13 +220,11 @@ pub struct Counters {
     pub bdd_cache_hits: u64,
     pub sim_words: u64,
     pub sim_pairs_dropped: u64,
-    // Tape-kernel counters arrived after the first report format;
-    // `default` keeps old saved reports parseable.
+    // Compiled-kernel counters arrived after the first report format;
+    // `default` keeps old saved reports parseable, and the decoder
+    // skips the keys of retired counters those reports may carry.
     #[serde(default)]
     pub sim_passes: u64,
-    #[serde(default)]
-    pub sim_tape_ops: u64,
-    // JIT/fused-kernel counters arrived with the native-code tier.
     #[serde(default)]
     pub sim_fused_ops: u64,
     #[serde(default)]
@@ -332,8 +323,8 @@ impl MetricsSnapshot {
     /// second, or 0.0 when no sim time was recorded. Wall-clock-derived,
     /// so (unlike the counters) not deterministic across runs.
     ///
-    /// Attribution is **per kernel tier**: when kernel-tagged child
-    /// spans (`analyze/sim/<tier>`, e.g. `analyze/sim/jit-avx2`) exist,
+    /// Attribution is **per kernel**: when kernel-tagged child
+    /// spans (`analyze/sim/<kernel>`, e.g. `analyze/sim/jit-avx2`) exist,
     /// their summed time is the denominator — the parent `analyze/sim`
     /// span also covers tape/lowering compilation and pair grouping, and
     /// on warm-cache or static-resolved runs it accrues time with *zero*
@@ -361,7 +352,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The kernel-tier tags that recorded sim time, in span order —
+    /// The kernel tags that recorded sim time, in span order —
     /// e.g. `["jit-avx2"]`. Empty for pre-tag snapshots.
     pub fn sim_kernel_tags(&self) -> Vec<&str> {
         self.spans

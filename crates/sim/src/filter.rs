@@ -1,25 +1,19 @@
 //! Random-pattern filtering of single-cycle FF pairs (paper step 2).
 //!
-//! Four interchangeable kernel tiers compute the **same**
-//! [`FilterOutcome`] — the ladder, fastest first:
+//! The filter runs on exactly one kernel per host, chosen by the
+//! platform alone: the netlist is compiled to a [`Tape`], lowered to a
+//! [`FusedTape`], and compiled to native x86-64 by
+//! [`JitKernel`](crate::JitKernel) (AVX2 when the host has it, scalar
+//! `u64` otherwise). Where [`JitSim::new`] returns `None` — a host the
+//! emitter does not target, or a failed `mmap` — the same fused stream
+//! runs on the [`FusedSim`] interpreter instead. [`FilterStats::kernel`]
+//! records which one ran.
 //!
-//! * **jit** (default) — the fused tape compiled to native x86-64 by
-//!   [`JitKernel`](crate::JitKernel) (AVX2 when the host has it, scalar
-//!   `u64` otherwise); falls back to the fused interpreter when the
-//!   host can't run native code.
-//! * **fused** — the NOT-fused, dead-slot-eliminated
-//!   [`FusedTape`] interpreted by
-//!   [`FusedSim`].
-//! * **tape** — the PR-5 compiled [`Tape`] interpreted by [`TapeSim`].
-//! * **reference** — the original graph-walking [`ParallelSim`] loop,
-//!   one 64-lane word per pass.
-//!
-//! [`FilterConfig::kernel`] (CLI `--sim-kernel`, env `MCPATH_NO_JIT`)
-//! selects the tier; `--no-tape` still forces the reference path. All
-//! wide tiers share one generic batch/replay loop (`KernelExec`), so
-//! the determinism contract below holds per construction, and each tier
-//! is differentially oracled against the tiers below it in
-//! `tests/jit_diff.rs` / `tests/tape_diff.rs`.
+//! Both kernels drive one generic batch/replay loop (`KernelExec`), so
+//! the determinism contract below holds by construction. The crate's
+//! differential suite pins the jit and the fused kernel against the
+//! graph-walking [`ParallelSim`](crate::ParallelSim) loop, which no
+//! configuration can select.
 //!
 //! ## Lane-width determinism contract
 //!
@@ -29,12 +23,12 @@
 //! *replays* the batch word by word under the reference stop condition.
 //! Drops, witness word indices, survivor order, `words_simulated`, and
 //! `ff_toggles` are therefore byte-identical to the 64-lane reference
-//! for the same seed at every supported lane width **and every kernel
-//! tier** — RNG words drawn past the stop point are simply never
+//! for the same seed at every supported lane width **and on either
+//! kernel** — RNG words drawn past the stop point are simply never
 //! observed.
 
 use crate::lower::FusedTape;
-use crate::{FusedSim, JitSim, ParallelSim, Tape, TapeSim};
+use crate::{FusedSim, JitSim, Tape};
 use mcp_logic::V3;
 use mcp_netlist::Netlist;
 use rand::rngs::StdRng;
@@ -42,47 +36,6 @@ use rand::{Rng, SeedableRng};
 
 /// Lane widths the compiled kernels support (one to eight 64-bit words).
 pub const SUPPORTED_LANES: [u32; 4] = [64, 128, 256, 512];
-
-/// Which execution tier runs the random-pattern filter.
-///
-/// Every tier produces a byte-identical [`FilterOutcome`]; they differ
-/// only in speed and in which [`FilterStats`] counters move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SimKernel {
-    /// Native machine code over the fused tape (falls back to `Fused`
-    /// on hosts the emitter does not target).
-    Jit,
-    /// The fused-tape interpreter.
-    Fused,
-    /// The unfused tape interpreter (the PR-5 kernel).
-    Tape,
-    /// The graph-walking 64-lane reference simulator.
-    Reference,
-}
-
-impl SimKernel {
-    /// Parses a CLI/config spelling (`jit`, `fused`, `tape`,
-    /// `reference`).
-    pub fn parse(s: &str) -> Option<SimKernel> {
-        match s {
-            "jit" => Some(SimKernel::Jit),
-            "fused" => Some(SimKernel::Fused),
-            "tape" => Some(SimKernel::Tape),
-            "reference" => Some(SimKernel::Reference),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling, inverse of [`parse`](Self::parse).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SimKernel::Jit => "jit",
-            SimKernel::Fused => "fused",
-            SimKernel::Tape => "tape",
-            SimKernel::Reference => "reference",
-        }
-    }
-}
 
 /// Configuration of the random-pattern multi-cycle filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,31 +53,9 @@ pub struct FilterConfig {
     /// [`SUPPORTED_LANES`] (64, 128, 256 or 512 — i.e. 1, 2, 4 or 8
     /// `u64` words). The outcome is identical at every width; wider
     /// lanes amortize per-instruction overhead over more patterns.
-    /// Defaults to 256, overridable via the `MCPATH_SIM_LANES`
-    /// environment variable. Invalid values are rejected by
-    /// `analyze` with `AnalyzeError::InvalidSimLanes`.
+    /// Defaults to 256. Invalid values are rejected by `analyze` with
+    /// `AnalyzeError::InvalidSimLanes`.
     pub lanes: u32,
-    /// Run on a compiled kernel (default) rather than the graph-walking
-    /// reference simulator. Defaults to `true`, or `false` when the
-    /// `MCPATH_NO_TAPE` environment variable is set; the CLI exposes it
-    /// as `--no-tape`. `false` overrides [`kernel`](Self::kernel).
-    pub tape: bool,
-    /// Which kernel tier to run (CLI `--sim-kernel`). Defaults to
-    /// [`SimKernel::Jit`], or [`SimKernel::Fused`] when the
-    /// `MCPATH_NO_JIT` environment variable is set (CLI `--no-jit`).
-    /// **Verdict-neutral**: every tier computes the same outcome, so
-    /// this field is deliberately excluded from `McConfig::fingerprint`
-    /// and the cache key slice.
-    pub kernel: SimKernel,
-}
-
-fn default_lanes() -> u32 {
-    match std::env::var("MCPATH_SIM_LANES") {
-        Err(_) => 256,
-        // An unparseable override becomes 0, which `lane_words` maps to
-        // `None` and `analyze` rejects with a clear error.
-        Ok(s) => s.trim().parse().unwrap_or(0),
-    }
 }
 
 impl Default for FilterConfig {
@@ -133,13 +64,7 @@ impl Default for FilterConfig {
             seed: 0x5eed_cafe,
             idle_words: 128,
             max_words: 1 << 16,
-            lanes: default_lanes(),
-            tape: std::env::var_os("MCPATH_NO_TAPE").is_none(),
-            kernel: if std::env::var_os("MCPATH_NO_JIT").is_some() {
-                SimKernel::Fused
-            } else {
-                SimKernel::Jit
-            },
+            lanes: 256,
         }
     }
 }
@@ -154,17 +79,6 @@ impl FilterConfig {
             256 => Some(4),
             512 => Some(8),
             _ => None,
-        }
-    }
-
-    /// The tier that will actually run: [`kernel`](Self::kernel) unless
-    /// [`tape`](Self::tape) is off, which forces the reference path
-    /// (preserving the PR-5 `--no-tape` contract).
-    pub fn effective_kernel(&self) -> SimKernel {
-        if self.tape {
-            self.kernel
-        } else {
-            SimKernel::Reference
         }
     }
 }
@@ -209,19 +123,15 @@ impl FilterOutcome {
 
 /// Execution-cost counters of one filter run. Deliberately **not** part
 /// of [`FilterOutcome`]: the outcome is pinned byte-identical across
-/// lane widths and kernel tiers, while these counters describe how the
-/// kernel got there (they vary with `lanes`/`kernel` and are zero on
-/// the reference path).
+/// lane widths and kernels, while these counters describe how the
+/// kernel got there (they vary with `lanes` and the host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilterStats {
     /// Wide evaluation passes of the kernel (each pass simulates up to
     /// `lanes / 64` words, two clock cycles each).
     pub passes: u64,
-    /// Unfused tape instructions executed (instructions per eval ×
-    /// evals). Moves only on the `tape` tier.
-    pub tape_ops: u64,
     /// Fused instructions executed (after NOT fusion and dead-slot
-    /// elimination). Moves on the `fused` and `jit` tiers.
+    /// elimination): instructions per eval × evals.
     pub fused_ops: u64,
     /// Native-code compilations performed (0 or 1 per filter run).
     pub jit_compiles: u64,
@@ -229,27 +139,9 @@ pub struct FilterStats {
     pub jit_bytes: u64,
     /// Calls into the jitted kernel (two per pass: one per clock cycle).
     pub jit_batches: u64,
-    /// Which tier actually ran: `"jit-avx2"`, `"jit-scalar"`, `"fused"`,
-    /// `"tape"` or `"reference"`. More specific than
-    /// [`FilterConfig::kernel`] — it records the post-fallback reality.
+    /// Which kernel ran: `"jit-avx2"`, `"jit-scalar"`, or `"fused"` on
+    /// hosts without native code.
     pub kernel: &'static str,
-}
-
-impl Default for FilterStats {
-    fn default() -> Self {
-        FilterStats {
-            passes: 0,
-            tape_ops: 0,
-            fused_ops: 0,
-            jit_compiles: 0,
-            jit_bytes: 0,
-            jit_batches: 0,
-            // The zero-work tier: matches what the reference path
-            // reports, so `stats == FilterStats::default()` still reads
-            // "the kernel did nothing".
-            kernel: "reference",
-        }
-    }
 }
 
 /// Runs the paper's step 2: 2-clock random parallel-pattern simulation.
@@ -272,10 +164,9 @@ impl Default for FilterStats {
 ///
 /// # Panics
 ///
-/// Panics if a pair names an FF index out of range, or if `cfg.tape` is
-/// set and `cfg.lanes` is not one of [`SUPPORTED_LANES`] (the pipeline
-/// validates lanes up front and reports `AnalyzeError::InvalidSimLanes`
-/// instead).
+/// Panics if a pair names an FF index out of range, or if `cfg.lanes`
+/// is not one of [`SUPPORTED_LANES`] (the pipeline validates lanes up
+/// front and reports `AnalyzeError::InvalidSimLanes` instead).
 pub fn mc_filter(netlist: &Netlist, pairs: &[(usize, usize)], cfg: &FilterConfig) -> FilterOutcome {
     mc_filter_stats(netlist, pairs, cfg).0
 }
@@ -300,9 +191,8 @@ pub fn mc_filter_stats(
 /// instruction stream the kernel executes per pass. The
 /// [`FilterOutcome`] is identical to the unseeded run — a sound seed
 /// holds under every stimulus, so no lane can observe a difference —
-/// only the op counters shrink. The reference path ignores the seed (it
-/// exists precisely to pin the compiled kernels' behavior). An empty
-/// slice is the plain unseeded filter.
+/// only the op counters shrink. An empty slice is the plain unseeded
+/// filter.
 ///
 /// # Panics
 ///
@@ -314,21 +204,28 @@ pub fn mc_filter_stats_seeded(
     cfg: &FilterConfig,
     consts: &[V3],
 ) -> (FilterOutcome, FilterStats) {
+    filter_on_lanes(netlist, pairs, cfg, consts, true)
+}
+
+/// Validates the pairs and dispatches on the lane width. `jit` is
+/// `false` only in the crate's own tests, which force the fused
+/// interpreter on hosts that have native code.
+pub(crate) fn filter_on_lanes(
+    netlist: &Netlist,
+    pairs: &[(usize, usize)],
+    cfg: &FilterConfig,
+    consts: &[V3],
+    jit: bool,
+) -> (FilterOutcome, FilterStats) {
     let nffs = netlist.num_ffs();
     for &(i, j) in pairs {
         assert!(i < nffs && j < nffs, "FF index out of range in pair list");
     }
-    if cfg.effective_kernel() == SimKernel::Reference {
-        return (
-            mc_filter_reference(netlist, pairs, cfg),
-            FilterStats::default(),
-        );
-    }
     match cfg.lane_words() {
-        Some(1) => mc_filter_wide::<1>(netlist, pairs, cfg, consts),
-        Some(2) => mc_filter_wide::<2>(netlist, pairs, cfg, consts),
-        Some(4) => mc_filter_wide::<4>(netlist, pairs, cfg, consts),
-        Some(8) => mc_filter_wide::<8>(netlist, pairs, cfg, consts),
+        Some(1) => mc_filter_wide::<1>(netlist, pairs, cfg, consts, jit),
+        Some(2) => mc_filter_wide::<2>(netlist, pairs, cfg, consts, jit),
+        Some(4) => mc_filter_wide::<4>(netlist, pairs, cfg, consts, jit),
+        Some(8) => mc_filter_wide::<8>(netlist, pairs, cfg, consts, jit),
         _ => panic!(
             "sim lanes {} out of range: supported widths are 64, 128, 256, 512",
             cfg.lanes
@@ -336,11 +233,12 @@ pub fn mc_filter_stats_seeded(
     }
 }
 
-/// The original graph-walking loop over [`ParallelSim`], one 64-lane
-/// word per pass. Kept verbatim as the differential reference for the
-/// compiled tiers (and reachable via `--no-tape` / `MCPATH_NO_TAPE` /
-/// `--sim-kernel reference`).
-fn mc_filter_reference(
+/// The original graph-walking loop over
+/// [`ParallelSim`](crate::ParallelSim), one 64-lane word per pass. Kept
+/// verbatim as the differential oracle for the compiled kernels; no
+/// configuration reaches it.
+#[cfg(test)]
+pub(crate) fn mc_filter_reference(
     netlist: &Netlist,
     pairs: &[(usize, usize)],
     cfg: &FilterConfig,
@@ -348,7 +246,7 @@ fn mc_filter_reference(
     let nffs = netlist.num_ffs();
     let mut alive: Vec<(usize, usize)> = pairs.to_vec();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut sim = ParallelSim::new(netlist);
+    let mut sim = crate::ParallelSim::new(netlist);
 
     let mut s0 = vec![0u64; nffs];
     let mut s1 = vec![0u64; nffs];
@@ -408,10 +306,10 @@ fn mc_filter_reference(
     }
 }
 
-/// The uniform surface the wide kernel tiers expose to the shared
-/// batch/replay loop. One implementation per tier keeps the loop — and
-/// therefore the determinism contract — literally identical across
-/// tiers.
+/// The uniform surface the two kernels expose to the shared
+/// batch/replay loop. One implementation per kernel keeps the loop —
+/// and therefore the determinism contract — literally identical across
+/// them.
 trait KernelExec<const W: usize> {
     /// Sets the `64 × W` lanes of primary input `pi`.
     fn set_input(&mut self, pi: usize, words: [u64; W]);
@@ -425,27 +323,6 @@ trait KernelExec<const W: usize> {
     fn next_state(&self, ff: usize) -> [u64; W];
     /// Instructions executed per `eval`, for the op counters.
     fn ops_per_eval(&self) -> u64;
-}
-
-impl<const W: usize> KernelExec<W> for TapeSim<'_, W> {
-    fn set_input(&mut self, pi: usize, words: [u64; W]) {
-        TapeSim::set_input(self, pi, words);
-    }
-    fn set_state(&mut self, ff: usize, words: [u64; W]) {
-        TapeSim::set_state(self, ff, words);
-    }
-    fn eval(&mut self) {
-        TapeSim::eval(self);
-    }
-    fn clock(&mut self) {
-        TapeSim::clock(self);
-    }
-    fn next_state(&self, ff: usize) -> [u64; W] {
-        TapeSim::next_state(self, ff)
-    }
-    fn ops_per_eval(&self) -> u64 {
-        self.tape().num_ops() as u64
-    }
 }
 
 impl<const W: usize> KernelExec<W> for FusedSim<'_, W> {
@@ -500,75 +377,43 @@ struct SourceGroup {
     pairs: Vec<(usize, usize)>,
 }
 
-/// Tier selection for one wide filter run: compile the tape, lower it,
-/// try the configured tier (jit falls back to fused when the host can't
-/// run native code), then hand the chosen kernel to the shared loop and
-/// tag the stats.
+/// One wide filter run: compile the tape, lower it, run native code
+/// when `jit` is set and the host can execute it, and the fused
+/// interpreter otherwise; then tag the stats with the kernel that ran.
 fn mc_filter_wide<const W: usize>(
     netlist: &Netlist,
     pairs: &[(usize, usize)],
     cfg: &FilterConfig,
     consts: &[V3],
+    jit: bool,
 ) -> (FilterOutcome, FilterStats) {
-    let tape = Tape::compile_with_consts(netlist, consts);
-    match cfg.effective_kernel() {
-        SimKernel::Reference => unreachable!("dispatched before lane selection"),
-        SimKernel::Tape => {
-            let mut sim = TapeSim::<W>::new(&tape);
-            let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
-            let stats = FilterStats {
-                passes,
-                tape_ops: ops,
-                kernel: "tape",
-                ..FilterStats::default()
-            };
-            (out, stats)
-        }
-        SimKernel::Fused => {
-            let fused = FusedTape::lower(&tape);
-            let mut sim = FusedSim::<W>::new(&fused);
-            let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
-            let stats = FilterStats {
-                passes,
-                fused_ops: ops,
-                kernel: "fused",
-                ..FilterStats::default()
-            };
-            (out, stats)
-        }
-        SimKernel::Jit => {
-            let fused = FusedTape::lower(&tape);
-            match JitSim::<W>::new(&fused) {
-                Some(mut sim) => {
-                    let jit_bytes = sim.kernel().code_bytes() as u64;
-                    let tag = sim.kernel().tag();
-                    let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
-                    let stats = FilterStats {
-                        passes,
-                        fused_ops: ops,
-                        jit_compiles: 1,
-                        jit_bytes,
-                        jit_batches: 2 * passes,
-                        kernel: tag,
-                        ..FilterStats::default()
-                    };
-                    (out, stats)
-                }
-                // Host can't run native code: fused interpreter tier.
-                None => {
-                    let mut sim = FusedSim::<W>::new(&fused);
-                    let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
-                    let stats = FilterStats {
-                        passes,
-                        fused_ops: ops,
-                        kernel: "fused",
-                        ..FilterStats::default()
-                    };
-                    (out, stats)
-                }
-            }
-        }
+    let fused = FusedTape::lower(&Tape::compile_with_consts(netlist, consts));
+    let native = if jit { JitSim::<W>::new(&fused) } else { None };
+    if let Some(mut sim) = native {
+        let jit_bytes = sim.kernel().code_bytes() as u64;
+        let kernel = sim.kernel().tag();
+        let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
+        let stats = FilterStats {
+            passes,
+            fused_ops: ops,
+            jit_compiles: 1,
+            jit_bytes,
+            jit_batches: 2 * passes,
+            kernel,
+        };
+        return (out, stats);
     }
+    let mut sim = FusedSim::<W>::new(&fused);
+    let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
+    let stats = FilterStats {
+        passes,
+        fused_ops: ops,
+        jit_compiles: 0,
+        jit_bytes: 0,
+        jit_batches: 0,
+        kernel: "fused",
+    };
+    (out, stats)
 }
 
 /// The shared wide path: simulate `W` words per pass on the given
@@ -742,17 +587,6 @@ mod tests {
     fn cfg_with_lanes(lanes: u32) -> FilterConfig {
         FilterConfig {
             lanes,
-            tape: true,
-            kernel: SimKernel::Tape,
-            ..FilterConfig::default()
-        }
-    }
-
-    fn cfg_with_kernel(kernel: SimKernel) -> FilterConfig {
-        FilterConfig {
-            tape: true,
-            kernel,
-            lanes: 256,
             ..FilterConfig::default()
         }
     }
@@ -822,123 +656,42 @@ mod tests {
     }
 
     #[test]
-    fn tape_outcome_is_byte_identical_to_reference_at_every_width() {
-        let nl = mixed();
-        let pairs = nl.connected_ff_pairs();
-        let reference = mc_filter_reference(&nl, &pairs, &FilterConfig::default());
-        for lanes in SUPPORTED_LANES {
-            let out = mc_filter(&nl, &pairs, &cfg_with_lanes(lanes));
-            assert_eq!(out, reference, "lane width {lanes}");
-        }
-    }
-
-    #[test]
-    fn every_kernel_tier_is_byte_identical_to_reference_at_every_width() {
-        let nl = mixed();
-        let pairs = nl.connected_ff_pairs();
-        let reference = mc_filter_reference(&nl, &pairs, &FilterConfig::default());
-        for kernel in [SimKernel::Jit, SimKernel::Fused, SimKernel::Tape] {
-            for lanes in SUPPORTED_LANES {
-                let cfg = FilterConfig {
-                    lanes,
-                    ..cfg_with_kernel(kernel)
-                };
-                let out = mc_filter(&nl, &pairs, &cfg);
-                assert_eq!(out, reference, "kernel {kernel:?} lanes {lanes}");
-            }
-        }
-    }
-
-    #[test]
-    fn tape_stats_count_passes_and_ops() {
+    fn host_kernel_reports_passes_ops_and_compile_stats() {
         let nl = mixed();
         let pairs = nl.connected_ff_pairs();
         let (out, stats) = mc_filter_stats(&nl, &pairs, &cfg_with_lanes(256));
         assert!(stats.passes > 0);
-        assert_eq!(stats.kernel, "tape");
         // 4 words per pass: the word count never exceeds 4 × passes.
         assert!(out.words_simulated <= 4 * stats.passes);
         assert!(out.words_simulated > 4 * (stats.passes - 1));
-        // mixed() compiles to zero tape instructions (all BUFs alias), so
-        // tape_ops stays zero here; the invariant is ops = 2·passes·num_ops.
-        assert_eq!(stats.tape_ops % 2, 0);
-        assert_eq!(stats.fused_ops, 0, "tape tier moves tape_ops only");
-        assert_eq!(stats.jit_compiles, 0);
-        // The reference path reports zero kernel stats.
-        let no_tape = FilterConfig {
-            tape: false,
-            ..FilterConfig::default()
-        };
-        let (ref_out, ref_stats) = mc_filter_stats(&nl, &pairs, &no_tape);
-        assert_eq!(ref_stats, FilterStats::default());
-        assert_eq!(ref_out, out);
-    }
-
-    #[test]
-    fn jit_tier_reports_compile_and_batch_stats() {
-        let nl = mixed();
-        let pairs = nl.connected_ff_pairs();
-        let (out, stats) = mc_filter_stats(&nl, &pairs, &cfg_with_kernel(SimKernel::Jit));
+        // The invariant is ops = 2·passes·num_ops.
+        assert_eq!(stats.fused_ops % (2 * stats.passes), 0);
         if stats.kernel.starts_with("jit-") {
             assert_eq!(stats.jit_compiles, 1);
             assert!(stats.jit_bytes > 0);
             assert_eq!(stats.jit_batches, 2 * stats.passes);
         } else {
-            // Non-native host: the fallback ladder lands on `fused`.
+            // A host without native code runs the fused interpreter.
             assert_eq!(stats.kernel, "fused");
             assert_eq!(stats.jit_compiles, 0);
         }
-        assert_eq!(stats.tape_ops, 0, "jit/fused tiers never move tape_ops");
-        let (ref_out, _) = mc_filter_stats(
-            &nl,
-            &pairs,
-            &FilterConfig {
-                tape: false,
-                ..FilterConfig::default()
-            },
+        assert_eq!(
+            out,
+            mc_filter_reference(&nl, &pairs, &FilterConfig::default())
         );
-        assert_eq!(out, ref_out);
     }
 
     #[test]
-    fn fused_tier_reports_fused_ops() {
+    fn fused_interpreter_reports_no_jit_stats() {
         let nl = mixed();
         let pairs = nl.connected_ff_pairs();
-        let (_, stats) = mc_filter_stats(&nl, &pairs, &cfg_with_kernel(SimKernel::Fused));
+        let cfg = cfg_with_lanes(256);
+        let (out, stats) = filter_on_lanes(&nl, &pairs, &cfg, &[], false);
         assert_eq!(stats.kernel, "fused");
         assert!(stats.passes > 0);
         assert_eq!(stats.jit_compiles, 0);
-        assert_eq!(stats.tape_ops, 0);
-    }
-
-    #[test]
-    fn no_jit_env_and_no_tape_flow_through_effective_kernel() {
-        // effective_kernel folds `tape: false` into Reference.
-        let cfg = FilterConfig {
-            tape: false,
-            kernel: SimKernel::Jit,
-            ..FilterConfig::default()
-        };
-        assert_eq!(cfg.effective_kernel(), SimKernel::Reference);
-        let cfg = FilterConfig {
-            tape: true,
-            kernel: SimKernel::Fused,
-            ..FilterConfig::default()
-        };
-        assert_eq!(cfg.effective_kernel(), SimKernel::Fused);
-    }
-
-    #[test]
-    fn sim_kernel_parse_round_trips() {
-        for k in [
-            SimKernel::Jit,
-            SimKernel::Fused,
-            SimKernel::Tape,
-            SimKernel::Reference,
-        ] {
-            assert_eq!(SimKernel::parse(k.as_str()), Some(k));
-        }
-        assert_eq!(SimKernel::parse("turbo"), None);
+        assert_eq!(stats.jit_batches, 0);
+        assert_eq!(out, mc_filter(&nl, &pairs, &cfg));
     }
 
     #[test]

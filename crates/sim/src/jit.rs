@@ -1,4 +1,4 @@
-//! Native-code kernel tier: a self-contained x86-64 emitter over the
+//! Native-code kernel: a self-contained x86-64 emitter over the
 //! fused tape.
 //!
 //! [`JitKernel::compile`] turns a [`FusedTape`] into one flat machine
@@ -42,8 +42,8 @@
 //!    least `num_slots * W` words) with a hard assert.
 //!
 //! On non-x86-64 or non-Linux hosts (or when `mmap` fails),
-//! [`JitKernel::compile`] returns `None` and the caller drops to the
-//! fused interpreter tier — the ladder the filter dispatch encodes.
+//! [`JitKernel::compile`] returns `None` and the filter runs the same
+//! fused stream on the [`FusedSim`](crate::FusedSim) interpreter.
 
 // The one audited exception to the crate-level `#![deny(unsafe_code)]`.
 #![allow(unsafe_code)]
@@ -425,7 +425,7 @@ fn emit_avx2<const W: usize>(fused: &FusedTape) -> Option<Vec<u8>> {
 }
 
 /// Wide-word evaluator driving a [`JitKernel`] — protocol-compatible
-/// with [`TapeSim`](crate::TapeSim)/[`FusedSim`](crate::FusedSim), with
+/// with [`FusedSim`](crate::FusedSim), with
 /// the slot batches held in one flat contiguous buffer (the layout the
 /// emitted code addresses).
 pub struct JitSim<'f, const W: usize> {
@@ -567,7 +567,7 @@ mod tests {
         let tape = Tape::compile(nl);
         let fused = FusedTape::lower(&tape);
         let Some(mut jit) = JitSim::<W>::new(&fused) else {
-            // Non-x86-64 host: the fallback ladder covers it.
+            // Non-x86-64 host: the filter runs the fused interpreter.
             return;
         };
         let mut int = FusedSim::<W>::new(&fused);
@@ -649,7 +649,7 @@ mod tests {
 
     /// The graceful-fallback contract: on a non-x86-64 (or non-Linux)
     /// host `compile` returns `None` rather than emitting anything —
-    /// this is what the filter's tier dispatch relies on. On the JIT's
+    /// this is what the filter's fused fallback relies on. On the JIT's
     /// own target this asserts the inverse.
     #[test]
     fn non_native_hosts_fall_back_gracefully() {

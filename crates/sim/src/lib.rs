@@ -1,31 +1,29 @@
 //! Simulation engines for sequential netlists.
 //!
-//! Three simulators, each matched to a phase of the paper's flow:
+//! Simulators, each matched to a phase of the paper's flow:
 //!
 //! * [`ParallelSim`] — 64-lane bit-parallel two-valued simulation. One
 //!   `u64` word per node carries 64 independent Boolean patterns, so a
 //!   single pass over the levelized gates simulates 64 input vectors.
-//!   This is the paper's "parallel pattern simulation".
-//! * [`TapeSim`] — the compiled wide-lane kernel: [`Tape::compile`] lowers
-//!   the netlist once into a flat, levelized instruction tape (constants
-//!   folded, buffers chained away), and a const-generic `[u64; W]` word
-//!   evaluates `64 × W` patterns per pass. Observationally identical to
-//!   `ParallelSim` lane-for-lane, several times faster per node-eval.
-//! * [`FusedSim`] / [`JitSim`] — the optimizing tiers above the tape:
-//!   [`FusedTape::lower`] fuses NOT/NAND chains into operand polarity
-//!   bits, folds constants, and dead-slot-eliminates logic that cannot
-//!   reach an FF; [`FusedSim`] interprets that stream, and
-//!   [`JitKernel::compile`] emits native x86-64 (AVX2 or scalar-`u64`)
-//!   machine code for it. The kernel ladder (jit → fused → tape →
-//!   reference) is selected by [`FilterConfig::kernel`] and every tier
-//!   is differentially oracled to byte-identical [`FilterOutcome`]s.
+//!   This is the paper's "parallel pattern simulation", and the
+//!   graph-walking oracle the compiled kernel is tested against.
+//! * The compiled kernel: [`Tape::compile`] lowers the netlist once into
+//!   a flat, levelized binary instruction tape (constants folded,
+//!   buffers chained away); [`FusedTape::lower`] fuses NOT/NAND chains
+//!   into operand polarity bits, folds constants, and dead-slot-eliminates
+//!   logic that cannot reach an FF; [`JitKernel::compile`] emits native
+//!   x86-64 (AVX2 or scalar-`u64`) machine code for that stream, run by
+//!   [`JitSim`]. On hosts the emitter does not target, [`FusedSim`]
+//!   interprets the same stream. A const-generic `[u64; W]` word
+//!   evaluates `64 × W` patterns per pass.
 //! * [`filter::mc_filter`] — the paper's step 2: repeated 2-clock random
 //!   simulation that *disproves* the multi-cycle condition for most
 //!   single-cycle FF pairs cheaply, stopping once no pair has been dropped
 //!   for a configurable number of consecutive words (32 in the paper).
-//!   Runs on the tape kernel by default (`FilterConfig::lanes` selects the
-//!   width) with a lane-width determinism contract: the outcome is
-//!   byte-identical to the 64-lane reference at every supported width.
+//!   Runs on the compiled kernel the host supports (`FilterConfig::lanes`
+//!   selects the width) with a lane-width determinism contract: the
+//!   outcome is byte-identical to the 64-lane reference at every
+//!   supported width.
 //! * [`EventSim`] — an event-driven three-valued simulator over the
 //!   original netlist, used by tests and the examples for cycle-accurate
 //!   inspection of small circuits.
@@ -58,6 +56,8 @@ pub mod delay;
 pub mod event;
 pub mod filter;
 pub mod jit;
+#[cfg(test)]
+mod kernel_diff;
 pub mod lower;
 pub mod parallel;
 pub mod tape;
@@ -67,9 +67,9 @@ pub use delay::{DelaySim, EdgeReport};
 pub use event::EventSim;
 pub use filter::{
     mc_filter, mc_filter_stats, mc_filter_stats_seeded, FilterConfig, FilterOutcome, FilterStats,
-    PairDrop, SimKernel,
+    PairDrop,
 };
 pub use jit::{JitKernel, JitSim};
 pub use lower::{FusedOp, FusedRef, FusedSim, FusedTape};
 pub use parallel::ParallelSim;
-pub use tape::{SlotRef, Tape, TapeSim};
+pub use tape::{SlotRef, Tape};

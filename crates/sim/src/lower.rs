@@ -26,11 +26,10 @@
 //!   autovectorizer both want). [`FusedTape::lower_keep_all`] keeps
 //!   every slot live instead, for per-node differential tests.
 //!
-//! [`FusedSim`] evaluates the fused stream exactly like
-//! [`TapeSim`](crate::TapeSim) evaluates the raw one; the JIT
-//! (`crate::jit`) emits native code for the same stream. Both read their
-//! FF D values through [`FusedRef`]s, whose polarity bit applies any
-//! residual output inversion at readout — never during the hot loop.
+//! [`FusedSim`] interprets the fused stream; the JIT (`crate::jit`)
+//! emits native code for the same stream. Both read their FF D values
+//! through [`FusedRef`]s, whose polarity bit applies any residual output
+//! inversion at readout — never during the hot loop.
 
 use crate::tape::{Op, SlotRef, Tape};
 
@@ -433,16 +432,23 @@ fn lower_bin(
     }
 }
 
-/// Wide-word interpreter over a [`FusedTape`] — the portable middle
-/// tier of the kernel ladder (JIT → fused → tape → reference), and the
-/// fallback when the JIT cannot target the host.
+/// Wide-word interpreter over a [`FusedTape`] — the prefilter's kernel
+/// on hosts the JIT cannot target.
 ///
-/// Protocol and slot semantics mirror [`TapeSim`](crate::TapeSim).
+/// Each slot holds `[u64; W]`: bit `l` of word `w` is one independent
+/// simulation lane, `64 × W` lanes per pass. `W` is a compile-time
+/// constant, so the per-instruction inner loop unrolls into
+/// straight-line word ops with no lane branching. The protocol mirrors
+/// [`ParallelSim`](crate::ParallelSim): set inputs and state,
+/// [`eval`](Self::eval), read [`next_state`](Self::next_state), then
+/// [`clock`](Self::clock) to latch.
 #[derive(Debug, Clone)]
 pub struct FusedSim<'f, const W: usize> {
     fused: &'f FusedTape,
     slots: Vec<[u64; W]>,
-    /// Clock-latch scratch; see `TapeSim::latch`.
+    /// Clock-latch scratch: D values are read out completely before any
+    /// state slot is overwritten, because a D ref may alias another
+    /// FF's state slot (e.g. `Q2.D = BUF(Q1)` chains to Q1's slot).
     latch: Vec<[u64; W]>,
 }
 
@@ -579,7 +585,6 @@ impl<'f, const W: usize> FusedSim<'f, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TapeSim;
     use mcp_logic::GateKind;
     use mcp_netlist::{Netlist, NetlistBuilder};
 
@@ -703,17 +708,14 @@ mod tests {
         assert_eq!(fused.num_ops(), 2, "one fused op per gate, NOT absorbed");
         assert!(fused.opcode.contains(&FusedOp::AndN));
 
-        let mut fsim = FusedSim::<2>::new(&fused);
-        let mut tsim = TapeSim::<2>::new(&tape);
-        for (s, v) in [(0usize, [0xAAu64, 0x0F]), (1, [0xCC, 0x33])] {
-            fsim.set_input(s, v);
-            tsim.set_input(s, v);
-        }
-        fsim.eval();
-        tsim.eval();
-        for ff in 0..2 {
-            assert_eq!(fsim.next_state(ff), tsim.next_state(ff), "FF {ff}");
-        }
+        let mut sim = FusedSim::<2>::new(&fused);
+        let (a, c) = ([0xAAu64, 0x0F], [0xCCu64, 0x33]);
+        sim.set_input(0, a);
+        sim.set_input(1, c);
+        sim.eval();
+        // F0.D = ¬A ∧ B and F1.D = ¬(¬A ∨ B) = A ∧ ¬B, word by word.
+        assert_eq!(sim.next_state(0), [!a[0] & c[0], !a[1] & c[1]]);
+        assert_eq!(sim.next_state(1), [a[0] & !c[0], a[1] & !c[1]]);
     }
 
     #[test]

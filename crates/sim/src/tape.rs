@@ -1,11 +1,10 @@
-//! Compiled wide-lane simulation kernel.
+//! The compiled netlist IR.
 //!
 //! [`ParallelSim`](crate::ParallelSim) walks the netlist graph on every
 //! pass: per-gate enum dispatch, a fanin-id indirection per input, and a
 //! scratch copy of every fanin word. That is fine for a handful of
 //! passes, but the random-pattern prefilter (paper step 2) runs hundreds
-//! of passes over the whole circuit — the last un-compiled hot path of
-//! the pipeline.
+//! of passes over the whole circuit.
 //!
 //! [`Tape`] lowers the netlist **once** into a flat, levelized
 //! instruction tape of pure **binary** operations in structure-of-arrays
@@ -22,20 +21,16 @@
 //!   and the fold cascades through its readers;
 //! * an `n`-input gate decomposes into a chain of `n - 1` binary
 //!   instructions (the inversion of NAND/NOR/XNOR lands on the last
-//!   link), and `NOT(a)` becomes `NAND(a, a)` — so the evaluator is a
-//!   single flat load–load–op–store loop with no per-instruction fanin
+//!   link), and `NOT(a)` becomes `NAND(a, a)` — so every instruction is
+//!   a single load–load–op–store with no per-instruction fanin
 //!   iteration, no arity dispatch, and an output slot that is implicit
 //!   in the instruction index.
 //!
-//! [`TapeSim`] evaluates the tape with **const-generic wide words**
-//! `[u64; W]`: one pass simulates `64 × W` independent Boolean patterns.
-//! `W` is a compile-time constant, so the per-instruction inner loop
-//! unrolls into straight-line word ops with no lane branching.
-//!
-//! The kernel is observationally identical to `ParallelSim` lane-for-lane
-//! (see `tests/tape_diff.rs`): every original node's value — including
-//! folded and aliased ones — is recoverable through [`Tape::slot_of`] /
-//! [`TapeSim::value`].
+//! The tape is not executed directly: [`FusedTape::lower`](crate::FusedTape::lower)
+//! consumes it, and the fused stream runs on native code or the
+//! [`FusedSim`](crate::FusedSim) interpreter. Every original node's
+//! value — including folded and aliased ones — stays recoverable through
+//! [`Tape::slot_of`] and [`FusedTape::tape_ref`](crate::FusedTape::tape_ref).
 
 use mcp_logic::{GateKind, V3};
 use mcp_netlist::{Netlist, NodeId, NodeKind};
@@ -92,7 +87,7 @@ pub struct Tape {
 
 impl Tape {
     /// Compiles `netlist` into a tape. One-time cost, linear in the
-    /// netlist size; every [`TapeSim`] built on the result shares it.
+    /// netlist size.
     pub fn compile(netlist: &Netlist) -> Tape {
         Tape::compile_with_consts(netlist, &[])
     }
@@ -337,177 +332,18 @@ impl Tape {
     }
 }
 
-/// Wide-word evaluator over a compiled [`Tape`].
-///
-/// Each slot holds `[u64; W]`: bit `l` of word `w` is one independent
-/// simulation lane, `64 × W` lanes per pass. `W = 1` is the drop-in
-/// equivalent of [`ParallelSim`](crate::ParallelSim); `W = 4` (256
-/// lanes) is the pipeline default.
-///
-/// The state/eval/clock protocol mirrors `ParallelSim`: set inputs and
-/// state, [`eval`](Self::eval), read [`value`](Self::value) /
-/// [`next_state`](Self::next_state), then [`clock`](Self::clock) to
-/// latch.
-#[derive(Debug, Clone)]
-pub struct TapeSim<'t, const W: usize> {
-    tape: &'t Tape,
-    slots: Vec<[u64; W]>,
-    /// Clock-latch scratch: D values are read out completely before any
-    /// state slot is overwritten, because a D ref may alias another
-    /// FF's state slot (e.g. `Q2.D = BUF(Q1)` chains to Q1's slot).
-    latch: Vec<[u64; W]>,
-}
-
-impl<'t, const W: usize> TapeSim<'t, W> {
-    /// Creates an evaluator with all inputs and state zero.
-    pub fn new(tape: &'t Tape) -> Self {
-        TapeSim {
-            tape,
-            slots: vec![[0; W]; tape.num_slots()],
-            latch: vec![[0; W]; tape.num_ffs()],
-        }
-    }
-
-    /// The compiled tape this evaluator runs.
-    #[inline]
-    pub fn tape(&self) -> &'t Tape {
-        self.tape
-    }
-
-    /// Sets the `64 × W` lanes of primary input `pi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi` is out of range.
-    #[inline]
-    pub fn set_input(&mut self, pi: usize, words: [u64; W]) {
-        assert!(pi < self.tape.num_inputs, "primary input out of range");
-        self.slots[self.tape.pi_slot(pi)] = words;
-    }
-
-    /// Sets the `64 × W` lanes of FF `ff`'s state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ff` is out of range.
-    #[inline]
-    pub fn set_state(&mut self, ff: usize, words: [u64; W]) {
-        assert!(ff < self.tape.num_ffs, "flip-flop out of range");
-        self.slots[self.tape.ff_slot(ff)] = words;
-    }
-
-    /// Current state of FF `ff`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ff` is out of range.
-    #[inline]
-    pub fn state(&self, ff: usize) -> [u64; W] {
-        assert!(ff < self.tape.num_ffs, "flip-flop out of range");
-        self.slots[self.tape.ff_slot(ff)]
-    }
-
-    /// Runs the instruction tape: one forward sweep evaluates the
-    /// combinational logic for the current inputs and state.
-    ///
-    /// Each binary instruction is a load–load–op–store over `[u64; W]`;
-    /// the output slot is the instruction index offset past the
-    /// input/state slots, so the loop carries no per-instruction
-    /// metadata beyond two operand indices and an opcode.
-    pub fn eval(&mut self) {
-        let t = self.tape;
-        let base = t.num_inputs + t.num_ffs;
-        for (out, ((&op, &a), &b)) in
-            (base..).zip(t.opcode.iter().zip(t.lhs.iter()).zip(t.rhs.iter()))
-        {
-            let va = self.slots[a as usize];
-            let vb = self.slots[b as usize];
-            let mut v = [0u64; W];
-            match op {
-                Op::And => {
-                    for l in 0..W {
-                        v[l] = va[l] & vb[l];
-                    }
-                }
-                Op::Nand => {
-                    for l in 0..W {
-                        v[l] = !(va[l] & vb[l]);
-                    }
-                }
-                Op::Or => {
-                    for l in 0..W {
-                        v[l] = va[l] | vb[l];
-                    }
-                }
-                Op::Nor => {
-                    for l in 0..W {
-                        v[l] = !(va[l] | vb[l]);
-                    }
-                }
-                Op::Xor => {
-                    for l in 0..W {
-                        v[l] = va[l] ^ vb[l];
-                    }
-                }
-                Op::Xnor => {
-                    for l in 0..W {
-                        v[l] = !(va[l] ^ vb[l]);
-                    }
-                }
-            }
-            self.slots[out] = v;
-        }
-    }
-
-    /// Resolves a [`SlotRef`] against the current slot values.
-    #[inline]
-    fn resolve(&self, r: SlotRef) -> [u64; W] {
-        match r {
-            SlotRef::Slot(s) => self.slots[s as usize],
-            SlotRef::Const(true) => [u64::MAX; W],
-            SlotRef::Const(false) => [0; W],
-        }
-    }
-
-    /// The wide value of original node `id` from the most recent
-    /// [`eval`](Self::eval). Works for every node of the compiled
-    /// netlist, including folded constants and aliased buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to the compiled netlist.
-    #[inline]
-    pub fn value(&self, id: NodeId) -> [u64; W] {
-        self.resolve(self.tape.slot_of(id))
-    }
-
-    /// FF `ff`'s D-input value from the most recent `eval` — the state
-    /// it will hold after the next [`clock`](Self::clock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ff` is out of range.
-    #[inline]
-    pub fn next_state(&self, ff: usize) -> [u64; W] {
-        self.resolve(self.tape.ff_d(ff))
-    }
-
-    /// Latches every FF's D-input value (positive clock edge).
-    pub fn clock(&mut self) {
-        for ff in 0..self.tape.num_ffs {
-            self.latch[ff] = self.resolve(self.tape.ff_d[ff]);
-        }
-        for ff in 0..self.tape.num_ffs {
-            self.slots[self.tape.ff_slot(ff)] = self.latch[ff];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParallelSim;
+    use crate::{FusedSim, FusedTape, ParallelSim};
     use mcp_netlist::NetlistBuilder;
+
+    /// Node `id`'s value after the most recent eval of a simulator over a
+    /// keep-all lowering of `tape`.
+    fn value<const W: usize>(sim: &FusedSim<'_, W>, tape: &Tape, id: NodeId) -> [u64; W] {
+        let r = sim.fused().tape_ref(tape.slot_of(id));
+        sim.resolve(r.expect("keep-all lowering maps every slot"))
+    }
 
     fn gray2() -> Netlist {
         let mut b = NetlistBuilder::new("gray2");
@@ -524,7 +360,8 @@ mod tests {
     fn gray_counter_matches_parallel_sim() {
         let nl = gray2();
         let tape = Tape::compile(&nl);
-        let mut sim = TapeSim::<2>::new(&tape);
+        let fused = FusedTape::lower_keep_all(&tape);
+        let mut sim = FusedSim::<2>::new(&fused);
         let mut reference = ParallelSim::new(&nl);
         sim.set_state(0, [0b10, 0b01]);
         sim.set_state(1, [0b10, 0b11]);
@@ -571,15 +408,16 @@ mod tests {
         assert_eq!(tape.slot_of(g), tape.slot_of(input));
         assert_eq!(tape.slot_of(y), SlotRef::Const(false));
 
-        let mut sim = TapeSim::<1>::new(&tape);
+        let fused = FusedTape::lower_keep_all(&tape);
+        let mut sim = FusedSim::<1>::new(&fused);
         sim.set_input(0, [0b01]);
         sim.eval();
-        assert_eq!(sim.value(a), [0]);
-        assert_eq!(sim.value(o), [u64::MAX]);
-        assert_eq!(sim.value(g), [0b01]);
-        assert_eq!(sim.value(n), [!0b01]);
-        assert_eq!(sim.value(x), [!0b01]);
-        assert_eq!(sim.value(y), [0]);
+        assert_eq!(value(&sim, &tape, a), [0]);
+        assert_eq!(value(&sim, &tape, o), [u64::MAX]);
+        assert_eq!(value(&sim, &tape, g), [0b01]);
+        assert_eq!(value(&sim, &tape, n), [!0b01]);
+        assert_eq!(value(&sim, &tape, x), [!0b01]);
+        assert_eq!(value(&sim, &tape, y), [0]);
     }
 
     #[test]
@@ -598,7 +436,8 @@ mod tests {
         assert_eq!(tape.slot_of(b3), tape.slot_of(input));
         assert_eq!(tape.ff_d(0), tape.slot_of(input));
 
-        let mut sim = TapeSim::<1>::new(&tape);
+        let fused = FusedTape::lower_keep_all(&tape);
+        let mut sim = FusedSim::<1>::new(&fused);
         sim.set_input(0, [0xABCD]);
         sim.eval();
         assert_eq!(sim.next_state(0), [0xABCD]);
@@ -616,7 +455,8 @@ mod tests {
         let nl = b.finish().unwrap();
         let tape = Tape::compile(&nl);
         assert_eq!(tape.ff_d(0), SlotRef::Const(true));
-        let mut sim = TapeSim::<2>::new(&tape);
+        let fused = FusedTape::lower_keep_all(&tape);
+        let mut sim = FusedSim::<2>::new(&fused);
         sim.set_state(0, [0, 0]);
         sim.eval();
         assert_eq!(sim.next_state(0), [u64::MAX; 2]);
@@ -639,7 +479,8 @@ mod tests {
         let nl = b.finish().unwrap();
         let tape = Tape::compile(&nl);
         assert_eq!(tape.num_ops(), 0);
-        let mut sim = TapeSim::<1>::new(&tape);
+        let fused = FusedTape::lower_keep_all(&tape);
+        let mut sim = FusedSim::<1>::new(&fused);
         sim.set_state(0, [0xAAAA]);
         sim.set_state(1, [0x5555]);
         sim.eval();
@@ -711,24 +552,5 @@ mod tests {
         let unseeded = Tape::compile_with_consts(&nl, &[]);
         assert_eq!(unseeded.num_ops(), plain.num_ops());
         assert_eq!(unseeded.node_ref, plain.node_ref);
-    }
-
-    #[test]
-    fn wide_words_carry_independent_lanes() {
-        let nl = gray2();
-        let tape = Tape::compile(&nl);
-        let mut w4 = TapeSim::<4>::new(&tape);
-        let mut w1 = TapeSim::<1>::new(&tape);
-        let states = [[1u64, 2, 3, 4], [5u64, 6, 7, 8]];
-        w4.set_state(0, states[0]);
-        w4.set_state(1, states[1]);
-        w4.eval();
-        for (word, (&s0, &s1)) in states[0].iter().zip(states[1].iter()).enumerate() {
-            w1.set_state(0, [s0]);
-            w1.set_state(1, [s1]);
-            w1.eval();
-            assert_eq!(w4.next_state(0)[word], w1.next_state(0)[0]);
-            assert_eq!(w4.next_state(1)[word], w1.next_state(1)[0]);
-        }
     }
 }

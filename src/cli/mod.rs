@@ -40,7 +40,7 @@
 //!
 //! Options: `--engine implication|sat|bdd`, `--cycles K`, `--backtracks N`,
 //! `--learn`, `--threads N`, `--scheduler steal|static`, `--no-sim`,
-//! `--sim-lanes 64|128|256|512`, `--no-tape`, `--no-self-pairs`,
+//! `--sim-lanes 64|128|256|512`, `--no-self-pairs`,
 //! `--no-lint`, `--no-slice`, `--no-static-classify`, `--deny <rule>`,
 //! `--allow <rule>`, `--max-diags <n>`, `--json <path>`, `--canonical`,
 //! `--cache-dir <dir>`, `--eco <old.bench>`, `--resume <ledger>`,
@@ -60,7 +60,6 @@ mod tests;
 use mcp_core::{Engine, HazardCheck, McConfig, Scheduler, ShardSpec};
 use mcp_netlist::{bench, Netlist};
 use mcp_obs::{FileSink, ObsCtx};
-use mcp_sim::SimKernel;
 use std::time::Duration;
 
 /// A parsed command line.
@@ -83,20 +82,8 @@ pub struct Command {
     /// Disable the random-simulation prefilter.
     pub no_sim: bool,
     /// Simulation lane width of the prefilter's compiled kernel
-    /// (64, 128, 256 or 512); `None` keeps the default (256, or the
-    /// `MCPATH_SIM_LANES` env var).
+    /// (64, 128, 256 or 512); `None` keeps the default (256).
     pub sim_lanes: Option<u32>,
-    /// Run the prefilter on the graph-walking reference simulator
-    /// instead of the compiled tape kernel (A/B escape hatch; the
-    /// outcome is byte-identical).
-    pub no_tape: bool,
-    /// Which prefilter kernel tier to run (`--sim-kernel
-    /// jit|fused|tape|reference`); `None` keeps the default ladder
-    /// (jit, or fused under `MCPATH_NO_JIT`). Verdict-neutral.
-    pub sim_kernel: Option<SimKernel>,
-    /// Never emit native code: downgrade the jit tier to the fused
-    /// interpreter (`--no-jit`; same effect as `MCPATH_NO_JIT`).
-    pub no_jit: bool,
     /// Exclude self pairs.
     pub no_self_pairs: bool,
     /// Skip the pre-analysis structural lint gate.
@@ -287,14 +274,6 @@ OPTIONS:
   --no-sim                       skip the random-simulation prefilter
   --sim-lanes 64|128|256|512     prefilter patterns per pass (default: 256);
                                  the outcome is identical at every width
-  --no-tape                      prefilter on the graph-walking reference
-                                 simulator instead of the compiled kernel
-  --sim-kernel jit|fused|tape|reference
-                                 prefilter kernel tier (default: jit, with
-                                 automatic fallback on non-x86-64 hosts);
-                                 the outcome is identical in every tier
-  --no-jit                       never emit native code: run the jit tier
-                                 as the fused interpreter (MCPATH_NO_JIT)
   --max-bytes <N>                byte budget for `cache gc` (entries are
                                  evicted least-recently-touched first)
   --no-self-pairs                exclude (FFi, FFi) pairs ([9]'s convention)
@@ -355,9 +334,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
     let mut scheduler = Scheduler::default();
     let mut no_sim = false;
     let mut sim_lanes: Option<u32> = None;
-    let mut no_tape = false;
-    let mut sim_kernel: Option<SimKernel> = None;
-    let mut no_jit = false;
     let mut max_bytes: Option<u64> = None;
     let mut no_self_pairs = false;
     let mut no_lint = false;
@@ -495,14 +471,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                         .map_err(|e| ParseCliError(format!("bad --sim-lanes: {e}")))?,
                 );
             }
-            "--sim-kernel" => {
-                let v = take_value(&mut args, "--sim-kernel")?;
-                sim_kernel = Some(SimKernel::parse(&v).ok_or_else(|| {
-                    ParseCliError(format!(
-                        "unknown kernel `{v}` (expected jit|fused|tape|reference)"
-                    ))
-                })?);
-            }
             "--max-bytes" => {
                 max_bytes = Some(
                     take_value(&mut args, "--max-bytes")?
@@ -515,8 +483,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             "--metrics" => metrics = true,
             "--progress" => progress = true,
             "--no-sim" => no_sim = true,
-            "--no-tape" => no_tape = true,
-            "--no-jit" => no_jit = true,
             "--no-self-pairs" => no_self_pairs = true,
             "--no-lint" => no_lint = true,
             "--no-slice" => no_slice = true,
@@ -639,11 +605,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                     ))
                 }
             };
-            if cache_dir.is_none() && std::env::var_os("MCPATH_CACHE_DIR").is_none() {
-                return Err(ParseCliError(
-                    "`cache` needs --cache-dir <dir> (or MCPATH_CACHE_DIR)".into(),
-                ));
-            }
             Action::Cache(op)
         }
         "help" | "--help" | "-h" => Action::Help,
@@ -668,13 +629,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         if !matches!(action, Action::Analyze(_)) {
             return Err(ParseCliError("`--eco` only applies to `analyze`".into()));
         }
-        if cache_dir.is_none() && std::env::var_os("MCPATH_CACHE_DIR").is_none() {
-            return Err(ParseCliError(
-                "`--eco` needs --cache-dir <dir>: the baseline's verdicts are \
-                 spliced from the artifact store"
-                    .into(),
-            ));
-        }
         // ECO splicing and the other replay modes each own the verdict
         // journal; combining them would double-restore pairs.
         if shards.is_some() || resume.is_some() || shard.is_some() {
@@ -691,7 +645,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         _ => OutputFormat::Text,
     });
 
-    Ok(Command {
+    let cmd = Command {
         action,
         engine,
         cycles,
@@ -701,9 +655,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         scheduler,
         no_sim,
         sim_lanes,
-        no_tape,
-        sim_kernel,
-        no_jit,
         no_self_pairs,
         no_lint,
         no_slice,
@@ -724,7 +675,23 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         progress,
         threshold,
         quiet,
-    })
+    };
+    // Both modes need a store; `config()` folds in MCPATH_CACHE_DIR.
+    if cmd.config().cache_dir.is_none() {
+        if matches!(cmd.action, Action::Cache(_)) {
+            return Err(ParseCliError(
+                "`cache` needs --cache-dir <dir> (or MCPATH_CACHE_DIR)".into(),
+            ));
+        }
+        if cmd.eco.is_some() {
+            return Err(ParseCliError(
+                "`--eco` needs --cache-dir <dir>: the baseline's verdicts are \
+                 spliced from the artifact store"
+                    .into(),
+            ));
+        }
+    }
+    Ok(cmd)
 }
 
 impl Command {
@@ -747,24 +714,8 @@ impl Command {
         let mut sim = defaults.sim;
         if let Some(lanes) = self.sim_lanes {
             // Validation happens in `analyze` (AnalyzeError::InvalidSimLanes)
-            // so env- and flag-sourced values get the same diagnostics.
+            // so library callers get the same diagnostics.
             sim.lanes = lanes;
-        }
-        // The flag can only disable the tape; the default (normally on)
-        // also honors the MCPATH_NO_TAPE env var.
-        sim.tape = sim.tape && !self.no_tape;
-        match self.sim_kernel {
-            // `--sim-kernel reference` is the tier-ladder spelling of
-            // `--no-tape`: the reference path is selected by turning
-            // the compiled kernels off.
-            Some(SimKernel::Reference) => sim.tape = false,
-            Some(k) => sim.kernel = k,
-            None => {}
-        }
-        // `--no-jit` caps the ladder at the fused interpreter, even
-        // against an explicit `--sim-kernel jit`.
-        if self.no_jit && sim.kernel == SimKernel::Jit {
-            sim.kernel = SimKernel::Fused;
         }
         McConfig {
             sim,
@@ -777,20 +728,16 @@ impl Command {
             use_sim_filter: !self.no_sim,
             include_self_pairs: !self.no_self_pairs,
             lint: !self.no_lint,
-            // The flag can only disable slicing; the default (normally
-            // on) also honors the MCPATH_NO_SLICE env var.
-            slice: defaults.slice && !self.no_slice,
-            // Same pattern for the dataflow pre-pass and the
-            // MCPATH_NO_STATIC_CLASSIFY env var.
-            static_classify: defaults.static_classify && !self.no_static_classify,
+            slice: !self.no_slice,
+            static_classify: !self.no_static_classify,
             shard: self.shard.map(|(index, count)| ShardSpec { index, count }),
-            // The flag overrides the MCPATH_CACHE_DIR env var (already
-            // folded into the default).
+            // A store location is a path, so the environment may supply
+            // it; the flag wins over the MCPATH_CACHE_DIR env var.
             cache_dir: self
                 .cache_dir
                 .as_ref()
                 .map(std::path::PathBuf::from)
-                .or(defaults.cache_dir),
+                .or_else(|| std::env::var_os("MCPATH_CACHE_DIR").map(std::path::PathBuf::from)),
             ..defaults
         }
     }
@@ -832,16 +779,6 @@ impl Command {
         if let Some(lanes) = self.sim_lanes {
             push("--sim-lanes");
             push(&lanes.to_string());
-        }
-        if self.no_tape {
-            push("--no-tape");
-        }
-        if let Some(kernel) = self.sim_kernel {
-            push("--sim-kernel");
-            push(kernel.as_str());
-        }
-        if self.no_jit {
-            push("--no-jit");
         }
         if self.no_self_pairs {
             push("--no-self-pairs");

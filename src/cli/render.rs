@@ -126,7 +126,7 @@ fn fmt_words_per_sec(words: u64, t: Duration) -> String {
 pub(crate) fn render_snapshot(m: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let c = &m.counters;
-    let rows: [(&str, u64); 41] = [
+    let rows: [(&str, u64); 40] = [
         ("implications", c.implications),
         ("contradictions", c.contradictions),
         ("learned_implications", c.learned_implications),
@@ -149,7 +149,6 @@ pub(crate) fn render_snapshot(m: &MetricsSnapshot) -> String {
         ("sim_words", c.sim_words),
         ("sim_pairs_dropped", c.sim_pairs_dropped),
         ("sim_passes", c.sim_passes),
-        ("sim_tape_ops", c.sim_tape_ops),
         ("sim_fused_ops", c.sim_fused_ops),
         ("jit_compiles", c.jit_compiles),
         ("jit_bytes", c.jit_bytes),

@@ -192,14 +192,8 @@ fn no_static_classify_flag_reaches_the_config() {
     let cmd = parse_args(argv("analyze f.bench --no-static-classify")).expect("parse");
     assert!(cmd.no_static_classify);
     assert!(!cmd.config().static_classify);
-    // Without the flag the default applies (on, unless the
-    // MCPATH_NO_STATIC_CLASSIFY env var is set in this test
-    // environment).
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert_eq!(
-        cmd.config().static_classify,
-        McConfig::default().static_classify
-    );
+    assert!(cmd.config().static_classify, "on by default");
 }
 
 #[test]
@@ -275,79 +269,37 @@ fn no_slice_flag_reaches_the_config() {
     let cmd = parse_args(argv("analyze f.bench --no-slice")).expect("parse");
     assert!(cmd.no_slice);
     assert!(!cmd.config().slice);
-    // Without the flag the default applies (on, unless the
-    // MCPATH_NO_SLICE env var is set in this test environment).
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert_eq!(cmd.config().slice, McConfig::default().slice);
+    assert!(cmd.config().slice, "on by default");
 }
 
 #[test]
-fn sim_lanes_and_no_tape_flags_reach_the_config() {
-    let cmd = parse_args(argv("analyze f.bench --sim-lanes 128 --no-tape")).expect("parse");
+fn sim_lanes_flag_reaches_the_config() {
+    let cmd = parse_args(argv("analyze f.bench --sim-lanes 128")).expect("parse");
     assert_eq!(cmd.sim_lanes, Some(128));
-    assert!(cmd.no_tape);
-    let cfg = cmd.config();
-    assert_eq!(cfg.sim_lanes(), 128);
-    assert!(!cfg.sim.tape);
-    // Without the flags the defaults apply (256 lanes / tape on,
-    // unless MCPATH_SIM_LANES / MCPATH_NO_TAPE are set in this test
-    // environment).
+    assert_eq!(cmd.config().sim_lanes(), 128);
+    // Without the flag the library default applies.
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert_eq!(cmd.config().sim, McConfig::default().sim);
+    assert_eq!(cmd.config().sim, mcp_sim::FilterConfig::default());
+    assert_eq!(cmd.config().sim_lanes(), 256);
     // Non-numeric widths are parse errors; missing values too.
     assert!(parse_args(argv("analyze f.bench --sim-lanes abc")).is_err());
     assert!(parse_args(argv("analyze f.bench --sim-lanes")).is_err());
 }
 
 #[test]
-fn sim_kernel_and_no_jit_flags_reach_the_config() {
-    use mcp_sim::SimKernel;
-
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel fused")).expect("parse");
-    assert_eq!(cmd.sim_kernel, Some(SimKernel::Fused));
-    assert_eq!(cmd.config().sim.kernel, SimKernel::Fused);
-
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel tape")).expect("parse");
-    assert_eq!(cmd.config().sim.kernel, SimKernel::Tape);
-
-    // `reference` is the tier-ladder spelling of `--no-tape`.
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel reference")).expect("parse");
-    assert!(!cmd.config().sim.tape);
-
-    // `--no-jit` caps the ladder at the fused interpreter, even when
-    // jit was requested explicitly.
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel jit --no-jit")).expect("parse");
-    assert!(cmd.no_jit);
-    assert_eq!(cmd.config().sim.kernel, SimKernel::Fused);
-    // ...but never touches an explicit interpreter tier.
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel tape --no-jit")).expect("parse");
-    assert_eq!(cmd.config().sim.kernel, SimKernel::Tape);
-
-    // Without the flags the defaults apply (jit, unless MCPATH_NO_JIT
-    // is set in this test environment).
-    let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert_eq!(cmd.config().sim.kernel, McConfig::default().sim.kernel);
-
-    assert!(parse_args(argv("analyze f.bench --sim-kernel turbo")).is_err());
-    assert!(parse_args(argv("analyze f.bench --sim-kernel")).is_err());
-
-    // The kernel tier is verdict-neutral: it must not move the config
-    // fingerprint (or the warm cache would go cold on an A/B flag).
-    let base = parse_args(argv("analyze f.bench")).expect("parse");
-    for alt in ["--sim-kernel fused", "--sim-kernel tape", "--no-jit"] {
-        let cmd = parse_args(argv(&format!("analyze f.bench {alt}"))).expect("parse");
-        assert_eq!(
-            cmd.config().fingerprint(),
-            base.config().fingerprint(),
-            "{alt} must not change the fingerprint"
-        );
+fn kernel_selection_flags_are_gone() {
+    // The host picks the prefilter kernel; no flag can choose one.
+    for flag in ["sim-kernel fused", "no-jit", "no-tape"] {
+        let err = parse_args(argv(&format!("analyze f.bench --{flag}"))).unwrap_err();
+        assert!(err.to_string().contains("unknown option"), "{flag}: {err}");
     }
 }
 
 #[test]
 fn unsupported_lane_width_is_a_clean_analyze_error() {
     // 96 parses as a number; `analyze` rejects it (the same check
-    // covers MCPATH_SIM_LANES, so the CLI does not pre-validate).
+    // covers library callers, so the CLI does not pre-validate).
     let dir = std::env::temp_dir().join("mcpath-cli-test-lanes");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let bench_path = dir.join("m27.bench");
@@ -373,6 +325,25 @@ fn parses_observability_flags() {
     assert_eq!(cmd.trace_out.as_deref(), Some("t.ndjson"));
     assert!(cmd.progress);
     assert!(parse_args(argv("analyze f.bench --trace-out")).is_err());
+}
+
+#[test]
+fn stats_loads_reports_saved_with_retired_kernels() {
+    // Older binaries could run the prefilter on the tape interpreter or
+    // the reference simulator, and counted tape instructions. Their
+    // saved reports must still load: the kernel tag decodes and the
+    // retired counter key is skipped.
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (file, tag) in [
+        ("pr10_report_tape_kernel.json", "[tape]"),
+        ("pr10_report_reference_kernel.json", "[reference]"),
+    ] {
+        let path = fixtures.join(file);
+        let out = run(&parse_args(argv(&format!("stats {}", path.display()))).expect("parse"))
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert!(out.contains("saved report with 11 pairs"), "{file}:\n{out}");
+        assert!(out.contains(tag), "{file} must show its kernel tag:\n{out}");
+    }
 }
 
 #[test]
@@ -631,9 +602,8 @@ fn parses_shard_and_merge_surfaces() {
 fn shard_children_inherit_the_fingerprint_flags() {
     let cmd = parse_args(argv(
         "analyze f.bench --shards 2 --engine sat --cycles 3 --backtracks 99 --learn \
-         --threads 4 --scheduler static --no-sim --sim-lanes 128 --no-tape \
-         --sim-kernel fused --no-jit --no-self-pairs --no-lint --no-slice \
-         --no-static-classify",
+         --threads 4 --scheduler static --no-sim --sim-lanes 128 \
+         --no-self-pairs --no-lint --no-slice --no-static-classify",
     ))
     .expect("parse");
     let flags = cmd.child_flags();
@@ -655,8 +625,7 @@ fn shard_children_inherit_the_fingerprint_flags() {
     // And the neutral scheduling knobs ride along too.
     assert_eq!(rebuilt.threads, cmd.threads);
     assert_eq!(rebuilt.scheduler, cmd.scheduler);
-    assert_eq!(rebuilt.sim_kernel, cmd.sim_kernel);
-    assert_eq!(rebuilt.no_jit, cmd.no_jit);
+    assert_eq!(rebuilt.sim_lanes, cmd.sim_lanes);
     assert!(rebuilt.quiet);
 }
 
