@@ -12,7 +12,7 @@
 //! unsharded run.
 
 use mcp_bench::{bench_artifact, secs, HarnessArgs};
-use mcp_core::{analyze_with, merge_shards, plan_shards, McConfig, ShardSpec};
+use mcp_core::{analyze_from, analyze_with, McConfig, ShardSpec, VerdictSource};
 use mcp_obs::{Ledger, MemSink, ObsCtx};
 use serde::Serialize;
 use std::sync::Arc;
@@ -80,13 +80,6 @@ fn main() {
             serde_json::to_string(&single.canonical()).expect("serialize single-process report");
 
         for count in SHARDS {
-            let plan = plan_shards(nl, &cfg, count).expect("plan shards");
-            let owned = plan.pairs_per_shard();
-            let (min_owned, max_owned) = (
-                owned.iter().copied().min().unwrap_or(0),
-                owned.iter().copied().max().unwrap_or(0),
-            );
-
             let t = Instant::now();
             let ledgers: Vec<Ledger> = (0..count)
                 .map(|index| {
@@ -98,9 +91,22 @@ fn main() {
                 })
                 .collect();
             let shard_wall = t.elapsed();
+            // A shard journals an engine verdict for exactly the pairs it
+            // owns, so its ledger is its share of the partition.
+            let owned: Vec<usize> = ledgers
+                .iter()
+                .map(|l| l.events.iter().filter(|e| e.engine.is_some()).count())
+                .collect();
+            let (min_owned, max_owned) = (
+                owned.iter().copied().min().unwrap_or(0),
+                owned.iter().copied().max().unwrap_or(0),
+            );
+            let surviving: usize = owned.iter().sum();
 
             let t = Instant::now();
-            let merged = merge_shards(nl, &cfg, &ledgers).expect("merge succeeds");
+            let merged = analyze_from(nl, &cfg, &ObsCtx::new(), VerdictSource::Shards(&ledgers))
+                .expect("merge succeeds")
+                .report;
             let merge_wall = t.elapsed();
             let merged_canonical =
                 serde_json::to_string(&merged.canonical()).expect("serialize merged report");
@@ -116,7 +122,7 @@ fn main() {
                 nl.name(),
                 s.ffs,
                 single.stats.candidates,
-                plan.total_pairs(),
+                surviving,
                 count,
                 min_owned,
                 max_owned,
@@ -128,7 +134,7 @@ fn main() {
                 circuit: nl.name().to_owned(),
                 ffs: s.ffs,
                 candidate_pairs: single.stats.candidates,
-                surviving_pairs: plan.total_pairs(),
+                surviving_pairs: surviving,
                 shards: count,
                 min_owned,
                 max_owned,

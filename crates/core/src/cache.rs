@@ -1,8 +1,9 @@
 //! Warm-cache analysis: replay a prior run's verdicts from the
 //! content-addressed store.
 //!
-//! [`analyze_cached_with`] is `analyze_with` plus a [`CasStore`]: a
-//! *cold* run (no usable `Verdicts` artifact) analyzes normally while
+//! [`analyze_cached_with`] ([`VerdictSource::Store`]) is `analyze_with`
+//! plus a [`CasStore`]: a *cold* run (no usable `Verdicts` artifact)
+//! analyzes normally while
 //! collecting every stage artifact, then persists them; a *warm* rerun
 //! of the same netlist × verdict-affecting config finds the `Verdicts`
 //! artifact under its stage key, validates its identity digests, and
@@ -20,16 +21,14 @@
 
 use crate::cas::{CasError, CasStore};
 use crate::config::McConfig;
-use crate::pipeline::{analyze_inner, candidate_pairs, pair_digest, AnalyzeError, DigestKind};
+use crate::pipeline::{analyze_from, AnalyzeError, DigestKind, RunIdentity, VerdictSource};
 use crate::report::McReport;
-use crate::resume::ResumePlan;
 use crate::stage::{
     stage_key_for, StageTrace, VerdictRecord, VerdictsArtifact, STAGE_EXPANDED, STAGE_GROUPED,
     STAGE_LINTED, STAGE_PARSED, STAGE_PREFILTERED, STAGE_VERDICTS,
 };
 use mcp_netlist::Netlist;
 use mcp_obs::{ObsCtx, PairEvent};
-use std::collections::BTreeMap;
 
 impl From<CasError> for AnalyzeError {
     fn from(e: CasError) -> Self {
@@ -84,129 +83,75 @@ pub(crate) fn cached_event(r: &VerdictRecord) -> PairEvent {
 /// costs nothing and turns a silent wrong-report into a typed refusal.
 pub(crate) fn check_verdicts_identity(
     art: &VerdictsArtifact,
-    netlist_hash: u64,
-    fingerprint: u64,
-    pairs: u64,
+    id: &RunIdentity,
 ) -> Result<(), AnalyzeError> {
-    if art.netlist_hash != netlist_hash {
+    if art.netlist_hash != id.netlist_hash {
         return Err(AnalyzeError::DigestMismatch {
             what: DigestKind::Netlist,
             ledger: art.netlist_hash,
-            current: netlist_hash,
+            current: id.netlist_hash,
         });
     }
-    if art.config_fingerprint != fingerprint {
+    if art.config_fingerprint != id.fingerprint {
         return Err(AnalyzeError::DigestMismatch {
             what: DigestKind::Config,
             ledger: art.config_fingerprint,
-            current: fingerprint,
+            current: id.fingerprint,
         });
     }
-    if art.pair_digest != pairs {
+    if art.pair_digest != id.pair_digest {
         return Err(AnalyzeError::CacheCorrupt {
             stage: STAGE_VERDICTS.to_owned(),
             reason: format!(
                 "pair digest {:016x} does not match the current candidate set {:016x}",
-                art.pair_digest, pairs
+                art.pair_digest, id.pair_digest
             ),
         });
     }
     Ok(())
 }
 
-/// Persists every artifact a cold run collected. Called after the run
-/// succeeded, so a crash mid-persist can only lose cache entries, never
-/// report correctness.
+/// Persists every artifact a run collected under `id`'s stage keys.
 pub(crate) fn persist_trace(
     store: &CasStore,
-    netlist_hash: u64,
+    id: &RunIdentity,
     cfg: &McConfig,
     circuit: &str,
-    pairs: u64,
     trace: StageTrace,
 ) -> Result<(), AnalyzeError> {
-    let StageTrace {
-        parsed,
-        linted,
-        expanded,
-        prefiltered,
-        grouped,
-        mut verdicts,
-    } = trace;
-    if let Some(a) = parsed {
-        store.put(
-            STAGE_PARSED,
-            stage_key_for(STAGE_PARSED, netlist_hash, cfg),
-            &a,
-        )?;
-    }
-    if let Some(a) = linted {
-        store.put(
-            STAGE_LINTED,
-            stage_key_for(STAGE_LINTED, netlist_hash, cfg),
-            &a,
-        )?;
-    }
-    if let Some(a) = expanded {
-        store.put(
-            STAGE_EXPANDED,
-            stage_key_for(STAGE_EXPANDED, netlist_hash, cfg),
-            &a,
-        )?;
-    }
-    if let Some(a) = prefiltered {
-        store.put(
-            STAGE_PREFILTERED,
-            stage_key_for(STAGE_PREFILTERED, netlist_hash, cfg),
-            &a,
-        )?;
-    }
-    if let Some(a) = grouped {
-        store.put(
-            STAGE_GROUPED,
-            stage_key_for(STAGE_GROUPED, netlist_hash, cfg),
-            &a,
-        )?;
-    }
-    verdicts.sort_unstable_by_key(|r| (r.src, r.dst));
+    let key = |stage| stage_key_for(stage, id.netlist_hash, cfg);
+    store.put(STAGE_PARSED, key(STAGE_PARSED), &trace.parsed)?;
+    store.put(STAGE_LINTED, key(STAGE_LINTED), &trace.linted)?;
+    store.put(STAGE_EXPANDED, key(STAGE_EXPANDED), &trace.expanded)?;
     store.put(
-        STAGE_VERDICTS,
-        stage_key_for(STAGE_VERDICTS, netlist_hash, cfg),
-        &VerdictsArtifact {
-            circuit: circuit.to_owned(),
-            netlist_hash,
-            config_fingerprint: cfg.fingerprint(),
-            pair_digest: pairs,
-            verdicts,
-        },
+        STAGE_PREFILTERED,
+        key(STAGE_PREFILTERED),
+        &trace.prefiltered,
     )?;
+    store.put(STAGE_GROUPED, key(STAGE_GROUPED), &trace.grouped)?;
+    let mut verdicts = trace.verdicts;
+    verdicts.sort_unstable_by_key(|r| (r.src, r.dst));
+    let art = VerdictsArtifact {
+        circuit: circuit.to_owned(),
+        netlist_hash: id.netlist_hash,
+        config_fingerprint: id.fingerprint,
+        pair_digest: id.pair_digest,
+        verdicts,
+    };
+    store.put(STAGE_VERDICTS, key(STAGE_VERDICTS), &art)?;
     Ok(())
-}
-
-/// [`analyze_cached_with`] on a fresh [`ObsCtx`].
-///
-/// # Errors
-///
-/// Everything [`analyze`](crate::analyze) can return, plus
-/// [`AnalyzeError::CacheCorrupt`] / [`AnalyzeError::CacheIo`] for
-/// damaged or unwritable cache entries.
-pub fn analyze_cached(
-    netlist: &Netlist,
-    cfg: &McConfig,
-    store: &CasStore,
-) -> Result<McReport, AnalyzeError> {
-    analyze_cached_with(netlist, cfg, &ObsCtx::new(), store)
 }
 
 /// Analyzes `netlist`, answering from `store` when a prior run of the
 /// identical netlist × verdict-affecting config already persisted its
-/// verdicts, and populating the store otherwise.
+/// verdicts, and populating the store otherwise
+/// ([`VerdictSource::Store`]).
 ///
 /// Warm path: zero engine constructions, `cache_hits` counts the
 /// artifact lookup, `cache_pairs_spliced` the replayed verdicts, and
 /// every spliced journal event carries `cached: true` with no engine
-/// tag. Cold path: a normal run plus `cache_misses`, with all seven
-/// stage artifacts persisted on success. The canonical report is
+/// tag. Cold path: a normal run plus `cache_misses`, with the six
+/// stage artifacts up to `Verdicts` persisted on success. The canonical report is
 /// byte-identical between the two paths.
 ///
 /// # Errors
@@ -219,33 +164,7 @@ pub fn analyze_cached_with(
     obs: &ObsCtx,
     store: &CasStore,
 ) -> Result<McReport, AnalyzeError> {
-    let netlist_hash = netlist.content_hash();
-    let vkey = stage_key_for(crate::stage::STAGE_VERDICTS, netlist_hash, cfg);
-    match store.get::<VerdictsArtifact>(crate::stage::STAGE_VERDICTS, vkey)? {
-        Some(art) => {
-            let digest = pair_digest(&candidate_pairs(netlist, cfg));
-            check_verdicts_identity(&art, netlist_hash, cfg.fingerprint(), digest)?;
-            obs.metrics.cache_hits.add(1);
-            let restored: BTreeMap<(usize, usize), PairEvent> = art
-                .verdicts
-                .iter()
-                .map(|r| ((r.src, r.dst), cached_event(r)))
-                .collect();
-            let plan = ResumePlan {
-                restored,
-                from_cache: true,
-            };
-            analyze_inner(netlist, cfg, obs, Some(&plan), None)
-        }
-        None => {
-            obs.metrics.cache_misses.add(1);
-            let mut trace = StageTrace::default();
-            let report = analyze_inner(netlist, cfg, obs, None, Some(&mut trace))?;
-            let digest = pair_digest(&candidate_pairs(netlist, cfg));
-            persist_trace(store, netlist_hash, cfg, netlist.name(), digest, trace)?;
-            Ok(report)
-        }
-    }
+    analyze_from(netlist, cfg, obs, VerdictSource::Store(store)).map(|a| a.report)
 }
 
 #[cfg(test)]
@@ -309,7 +228,7 @@ mod tests {
         let dir = tempdir("fp");
         let store = CasStore::open(&dir).expect("open");
         let nl = circuits::fig1();
-        analyze_cached(&nl, &McConfig::default(), &store).expect("cold");
+        analyze_cached_with(&nl, &McConfig::default(), &ObsCtx::new(), &store).expect("cold");
         // A different cycle budget lands on a different stage key: a
         // miss (and a second cold run), never a cross-config splice.
         let obs = ObsCtx::new();
@@ -329,12 +248,12 @@ mod tests {
         let store = CasStore::open(&dir).expect("open");
         let nl = circuits::fig1();
         let cfg = McConfig::default();
-        analyze_cached(&nl, &cfg, &store).expect("cold");
+        analyze_cached_with(&nl, &cfg, &ObsCtx::new(), &store).expect("cold");
         let key = stage_key_for(crate::stage::STAGE_VERDICTS, nl.content_hash(), &cfg);
         let path = dir.join(format!("verdicts-{key:016x}.json"));
         let text = std::fs::read_to_string(&path).expect("read");
         std::fs::write(&path, text.replace("multi", "singl")).expect("corrupt");
-        match analyze_cached(&nl, &cfg, &store) {
+        match analyze_cached_with(&nl, &cfg, &ObsCtx::new(), &store) {
             Err(AnalyzeError::CacheCorrupt { stage, .. }) => assert_eq!(stage, "verdicts"),
             other => panic!("expected CacheCorrupt, got {other:?}"),
         }
@@ -348,7 +267,8 @@ mod tests {
         let dir = tempdir("shape");
         let store = CasStore::open(&dir).expect("open");
         let nl = suite::quick_suite().remove(0);
-        let cold = analyze_cached(&nl, &McConfig::default(), &store).expect("cold");
+        let cold =
+            analyze_cached_with(&nl, &McConfig::default(), &ObsCtx::new(), &store).expect("cold");
         for scheduler in [crate::Scheduler::WorkSteal, crate::Scheduler::Static] {
             for threads in [1usize, 2, 8] {
                 let cfg = McConfig {

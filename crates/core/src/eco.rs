@@ -4,12 +4,12 @@
 //! An engineering change order (ECO) edits a handful of gates in an
 //! otherwise unchanged circuit. Re-running the full analysis discards
 //! almost everything the previous run proved; [`analyze_eco_with`]
-//! instead:
+//! ([`VerdictSource::Eco`]) instead:
 //!
 //! 1. loads the **old** revision's `Verdicts` artifact from the store,
 //! 2. computes the name-keyed structural delta with [`mcp_netlist::diff()`],
-//! 3. replans the **new** revision's sink groups (the same deterministic
-//!    prefilter + grouping code the shard planner replays), and
+//! 3. takes the **new** revision's sink groups from the run's one plan,
+//!    and
 //! 4. marks a group *dirty* exactly when its cone of influence in the
 //!    new time-frame expansion contains a changed node. Dirty groups are
 //!    re-verified by the engines; every clean group's pairs splice their
@@ -34,19 +34,20 @@
 //! whole-circuit stages, and their surviving counters must reflect the
 //! new revision — so the final canonical report is **byte-identical** to
 //! a cold full analysis of the new netlist.
+//!
+//! [`VerdictSource::Eco`]: crate::VerdictSource::Eco
 
-use crate::cache::{cached_event, check_verdicts_identity, persist_trace};
+use crate::cache::{cached_event, check_verdicts_identity};
 use crate::cas::CasStore;
 use crate::config::{Engine, McConfig};
-use crate::pipeline::{analyze_inner, candidate_pairs, pair_digest, AnalyzeError};
-use crate::report::{McReport, StepStats};
-use crate::resume::ResumePlan;
-use crate::stage::{
-    group_roots, plan_sink_groups, run_prefilters, Prefiltered, StageTrace, VerdictsArtifact,
-    STAGE_VERDICTS,
+use crate::pipeline::{
+    analyze_from, candidate_pairs, pair_digest, AnalyzeError, KnownVerdicts, RunIdentity,
+    VerdictSource,
 };
+use crate::report::McReport;
+use crate::stage::{group_roots, stage_key_for, SinkGroup, VerdictsArtifact, STAGE_VERDICTS};
 use mcp_netlist::{Expanded, Netlist};
-use mcp_obs::{ObsCtx, PairEvent};
+use mcp_obs::ObsCtx;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What an ECO re-analysis actually did, for reporting and CI assertions.
@@ -91,174 +92,116 @@ pub fn analyze_eco_with(
     obs: &ObsCtx,
     store: &CasStore,
 ) -> Result<(McReport, EcoSummary), AnalyzeError> {
+    analyze_from(new, cfg, obs, VerdictSource::Eco { old, store })
+        .map(|a| (a.report, a.eco.unwrap_or_default()))
+}
+
+/// The `old` revision's stored verdicts, re-keyed by FF name to `new`'s
+/// indices; `None` when there is nothing to splice from (no artifact, or
+/// a config that breaks cone locality).
+pub(crate) fn old_verdicts(
+    old: &Netlist,
+    new: &Netlist,
+    cfg: &McConfig,
+    obs: &ObsCtx,
+    store: &CasStore,
+) -> Result<Option<KnownVerdicts>, AnalyzeError> {
     // The cone-locality argument needs per-group engine verdicts:
     // whole-circuit symbolic FSMs (BDD) and whole-circuit learned
     // implication sets couple groups to logic outside their cones.
     let cone_local =
         !matches!(cfg.engine, Engine::Bdd { .. }) && (cfg.slice || !cfg.static_learning);
-    let old_key = crate::stage::stage_key_for(STAGE_VERDICTS, old.content_hash(), cfg);
-    let old_art = if cone_local {
-        store.get::<VerdictsArtifact>(STAGE_VERDICTS, old_key)?
-    } else {
-        None
-    };
-    let Some(old_art) = old_art else {
-        // Nothing to splice from: a plain (cached) full run of the new
-        // revision, which also populates the store.
-        let report = crate::cache::analyze_cached_with(new, cfg, obs, store)?;
-        let d = mcp_netlist::diff(old, new);
-        return Ok((
-            report,
-            EcoSummary {
-                full_run: true,
-                changed_nodes: d.changed.len(),
-                removed_nodes: d.removed.len(),
-                ..EcoSummary::default()
-            },
-        ));
+    if !cone_local {
+        return Ok(None);
+    }
+    let old_hash = old.content_hash();
+    let key = stage_key_for(STAGE_VERDICTS, old_hash, cfg);
+    let Some(art) = store.get::<VerdictsArtifact>(STAGE_VERDICTS, key)? else {
+        return Ok(None);
     };
     check_verdicts_identity(
-        &old_art,
-        old.content_hash(),
-        cfg.fingerprint(),
-        pair_digest(&candidate_pairs(old, cfg)),
+        &art,
+        &RunIdentity {
+            netlist_hash: old_hash,
+            fingerprint: cfg.fingerprint(),
+            pair_digest: pair_digest(&candidate_pairs(old, cfg)),
+        },
     )?;
     obs.metrics.cache_hits.add(1);
-
-    let delta = mcp_netlist::diff(old, new);
-
-    // Replan the new revision on a throwaway context, exactly like the
-    // shard planner: the real run re-journals and re-counts these stages
-    // itself, and the two code paths are the same functions so they
-    // cannot drift.
-    let plan_obs = ObsCtx::new();
-    let mut plan_stats = StepStats::default();
-    let mut plan_results = Vec::new();
-    let candidates = candidate_pairs(new, cfg);
-    let Prefiltered {
-        survivors,
-        ff_toggles,
-    } = run_prefilters(
-        new,
-        cfg,
-        &plan_obs,
-        &mut plan_stats,
-        &mut plan_results,
-        candidates,
-    );
-    let x = Expanded::build(new, cfg.frames());
-    let groups = plan_sink_groups(&x, &survivors, ff_toggles.as_deref(), cfg.cycles);
-
-    // Old verdicts keyed by FF *name*: indices can shift when the edit
-    // inserts or deletes flip-flops, names cannot.
-    let old_verdicts: BTreeMap<(&str, &str), &crate::stage::VerdictRecord> = old_art
-        .verdicts
+    // Indices can shift when the edit inserts or deletes flip-flops,
+    // names cannot.
+    let index: BTreeMap<&str, usize> = new
+        .dffs()
         .iter()
-        .map(|r| ((r.src_name.as_str(), r.dst_name.as_str()), r))
+        .enumerate()
+        .map(|(i, &id)| (new.node(id).name(), i))
         .collect();
-    let ff_names: Vec<&str> = new.dffs().iter().map(|&id| new.node(id).name()).collect();
+    Ok(Some(
+        art.verdicts
+            .iter()
+            .filter_map(|r| {
+                let pair = (
+                    *index.get(r.src_name.as_str())?,
+                    *index.get(r.dst_name.as_str())?,
+                );
+                let mut event = cached_event(r);
+                (event.src, event.dst) = pair;
+                Some((pair, event))
+            })
+            .collect(),
+    ))
+}
 
-    let mut summary = EcoSummary {
-        groups_total: groups.len(),
-        changed_nodes: delta.changed.len(),
-        removed_nodes: delta.removed.len(),
-        ..EcoSummary::default()
-    };
-    let mut restored: BTreeMap<(usize, usize), PairEvent> = BTreeMap::new();
-    let mut invalidated = 0u64;
-    for group in &groups {
+/// Drops from `verdicts` every pair of a group whose cone meets
+/// `changed`, filling in the group and pair counts of `summary`.
+/// Returns the number of old verdicts the edit invalidated.
+pub(crate) fn drop_dirty(
+    new: &Netlist,
+    x: &Expanded,
+    groups: &[SinkGroup],
+    cycles: u32,
+    changed: &BTreeSet<String>,
+    verdicts: &mut KnownVerdicts,
+    summary: &mut EcoSummary,
+) -> u64 {
+    summary.groups_total = groups.len();
+    let mut invalidated = 0;
+    for group in groups {
         // Dirty iff any node of the group's cone originates from a
         // changed netlist node. Every expansion node of a cone traces to
         // an origin except the frame-0 FF pseudo-inputs, which carry no
         // structure of their own.
-        let roots = group_roots(&x, group, cfg.cycles);
-        let dirty = !delta.changed.is_empty()
-            && x.cone_of(&roots).iter().any(|&id| {
+        let dirty = !changed.is_empty()
+            && x.cone_of(&group_roots(x, group, cycles)).iter().any(|&id| {
                 x.node(id)
                     .origin()
-                    .is_some_and(|(_, nid)| delta.changed.contains(new.node(nid).name()))
+                    .is_some_and(|(_, nid)| changed.contains(new.node(nid).name()))
             });
         if dirty {
             summary.groups_reverified += 1;
-            // Pairs whose old verdict exists but can no longer be
-            // trusted: the edit invalidated them.
-            invalidated += group
-                .sources
-                .iter()
-                .filter(|&&i| old_verdicts.contains_key(&(ff_names[i], ff_names[group.sink])))
-                .count() as u64;
             summary.pairs_reverified += group.sources.len();
+            for &i in &group.sources {
+                // An old verdict the edit invalidated.
+                if verdicts.remove(&(i, group.sink)).is_some() {
+                    invalidated += 1;
+                }
+            }
             continue;
         }
         summary.groups_spliced += 1;
         for &i in &group.sources {
-            match old_verdicts.get(&(ff_names[i], ff_names[group.sink])) {
-                Some(r) => {
-                    let mut event = cached_event(r);
-                    // Re-key to the new revision's FF indices.
-                    event.src = i;
-                    event.dst = group.sink;
-                    restored.insert((i, group.sink), event);
-                    summary.pairs_spliced += 1;
-                }
-                // A pair the old run never classified (e.g. newly
-                // connected through an unchanged cone — possible when
-                // the edit rewired logic *outside* this cone that used
-                // to block the prefilters): re-verify it.
-                None => summary.pairs_reverified += 1,
+            // A pair the old run never classified (e.g. newly connected
+            // through an unchanged cone — possible when the edit rewired
+            // logic *outside* this cone that used to block the
+            // prefilters) is re-verified.
+            if verdicts.contains_key(&(i, group.sink)) {
+                summary.pairs_spliced += 1;
+            } else {
+                summary.pairs_reverified += 1;
             }
         }
     }
-    obs.metrics
-        .eco_groups_reverified
-        .add(summary.groups_reverified as u64);
-    obs.metrics
-        .eco_groups_spliced
-        .add(summary.groups_spliced as u64);
-    obs.metrics.cache_invalidations.add(invalidated);
-
-    let plan = ResumePlan {
-        restored,
-        from_cache: true,
-    };
-    let mut trace = StageTrace::default();
-    let report = analyze_inner(new, cfg, obs, Some(&plan), Some(&mut trace))?;
-    persist_trace(
-        store,
-        new.content_hash(),
-        cfg,
-        new.name(),
-        pair_digest(&candidate_pairs(new, cfg)),
-        trace,
-    )?;
-    Ok((report, summary))
-}
-
-/// The sinks of `groups` whose cones intersect `changed`, resolved
-/// against `new` — exposed for the CLI's ECO reporting and tests.
-pub fn dirty_sinks(new: &Netlist, cfg: &McConfig, changed: &BTreeSet<String>) -> Vec<usize> {
-    let plan_obs = ObsCtx::new();
-    let mut stats = StepStats::default();
-    let mut results = Vec::new();
-    let candidates = candidate_pairs(new, cfg);
-    let Prefiltered {
-        survivors,
-        ff_toggles,
-    } = run_prefilters(new, cfg, &plan_obs, &mut stats, &mut results, candidates);
-    let x = Expanded::build(new, cfg.frames());
-    let groups = plan_sink_groups(&x, &survivors, ff_toggles.as_deref(), cfg.cycles);
-    groups
-        .iter()
-        .filter(|g| {
-            let roots = group_roots(&x, g, cfg.cycles);
-            x.cone_of(&roots).iter().any(|&id| {
-                x.node(id)
-                    .origin()
-                    .is_some_and(|(_, nid)| changed.contains(new.node(nid).name()))
-            })
-        })
-        .map(|g| g.sink)
-        .collect()
+    invalidated
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ pub mod stage;
 
 pub use borrowing::condition2_candidates;
 pub use budget::{max_cycle_budget, max_cycle_budgets, CycleBudget, PairBudgets};
-pub use cache::{analyze_cached, analyze_cached_with};
+pub use cache::analyze_cached_with;
 pub use cas::{CacheStats, CasError, CasLock, CasStore, GcOutcome, StageUsage};
 pub use config::{Engine, McConfig, Scheduler, ShardSpec};
 pub use eco::{analyze_eco_with, EcoSummary};
@@ -67,11 +67,11 @@ pub use hazard::{
     check_hazards, check_hazards_with, sensitization_dependencies, HazardCheck, HazardReport,
     SensitizationDependencies,
 };
-pub use pipeline::{analyze, analyze_with, AnalyzeError, DigestKind};
+pub use pipeline::{
+    analyze, analyze_from, analyze_with, Analysis, AnalyzeError, DigestKind, VerdictSource,
+};
 pub use report::{McReport, PairClass, PairResult, Step, StepStats};
-pub use resume::{analyze_resume_with, plan_resume, ResumePlan};
 pub use sdc::{to_sdc, SdcOptions};
-pub use shard::{merge_shards, merge_shards_with, plan_shards, ShardPlan};
 pub use stage::{
     config_slice, stage_key, stage_key_for, ExpandedArtifact, GroupRecord, GroupedArtifact,
     LintedArtifact, ParsedArtifact, PrefilteredArtifact, ReportArtifact, VerdictRecord,

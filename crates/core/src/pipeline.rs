@@ -1,24 +1,28 @@
 //! The end-to-end analysis pipeline (paper Section 4.1).
 
+use crate::cache::{cached_event, check_verdicts_identity, persist_trace};
+use crate::cas::CasStore;
 use crate::config::{Engine, McConfig};
+use crate::eco::{self, EcoSummary};
 use crate::engines::{
     classify_pair_bdd, classify_pair_implication_probed, classify_pair_sat, PairProbe, Verdict,
 };
 use crate::report::{McReport, PairClass, PairResult, Step, StepStats};
-use crate::resume::ResumePlan;
 use crate::schedule::{run_items, PairFeed};
 use crate::stage::{
     assign_shards, group_roots, grouped_artifact, order_hardest_first, plan_sink_groups,
-    run_prefilters, step_name, ExpandedArtifact, LintedArtifact, ParsedArtifact, Prefiltered,
-    PrefilteredArtifact, SinkGroup, StageTrace, VerdictRecord,
+    run_prefilters, stage_key_for, step_name, ExpandedArtifact, LintedArtifact, ParsedArtifact,
+    Prefiltered, PrefilteredArtifact, SinkGroup, StageTrace, VerdictRecord, VerdictsArtifact,
+    STAGE_VERDICTS,
 };
+use crate::{resume, shard};
 use mcp_atpg::SearchConfig;
 use mcp_bdd::{InitStates, Ref, SymbolicFsm};
 use mcp_implication::{learn, ImpEngine, LearnConfig, LearnedImplications};
 use mcp_netlist::{Expanded, Netlist};
-use mcp_obs::{ObsCtx, PairEvent, RunHeader, LEDGER_VERSION};
+use mcp_obs::{Ledger, ObsCtx, PairEvent, RunHeader, LEDGER_VERSION};
 use mcp_sat::CircuitCnf;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -242,13 +246,60 @@ pub fn analyze_with(
     cfg: &McConfig,
     obs: &ObsCtx,
 ) -> Result<McReport, AnalyzeError> {
-    analyze_inner(netlist, cfg, obs, None, None)
+    analyze_from(netlist, cfg, obs, VerdictSource::Fresh).map(|a| a.report)
+}
+
+/// Where a run's already-known verdicts come from.
+///
+/// Every source feeds the same pipeline: the prefilters, the expansion
+/// and the sink-group plan run once on the current netlist, and one
+/// splice step then answers each surviving pair from the source where
+/// it can. The engines see only the rest. Because the canonical report
+/// is a function of the verdicts alone, every source yields the bytes
+/// of a cold [`VerdictSource::Fresh`] run.
+#[derive(Debug, Clone, Copy)]
+pub enum VerdictSource<'a> {
+    /// Nothing known: every prefilter survivor goes to the engines.
+    Fresh,
+    /// A prior run's ledger (`--resume`). Its engine verdicts are
+    /// restored and re-journaled with `resumed` set. The header must
+    /// match this run's netlist, config, candidate set and shard spec.
+    Ledger(&'a Ledger),
+    /// The ledgers of all shards of one sharded run (`merge`). Each
+    /// shard's engine verdicts must lie inside the partition this run
+    /// derives, and every owned pair must have one. `cfg.shard` is
+    /// ignored: a merge is the whole run.
+    Shards(&'a [Ledger]),
+    /// The artifact store (`--cache-dir`). A stored `Verdicts` artifact
+    /// for this netlist and config is spliced with `cached` set; on a
+    /// miss the run computes everything and persists its artifacts.
+    Store(&'a CasStore),
+    /// An older revision's stored verdicts (`--eco`). Sink groups whose
+    /// cone meets the edit are re-verified; every other group splices
+    /// its old verdicts by FF name. Without a usable old artifact this
+    /// is [`VerdictSource::Store`].
+    Eco {
+        /// The revision whose verdicts the store holds.
+        old: &'a Netlist,
+        /// The store holding them, which also receives this run's.
+        store: &'a CasStore,
+    },
+}
+
+/// What [`analyze_from`] produced.
+#[derive(Debug, Clone)]
+pub struct Analysis {
+    /// The report, identical to a [`VerdictSource::Fresh`] run's after
+    /// [`McReport::canonical`].
+    pub report: McReport,
+    /// What an ECO run re-verified and spliced; `None` for every other
+    /// source.
+    pub eco: Option<EcoSummary>,
 }
 
 /// The structural candidate pair set the pipeline commits to: every
 /// topologically connected FF pair, minus self pairs when excluded.
-/// Shared with the resume planner, which must reproduce it exactly to
-/// validate a ledger's pair digest.
+/// Ledger headers and store entries are checked against its digest.
 pub(crate) fn candidate_pairs(netlist: &Netlist, cfg: &McConfig) -> Vec<(usize, usize)> {
     let mut candidates = netlist.connected_ff_pairs();
     if !cfg.include_self_pairs {
@@ -270,9 +321,24 @@ pub(crate) fn pair_digest(pairs: &[(usize, usize)]) -> u64 {
     mcp_obs::fnv1a(&bytes)
 }
 
+/// Verdicts a source already knows, as journal events keyed by
+/// `(src, dst)` FF pair.
+pub(crate) type KnownVerdicts = BTreeMap<(usize, usize), PairEvent>;
+
+/// The identity a ledger header or store entry must share with the
+/// current run before its verdicts may be spliced.
+pub(crate) struct RunIdentity {
+    /// [`Netlist::content_hash`].
+    pub(crate) netlist_hash: u64,
+    /// [`McConfig::fingerprint`].
+    pub(crate) fingerprint: u64,
+    /// [`pair_digest`] of the candidate set.
+    pub(crate) pair_digest: u64,
+}
+
 /// Reconstructs an engine verdict from its journaled event — the inverse
-/// of [`verdict_event`], used by `--resume` to restore completed pairs.
-fn verdict_from_event(event: &mcp_obs::PairEvent) -> Verdict {
+/// of [`verdict_event`], used by the splice step to restore known pairs.
+fn verdict_from_event(event: &PairEvent) -> Verdict {
     let by = match event.step.as_str() {
         "structural" => Step::Structural,
         "random_sim" => Step::RandomSim,
@@ -286,13 +352,143 @@ fn verdict_from_event(event: &mcp_obs::PairEvent) -> Verdict {
     }
 }
 
-pub(crate) fn analyze_inner(
+/// A [`VerdictSource`] after its up-front checks. Everything that can
+/// refuse a source without the plan (headers, digests, store entries)
+/// has refused by the time one of these exists.
+#[derive(Default)]
+struct Known<'a> {
+    /// Verdicts by pair, spliced wherever the pair survives the
+    /// prefilters (and, under ECO, its sink group is clean).
+    verdicts: KnownVerdicts,
+    /// Journal provenance of spliced verdicts: `cached` for the store
+    /// and ECO sources, `resumed` for the ledger and shard sources.
+    cached: bool,
+    /// Merge: each shard's engine verdicts, by shard index. They join
+    /// `verdicts` once the plan fixes which shard owns which pair.
+    shards: Vec<KnownVerdicts>,
+    /// ECO: the changed node names; groups whose cone meets one of them
+    /// are re-verified.
+    changed: Option<BTreeSet<String>>,
+    /// ECO bookkeeping, filled in by the splice step.
+    eco: Option<EcoSummary>,
+    /// Store that receives this run's stage artifacts (a cold store
+    /// miss, or an ECO splice).
+    persist: Option<&'a CasStore>,
+}
+
+/// Checks `source` against the current run and loads what it knows.
+/// This is the only place a [`VerdictSource`] is taken apart.
+fn load_source<'a>(
     netlist: &Netlist,
     cfg: &McConfig,
     obs: &ObsCtx,
-    resume: Option<&ResumePlan>,
-    mut trace: Option<&mut StageTrace>,
-) -> Result<McReport, AnalyzeError> {
+    source: VerdictSource<'a>,
+    id: &RunIdentity,
+    candidates: &[(usize, usize)],
+) -> Result<Known<'a>, AnalyzeError> {
+    let mut known = Known {
+        cached: matches!(source, VerdictSource::Store(_) | VerdictSource::Eco { .. }),
+        ..Known::default()
+    };
+    match source {
+        VerdictSource::Fresh => {}
+        VerdictSource::Ledger(ledger) => {
+            known.verdicts = resume::ledger_verdicts(ledger, cfg, id, candidates)?;
+        }
+        VerdictSource::Shards(ledgers) => {
+            known.shards = shard::shard_verdicts(ledgers, id, candidates)?;
+        }
+        VerdictSource::Store(store) => {
+            let key = stage_key_for(STAGE_VERDICTS, id.netlist_hash, cfg);
+            match store.get::<VerdictsArtifact>(STAGE_VERDICTS, key)? {
+                Some(art) => {
+                    check_verdicts_identity(&art, id)?;
+                    obs.metrics.cache_hits.add(1);
+                    known.verdicts = art
+                        .verdicts
+                        .iter()
+                        .map(|r| ((r.src, r.dst), cached_event(r)))
+                        .collect();
+                }
+                None => {
+                    obs.metrics.cache_misses.add(1);
+                    known.persist = Some(store);
+                }
+            }
+        }
+        VerdictSource::Eco { old, store } => {
+            let delta = mcp_netlist::diff(old, netlist);
+            let summary = EcoSummary {
+                changed_nodes: delta.changed.len(),
+                removed_nodes: delta.removed.len(),
+                ..EcoSummary::default()
+            };
+            match eco::old_verdicts(old, netlist, cfg, obs, store)? {
+                Some(verdicts) => {
+                    known.verdicts = verdicts;
+                    known.changed = Some(delta.changed);
+                    known.persist = Some(store);
+                    known.eco = Some(summary);
+                }
+                None => {
+                    // Nothing to splice from: a plain store run of the
+                    // new revision, which also populates the store.
+                    known = load_source(
+                        netlist,
+                        cfg,
+                        obs,
+                        VerdictSource::Store(store),
+                        id,
+                        candidates,
+                    )?;
+                    known.eco = Some(EcoSummary {
+                        full_run: true,
+                        ..summary
+                    });
+                }
+            }
+        }
+    }
+    Ok(known)
+}
+
+/// [`analyze_with`], answering what it can from `source`.
+///
+/// The pipeline runs lint, the prefilters, the expansion and the
+/// sink-group plan over all survivors once. One splice step then
+/// applies the plan: shard ownership (for `cfg.shard` and for a merge)
+/// from a single LPT assignment, ECO dirtiness from each group's cone,
+/// and the source's verdicts for every pair it may answer. The engines
+/// verify the rest. Spliced verdicts are journaled with `resumed` set
+/// (ledger and shard sources) or `cached` set (store and ECO sources).
+///
+/// # Errors
+///
+/// Everything [`analyze`] can return, plus the source's refusals:
+/// [`AnalyzeError::ResumeMismatch`] / [`AnalyzeError::DigestMismatch`]
+/// for a ledger that belongs to another run,
+/// [`AnalyzeError::ShardMerge`] / [`AnalyzeError::ShardIncomplete`] for
+/// shard ledgers that do not form one complete run, and
+/// [`AnalyzeError::CacheCorrupt`] / [`AnalyzeError::CacheIo`] for a
+/// damaged or unwritable store. Header, digest and store refusals fire
+/// before anything is journaled.
+pub fn analyze_from(
+    netlist: &Netlist,
+    cfg: &McConfig,
+    obs: &ObsCtx,
+    source: VerdictSource<'_>,
+) -> Result<Analysis, AnalyzeError> {
+    let unsharded;
+    let cfg = match source {
+        VerdictSource::Shards(_) => {
+            unsharded = McConfig {
+                shard: None,
+                ..cfg.clone()
+            };
+            &unsharded
+        }
+        _ => cfg,
+    };
     if cfg.cycles < 2 {
         return Err(AnalyzeError::InvalidCycles { got: cfg.cycles });
     }
@@ -313,6 +509,23 @@ pub(crate) fn analyze_inner(
             });
         }
     }
+
+    // Step 1: structural candidates. They come before the lint gate
+    // because a source is checked against their digest, and refused,
+    // before anything is journaled. The run identity is hashed only when
+    // something reads it: a source to check, or a ledger header.
+    let candidates = candidate_pairs(netlist, cfg);
+    let id =
+        (!matches!(source, VerdictSource::Fresh) || obs.sink().enabled()).then(|| RunIdentity {
+            netlist_hash: netlist.content_hash(),
+            fingerprint: cfg.fingerprint(),
+            pair_digest: pair_digest(&candidates),
+        });
+    let mut known = match &id {
+        Some(id) => load_source(netlist, cfg, obs, source, id, &candidates)?,
+        None => Known::default(),
+    };
+
     // Step 0: admission lint. Error-level findings (combinational cycles,
     // unconnected or multi-driven DFFs, zero-width gates) void every
     // assumption the engines make about the netlist, so refuse outright.
@@ -333,9 +546,6 @@ pub(crate) fn analyze_inner(
     let tr_total = obs.trace_span(|| "analyze".to_owned());
     let mut stats = StepStats::default();
     let mut results: Vec<PairResult> = Vec::new();
-
-    // Step 1: structural candidates.
-    let candidates = candidate_pairs(netlist, cfg);
     stats.candidates = candidates.len();
 
     // Open the ledger with the run's identity, before any event can be
@@ -344,27 +554,23 @@ pub(crate) fn analyze_inner(
     // digest, but commits to the *full* candidate set — shard membership
     // is derived, not part of the pair digest — so every sibling shard
     // (and an unsharded run of the same config) shares these digests.
-    if obs.sink().enabled() {
-        let netlist_hash = netlist.content_hash();
-        let config_fingerprint = cfg.fingerprint();
-        let digest = pair_digest(&candidates);
+    if let (true, Some(id)) = (obs.sink().enabled(), &id) {
         let (shard_index, shard_count) = cfg.shard.map_or((0, 0), |s| (s.index, s.count));
         obs.sink().record_header(&RunHeader {
             ledger: LEDGER_VERSION,
             circuit: netlist.name().to_owned(),
-            netlist_hash,
-            config_fingerprint,
-            pair_digest: digest,
+            netlist_hash: id.netlist_hash,
+            config_fingerprint: id.fingerprint,
+            pair_digest: id.pair_digest,
             pairs: candidates.len() as u64,
             shard_index,
             shard_count,
-            run_digest: mcp_obs::run_digest(netlist_hash, config_fingerprint, digest),
+            run_digest: mcp_obs::run_digest(id.netlist_hash, id.fingerprint, id.pair_digest),
         });
     }
 
     // Steps 1.5–2: the deterministic prefilters (static
-    // pre-classification + random-pattern simulation), shared with the
-    // merge planner, which replays them to recompute shard ownership.
+    // pre-classification + random-pattern simulation).
     let Prefiltered {
         mut survivors,
         ff_toggles,
@@ -374,123 +580,57 @@ pub(crate) fn analyze_inner(
     let tr_prepare = obs.trace_span(|| "analyze/prepare".to_owned());
     let x = Expanded::build(netlist, cfg.frames());
 
+    // Sink-group planning over every survivor: survivors sharing a sink
+    // FF form one work unit, so a single cone slice (and the per-group
+    // engine state built on it) serves every source of that sink. The
+    // groups also carry the hardest-first cost hints: with work stealing
+    // the queue is drained from the front, so front-loading the
+    // expensive groups keeps the tail of the run short. This one plan
+    // fixes shard ownership, ECO dirtiness and the Grouped artifact.
+    let mut groups = plan_sink_groups(&x, &survivors, ff_toggles.as_deref(), cfg.cycles);
+
     // Record the early-stage artifacts before sharding or splicing can
     // touch the survivor set: the artifacts describe the canonical
     // (unsharded, cold) shape of the run.
-    if let Some(t) = trace.as_deref_mut() {
-        let nh = netlist.content_hash();
+    let mut trace = known.persist.and(id.as_ref()).map(|id| {
+        let nh = id.netlist_hash;
         let s = netlist.stats();
-        t.parsed = Some(ParsedArtifact {
-            circuit: netlist.name().to_owned(),
-            netlist_hash: nh,
-            inputs: s.inputs as u64,
-            ffs: s.ffs as u64,
-            gates: s.gates as u64,
-        });
-        t.linted = Some(LintedArtifact {
-            netlist_hash: nh,
-            gated: cfg.lint,
-        });
-        t.prefiltered = Some(PrefilteredArtifact {
-            survivors: survivors.clone(),
-            static_multi: stats.multi_by_static as u64,
-            sim_single: stats.single_by_sim as u64,
-        });
-        t.expanded = Some(ExpandedArtifact {
-            netlist_hash: nh,
-            frames: cfg.frames(),
-            nodes: x.num_nodes() as u64,
-        });
-    }
-
-    // Shard filter: keep only the pairs this process owns under the
-    // deterministic sink-group partition. Ownership is computed over the
-    // *pre-resume* survivors — the prefilters are seed-deterministic, so
-    // every sibling (and a later resume of this shard) derives the same
-    // partition, while a resume-dependent partition could shift pairs
-    // between shards mid-run and lose them.
-    if let Some(spec) = cfg.shard {
-        let groups = plan_sink_groups(&x, &survivors, ff_toggles.as_deref(), cfg.cycles);
-        let owned: std::collections::BTreeSet<(usize, usize)> = assign_shards(&groups, spec.count)
-            .swap_remove(spec.index as usize)
-            .into_iter()
-            .collect();
-        let before = survivors.len();
-        survivors.retain(|p| owned.contains(p));
-        obs.metrics.shard_pairs_owned.add(survivors.len() as u64);
-        obs.metrics
-            .shard_pairs_skipped
-            .add((before - survivors.len()) as u64);
-    }
-
-    // Resume: pairs the prior run's ledger already resolved with an
-    // engine verdict skip the scheduler entirely — their verdicts are
-    // restored verbatim (and re-journaled with `resumed` set, so the new
-    // ledger is itself complete). The sim prefilter above re-ran from
-    // the same seed on the same candidates, so its drops are recomputed
-    // rather than restored; only engine work is saved. Restored verdicts
-    // for pairs outside the current survivor set (another shard's pairs,
-    // when a full-run ledger feeds a merge) are simply not this
-    // process's problem and stay untouched in the plan.
-    let mut restored: Vec<((usize, usize), Verdict)> = Vec::new();
-    if let Some(plan) = resume {
-        survivors.retain(|&(i, j)| match plan.restored.get(&(i, j)) {
-            Some(event) => {
-                restored.push(((i, j), verdict_from_event(event)));
-                if obs.sink().enabled() {
-                    let mut replay = event.clone();
-                    if plan.from_cache {
-                        // A cache splice is not a crash recovery: the
-                        // event advertises its provenance via `cached`
-                        // and carries no engine tag, so a warm run's
-                        // ledger shows zero engine work.
-                        replay.cached = true;
-                    } else {
-                        replay.resumed = true;
-                    }
-                    obs.sink().record(&replay);
-                }
-                false
-            }
-            None => true,
-        });
-        if plan.from_cache {
-            obs.metrics.cache_pairs_spliced.add(restored.len() as u64);
-        } else {
-            obs.metrics.resume_pairs_loaded.add(restored.len() as u64);
+        StageTrace {
+            parsed: ParsedArtifact {
+                circuit: netlist.name().to_owned(),
+                netlist_hash: nh,
+                inputs: s.inputs as u64,
+                ffs: s.ffs as u64,
+                gates: s.gates as u64,
+            },
+            linted: LintedArtifact {
+                netlist_hash: nh,
+                gated: cfg.lint,
+            },
+            expanded: ExpandedArtifact {
+                netlist_hash: nh,
+                frames: cfg.frames(),
+                nodes: x.num_nodes() as u64,
+            },
+            prefiltered: PrefilteredArtifact {
+                survivors: survivors.clone(),
+                static_multi: stats.multi_by_static as u64,
+                sim_single: stats.single_by_sim as u64,
+            },
+            grouped: grouped_artifact(&groups),
+            verdicts: Vec::new(),
         }
-    }
+    });
 
-    // Sink-group planning: survivors sharing a sink FF form one work
-    // unit, so a single cone slice (and the per-group engine state built
-    // on it) serves every source of that sink. The groups also carry the
-    // hardest-first cost hints: with work stealing the queue is drained
-    // from the front, so front-loading the expensive groups keeps the
-    // tail of the run short (a cheap group never strands behind an
-    // expensive one). Verdicts are order-independent, and the report is
-    // re-sorted by pair at the end, so this is pure scheduling policy.
-    let groups = plan_sink_groups(&x, &survivors, ff_toggles.as_deref(), cfg.cycles);
-    order_hardest_first(&mut survivors, &groups);
-    if let Some(t) = trace.as_deref_mut() {
-        // Post-splice the groups cover only the re-verified residue; the
-        // canonical Grouped artifact is the plan over *all* prefilter
-        // survivors, recomputed the same way the shard planner does it.
-        t.grouped = Some(if restored.is_empty() {
-            grouped_artifact(&groups)
-        } else {
-            let full = t
-                .prefiltered
-                .as_ref()
-                .map(|p| p.survivors.as_slice())
-                .unwrap_or(&[]);
-            grouped_artifact(&plan_sink_groups(
-                &x,
-                full,
-                ff_toggles.as_deref(),
-                cfg.cycles,
-            ))
-        });
-    }
+    let restored = splice(
+        netlist,
+        cfg,
+        obs,
+        &x,
+        &mut groups,
+        &mut survivors,
+        &mut known,
+    )?;
     drop(tr_prepare);
 
     // Steps 3-4: engine-specific classification of the survivors. The
@@ -772,11 +912,11 @@ pub(crate) fn analyze_inner(
         }
     };
 
-    // Merge the run's verdicts with any restored by `--resume` or a
-    // cache splice; the final sort below makes the interleaving
-    // irrelevant. With a stage trace attached, every merged verdict also
-    // lands in the Verdicts artifact — keyed by FF name as well as
-    // index, so ECO re-analysis can map it across a netlist edit.
+    // Merge the run's verdicts with the spliced ones; the final sort
+    // below makes the interleaving irrelevant. With a stage trace
+    // attached, every merged verdict also lands in the Verdicts artifact
+    // — keyed by FF name as well as index, so ECO re-analysis can map it
+    // across a netlist edit.
     let ff_names: Option<Vec<&str>> = trace.is_some().then(|| {
         netlist
             .dffs()
@@ -805,13 +945,9 @@ pub(crate) fn analyze_inner(
                 PairClass::Unknown
             }
         };
-        if let Some(t) = trace.as_deref_mut() {
+        if let Some(t) = trace.as_mut() {
             let names = ff_names.as_ref().expect("FF names built with the trace");
-            let (step, cls) = match v {
-                Verdict::Multi { by } => (step_name(by), "multi"),
-                Verdict::Single { by } => (step_name(by), "single"),
-                Verdict::Unknown => ("atpg", "unknown"),
-            };
+            let (step, cls) = verdict_tags(&v);
             t.verdicts.push(VerdictRecord {
                 src: i,
                 dst: j,
@@ -839,12 +975,131 @@ pub(crate) fn analyze_inner(
         }
     }
     let _ = obs.sink().flush();
-    Ok(McReport::new(
-        netlist.name().to_owned(),
-        results,
-        stats,
-        obs.snapshot(),
-    ))
+    let report = McReport::new(netlist.name().to_owned(), results, stats, obs.snapshot());
+    // Persisted only after the run succeeded, so a crash mid-persist can
+    // only lose store entries, never report correctness.
+    if let (Some(store), Some(trace), Some(id)) = (known.persist, trace, &id) {
+        persist_trace(store, id, cfg, netlist.name(), trace)?;
+    }
+    Ok(Analysis {
+        report,
+        eco: known.eco,
+    })
+}
+
+/// A spliced verdict, by pair.
+type SpliceVerdict = ((usize, usize), Verdict);
+
+/// The splice step: applies the source's knowledge to the run's one
+/// sink-group plan and returns the spliced verdicts. On return
+/// `survivors` and `groups` hold only the pairs the engines must verify,
+/// hardest group first.
+///
+/// The order matters. Shard ownership comes first, over the plan of
+/// *all* prefilter survivors: the prefilters are seed-deterministic, so
+/// every sibling shard, a resume of one, and the merge derive the same
+/// partition, which a splice-dependent plan could not guarantee. ECO
+/// dirtiness comes next, then the splice itself. The prefilters re-ran
+/// on this netlist, so their drops are recomputed rather than spliced;
+/// only engine work is saved.
+fn splice(
+    netlist: &Netlist,
+    cfg: &McConfig,
+    obs: &ObsCtx,
+    x: &Expanded,
+    groups: &mut Vec<SinkGroup>,
+    survivors: &mut Vec<(usize, usize)>,
+    known: &mut Known<'_>,
+) -> Result<Vec<SpliceVerdict>, AnalyzeError> {
+    let planned = survivors.len();
+    let count = cfg
+        .shard
+        .map_or(known.shards.len() as u64, |spec| spec.count);
+    let owners = if count > 0 {
+        assign_shards(groups, count)
+    } else {
+        Vec::new()
+    };
+    if let Some(spec) = cfg.shard {
+        let owned: BTreeSet<(usize, usize)> = owners[spec.index as usize].iter().copied().collect();
+        survivors.retain(|p| owned.contains(p));
+        obs.metrics.shard_pairs_owned.add(survivors.len() as u64);
+        obs.metrics
+            .shard_pairs_skipped
+            .add((planned - survivors.len()) as u64);
+    }
+    if !known.shards.is_empty() {
+        known.verdicts = shard::owned_verdicts(std::mem::take(&mut known.shards), &owners)?;
+    }
+    if let (Some(changed), Some(summary)) = (&known.changed, known.eco.as_mut()) {
+        let invalidated = eco::drop_dirty(
+            netlist,
+            x,
+            groups,
+            cfg.cycles,
+            changed,
+            &mut known.verdicts,
+            summary,
+        );
+        obs.metrics
+            .eco_groups_reverified
+            .add(summary.groups_reverified as u64);
+        obs.metrics
+            .eco_groups_spliced
+            .add(summary.groups_spliced as u64);
+        obs.metrics.cache_invalidations.add(invalidated);
+    }
+
+    // Known pairs skip the scheduler entirely: their verdicts are
+    // restored verbatim and re-journaled, so the new ledger is itself
+    // complete. A cache splice is not a crash recovery: its events say
+    // `cached` and carry no engine tag, so a warm run's ledger shows
+    // zero engine work. Known verdicts for pairs outside the survivors
+    // (another shard's, or pairs the prefilters now resolve) stay unused.
+    let mut restored = Vec::new();
+    survivors.retain(|pair| match known.verdicts.get(pair) {
+        Some(event) => {
+            restored.push((*pair, verdict_from_event(event)));
+            if obs.sink().enabled() {
+                let mut replay = event.clone();
+                if known.cached {
+                    replay.cached = true;
+                } else {
+                    replay.resumed = true;
+                }
+                obs.sink().record(&replay);
+            }
+            false
+        }
+        None => true,
+    });
+    if known.cached {
+        obs.metrics.cache_pairs_spliced.add(restored.len() as u64);
+    } else {
+        obs.metrics.resume_pairs_loaded.add(restored.len() as u64);
+    }
+
+    // The engines' work list is the plan cut down to the residue. Cost
+    // hints stay those of the full groups: they only order the queue,
+    // and verdicts are order-independent.
+    if survivors.len() < planned {
+        let residue: BTreeSet<(usize, usize)> = survivors.iter().copied().collect();
+        groups.retain_mut(|g| {
+            g.sources.retain(|&i| residue.contains(&(i, g.sink)));
+            !g.sources.is_empty()
+        });
+    }
+    order_hardest_first(survivors, groups);
+    Ok(restored)
+}
+
+/// The journal `(step, class)` names of a verdict.
+fn verdict_tags(v: &Verdict) -> (&'static str, &'static str) {
+    match v {
+        Verdict::Multi { by } => (step_name(*by), "multi"),
+        Verdict::Single { by } => (step_name(*by), "single"),
+        Verdict::Unknown => ("atpg", "unknown"),
+    }
 }
 
 /// Builds the journal record for one engine-classified pair. `slice` is
@@ -859,11 +1114,7 @@ fn verdict_event(
     elapsed: Duration,
     slice: Option<(u64, u64)>,
 ) -> PairEvent {
-    let (step, class) = match v {
-        Verdict::Multi { by } => (step_name(*by), "multi"),
-        Verdict::Single { by } => (step_name(*by), "single"),
-        Verdict::Unknown => ("atpg", "unknown"),
-    };
+    let (step, class) = verdict_tags(v);
     PairEvent {
         src: i,
         dst: j,

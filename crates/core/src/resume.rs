@@ -5,47 +5,96 @@
 //! killed mid-flight leaves behind exactly the pairs it completed. This
 //! module validates that a ledger belongs to the run being restarted —
 //! same format version, same netlist content, same verdict-affecting
-//! config, same candidate pair set — and replays its completed verdicts
-//! into the pipeline so only the unresolved pairs reach the scheduler.
+//! config, same candidate pair set — and extracts its completed
+//! verdicts, which [`VerdictSource::Ledger`](crate::VerdictSource)
+//! splices into the pipeline so only the unresolved pairs reach the
+//! scheduler. `merge` checks each shard ledger with the same header
+//! check.
 //!
 //! The merged result is *byte-identical* to an uninterrupted run's
 //! canonical report: verdicts are deterministic per pair, the sim
 //! prefilter and lint gate re-run from the same seed and config, and
 //! everything wall-clock-dependent is projected out by
-//! [`McReport::canonical`].
+//! [`McReport::canonical`](crate::McReport::canonical).
 
 use crate::config::McConfig;
-use crate::pipeline::{analyze_inner, candidate_pairs, pair_digest, AnalyzeError, DigestKind};
-use crate::report::McReport;
-use mcp_netlist::Netlist;
-use mcp_obs::{Ledger, ObsCtx, PairEvent, LEDGER_VERSION};
-use std::collections::BTreeMap;
+use crate::pipeline::{AnalyzeError, DigestKind, KnownVerdicts, RunIdentity};
+use mcp_obs::{Ledger, RunHeader, LEDGER_VERSION};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A validated resume: the engine verdicts restorable from a prior
-/// run's ledger, keyed by pair. Built by [`plan_resume`].
-#[derive(Debug, Clone)]
-pub struct ResumePlan {
-    pub(crate) restored: BTreeMap<(usize, usize), PairEvent>,
-    /// `true` when the plan splices from the artifact cache rather than
-    /// a crash-recovery ledger: spliced events are re-journaled with
-    /// `cached` (no engine tag) instead of `resumed`, and land in the
-    /// cache counters instead of the resume ones.
-    pub(crate) from_cache: bool,
-}
-
-impl ResumePlan {
-    /// Number of pairs whose verdicts the plan restores.
-    pub fn restored_pairs(&self) -> usize {
-        self.restored.len()
+/// Checks that a ledger header belongs to the current run: format
+/// version, netlist hash, config fingerprint and candidate pair set.
+/// Netlist and config drift get [`AnalyzeError::DigestMismatch`]; every
+/// other failure becomes `refuse(reason)`.
+pub(crate) fn check_run_header<'l>(
+    header: Option<&'l RunHeader>,
+    id: &RunIdentity,
+    candidates: &BTreeSet<(usize, usize)>,
+    refuse: impl Fn(String) -> AnalyzeError,
+) -> Result<&'l RunHeader, AnalyzeError> {
+    let header = header.ok_or_else(|| {
+        refuse("no run header (pre-v2 journal, or the run died before writing one)".to_owned())
+    })?;
+    if header.ledger != LEDGER_VERSION {
+        return Err(refuse(format!(
+            "ledger format v{} (this build reads v{LEDGER_VERSION})",
+            header.ledger
+        )));
     }
+    if header.netlist_hash != id.netlist_hash {
+        return Err(AnalyzeError::DigestMismatch {
+            what: DigestKind::Netlist,
+            ledger: header.netlist_hash,
+            current: id.netlist_hash,
+        });
+    }
+    if header.config_fingerprint != id.fingerprint {
+        return Err(AnalyzeError::DigestMismatch {
+            what: DigestKind::Config,
+            ledger: header.config_fingerprint,
+            current: id.fingerprint,
+        });
+    }
+    if header.pair_digest != id.pair_digest || header.pairs != candidates.len() as u64 {
+        return Err(refuse(format!(
+            "candidate pair set mismatch: ledger committed to {} pairs (digest {:016x}), \
+             this run has {} (digest {:016x})",
+            header.pairs,
+            header.pair_digest,
+            candidates.len(),
+            id.pair_digest
+        )));
+    }
+    Ok(header)
 }
 
-/// Validates `ledger` against the current inputs and extracts the
-/// completed engine verdicts.
-///
-/// Sim-prefilter drops in the ledger are ignored — the prefilter is
-/// deterministic and cheap, so the resumed run recomputes them — as are
-/// span lines. Only events carrying an engine verdict are restored.
+/// A ledger's engine verdicts by pair. Sim-prefilter and static events
+/// (no engine tag) are skipped — the prefilters are deterministic and
+/// cheap, so the pipeline recomputes them — as are span lines. Last
+/// write wins: duplicates only arise from a ledger that was itself
+/// resumed, where the replayed and original verdicts are identical.
+/// A verdict outside the candidate set becomes `refuse(reason)`.
+pub(crate) fn engine_verdicts(
+    ledger: &Ledger,
+    candidates: &BTreeSet<(usize, usize)>,
+    refuse: impl Fn(String) -> AnalyzeError,
+) -> Result<KnownVerdicts, AnalyzeError> {
+    let mut verdicts = BTreeMap::new();
+    for event in ledger.events.iter().filter(|e| e.engine.is_some()) {
+        let pair = (event.src, event.dst);
+        if !candidates.contains(&pair) {
+            return Err(refuse(format!(
+                "a verdict for pair ({}, {}) outside the candidate set",
+                event.src, event.dst
+            )));
+        }
+        verdicts.insert(pair, event.clone());
+    }
+    Ok(verdicts)
+}
+
+/// Validates a resume ledger against the current run and returns its
+/// restorable engine verdicts.
 ///
 /// # Errors
 ///
@@ -53,47 +102,23 @@ impl ResumePlan {
 /// verdict-affecting config fingerprint disagrees (naming both digests);
 /// [`AnalyzeError::ResumeMismatch`] when the ledger has no v2 header, a
 /// different format version, a different candidate pair set (digest or
-/// count), or a different shard identity than the current invocation.
-pub fn plan_resume(
-    netlist: &Netlist,
-    cfg: &McConfig,
+/// count), a different shard identity, or a verdict outside the
+/// candidate set.
+pub(crate) fn ledger_verdicts(
     ledger: &Ledger,
-) -> Result<ResumePlan, AnalyzeError> {
+    cfg: &McConfig,
+    id: &RunIdentity,
+    candidates: &[(usize, usize)],
+) -> Result<KnownVerdicts, AnalyzeError> {
     let mismatch = |reason: String| AnalyzeError::ResumeMismatch { reason };
-    let header = ledger.header.as_ref().ok_or_else(|| {
-        mismatch(
-            "ledger has no run header (pre-v2 journal, or the run died before writing one)"
-                .to_owned(),
-        )
-    })?;
-    if header.ledger != LEDGER_VERSION {
-        return Err(mismatch(format!(
-            "ledger format v{} (this build reads v{LEDGER_VERSION})",
-            header.ledger
-        )));
-    }
-    let netlist_hash = netlist.content_hash();
-    if header.netlist_hash != netlist_hash {
-        return Err(AnalyzeError::DigestMismatch {
-            what: DigestKind::Netlist,
-            ledger: header.netlist_hash,
-            current: netlist_hash,
-        });
-    }
-    let fingerprint = cfg.fingerprint();
-    if header.config_fingerprint != fingerprint {
-        return Err(AnalyzeError::DigestMismatch {
-            what: DigestKind::Config,
-            ledger: header.config_fingerprint,
-            current: fingerprint,
-        });
-    }
+    let candidates: BTreeSet<(usize, usize)> = candidates.iter().copied().collect();
+    let header = check_run_header(ledger.header.as_ref(), id, &candidates, mismatch)?;
     // Shard identity must match exactly: a shard's ledger only covers
     // that shard's owned pairs, so splicing it into an unsharded run (or
     // a different shard) would silently leave — or duplicate — work.
-    // `merge` is the one consumer allowed to cross this boundary, and it
-    // builds its own plan. Pre-shard ledgers carry the unsharded (0, 0)
-    // identity via serde defaults and keep resuming unsharded runs.
+    // `merge` is the one consumer allowed to cross this boundary.
+    // Pre-shard ledgers carry the unsharded (0, 0) identity via serde
+    // defaults and keep resuming unsharded runs.
     let (want_index, want_count) = cfg.shard.map_or((0, 0), |s| (s.index, s.count));
     if (header.shard_index, header.shard_count) != (want_index, want_count) {
         let describe = |index: u64, count: u64| {
@@ -110,68 +135,19 @@ pub fn plan_resume(
             describe(want_index, want_count),
         )));
     }
-    let candidates = candidate_pairs(netlist, cfg);
-    let digest = pair_digest(&candidates);
-    if header.pair_digest != digest || header.pairs != candidates.len() as u64 {
-        return Err(mismatch(format!(
-            "candidate pair set mismatch: ledger committed to {} pairs (digest {:016x}), \
-             this run has {} (digest {digest:016x})",
-            header.pairs,
-            header.pair_digest,
-            candidates.len()
-        )));
-    }
-
-    let candidate_set: std::collections::BTreeSet<(usize, usize)> =
-        candidates.into_iter().collect();
-    let mut restored = BTreeMap::new();
-    for event in &ledger.events {
-        if event.engine.is_none() {
-            continue; // sim-prefilter drop: recomputed, not restored
-        }
-        let pair = (event.src, event.dst);
-        if !candidate_set.contains(&pair) {
-            return Err(mismatch(format!(
-                "ledger carries a verdict for pair ({}, {}) outside the candidate set",
-                event.src, event.dst
-            )));
-        }
-        // Last write wins; duplicates can only arise from a ledger that
-        // was itself resumed, where the replayed and original verdicts
-        // are identical anyway.
-        restored.insert(pair, event.clone());
-    }
-    Ok(ResumePlan {
-        restored,
-        from_cache: false,
+    engine_verdicts(ledger, &candidates, |r| {
+        mismatch(format!("ledger carries {r}"))
     })
-}
-
-/// [`analyze_with`](crate::analyze_with), restarted from a prior run's
-/// ledger: validates the ledger with [`plan_resume`], feeds only the
-/// unresolved pairs to the engines, and merges restored + new verdicts
-/// into the same report an uninterrupted run produces.
-///
-/// # Errors
-///
-/// [`AnalyzeError::ResumeMismatch`] from validation, plus everything
-/// [`analyze`](crate::analyze) can return.
-pub fn analyze_resume_with(
-    netlist: &Netlist,
-    cfg: &McConfig,
-    obs: &ObsCtx,
-    ledger: &Ledger,
-) -> Result<McReport, AnalyzeError> {
-    let plan = plan_resume(netlist, cfg, ledger)?;
-    analyze_inner(netlist, cfg, obs, Some(&plan), None)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::pipeline::analyze_with;
+    use crate::config::McConfig;
+    use crate::pipeline::{analyze_from, analyze_with, Analysis, AnalyzeError, DigestKind};
+    use crate::VerdictSource;
     use mcp_gen::{circuits, suite};
-    use mcp_obs::MemSink;
+    use mcp_netlist::Netlist;
+    use mcp_obs::{Ledger, MemSink, ObsCtx, LEDGER_VERSION};
     use std::sync::Arc;
 
     /// Runs `analyze_with` while capturing its ledger through a shared
@@ -189,6 +165,11 @@ mod tests {
         (canonical, ledger)
     }
 
+    /// Resumes from `ledger` on a silent context.
+    fn resume(nl: &Netlist, cfg: &McConfig, ledger: &Ledger) -> Result<Analysis, AnalyzeError> {
+        analyze_from(nl, cfg, &ObsCtx::new(), VerdictSource::Ledger(ledger))
+    }
+
     #[test]
     fn resume_from_a_complete_ledger_reverifies_nothing() {
         let nl = circuits::fig1();
@@ -199,7 +180,9 @@ mod tests {
         assert!(engine_verdicts > 0, "fig1 resolves pairs via the engines");
 
         let obs = ObsCtx::new();
-        let resumed = analyze_resume_with(&nl, &cfg, &obs, &ledger).expect("resume");
+        let resumed = analyze_from(&nl, &cfg, &obs, VerdictSource::Ledger(&ledger))
+            .expect("resume")
+            .report;
         assert_eq!(
             serde_json::to_string(&resumed.canonical()).expect("serialize"),
             baseline,
@@ -228,7 +211,9 @@ mod tests {
         // must be re-recorded (marked resumed) so it is itself complete.
         let sink = Arc::new(MemSink::new());
         let obs = ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
-        let resumed = analyze_resume_with(&nl, &cfg, &obs, &ledger).expect("resume");
+        let resumed = analyze_from(&nl, &cfg, &obs, VerdictSource::Ledger(&ledger))
+            .expect("resume")
+            .report;
         assert_eq!(
             serde_json::to_string(&resumed.canonical()).expect("serialize"),
             baseline,
@@ -245,15 +230,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_resume_rejects_headerless_ledgers() {
+    fn resume_rejects_headerless_ledgers() {
         let nl = circuits::fig1();
         let cfg = McConfig::default();
-        let err = plan_resume(&nl, &cfg, &Ledger::default()).unwrap_err();
+        let err = resume(&nl, &cfg, &Ledger::default()).unwrap_err();
         assert!(err.to_string().contains("no run header"), "{err}");
     }
 
     #[test]
-    fn plan_resume_rejects_version_netlist_and_config_drift() {
+    fn resume_rejects_version_netlist_and_config_drift() {
         let nl = circuits::fig1();
         let cfg = McConfig::default();
         let (_, ledger) = run_with_ledger(&nl, &cfg);
@@ -261,12 +246,12 @@ mod tests {
         // Foreign format version.
         let mut wrong_version = ledger.clone();
         wrong_version.header.as_mut().unwrap().ledger = LEDGER_VERSION + 1;
-        let err = plan_resume(&nl, &cfg, &wrong_version).unwrap_err();
+        let err = resume(&nl, &cfg, &wrong_version).unwrap_err();
         assert!(err.to_string().contains("format"), "{err}");
 
         // Different circuit: the dedicated variant names both digests.
         let other = circuits::fig4_fragment();
-        let err = plan_resume(&other, &cfg, &ledger).unwrap_err();
+        let err = resume(&other, &cfg, &ledger).unwrap_err();
         assert_eq!(
             err,
             AnalyzeError::DigestMismatch {
@@ -290,7 +275,7 @@ mod tests {
         // Verdict-affecting config change: same story for fingerprints.
         let mut recfg = cfg.clone();
         recfg.cycles = 3;
-        let err = plan_resume(&nl, &recfg, &ledger).unwrap_err();
+        let err = resume(&nl, &recfg, &ledger).unwrap_err();
         assert_eq!(
             err,
             AnalyzeError::DigestMismatch {
@@ -311,11 +296,11 @@ mod tests {
         neutral.threads = 2;
         neutral.slice = !neutral.slice;
         neutral.static_classify = !neutral.static_classify;
-        assert!(plan_resume(&nl, &neutral, &ledger).is_ok());
+        assert!(resume(&nl, &neutral, &ledger).is_ok());
     }
 
     #[test]
-    fn plan_resume_rejects_shard_identity_drift() {
+    fn resume_rejects_shard_identity_drift() {
         use crate::config::ShardSpec;
         let nl = circuits::fig1();
         let cfg = McConfig::default();
@@ -324,7 +309,7 @@ mod tests {
         // An unsharded ledger cannot resume a shard run...
         let mut sharded = cfg.clone();
         sharded.shard = Some(ShardSpec { index: 0, count: 2 });
-        let err = plan_resume(&nl, &sharded, &ledger).unwrap_err();
+        let err = resume(&nl, &sharded, &ledger).unwrap_err();
         assert!(err.to_string().contains("shard mismatch"), "{err}");
 
         // ...nor a shard ledger an unsharded (or differently-sharded) run.
@@ -332,19 +317,19 @@ mod tests {
         let h = shard_ledger.header.as_ref().expect("header");
         assert_eq!((h.shard_index, h.shard_count), (0, 2));
         assert_eq!(h.run_digest, h.expected_run_digest());
-        let err = plan_resume(&nl, &cfg, &shard_ledger).unwrap_err();
+        let err = resume(&nl, &cfg, &shard_ledger).unwrap_err();
         assert!(err.to_string().contains("shard mismatch"), "{err}");
         let mut other_shard = cfg.clone();
         other_shard.shard = Some(ShardSpec { index: 1, count: 2 });
-        let err = plan_resume(&nl, &other_shard, &shard_ledger).unwrap_err();
+        let err = resume(&nl, &other_shard, &shard_ledger).unwrap_err();
         assert!(err.to_string().contains("shard mismatch"), "{err}");
 
         // The matching shard spec resumes fine.
-        assert!(plan_resume(&nl, &sharded, &shard_ledger).is_ok());
+        assert!(resume(&nl, &sharded, &shard_ledger).is_ok());
     }
 
     #[test]
-    fn plan_resume_rejects_verdicts_outside_the_candidate_set() {
+    fn resume_rejects_verdicts_outside_the_candidate_set() {
         let nl = circuits::fig1();
         let cfg = McConfig::default();
         let (_, mut ledger) = run_with_ledger(&nl, &cfg);
@@ -356,7 +341,7 @@ mod tests {
             .clone();
         rogue.src = 9_999;
         ledger.events.push(rogue);
-        let err = plan_resume(&nl, &cfg, &ledger).unwrap_err();
+        let err = resume(&nl, &cfg, &ledger).unwrap_err();
         assert!(
             err.to_string().contains("outside the candidate set"),
             "{err}"

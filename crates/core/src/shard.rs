@@ -1,5 +1,4 @@
-//! Sharded multi-process verification: the deterministic pair
-//! partition and the crash-safe ledger merge.
+//! Sharded multi-process verification: the crash-safe ledger merge.
 //!
 //! The pair set is embarrassingly distributable — every verdict is
 //! per-pair deterministic — so a run can be split over N independent
@@ -7,200 +6,62 @@
 //! back into *the* canonical report. Three properties make the merge
 //! sound, all pinned by the test suite:
 //!
-//! - **Deterministic ownership.** [`plan_shards`] partitions the
-//!   prefiltered survivors sink-group-whole via greedy LPT over the
-//!   deterministic hardest-first group order. Every process — each
-//!   shard, a resume of a killed shard, and the merge planner — derives
-//!   the identical partition from the netlist and config alone, so
-//!   ownership never depends on which shards happen to have run.
+//! - **Deterministic ownership.** The pipeline partitions the plan of
+//!   all prefiltered survivors sink-group-whole via greedy LPT over the
+//!   deterministic hardest-first group order
+//!   (`stage::assign_shards`). Every process — each shard, a resume of
+//!   a killed shard, and the merge — derives the identical partition
+//!   from the netlist and config alone, so ownership never depends on
+//!   which shards happen to have run.
 //! - **Digest-checked identity.** Every shard header carries the
 //!   netlist/config/pair-set digests plus its shard coordinates and the
-//!   parent [run digest](mcp_obs::run_digest). [`merge_shards`] refuses
-//!   missing, duplicate, foreign, or incomplete shards with typed
+//!   parent [run digest](mcp_obs::run_digest). A merge refuses missing,
+//!   duplicate, foreign, or incomplete shards with typed
 //!   [`AnalyzeError`]s instead of producing a silently short report.
-//! - **Merge is resume-from-union.** The union of the shards' engine
-//!   verdicts forms one [`ResumePlan`]; the ordinary pipeline then
-//!   re-runs the deterministic prefilters, restores every surviving
-//!   pair's verdict, and the engines no-op. The merged canonical report
-//!   is byte-identical to a single-process `--threads 1` run because it
-//!   *is* that run, with the engine work pre-supplied.
+//! - **Merge is resume-from-union.** [`VerdictSource::Shards`] feeds
+//!   the union of the shards' engine verdicts to the ordinary pipeline,
+//!   which re-runs the deterministic prefilters, restores every
+//!   surviving pair's verdict, and leaves the engines nothing to do.
+//!   The merged canonical report is byte-identical to a single-process
+//!   `--threads 1` run because it *is* that run, with the engine work
+//!   pre-supplied.
+//!
+//! [`VerdictSource::Shards`]: crate::VerdictSource::Shards
 
-use crate::config::McConfig;
-use crate::pipeline::{analyze_inner, candidate_pairs, pair_digest, AnalyzeError, DigestKind};
-use crate::report::{McReport, StepStats};
-use crate::resume::ResumePlan;
-use crate::stage::{assign_shards, plan_sink_groups, run_prefilters, Prefiltered};
-use mcp_netlist::{Expanded, Netlist};
-use mcp_obs::{Ledger, ObsCtx, PairEvent, LEDGER_VERSION};
+use crate::pipeline::{AnalyzeError, KnownVerdicts, RunIdentity};
+use crate::resume::{check_run_header, engine_verdicts};
+use mcp_obs::Ledger;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The deterministic shard partition of one run: shard `s` owns exactly
-/// the pairs of `owned(s)`, and the sets are disjoint and cover every
-/// prefiltered survivor.
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    owned: Vec<BTreeSet<(usize, usize)>>,
-}
-
-impl ShardPlan {
-    /// Number of shards in the partition.
-    pub fn count(&self) -> u64 {
-        self.owned.len() as u64
-    }
-
-    /// The pair set shard `index` owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index >= count()`.
-    pub fn owned(&self, index: u64) -> &BTreeSet<(usize, usize)> {
-        &self.owned[index as usize]
-    }
-
-    /// Owned-pair count per shard — the balance the bench harness
-    /// reports.
-    pub fn pairs_per_shard(&self) -> Vec<usize> {
-        self.owned.iter().map(|s| s.len()).collect()
-    }
-
-    /// Total pairs across all shards (the prefiltered survivor count).
-    pub fn total_pairs(&self) -> usize {
-        self.owned.iter().map(|s| s.len()).sum()
-    }
-}
-
-/// Computes the partition a sharded run of `cfg` over `count` shards
-/// uses, by replaying the deterministic prefilters (static
-/// pre-classification + seeded random simulation) and the sink-group
-/// LPT assignment — exactly the code path `analyze` takes, so the two
-/// can never drift.
+/// Validates the ledgers of one sharded run and returns each shard's
+/// engine verdicts, indexed by shard.
 ///
-/// `cfg.shard` is ignored: the partition is a property of the whole
-/// run, not of any one shard.
+/// Every ledger must carry a v2 header whose netlist/config/pair
+/// digests match the current run and whose recorded run digest is
+/// self-consistent; the shard counts must agree and the indices form
+/// exactly `{0, …, count-1}` (no shard missing, duplicated, or out of
+/// range); and every engine verdict must be a candidate pair.
 ///
 /// # Errors
 ///
-/// [`AnalyzeError::InvalidShard`] when `count` is 0.
-pub fn plan_shards(
-    netlist: &Netlist,
-    cfg: &McConfig,
-    count: u64,
-) -> Result<ShardPlan, AnalyzeError> {
-    if count == 0 {
-        return Err(AnalyzeError::InvalidShard { index: 0, count });
-    }
-    // Throwaway context: planning must not journal, count, or trace —
-    // the real run (or merge) does that itself.
-    let obs = ObsCtx::new();
-    let mut stats = StepStats::default();
-    let mut results = Vec::new();
-    let candidates = candidate_pairs(netlist, cfg);
-    let Prefiltered {
-        survivors,
-        ff_toggles,
-    } = run_prefilters(netlist, cfg, &obs, &mut stats, &mut results, candidates);
-    let x = Expanded::build(netlist, cfg.frames());
-    let groups = plan_sink_groups(&x, &survivors, ff_toggles.as_deref(), cfg.cycles);
-    let owned = assign_shards(&groups, count)
-        .into_iter()
-        .map(|pairs| pairs.into_iter().collect())
-        .collect();
-    Ok(ShardPlan { owned })
-}
-
-/// [`merge_shards_with`] on a fresh (silent) observability context.
-///
-/// # Errors
-///
-/// See [`merge_shards_with`].
-pub fn merge_shards(
-    netlist: &Netlist,
-    cfg: &McConfig,
+/// [`AnalyzeError::ShardMerge`] for structural unsoundness and
+/// [`AnalyzeError::DigestMismatch`] for netlist/config drift.
+pub(crate) fn shard_verdicts(
     ledgers: &[Ledger],
-) -> Result<McReport, AnalyzeError> {
-    merge_shards_with(netlist, cfg, &ObsCtx::new(), ledgers)
-}
-
-/// Merges the per-shard ledgers of one sharded run into the canonical
-/// report — byte-identical (after [`McReport::canonical`]) to a
-/// single-process run of the same netlist and config.
-///
-/// Soundness gate, in order: every ledger must carry a v2 header whose
-/// netlist/config/pair digests match the current invocation and whose
-/// recorded run digest is self-consistent; the shard counts must agree
-/// and the indices form exactly `{0, …, count-1}` (no shard missing,
-/// duplicated, or out of range); every engine verdict must lie inside
-/// its shard's recomputed ownership set; and every owned pair must have
-/// a verdict. Only then are the verdicts unioned and replayed through
-/// the ordinary pipeline.
-///
-/// Ownership is recomputed under *this* invocation's config, so merge
-/// with the same flags the shards ran with (the verdict-affecting ones
-/// are digest-enforced; of the neutral ones only `--no-static-classify`
-/// moves pairs across the prefilter boundary, and a mismatch there
-/// surfaces as a foreign-verdict or incomplete-shard refusal, never as
-/// a wrong report).
-///
-/// # Errors
-///
-/// [`AnalyzeError::ShardMerge`] for structural unsoundness,
-/// [`AnalyzeError::DigestMismatch`] for netlist/config drift,
-/// [`AnalyzeError::ShardIncomplete`] for a shard killed before
-/// finishing (resume it, then merge again), plus everything
-/// [`analyze`](crate::analyze) can return.
-pub fn merge_shards_with(
-    netlist: &Netlist,
-    cfg: &McConfig,
-    obs: &ObsCtx,
-    ledgers: &[Ledger],
-) -> Result<McReport, AnalyzeError> {
+    id: &RunIdentity,
+    candidates: &[(usize, usize)],
+) -> Result<Vec<KnownVerdicts>, AnalyzeError> {
     let merge_err = |reason: String| AnalyzeError::ShardMerge { reason };
     if ledgers.is_empty() {
         return Err(merge_err("no shard ledgers given".to_owned()));
     }
-
-    let netlist_hash = netlist.content_hash();
-    let fingerprint = cfg.fingerprint();
-    let candidates = candidate_pairs(netlist, cfg);
-    let digest = pair_digest(&candidates);
-    let candidate_set: BTreeSet<(usize, usize)> = candidates.iter().copied().collect();
-
+    let candidates: BTreeSet<(usize, usize)> = candidates.iter().copied().collect();
     let mut count = 0u64;
     let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
     for (k, ledger) in ledgers.iter().enumerate() {
-        let header = ledger
-            .header
-            .as_ref()
-            .ok_or_else(|| merge_err(format!("ledger #{k} has no run header")))?;
-        if header.ledger != LEDGER_VERSION {
-            return Err(merge_err(format!(
-                "ledger #{k} has format v{} (this build reads v{LEDGER_VERSION})",
-                header.ledger
-            )));
-        }
-        if header.netlist_hash != netlist_hash {
-            return Err(AnalyzeError::DigestMismatch {
-                what: DigestKind::Netlist,
-                ledger: header.netlist_hash,
-                current: netlist_hash,
-            });
-        }
-        if header.config_fingerprint != fingerprint {
-            return Err(AnalyzeError::DigestMismatch {
-                what: DigestKind::Config,
-                ledger: header.config_fingerprint,
-                current: fingerprint,
-            });
-        }
-        if header.pair_digest != digest || header.pairs != candidates.len() as u64 {
-            return Err(merge_err(format!(
-                "ledger #{k} committed to a different candidate pair set \
-                 ({} pairs, digest {:016x}; this run has {}, digest {digest:016x})",
-                header.pairs,
-                header.pair_digest,
-                candidates.len()
-            )));
-        }
+        let header = check_run_header(ledger.header.as_ref(), id, &candidates, |r| {
+            merge_err(format!("ledger #{k}: {r}"))
+        })?;
         if header.run_digest != header.expected_run_digest() {
             return Err(merge_err(format!(
                 "ledger #{k} records run digest {:016x} but its identity fields imply \
@@ -247,82 +108,83 @@ pub fn merge_shards_with(
             missing.join(", ")
         )));
     }
+    // `seen` iterates in shard-index order, which is the order returned.
+    seen.into_iter()
+        .map(|(index, k)| {
+            engine_verdicts(&ledgers[k], &candidates, |r| {
+                merge_err(format!("shard {index} carries {r}"))
+            })
+        })
+        .collect()
+}
 
-    // Recompute the ownership partition the shards derived, and index
-    // it pair → owning shard for the foreign-verdict check.
-    let plan = plan_shards(netlist, cfg, count)?;
-    let owner_of: BTreeMap<(usize, usize), u64> = (0..count)
-        .flat_map(|s| plan.owned(s).iter().map(move |&p| (p, s)))
+/// Unions the shards' verdicts under the run's partition `owners`
+/// (pair sets by shard index, from the one plan).
+///
+/// A verdict owned by another shard is refused: the ledgers come from
+/// a different partition. A verdict no shard owns is skipped: this
+/// run's prefilters resolve that pair themselves (e.g. the shards ran
+/// with `--no-static-classify` and the merge without it), so it is
+/// recomputed, exactly as prefilter events are on resume.
+///
+/// # Errors
+///
+/// [`AnalyzeError::ShardMerge`] for a verdict owned by another shard,
+/// [`AnalyzeError::ShardIncomplete`] for a shard killed before
+/// finishing (resume it, then merge again).
+pub(crate) fn owned_verdicts(
+    shards: Vec<KnownVerdicts>,
+    owners: &[Vec<(usize, usize)>],
+) -> Result<KnownVerdicts, AnalyzeError> {
+    let owner_of: BTreeMap<(usize, usize), usize> = owners
+        .iter()
+        .enumerate()
+        .flat_map(|(s, pairs)| pairs.iter().map(move |&p| (p, s)))
         .collect();
-
-    // Union the engine verdicts shard by shard, enforcing ownership and
-    // completeness. Prefilter events (engine `None`) are recomputed by
-    // the replay below, exactly as on resume; engine verdicts for pairs
-    // no shard owns are pairs this invocation's prefilters resolve
-    // (e.g. the shards ran with `--no-static-classify`) — equally
-    // recomputed, so they are skipped rather than restored.
-    let mut restored: BTreeMap<(usize, usize), PairEvent> = BTreeMap::new();
-    for (&index, &k) in &seen {
-        let owned = plan.owned(index);
-        let mut verdicts: BTreeMap<(usize, usize), &PairEvent> = BTreeMap::new();
-        for event in &ledgers[k].events {
-            if event.engine.is_none() {
-                continue;
-            }
-            let pair = (event.src, event.dst);
-            if !candidate_set.contains(&pair) {
-                return Err(merge_err(format!(
-                    "shard {index} carries a verdict for pair ({}, {}) outside the \
-                     candidate set",
-                    event.src, event.dst
-                )));
-            }
+    let mut union = BTreeMap::new();
+    for (index, verdicts) in shards.into_iter().enumerate() {
+        for (pair, event) in verdicts {
             match owner_of.get(&pair) {
                 Some(&owner) if owner == index => {
-                    // Last write wins, as on resume: duplicates only
-                    // arise from a shard that was itself resumed, where
-                    // replayed and original verdicts are identical.
-                    verdicts.insert(pair, event);
+                    union.insert(pair, event);
                 }
                 Some(&owner) => {
-                    return Err(merge_err(format!(
-                        "shard {index} carries a verdict for pair ({}, {}), which is \
-                         owned by shard {owner} — ledgers from different partitions \
-                         cannot be merged",
-                        event.src, event.dst
-                    )));
+                    return Err(AnalyzeError::ShardMerge {
+                        reason: format!(
+                            "shard {index} carries a verdict for pair ({}, {}), which is \
+                             owned by shard {owner} — ledgers from different partitions \
+                             cannot be merged",
+                            pair.0, pair.1
+                        ),
+                    });
                 }
-                None => {} // prefilter-resolved under this config
+                None => {}
             }
         }
-        let missing = owned.iter().filter(|p| !verdicts.contains_key(p)).count();
+        let missing = owners[index]
+            .iter()
+            .filter(|p| !union.contains_key(p))
+            .count();
         if missing > 0 {
-            return Err(AnalyzeError::ShardIncomplete { index, missing });
-        }
-        for (pair, event) in verdicts {
-            restored.insert(pair, event.clone());
+            return Err(AnalyzeError::ShardIncomplete {
+                index: index as u64,
+                missing,
+            });
         }
     }
-
-    // Replay through the ordinary pipeline as a resume-from-union: the
-    // prefilters re-run deterministically, every surviving pair's
-    // verdict restores, and the engines see an empty work list.
-    let mut unsharded = cfg.clone();
-    unsharded.shard = None;
-    let plan = ResumePlan {
-        restored,
-        from_cache: false,
-    };
-    analyze_inner(netlist, &unsharded, obs, Some(&plan), None)
+    Ok(union)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::ShardSpec;
-    use crate::pipeline::analyze_with;
-    use mcp_gen::{circuits, suite};
-    use mcp_obs::MemSink;
+    use crate::config::{McConfig, ShardSpec};
+    use crate::pipeline::{analyze_from, analyze_with, AnalyzeError, DigestKind};
+    use crate::report::McReport;
+    use crate::VerdictSource;
+    use mcp_gen::{circuits, generators, suite};
+    use mcp_netlist::Netlist;
+    use mcp_obs::{Ledger, MemSink, ObsCtx};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn capture(nl: &Netlist, cfg: &McConfig) -> (McReport, Ledger) {
@@ -347,37 +209,58 @@ mod tests {
             .collect()
     }
 
+    /// Merges `ledgers` on a silent context.
+    fn merge(nl: &Netlist, cfg: &McConfig, ledgers: &[Ledger]) -> Result<McReport, AnalyzeError> {
+        analyze_from(nl, cfg, &ObsCtx::new(), VerdictSource::Shards(ledgers)).map(|a| a.report)
+    }
+
+    /// The pairs each shard verified: its ledger's engine-tagged events.
+    fn owned(ledgers: &[Ledger]) -> Vec<BTreeSet<(usize, usize)>> {
+        ledgers
+            .iter()
+            .map(|l| {
+                l.events
+                    .iter()
+                    .filter(|e| e.engine.is_some())
+                    .map(|e| (e.src, e.dst))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn partition_is_disjoint_complete_and_deterministic() {
         let nl = suite::quick_suite().remove(1);
         let cfg = McConfig::default();
+        let (_, whole) = capture(&nl, &cfg);
+        let survivors = owned(std::slice::from_ref(&whole)).remove(0);
         for count in [1u64, 2, 4, 7] {
-            let plan = plan_shards(&nl, &cfg, count).expect("plan");
-            assert_eq!(plan.count(), count);
-            let again = plan_shards(&nl, &cfg, count).expect("plan again");
-            for s in 0..count {
-                assert_eq!(plan.owned(s), again.owned(s), "partition must be stable");
-            }
+            let plan = owned(&shard_ledgers(&nl, &cfg, count));
+            assert_eq!(plan.len() as u64, count);
+            let again = owned(&shard_ledgers(&nl, &cfg, count));
+            assert_eq!(plan, again, "partition must be stable");
             // Disjoint and covering: the union has no duplicates and
-            // matches the total.
-            let mut all: Vec<(usize, usize)> = (0..count)
-                .flat_map(|s| plan.owned(s).iter().copied())
-                .collect();
+            // is exactly the unsharded run's engine work.
+            let mut all: Vec<(usize, usize)> = plan.iter().flatten().copied().collect();
             let total = all.len();
             all.sort_unstable();
             all.dedup();
             assert_eq!(all.len(), total, "shards must be disjoint");
-            assert_eq!(plan.total_pairs(), total);
+            assert_eq!(all, survivors.iter().copied().collect::<Vec<_>>());
         }
         // Different counts really partition differently (not all-in-one).
-        let plan = plan_shards(&nl, &cfg, 4).expect("plan");
-        if plan.total_pairs() >= 4 {
+        let plan = owned(&shard_ledgers(&nl, &cfg, 4));
+        if survivors.len() >= 4 {
             assert!(
-                (0..4).filter(|&s| !plan.owned(s).is_empty()).count() > 1,
+                plan.iter().filter(|s| !s.is_empty()).count() > 1,
                 "LPT must spread non-trivial work over shards"
             );
         }
-        assert!(plan_shards(&nl, &cfg, 0).is_err());
+        let zero = McConfig {
+            shard: Some(ShardSpec { index: 0, count: 0 }),
+            ..cfg
+        };
+        assert!(analyze_with(&nl, &zero, &ObsCtx::new()).is_err());
     }
 
     #[test]
@@ -394,7 +277,7 @@ mod tests {
                 assert_eq!((h.shard_index, h.shard_count), (i as u64, count));
                 assert_eq!(h.run_digest, h.expected_run_digest());
             }
-            let merged = merge_shards(&nl, &cfg, &ledgers).expect("merge");
+            let merged = merge(&nl, &cfg, &ledgers).expect("merge");
             assert_eq!(
                 serde_json::to_string(&merged.canonical()).expect("serialize"),
                 canonical,
@@ -409,30 +292,30 @@ mod tests {
         let cfg = McConfig::default();
         let ledgers = shard_ledgers(&nl, &cfg, 2);
 
-        let err = merge_shards(&nl, &cfg, &[]).unwrap_err();
+        let err = merge(&nl, &cfg, &[]).unwrap_err();
         assert!(matches!(err, AnalyzeError::ShardMerge { .. }), "{err}");
 
-        let err = merge_shards(&nl, &cfg, &ledgers[..1]).unwrap_err();
+        let err = merge(&nl, &cfg, &ledgers[..1]).unwrap_err();
         assert!(err.to_string().contains("missing shard"), "{err}");
 
         let dup = vec![ledgers[0].clone(), ledgers[0].clone()];
-        let err = merge_shards(&nl, &cfg, &dup).unwrap_err();
+        let err = merge(&nl, &cfg, &dup).unwrap_err();
         assert!(err.to_string().contains("duplicate shard"), "{err}");
 
         // An unsharded ledger is not mergeable.
         let (_, unsharded) = capture(&nl, &cfg);
-        let err = merge_shards(&nl, &cfg, &[unsharded]).unwrap_err();
+        let err = merge(&nl, &cfg, &[unsharded]).unwrap_err();
         assert!(err.to_string().contains("not a shard ledger"), "{err}");
 
         // A doctored run digest is caught even when everything else fits.
         let mut doctored = ledgers.clone();
         doctored[1].header.as_mut().unwrap().run_digest ^= 1;
-        let err = merge_shards(&nl, &cfg, &doctored).unwrap_err();
+        let err = merge(&nl, &cfg, &doctored).unwrap_err();
         assert!(err.to_string().contains("run digest"), "{err}");
 
         // A different circuit's shards refuse with the typed digest error.
         let other = circuits::fig4_fragment();
-        let err = merge_shards(&other, &cfg, &ledgers).unwrap_err();
+        let err = merge(&other, &cfg, &ledgers).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -447,7 +330,7 @@ mod tests {
         // A config change likewise.
         let mut recfg = cfg.clone();
         recfg.cycles = 3;
-        let err = merge_shards(&nl, &recfg, &ledgers).unwrap_err();
+        let err = merge(&nl, &recfg, &ledgers).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -474,7 +357,7 @@ mod tests {
             .rposition(|e| e.engine.is_some())
             .expect("shard 1 has engine verdicts");
         ledgers[1].events.truncate(last_engine);
-        let err = merge_shards(&nl, &cfg, &ledgers).unwrap_err();
+        let err = merge(&nl, &cfg, &ledgers).unwrap_err();
         match err {
             AnalyzeError::ShardIncomplete { index, missing } => {
                 assert_eq!(index, 1);
@@ -489,20 +372,53 @@ mod tests {
         shard_cfg.shard = Some(ShardSpec { index: 1, count: 2 });
         let sink = Arc::new(MemSink::new());
         let obs = ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
-        crate::resume::analyze_resume_with(&nl, &shard_cfg, &obs, &truncated).expect("resume");
+        analyze_from(&nl, &shard_cfg, &obs, VerdictSource::Ledger(&truncated)).expect("resume");
         ledgers[1] = Ledger {
             header: sink.take_header(),
             spans: sink.drain_spans(),
             events: sink.drain(),
         };
-        let merged = merge_shards(&nl, &cfg, &ledgers).expect("merge after resume");
+        let merged = merge(&nl, &cfg, &ledgers).expect("merge after resume");
 
         // Identical to the merge of the never-killed ledgers.
         ledgers[1] = full;
-        let clean = merge_shards(&nl, &cfg, &ledgers).expect("clean merge");
+        let clean = merge(&nl, &cfg, &ledgers).expect("clean merge");
         assert_eq!(
             serde_json::to_string(&merged.canonical()).unwrap(),
             serde_json::to_string(&clean.canonical()).unwrap()
+        );
+    }
+
+    #[test]
+    fn merge_across_a_static_classify_mismatch_is_exact_or_refused() {
+        // `static_classify` is fingerprint-neutral, so shards and merge
+        // may disagree on it. Pairs the merge's pre-pass resolves are
+        // simply not spliced; pairs only the merge sends to the engines
+        // have no shard verdict and refuse the merge.
+        let nl = generators::frozen_sink_demo(4);
+        let on = McConfig::default();
+        let off = McConfig {
+            static_classify: false,
+            ..McConfig::default()
+        };
+        let cold =
+            serde_json::to_string(&analyze_with(&nl, &on, &ObsCtx::new()).unwrap().canonical())
+                .expect("serialize");
+
+        let merged = merge(&nl, &on, &shard_ledgers(&nl, &off, 2)).expect("merge");
+        assert_eq!(
+            serde_json::to_string(&merged.canonical()).expect("serialize"),
+            cold,
+            "shards without the pre-pass must merge to the cold report"
+        );
+
+        let err = merge(&nl, &off, &shard_ledgers(&nl, &on, 2)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AnalyzeError::ShardMerge { .. } | AnalyzeError::ShardIncomplete { .. }
+            ),
+            "{err}"
         );
     }
 }

@@ -20,11 +20,11 @@
 //! store and lets ECO re-analysis map surviving verdicts across a
 //! netlist edit.
 //!
-//! This module also owns the stage *implementations* shared by the
-//! pipeline, the shard planner and the ECO planner: the deterministic
-//! prefilters (`run_prefilters`) and the sink-group planning
-//! (`plan_sink_groups`, `assign_shards`). Keeping them in one place
-//! is what guarantees the planners can never drift from the run.
+//! This module also owns the stage *implementations* the pipeline runs
+//! once per analysis: the deterministic prefilters (`run_prefilters`)
+//! and the sink-group planning (`plan_sink_groups`, `assign_shards`).
+//! Shard ownership, merge checks and ECO dirtiness all read that one
+//! plan, so they cannot drift from the run.
 
 use crate::config::McConfig;
 use crate::report::{PairClass, PairResult, SimKernelTier, Step, StepStats};
@@ -216,14 +216,14 @@ pub struct ReportArtifact {
 }
 
 /// Per-stage artifacts collected from one cold run, for persisting into
-/// the store. Filled by `analyze_inner` when a collector is supplied.
-#[derive(Debug, Default)]
+/// the store. Filled by `analyze_from` for the sources that persist.
+#[derive(Debug)]
 pub(crate) struct StageTrace {
-    pub(crate) parsed: Option<ParsedArtifact>,
-    pub(crate) linted: Option<LintedArtifact>,
-    pub(crate) expanded: Option<ExpandedArtifact>,
-    pub(crate) prefiltered: Option<PrefilteredArtifact>,
-    pub(crate) grouped: Option<GroupedArtifact>,
+    pub(crate) parsed: ParsedArtifact,
+    pub(crate) linted: LintedArtifact,
+    pub(crate) expanded: ExpandedArtifact,
+    pub(crate) prefiltered: PrefilteredArtifact,
+    pub(crate) grouped: GroupedArtifact,
     pub(crate) verdicts: Vec<VerdictRecord>,
 }
 
@@ -250,15 +250,12 @@ pub(crate) struct Prefiltered {
 /// the random-pattern simulation prefilter. Resolved pairs land in
 /// `results`/`stats` (and the journal); the survivors come back.
 ///
-/// Factored out of `analyze_inner` because shard ownership and the ECO
-/// dirty-group analysis are both defined over the prefiltered
-/// survivors: the merge planner and the ECO planner re-run exactly this
-/// code (on a throwaway `ObsCtx`) to recompute the survivor set, and
-/// any drift between the paths would unsoundly shift ownership. Both
-/// stages are deterministic for a fixed netlist and fingerprint-covered
-/// config — the static pass is a pure dataflow fixpoint, and the sim
-/// filter draws from a fixed seed word-slot-major, independent of
-/// thread count.
+/// Shard ownership and ECO dirtiness are defined over the prefiltered
+/// survivors, so every process must derive the same set. Both stages
+/// are deterministic for a fixed netlist and fingerprint-covered config
+/// — the static pass is a pure dataflow fixpoint, and the sim filter
+/// draws from a fixed seed word-slot-major, independent of thread
+/// count.
 pub(crate) fn run_prefilters(
     netlist: &Netlist,
     cfg: &McConfig,
@@ -339,11 +336,10 @@ pub(crate) fn run_prefilters(
         stats.time_static = t_static.stop();
     }
 
-    // Step 2: random-pattern simulation. For k-cycle budgets above 2 the
-    // 2-cycle witness is still a valid violation witness (a pair violating
-    // the 2-cycle condition also violates any k ≥ 2 condition? No — the
-    // k-cycle condition constrains MORE sink times, so a 2-frame witness
-    // is indeed a k-frame witness), so the filter applies unchanged.
+    // Step 2: random-pattern simulation, unchanged for any cycle budget
+    // k ≥ 2: the k-cycle condition constrains every sink time the
+    // 2-cycle condition does, so a 2-frame violation witness is also a
+    // k-frame witness.
     let mut ff_toggles: Option<Vec<u64>> = None;
     let survivors: Vec<(usize, usize)> = if cfg.use_sim_filter {
         let t_sim = obs.timers.span("analyze/sim");
@@ -477,9 +473,26 @@ pub(crate) fn plan_sink_groups(
     for &(i, j) in survivors {
         by_sink.entry(j).or_default().push(i);
     }
+    // `x.cone_of(..).len()`, but with one visit stamp per expansion node
+    // bumped per group: sizing a cone then costs only that cone, where
+    // `cone_of` clears and scans the whole expansion for every group.
+    let mut stamp = vec![0u32; x.num_nodes()];
+    let mut stack: Vec<XId> = Vec::new();
+    let mut cone_size = |epoch: u32, roots: Vec<XId>| -> u64 {
+        let mut size = 0;
+        stack.extend(roots);
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut stamp[id.index()], epoch) != epoch {
+                size += 1;
+                stack.extend_from_slice(x.node(id).fanins());
+            }
+        }
+        size
+    };
     let mut groups: Vec<SinkGroup> = by_sink
         .into_iter()
-        .map(|(sink, mut sources)| {
+        .zip(1..)
+        .map(|((sink, mut sources), epoch)| {
             sources.sort_unstable();
             sources.dedup();
             let mut g = SinkGroup {
@@ -488,7 +501,7 @@ pub(crate) fn plan_sink_groups(
                 slice_nodes: 0,
                 cost: 0,
             };
-            g.slice_nodes = x.cone_of(&group_roots(x, &g, cycles)).len() as u64;
+            g.slice_nodes = cone_size(epoch, group_roots(x, &g, cycles));
             // Saturating at 7 keeps the boost bounded: beyond ~7 toggling
             // lanes the premise is plainly easy to excite and tells us
             // nothing more about hardness.
@@ -528,7 +541,7 @@ pub(crate) fn order_hardest_first(survivors: &mut Vec<(usize, usize)>, groups: &
 /// every shard; LPT keeps the load split within 4/3 of optimal for the
 /// heavy-tailed group costs. The input order, the costs and the tie
 /// break are all deterministic, so every process — shards, resumes, the
-/// merge planner — derives the identical partition.
+/// merge — derives the identical partition.
 pub(crate) fn assign_shards(groups: &[SinkGroup], count: u64) -> Vec<Vec<(usize, usize)>> {
     let count = count.max(1) as usize;
     let mut shards: Vec<Vec<(usize, usize)>> = vec![Vec::new(); count];
@@ -629,6 +642,20 @@ mod tests {
                 config_slice(stage, &neutral),
                 "stage {stage} must ignore verdict-neutral knobs"
             );
+        }
+    }
+
+    #[test]
+    fn group_slice_sizes_are_exact_cone_sizes() {
+        let nl = mcp_gen::suite::quick_suite().remove(1); // m298
+        for cycles in [2, 3] {
+            let x = Expanded::build(&nl, cycles);
+            let groups = plan_sink_groups(&x, &nl.connected_ff_pairs(), None, cycles);
+            assert!(groups.len() > 1);
+            for g in &groups {
+                let cone = x.cone_of(&group_roots(&x, g, cycles));
+                assert_eq!(g.slice_nodes, cone.len() as u64, "sink {}", g.sink);
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! otherwise unchanged circuit. [`diff`] computes the name-keyed
 //! structural delta between two netlists: the set of nodes that are new
 //! or changed in the new revision, plus the nodes that disappeared.
-//! Downstream, `mcp-core`'s ECO planner maps the changed names through
+//! Downstream, `mcp-core`'s ECO splice maps the changed names through
 //! the sink-group cones of the new revision and re-verifies only the
 //! groups whose cone of influence intersects the delta — every other
 //! group's cached verdict is provably still valid, because an engine

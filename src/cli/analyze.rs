@@ -5,12 +5,9 @@
 
 use super::render::{render_snapshot, render_step_table};
 use super::{load, pair_name, Command};
-use mcp_core::{
-    analyze_cached_with, analyze_eco_with, analyze_resume_with, analyze_with, merge_shards_with,
-    CasStore, McReport, PairClass, Step,
-};
+use mcp_core::{analyze_from, CasStore, McReport, PairClass, Step, VerdictSource};
 use mcp_netlist::Netlist;
-use mcp_obs::{read_ledger_resilient_file, Ledger};
+use mcp_obs::{read_ledger_resilient_file, Ledger, ObsCtx};
 use std::fmt::Write as _;
 
 /// Opens the artifact store named by `--cache-dir` / `MCPATH_CACHE_DIR`.
@@ -22,23 +19,51 @@ pub(crate) fn open_store(cmd: &Command) -> Result<Option<CasStore>, String> {
     }
 }
 
+/// Reads a ledger resiliently, so a final line torn by a SIGKILL does
+/// not block a restart.
+fn read_ledger(p: &str) -> Result<Ledger, String> {
+    read_ledger_resilient_file(p).map_err(|e| format!("cannot read ledger `{p}`: {e}"))
+}
+
 /// `analyze`: single-process, `--shards` driver, `--resume` replay,
-/// `--cache-dir` warm rerun or `--eco` incremental re-analysis.
+/// `--cache-dir` warm rerun or `--eco` incremental re-analysis. Each
+/// run reads exactly one verdict source.
 pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
     let nl = load(path)?;
-    if let Some(old_path) = &cmd.eco {
-        let old = load(old_path)?;
-        let store = open_store(cmd)?
-            .ok_or_else(|| "`--eco` needs --cache-dir (or MCPATH_CACHE_DIR)".to_owned())?;
-        let obs = cmd.obs()?;
-        let (report, summary) =
-            analyze_eco_with(&old, &nl, &cmd.config(), &obs, &store).map_err(|e| e.to_string())?;
-        if summary.full_run {
+    if let Some(count) = cmd.shards {
+        let report = run_sharded(cmd, path, &nl, count, out)?;
+        return append_report(out, cmd, &nl, &report);
+    }
+    let old = cmd.eco.as_deref().map(load).transpose()?;
+    // Read the resume ledger *before* `obs()` opens `--trace-out`:
+    // resuming a run onto its own ledger path is the natural CLI usage,
+    // and `FileSink::create` truncates.
+    let ledger = cmd.resume.as_deref().map(read_ledger).transpose()?;
+    // A resume or a single shard never reads the store, not even an
+    // MCPATH_CACHE_DIR one.
+    let store = match (&ledger, cmd.shard) {
+        (None, None) => open_store(cmd)?,
+        _ => None,
+    };
+    let source = match (&old, &ledger, &store) {
+        (Some(old), _, Some(store)) => VerdictSource::Eco { old, store },
+        (Some(_), _, None) => return Err("`--eco` needs --cache-dir (or MCPATH_CACHE_DIR)".into()),
+        (None, Some(ledger), _) => VerdictSource::Ledger(ledger),
+        (None, None, Some(store)) => VerdictSource::Store(store),
+        (None, None, None) => VerdictSource::Fresh,
+    };
+    let obs = cmd.obs()?;
+    let analysis = analyze_from(&nl, &cmd.config(), &obs, source).map_err(|e| e.to_string())?;
+    let counters = obs.snapshot().counters;
+    match (source, analysis.eco) {
+        (_, Some(summary)) if summary.full_run => {
             let _ = writeln!(
                 out,
-                "eco: no usable baseline artifact for `{old_path}`; ran the full analysis"
+                "eco: no usable baseline artifact for `{}`; ran the full analysis",
+                cmd.eco.as_deref().unwrap_or_default()
             );
-        } else {
+        }
+        (_, Some(summary)) => {
             let _ = writeln!(
                 out,
                 "eco: {} changed / {} removed nodes; {} of {} sink groups re-verified, \
@@ -52,54 +77,26 @@ pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(),
                 summary.pairs_spliced
             );
         }
-        return append_report(out, cmd, &nl, &report);
-    }
-    if let Some(count) = cmd.shards {
-        let report = run_sharded(cmd, path, &nl, count, out)?;
-        return append_report(out, cmd, &nl, &report);
-    }
-    if cmd.resume.is_none() {
-        if let Some(store) = open_store(cmd)? {
-            let obs = cmd.obs()?;
-            let report =
-                analyze_cached_with(&nl, &cmd.config(), &obs, &store).map_err(|e| e.to_string())?;
-            let counters = obs.snapshot().counters;
-            if counters.cache_hits > 0 {
-                let _ = writeln!(
-                    out,
-                    "cache: hit — {} verdicts spliced, zero engine work",
-                    counters.cache_pairs_spliced
-                );
-            } else {
-                let _ = writeln!(out, "cache: miss — artifacts persisted for the next run");
-            }
-            return append_report(out, cmd, &nl, &report);
+        (VerdictSource::Store(_), None) if counters.cache_hits > 0 => {
+            let _ = writeln!(
+                out,
+                "cache: hit — {} verdicts spliced, zero engine work",
+                counters.cache_pairs_spliced
+            );
         }
+        (VerdictSource::Store(_), None) => {
+            let _ = writeln!(out, "cache: miss — artifacts persisted for the next run");
+        }
+        (VerdictSource::Ledger(_), None) => {
+            let _ = writeln!(
+                out,
+                "resumed: {} verdicts restored from the ledger",
+                counters.resume_pairs_loaded
+            );
+        }
+        _ => {}
     }
-    // Read the resume ledger *before* `obs()` opens `--trace-out`:
-    // resuming a run onto its own ledger path is the natural CLI usage,
-    // and `FileSink::create` truncates. Resilient read, so a final line
-    // torn by the SIGKILL doesn't block the restart.
-    let resume_ledger: Option<Ledger> = match &cmd.resume {
-        Some(p) => Some(
-            read_ledger_resilient_file(p).map_err(|e| format!("cannot read ledger `{p}`: {e}"))?,
-        ),
-        None => None,
-    };
-    let obs = cmd.obs()?;
-    let report = match &resume_ledger {
-        Some(ledger) => analyze_resume_with(&nl, &cmd.config(), &obs, ledger),
-        None => analyze_with(&nl, &cmd.config(), &obs),
-    }
-    .map_err(|e| e.to_string())?;
-    if resume_ledger.is_some() {
-        let _ = writeln!(
-            out,
-            "resumed: {} verdicts restored from the ledger",
-            obs.snapshot().counters.resume_pairs_loaded
-        );
-    }
-    append_report(out, cmd, &nl, &report)
+    append_report(out, cmd, &nl, &analysis.report)
 }
 
 /// `shard`: verify one slice of the pair partition, journaling to
@@ -111,20 +108,16 @@ pub(crate) fn shard(cmd: &Command, path: &str, out: &mut String) -> Result<(), S
     let nl = load(path)?;
     // Same ordering constraint as `analyze --resume`: a killed shard
     // restarts onto its own ledger path, which `obs()` truncates on open.
-    let resume_ledger: Option<Ledger> = match &cmd.resume {
-        Some(p) => Some(
-            read_ledger_resilient_file(p).map_err(|e| format!("cannot read ledger `{p}`: {e}"))?,
-        ),
-        None => None,
-    };
+    let ledger = cmd.resume.as_deref().map(read_ledger).transpose()?;
+    let source = ledger
+        .as_ref()
+        .map_or(VerdictSource::Fresh, VerdictSource::Ledger);
     let obs = cmd.obs()?;
-    let report = match &resume_ledger {
-        Some(ledger) => analyze_resume_with(&nl, &cmd.config(), &obs, ledger),
-        None => analyze_with(&nl, &cmd.config(), &obs),
-    }
-    .map_err(|e| e.to_string())?;
+    let report = analyze_from(&nl, &cmd.config(), &obs, source)
+        .map_err(|e| e.to_string())?
+        .report;
     let counters = obs.snapshot().counters;
-    if resume_ledger.is_some() {
+    if ledger.is_some() {
         let _ = writeln!(
             out,
             "resumed: {} verdicts restored from the ledger",
@@ -148,14 +141,12 @@ pub(crate) fn merge(
     out: &mut String,
 ) -> Result<(), String> {
     let nl = load(path)?;
-    let mut parsed = Vec::with_capacity(ledgers.len());
-    for p in ledgers {
-        parsed.push(
-            read_ledger_resilient_file(p).map_err(|e| format!("cannot read ledger `{p}`: {e}"))?,
-        );
-    }
+    let parsed = ledgers
+        .iter()
+        .map(|p| read_ledger(p))
+        .collect::<Result<Vec<_>, _>>()?;
     let obs = cmd.obs()?;
-    let report = merge_shards_with(&nl, &cmd.config(), &obs, &parsed).map_err(|e| e.to_string())?;
+    let report = merge_ledgers(&nl, cmd, &obs, &parsed)?;
     let _ = writeln!(
         out,
         "merged: {} shard ledgers, {} verdicts restored",
@@ -163,6 +154,18 @@ pub(crate) fn merge(
         obs.snapshot().counters.resume_pairs_loaded
     );
     append_report(out, cmd, &nl, &report)
+}
+
+/// Runs the pipeline over the union of `ledgers`.
+fn merge_ledgers(
+    nl: &Netlist,
+    cmd: &Command,
+    obs: &ObsCtx,
+    ledgers: &[Ledger],
+) -> Result<McReport, String> {
+    analyze_from(nl, &cmd.config(), obs, VerdictSource::Shards(ledgers))
+        .map(|a| a.report)
+        .map_err(|e| e.to_string())
 }
 
 /// Appends the standard `analyze`-style report output: the optional
@@ -293,7 +296,7 @@ fn run_sharded(
         );
     }
     let obs = cmd.obs()?;
-    let report = merge_shards_with(nl, &cmd.config(), &obs, &ledgers).map_err(|e| e.to_string())?;
+    let report = merge_ledgers(nl, cmd, &obs, &ledgers)?;
     let _ = writeln!(
         out,
         "sharded: {count} processes, {} verdicts merged",

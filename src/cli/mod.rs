@@ -293,7 +293,9 @@ OPTIONS:
                                  (timings zeroed; byte-comparable)
   --cache-dir <dir>              persist the staged pipeline artifacts so a
                                  warm rerun answers from cache (also via the
-                                 MCPATH_CACHE_DIR env var)
+                                 MCPATH_CACHE_DIR env var); refused with
+                                 --resume, --shard, --shards and `merge`,
+                                 which ignore MCPATH_CACHE_DIR
   --eco <old.bench>              re-verify only the sink groups touched by
                                  the edit old -> new, splicing the cached
                                  verdicts of the rest (needs --cache-dir)
@@ -635,6 +637,27 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             return Err(ParseCliError(
                 "`--eco` cannot be combined with `--resume`, `--shard` or `--shards`".into(),
             ));
+        }
+    }
+    // A run reads exactly one verdict source. Resume, shard and merge
+    // runs never touch the store, so an explicit one would be ignored.
+    if cache_dir.is_some() {
+        let ledger_mode = if resume.is_some() {
+            Some("`--resume`")
+        } else if shards.is_some() {
+            Some("`--shards`")
+        } else if shard.is_some() {
+            Some("`--shard`")
+        } else if matches!(action, Action::Merge { .. }) {
+            Some("`merge`")
+        } else {
+            None
+        };
+        if let Some(mode) = ledger_mode {
+            return Err(ParseCliError(format!(
+                "`--cache-dir` cannot be combined with {mode}: that mode never \
+                 reads or writes the artifact store"
+            )));
         }
     }
 

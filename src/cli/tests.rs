@@ -735,6 +735,36 @@ fn parses_cache_and_eco_flags() {
     assert!(parse_args(argv("serve /tmp/s.sock")).is_err());
 }
 
+/// A run reads one verdict source: an explicit `--cache-dir` next to a
+/// resume, shard or merge mode is a parse error (exit 2), naming the
+/// mode.
+fn assert_cache_dir_refused(args: &str, mode: &str) {
+    let err = parse_args(argv(&format!("{args} --cache-dir /tmp/c"))).unwrap_err();
+    assert!(err.to_string().contains("--cache-dir"), "{err}");
+    assert!(err.to_string().contains(mode), "{err}");
+    assert!(parse_args(argv(args)).is_ok(), "{args} alone must parse");
+}
+
+#[test]
+fn cache_dir_is_refused_with_resume() {
+    assert_cache_dir_refused("analyze f.bench --resume l.ndjson", "--resume");
+}
+
+#[test]
+fn cache_dir_is_refused_with_the_shards_driver() {
+    assert_cache_dir_refused("analyze f.bench --shards 2", "--shards");
+}
+
+#[test]
+fn cache_dir_is_refused_with_a_single_shard() {
+    assert_cache_dir_refused("shard f.bench --shard 0/2 --trace-out s.ndjson", "--shard");
+}
+
+#[test]
+fn cache_dir_is_refused_with_merge() {
+    assert_cache_dir_refused("merge f.bench a.ndjson b.ndjson", "merge");
+}
+
 #[test]
 fn warm_cache_rerun_is_byte_identical_with_zero_engine_events() {
     let dir = std::env::temp_dir().join("mcpath-cli-cache");

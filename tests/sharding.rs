@@ -347,9 +347,7 @@ fn fault_injected_kill_is_deterministic_and_resume_loses_nothing() {
 /// to the `--threads 1` canonical report.
 #[test]
 fn merge_matrix_with_random_kills_matches_threads_1() {
-    use mcp_core::{
-        analyze_resume_with, analyze_with, merge_shards, McConfig, Scheduler, ShardSpec,
-    };
+    use mcp_core::{analyze_from, analyze_with, McConfig, Scheduler, ShardSpec, VerdictSource};
     use mcp_obs::{Ledger, MemSink, ObsCtx};
     use std::sync::Arc;
 
@@ -419,7 +417,7 @@ fn merge_matrix_with_random_kills_matches_threads_1() {
                 };
                 let sink = Arc::new(MemSink::new());
                 let obs = ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
-                analyze_resume_with(&nl, &shard_cfg, &obs, &truncated)
+                analyze_from(&nl, &shard_cfg, &obs, VerdictSource::Ledger(&truncated))
                     .expect("resume killed shard");
                 ledgers[victim] = Ledger {
                     header: sink.take_header(),
@@ -428,7 +426,9 @@ fn merge_matrix_with_random_kills_matches_threads_1() {
                 };
             }
 
-            let merged = merge_shards(&nl, &base, &ledgers).expect("merge");
+            let merged = analyze_from(&nl, &base, &ObsCtx::new(), VerdictSource::Shards(&ledgers))
+                .expect("merge")
+                .report;
             assert_eq!(
                 serde_json::to_string(&merged.canonical()).expect("serialize"),
                 baseline,
