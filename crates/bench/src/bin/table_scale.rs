@@ -1,4 +1,4 @@
-//! Thread-scaling curve of the work-stealing pair scheduler.
+//! Thread-scaling curve of the shared-cursor pair loop.
 //!
 //! Sweeps the worker count over the quick suite (plus m5378 on full
 //! runs) and reports wall-clock per circuit and thread count, the
@@ -13,7 +13,7 @@
 //! headline numbers.
 
 use mcp_bench::{bench_artifact, secs, HarnessArgs};
-use mcp_core::{analyze, Engine, McConfig, Scheduler};
+use mcp_core::{analyze, Engine, McConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -40,7 +40,7 @@ struct Row {
 // The artifact envelope (see `bench_artifact`) pairs the curve with the
 // machine's core count: a wall-clock speedup is bounded by available
 // cores, so a flat curve from a single-core container must not be
-// misread as a scheduler defect.
+// misread as a pair-loop defect.
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -48,11 +48,12 @@ fn main() {
     let mut suite = mcp_gen::suite::quick_suite();
     if !args.quick {
         // m5378 is the smallest circuit where the residue pairs are
-        // expensive enough for stealing to matter at 8 workers.
+        // expensive enough for the hardest-first order to matter at 8
+        // workers.
         suite.push(mcp_gen::suite::standard_suite().remove(6));
     }
 
-    println!("Thread scaling of the work-stealing pair scheduler ({cores} core(s))");
+    println!("Thread scaling of the pair loop ({cores} core(s))");
     println!("{:-<72}", "");
     println!(
         "{:>8} {:>5} {:>8} {:>8} | {:>3} {:>9} {:>9} {:>8}",
@@ -66,7 +67,6 @@ fn main() {
         let cfg_for = |threads: usize| McConfig {
             engine: Engine::Implication,
             threads,
-            scheduler: Scheduler::WorkSteal,
             use_sim_filter: false,
             backtrack_limit: 1024,
             ..args.mc_config()

@@ -71,7 +71,7 @@ pub type PairBudgets = Vec<((usize, usize), CycleBudget)>;
 
 /// [`max_cycle_budget`] for a whole pair list at once: one shared
 /// expansion, and the per-pair sweeps distributed over `cfg.threads`
-/// workers under `cfg.scheduler` (each worker owns an engine; the sweep
+/// workers in list order (each worker owns an engine; the sweep
 /// fully restores engine state between pairs, so results are independent
 /// of which worker handles which pair). Results come back sorted by
 /// pair, making the output deterministic for any thread count.
@@ -97,22 +97,15 @@ pub fn max_cycle_budgets(
         backtrack_limit: cfg.backtrack_limit,
     };
     let obs = ObsCtx::new();
-    let (mut out, _busy) = run_items(
-        pairs,
-        cfg.threads,
-        cfg.scheduler,
-        &obs,
-        "kcycle/pairs",
-        |feed, out| {
-            let mut eng = ImpEngine::new(&x);
-            while let Some((i, j)) = feed.next() {
-                out.push((
-                    (i, j),
-                    budget_for_pair(&mut eng, &x, i, j, limit, &search_cfg),
-                ));
-            }
-        },
-    );
+    let (mut out, _busy) = run_items(pairs, cfg.threads, &obs, "kcycle/pairs", |feed, out| {
+        let mut eng = ImpEngine::new(&x);
+        for &(i, j) in feed {
+            out.push((
+                (i, j),
+                budget_for_pair(&mut eng, &x, i, j, limit, &search_cfg),
+            ));
+        }
+    });
     out.sort_unstable_by_key(|&(p, _)| p);
     Ok(out)
 }
@@ -286,20 +279,9 @@ mod tests {
             .collect();
         expected.sort_unstable_by_key(|&(p, _)| p);
         for threads in [1usize, 2, 8] {
-            for scheduler in [crate::Scheduler::WorkSteal, crate::Scheduler::Static] {
-                let got = max_cycle_budgets(
-                    &nl,
-                    &pairs,
-                    6,
-                    &McConfig {
-                        threads,
-                        scheduler,
-                        ..cfg()
-                    },
-                )
+            let got = max_cycle_budgets(&nl, &pairs, 6, &McConfig { threads, ..cfg() })
                 .expect("valid limit");
-                assert_eq!(got, expected, "threads={threads} {scheduler:?}");
-            }
+            assert_eq!(got, expected, "threads={threads}");
         }
     }
 

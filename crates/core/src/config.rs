@@ -25,27 +25,6 @@ pub enum Engine {
     },
 }
 
-/// How the pair loop distributes surviving FF pairs over worker threads.
-///
-/// Verdicts, reports and counter totals are identical under both
-/// policies (and any thread count); only wall-clock differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Work stealing (default): pairs are seeded into a global injector
-    /// hardest-first (by a fanin-cone + sim-activity cost hint); each
-    /// worker drains a local LIFO deque and steals from the injector or
-    /// from other workers when it runs dry. Robust to the heavy-tailed
-    /// per-pair cost distribution of Table 2, where a few ATPG/SAT
-    /// residue pairs cost orders of magnitude more than the implication
-    /// majority.
-    #[default]
-    WorkSteal,
-    /// Legacy static partitioning: pairs are split into equal contiguous
-    /// chunks, one per worker, up front. Kept for A/B measurement; one
-    /// unlucky chunk can serialize the run.
-    Static,
-}
-
 /// Which slice of a sharded run this process owns.
 ///
 /// The surviving pair set is partitioned into `count` deterministic,
@@ -118,9 +97,6 @@ pub struct McConfig {
     /// sequential. The BDD engine is inherently sequential and ignores
     /// this.
     pub threads: usize,
-    /// How pairs are distributed over the worker threads; irrelevant at
-    /// `threads = 1`.
-    pub scheduler: Scheduler,
     /// Restrict this run to one shard of the deterministic pair
     /// partition (`None` = verify everything, the default). Like
     /// `threads`, this is pure scheduling policy: it never changes a
@@ -151,7 +127,6 @@ impl Default for McConfig {
             slice: true,
             static_classify: true,
             threads: 1,
-            scheduler: Scheduler::default(),
             shard: None,
             cache_dir: None,
         }
@@ -159,19 +134,6 @@ impl Default for McConfig {
 }
 
 impl McConfig {
-    /// Number of expansion frames the configuration needs (`cycles`).
-    pub fn frames(&self) -> u32 {
-        self.cycles
-    }
-
-    /// The simulation lane width of the compiled prefilter kernel
-    /// (64, 128, 256 or 512 patterns per pass) — a view onto
-    /// [`FilterConfig::lanes`], which is the single source of truth.
-    /// Defaults to 256; the CLI sets it via `--sim-lanes`.
-    pub fn sim_lanes(&self) -> u32 {
-        self.sim.lanes
-    }
-
     /// Fingerprint of the *verdict-affecting* configuration, written
     /// into the run-ledger header and checked by `analyze --resume`.
     ///
@@ -182,12 +144,12 @@ impl McConfig {
     /// budget (learning moves pairs between the implication and ATPG
     /// steps), and self-pair inclusion. Deliberately *excludes* knobs
     /// proven verdict-neutral by the determinism test suite — threads,
-    /// scheduler, sharding, slicing, sim lane width, the static
-    /// pre-classification pass (it resolves pairs the
-    /// engines would classify identically) — and the lint gate, so a
-    /// resumed run may change any of those. Shard neutrality is what
-    /// lets `merge` check every shard ledger against one fingerprint,
-    /// and lets a shard be resumed with a different thread count.
+    /// sharding, slicing, sim lane width, the static pre-classification
+    /// pass (it resolves pairs the engines would classify identically)
+    /// — and the lint gate, so a resumed run may change any of those.
+    /// Shard neutrality is what lets `merge` check every shard ledger
+    /// against one fingerprint, and lets a shard be resumed with a
+    /// different thread count.
     pub fn fingerprint(&self) -> u64 {
         let engine = match self.engine {
             Engine::Implication => "implication".to_owned(),
@@ -230,8 +192,7 @@ mod tests {
         assert!(cfg.slice, "slicing defaults to on");
         assert!(cfg.static_classify, "static pre-pass defaults to on");
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.scheduler, Scheduler::WorkSteal);
-        assert_eq!(cfg.sim_lanes(), 256, "lane width defaults to 256");
+        assert_eq!(cfg.sim.lanes, 256, "lane width defaults to 256");
         assert_eq!(cfg.cache_dir, None, "no store unless the caller names one");
     }
 
@@ -244,7 +205,6 @@ mod tests {
         // Verdict-neutral knobs leave the fingerprint alone.
         let mut neutral = base.clone();
         neutral.threads = 8;
-        neutral.scheduler = Scheduler::Static;
         neutral.slice = !neutral.slice;
         neutral.lint = !neutral.lint;
         neutral.sim.lanes = 64;

@@ -77,7 +77,7 @@ pub struct EcoSummary {
 /// revision's cached run for every sink group the edit provably cannot
 /// have affected, and re-verifying the rest. The canonical report is
 /// byte-identical to a cold full analysis of `new`; on success the
-/// store is populated with the new revision's artifacts, so subsequent
+/// store is populated with the new revision's verdicts, so subsequent
 /// warm or ECO runs chain off this one.
 ///
 /// # Errors
@@ -338,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn eco_matches_cold_across_threads_and_schedulers() {
+    fn eco_matches_cold_across_threads() {
         // The acceptance matrix: ECO equality must hold under any
         // verdict-neutral execution shape.
         let dir = tempdir("matrix");
@@ -348,17 +348,13 @@ mod tests {
         analyze_cached_with(&old, &McConfig::default(), &ObsCtx::new(), &store).expect("seed");
         let cold = analyze_with(&new, &McConfig::default(), &ObsCtx::new()).expect("cold");
         let baseline = canon(&cold);
-        for scheduler in [crate::Scheduler::WorkSteal, crate::Scheduler::Static] {
-            for threads in [1usize, 2, 8] {
-                let cfg = McConfig {
-                    threads,
-                    scheduler,
-                    ..McConfig::default()
-                };
-                let (eco, _) =
-                    analyze_eco_with(&old, &new, &cfg, &ObsCtx::new(), &store).expect("eco");
-                assert_eq!(canon(&eco), baseline, "{scheduler:?} t={threads}");
-            }
+        for threads in [1usize, 2, 8] {
+            let cfg = McConfig {
+                threads,
+                ..McConfig::default()
+            };
+            let (eco, _) = analyze_eco_with(&old, &new, &cfg, &ObsCtx::new(), &store).expect("eco");
+            assert_eq!(canon(&eco), baseline, "t={threads}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

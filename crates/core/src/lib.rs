@@ -61,7 +61,7 @@ pub use borrowing::condition2_candidates;
 pub use budget::{max_cycle_budget, max_cycle_budgets, CycleBudget, PairBudgets};
 pub use cache::analyze_cached_with;
 pub use cas::{CacheStats, CasError, CasLock, CasStore, GcOutcome, StageUsage};
-pub use config::{Engine, McConfig, Scheduler, ShardSpec};
+pub use config::{Engine, McConfig, ShardSpec};
 pub use eco::{analyze_eco_with, EcoSummary};
 pub use hazard::{
     check_hazards, check_hazards_with, sensitization_dependencies, HazardCheck, HazardReport,
@@ -72,8 +72,4 @@ pub use pipeline::{
 };
 pub use report::{McReport, PairClass, PairResult, Step, StepStats};
 pub use sdc::{to_sdc, SdcOptions};
-pub use stage::{
-    config_slice, stage_key, stage_key_for, ExpandedArtifact, GroupRecord, GroupedArtifact,
-    LintedArtifact, ParsedArtifact, PrefilteredArtifact, ReportArtifact, VerdictRecord,
-    VerdictsArtifact, STAGES,
-};
+pub use stage::{stage_key, stage_key_for, VerdictRecord, VerdictsArtifact};

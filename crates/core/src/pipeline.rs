@@ -1,6 +1,6 @@
 //! The end-to-end analysis pipeline (paper Section 4.1).
 
-use crate::cache::{cached_event, check_verdicts_identity, persist_trace};
+use crate::cache::{cached_event, check_verdicts_identity, persist_verdicts};
 use crate::cas::CasStore;
 use crate::config::{Engine, McConfig};
 use crate::eco::{self, EcoSummary};
@@ -8,11 +8,10 @@ use crate::engines::{
     classify_pair_bdd, classify_pair_implication_probed, classify_pair_sat, PairProbe, Verdict,
 };
 use crate::report::{McReport, PairClass, PairResult, Step, StepStats};
-use crate::schedule::{run_items, PairFeed};
+use crate::schedule::run_items;
 use crate::stage::{
-    assign_shards, group_roots, grouped_artifact, order_hardest_first, plan_sink_groups,
-    run_prefilters, stage_key_for, step_name, ExpandedArtifact, LintedArtifact, ParsedArtifact,
-    Prefiltered, PrefilteredArtifact, SinkGroup, StageTrace, VerdictRecord, VerdictsArtifact,
+    assign_shards, group_roots, order_hardest_first, plan_sink_groups, run_prefilters,
+    stage_key_for, step_name, Prefiltered, SinkGroup, VerdictRecord, VerdictsArtifact,
     STAGE_VERDICTS,
 };
 use crate::{resume, shard};
@@ -203,7 +202,7 @@ impl fmt::Display for AnalyzeError {
             AnalyzeError::CacheCorrupt { stage, reason } => {
                 write!(
                     f,
-                    "corrupt cache entry for stage `{stage}`: {reason}; \
+                    "corrupt artifact store entry for stage `{stage}`: {reason}; \
                      delete the entry (or the cache directory) and rerun cold"
                 )
             }
@@ -371,7 +370,7 @@ struct Known<'a> {
     changed: Option<BTreeSet<String>>,
     /// ECO bookkeeping, filled in by the splice step.
     eco: Option<EcoSummary>,
-    /// Store that receives this run's stage artifacts (a cold store
+    /// Store that receives this run's `Verdicts` artifact (a cold store
     /// miss, or an ECO splice).
     persist: Option<&'a CasStore>,
 }
@@ -578,49 +577,16 @@ pub fn analyze_from(
 
     let t_prepare = t_total.child("prepare");
     let tr_prepare = obs.trace_span(|| "analyze/prepare".to_owned());
-    let x = Expanded::build(netlist, cfg.frames());
+    let x = Expanded::build(netlist, cfg.cycles);
 
     // Sink-group planning over every survivor: survivors sharing a sink
     // FF form one work unit, so a single cone slice (and the per-group
     // engine state built on it) serves every source of that sink. The
-    // groups also carry the hardest-first cost hints: with work stealing
-    // the queue is drained from the front, so front-loading the
-    // expensive groups keeps the tail of the run short. This one plan
-    // fixes shard ownership, ECO dirtiness and the Grouped artifact.
+    // groups also carry the hardest-first cost hints: the pair loop's
+    // workers claim groups from the front of the list, so front-loading
+    // the expensive groups keeps the tail of the run short. This one
+    // plan fixes shard ownership and ECO dirtiness.
     let mut groups = plan_sink_groups(&x, &survivors, ff_toggles.as_deref(), cfg.cycles);
-
-    // Record the early-stage artifacts before sharding or splicing can
-    // touch the survivor set: the artifacts describe the canonical
-    // (unsharded, cold) shape of the run.
-    let mut trace = known.persist.and(id.as_ref()).map(|id| {
-        let nh = id.netlist_hash;
-        let s = netlist.stats();
-        StageTrace {
-            parsed: ParsedArtifact {
-                circuit: netlist.name().to_owned(),
-                netlist_hash: nh,
-                inputs: s.inputs as u64,
-                ffs: s.ffs as u64,
-                gates: s.gates as u64,
-            },
-            linted: LintedArtifact {
-                netlist_hash: nh,
-                gated: cfg.lint,
-            },
-            expanded: ExpandedArtifact {
-                netlist_hash: nh,
-                frames: cfg.frames(),
-                nodes: x.num_nodes() as u64,
-            },
-            prefiltered: PrefilteredArtifact {
-                survivors: survivors.clone(),
-                static_multi: stats.multi_by_static as u64,
-                sim_single: stats.single_by_sim as u64,
-            },
-            grouped: grouped_artifact(&groups),
-            verdicts: Vec::new(),
-        }
-    });
 
     let restored = splice(
         netlist,
@@ -634,8 +600,8 @@ pub fn analyze_from(
     drop(tr_prepare);
 
     // Steps 3-4: engine-specific classification of the survivors. The
-    // progress meter extrapolates its ETA over the scheduler's cost
-    // hints, not pair counts: groups run hardest-first, so count-based
+    // progress meter extrapolates its ETA over the groups' cost hints,
+    // not pair counts: groups run hardest-first, so count-based
     // extrapolation would wildly overestimate early in the run.
     let done = AtomicUsize::new(0);
     let done_cost = AtomicU64::new(0);
@@ -654,16 +620,15 @@ pub fn analyze_from(
         let c = done_cost.fetch_add(share, Ordering::Relaxed) + share;
         obs.progress_with_cost("pairs", d, total, (c, total_cost));
     };
-    let verdicts: Vec<((usize, usize), Verdict)> = match cfg.engine {
+    let (verdicts, busy) = match cfg.engine {
         Engine::Implication => {
             let search_cfg = SearchConfig {
                 backtrack_limit: cfg.backtrack_limit,
             };
             if cfg.slice {
                 stats.time_prepare = t_prepare.stop();
-                run_group_loop(&groups, cfg, &mut stats, obs, |feed, out| {
-                    while let Some(g) = feed.next() {
-                        let group = &groups[g];
+                run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
+                    for group in feed {
                         let _tr = obs.trace_span(|| format!("analyze/pairs/sink:{}", group.sink));
                         let slice = x.build_slice(&group_roots(&x, group, cfg.cycles));
                         let sx = slice.model();
@@ -729,30 +694,43 @@ pub fn analyze_from(
                     None
                 };
                 stats.time_prepare = t_prepare.stop();
-                run_pair_loop(&survivors, cfg, &mut stats, obs, |feed, out| {
-                    let mut eng = match &learned {
-                        Some(l) => new_engine_with_learned(&x, l),
-                        None => ImpEngine::new(&x),
-                    };
-                    // Engine construction itself propagates (the learned
-                    // forced literals); subtract that baseline so the
-                    // flushed totals are pure per-pair deltas —
-                    // independent of how many workers were spawned.
-                    let base_implications = eng.implications();
-                    let base_contradictions = eng.contradictions();
-                    while let Some((i, j)) = feed.next() {
-                        let v =
-                            classify_one_implication(&mut eng, i, j, cfg, &search_cfg, obs, None);
-                        tick((i, j));
-                        out.push(((i, j), v));
-                    }
-                    obs.metrics
-                        .implications
-                        .add(eng.implications() - base_implications);
-                    obs.metrics
-                        .contradictions
-                        .add(eng.contradictions() - base_contradictions);
-                })
+                run_items(
+                    &survivors,
+                    cfg.threads,
+                    obs,
+                    "analyze/pairs",
+                    |feed, out| {
+                        let mut eng = match &learned {
+                            Some(l) => new_engine_with_learned(&x, l),
+                            None => ImpEngine::new(&x),
+                        };
+                        // Engine construction itself propagates (the learned
+                        // forced literals); subtract that baseline so the
+                        // flushed totals are pure per-pair deltas —
+                        // independent of how many workers were spawned.
+                        let base_implications = eng.implications();
+                        let base_contradictions = eng.contradictions();
+                        for &(i, j) in feed {
+                            let v = classify_one_implication(
+                                &mut eng,
+                                i,
+                                j,
+                                cfg,
+                                &search_cfg,
+                                obs,
+                                None,
+                            );
+                            tick((i, j));
+                            out.push(((i, j), v));
+                        }
+                        obs.metrics
+                            .implications
+                            .add(eng.implications() - base_implications);
+                        obs.metrics
+                            .contradictions
+                            .add(eng.contradictions() - base_contradictions);
+                    },
+                )
             }
         }
         Engine::Sat => {
@@ -766,9 +744,8 @@ pub fn analyze_from(
             // revisions is gone from the hot path.
             if cfg.slice {
                 stats.time_prepare = t_prepare.stop();
-                run_group_loop(&groups, cfg, &mut stats, obs, |feed, out| {
-                    while let Some(g) = feed.next() {
-                        let group = &groups[g];
+                run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
+                    for group in feed {
                         let _tr = obs.trace_span(|| format!("analyze/pairs/sink:{}", group.sink));
                         let slice = x.build_slice(&group_roots(&x, group, cfg.cycles));
                         let sx = slice.model();
@@ -822,9 +799,8 @@ pub fn analyze_from(
                     cnf
                 };
                 stats.time_prepare = t_prepare.stop();
-                run_group_loop(&groups, cfg, &mut stats, obs, |feed, out| {
-                    while let Some(g) = feed.next() {
-                        let group = &groups[g];
+                run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
+                    for group in feed {
                         let _tr = obs.trace_span(|| format!("analyze/pairs/sink:{}", group.sink));
                         let mut cnf = template.clone();
                         for &i in &group.sources {
@@ -907,23 +883,25 @@ pub fn analyze_from(
                     obs.metrics.bdd_cache_hits.add(fsm.bdd().cache_hits());
                 }
             }
-            stats.time_pairs = t_pairs.stop();
-            verdicts
+            (verdicts, t_pairs.stop())
         }
     };
+    stats.time_pairs = busy;
 
     // Merge the run's verdicts with the spliced ones; the final sort
-    // below makes the interleaving irrelevant. With a stage trace
-    // attached, every merged verdict also lands in the Verdicts artifact
+    // below makes the interleaving irrelevant. A run that persists to the
+    // store also records every merged verdict for its Verdicts artifact
     // — keyed by FF name as well as index, so ECO re-analysis can map it
     // across a netlist edit.
-    let ff_names: Option<Vec<&str>> = trace.is_some().then(|| {
+    let persist = known.persist.zip(id.as_ref());
+    let ff_names: Option<Vec<&str>> = persist.is_some().then(|| {
         netlist
             .dffs()
             .iter()
             .map(|&id| netlist.node(id).name())
             .collect()
     });
+    let mut records = Vec::new();
     for ((i, j), v) in verdicts.into_iter().chain(restored) {
         let class = match v {
             Verdict::Multi { by } => {
@@ -945,10 +923,9 @@ pub fn analyze_from(
                 PairClass::Unknown
             }
         };
-        if let Some(t) = trace.as_mut() {
-            let names = ff_names.as_ref().expect("FF names built with the trace");
+        if let Some(names) = &ff_names {
             let (step, cls) = verdict_tags(&v);
-            t.verdicts.push(VerdictRecord {
+            records.push(VerdictRecord {
                 src: i,
                 dst: j,
                 src_name: names[i].to_owned(),
@@ -978,8 +955,8 @@ pub fn analyze_from(
     let report = McReport::new(netlist.name().to_owned(), results, stats, obs.snapshot());
     // Persisted only after the run succeeded, so a crash mid-persist can
     // only lose store entries, never report correctness.
-    if let (Some(store), Some(trace), Some(id)) = (known.persist, trace, &id) {
-        persist_trace(store, id, cfg, netlist.name(), trace)?;
+    if let Some((store, id)) = persist {
+        persist_verdicts(store, id, cfg, netlist.name(), records)?;
     }
     Ok(Analysis {
         report,
@@ -1050,7 +1027,7 @@ fn splice(
         obs.metrics.cache_invalidations.add(invalidated);
     }
 
-    // Known pairs skip the scheduler entirely: their verdicts are
+    // Known pairs skip the pair loop entirely: their verdicts are
     // restored verbatim and re-journaled, so the new ledger is itself
     // complete. A cache splice is not a crash recovery: its events say
     // `cached` and carry no engine tag, so a warm run's ledger shows
@@ -1205,55 +1182,6 @@ fn flush_sat_stats(obs: &ObsCtx, cnf: &CircuitCnf) {
     obs.metrics.sat_restarts.add(s.restarts);
 }
 
-/// Runs `work` over `pairs` on `cfg.threads` workers under
-/// `cfg.scheduler` (see [`crate::schedule`]); collects all verdicts and
-/// accumulates per-worker busy time into `stats.time_pairs` and the
-/// `analyze/pairs` span (one entry per worker). With no pairs this is a
-/// clean no-op: `work` is never invoked, so engines are not built.
-fn run_pair_loop<F>(
-    pairs: &[(usize, usize)],
-    cfg: &McConfig,
-    stats: &mut StepStats,
-    obs: &ObsCtx,
-    work: F,
-) -> Vec<((usize, usize), Verdict)>
-where
-    F: Fn(&mut PairFeed<'_, (usize, usize)>, &mut Vec<((usize, usize), Verdict)>) + Sync,
-{
-    let (out, busy) = run_items(
-        pairs,
-        cfg.threads,
-        cfg.scheduler,
-        obs,
-        "analyze/pairs",
-        work,
-    );
-    stats.time_pairs += busy;
-    out
-}
-
-/// [`run_pair_loop`], but feeding whole sink-group indices
-/// (`0..groups.len()`): a worker that claims group `g` classifies every
-/// pair of `groups[g]` before taking more work, so per-group engine
-/// state (cone slice, learned set, incremental SAT solver) is built once
-/// and reused across the group — and the per-group counter deltas stay
-/// independent of which worker ran it.
-fn run_group_loop<F>(
-    groups: &[SinkGroup],
-    cfg: &McConfig,
-    stats: &mut StepStats,
-    obs: &ObsCtx,
-    work: F,
-) -> Vec<((usize, usize), Verdict)>
-where
-    F: Fn(&mut PairFeed<'_, usize>, &mut Vec<((usize, usize), Verdict)>) + Sync,
-{
-    let ids: Vec<usize> = (0..groups.len()).collect();
-    let (out, busy) = run_items(&ids, cfg.threads, cfg.scheduler, obs, "analyze/pairs", work);
-    stats.time_pairs += busy;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1352,8 +1280,7 @@ mod tests {
     #[test]
     fn parallel_equals_sequential() {
         // Stronger than verdict equality: the canonical (wall-clock-free)
-        // serialized report must be byte-identical for any thread count,
-        // under both scheduling policies.
+        // serialized report must be byte-identical for any thread count.
         let nl = suite::quick_suite().remove(2); // m526
         let baseline = serde_json::to_string(
             &analyze(&nl, &McConfig::default())
@@ -1361,23 +1288,20 @@ mod tests {
                 .canonical(),
         )
         .expect("serialize");
-        for scheduler in [crate::Scheduler::WorkSteal, crate::Scheduler::Static] {
-            for threads in [1usize, 2, 8] {
-                let par = analyze(
-                    &nl,
-                    &McConfig {
-                        threads,
-                        scheduler,
-                        ..McConfig::default()
-                    },
-                )
-                .expect("analyze");
-                let bytes = serde_json::to_string(&par.canonical()).expect("serialize");
-                assert_eq!(
-                    bytes, baseline,
-                    "canonical report drifted at threads={threads} under {scheduler:?}"
-                );
-            }
+        for threads in [1usize, 2, 8] {
+            let par = analyze(
+                &nl,
+                &McConfig {
+                    threads,
+                    ..McConfig::default()
+                },
+            )
+            .expect("analyze");
+            let bytes = serde_json::to_string(&par.canonical()).expect("serialize");
+            assert_eq!(
+                bytes, baseline,
+                "canonical report drifted at threads={threads}"
+            );
         }
     }
 
@@ -1385,26 +1309,23 @@ mod tests {
     fn empty_pair_loop_no_ops_cleanly_at_any_thread_count() {
         use mcp_netlist::bench;
         // No FFs at all: the candidate set (and thus the survivor set) is
-        // empty, and the pair loop must no-op without clamp underflow,
-        // zero-size chunks, or spurious engine construction.
+        // empty, and the pair loop must no-op without clamp underflow or
+        // spurious engine construction.
         let nl = bench::parse("comb", "INPUT(a)\nOUTPUT(b)\nb = NOT(a)").expect("parse");
         for engine in [Engine::Implication, Engine::Sat] {
-            for scheduler in [crate::Scheduler::WorkSteal, crate::Scheduler::Static] {
-                for threads in [0usize, 1, 8] {
-                    let report = analyze(
-                        &nl,
-                        &McConfig {
-                            engine,
-                            threads,
-                            scheduler,
-                            ..McConfig::default()
-                        },
-                    )
-                    .expect("analyze");
-                    assert!(report.pairs.is_empty());
-                    assert_eq!(report.stats.candidates, 0);
-                    assert_eq!(report.stats.time_pairs, Duration::ZERO);
-                }
+            for threads in [0usize, 1, 8] {
+                let report = analyze(
+                    &nl,
+                    &McConfig {
+                        engine,
+                        threads,
+                        ..McConfig::default()
+                    },
+                )
+                .expect("analyze");
+                assert!(report.pairs.is_empty());
+                assert_eq!(report.stats.candidates, 0);
+                assert_eq!(report.stats.time_pairs, Duration::ZERO);
             }
         }
     }
@@ -1702,43 +1623,39 @@ mod tests {
 
     #[test]
     fn static_classification_keeps_the_canonical_report_byte_identical() {
-        // The acceptance matrix: engines × schedulers × threads {1,2,8}
+        // The acceptance matrix: engines × threads {1,2,8}
         // × slice modes, pre-pass on vs off, all byte-identical.
         let nl = generators::frozen_sink_demo(5);
         let mut baseline: Option<String> = None;
         for engine in [Engine::Implication, Engine::Sat] {
-            for scheduler in [crate::Scheduler::WorkSteal, crate::Scheduler::Static] {
-                for threads in [1usize, 2, 8] {
-                    for slice in [true, false] {
-                        for static_classify in [true, false] {
-                            let report = analyze(
-                                &nl,
-                                &McConfig {
-                                    engine,
-                                    scheduler,
-                                    threads,
-                                    slice,
-                                    static_classify,
-                                    ..McConfig::default()
-                                },
-                            )
-                            .expect("analyze");
-                            let bytes =
-                                serde_json::to_string(&report.canonical()).expect("serialize");
-                            match &baseline {
-                                None => baseline = Some(bytes),
-                                Some(b) => assert_eq!(
-                                    &bytes, b,
-                                    "canonical report drifted: {engine:?} {scheduler:?} \
-                                     threads={threads} slice={slice} static={static_classify}"
-                                ),
-                            }
+            for threads in [1usize, 2, 8] {
+                for slice in [true, false] {
+                    for static_classify in [true, false] {
+                        let report = analyze(
+                            &nl,
+                            &McConfig {
+                                engine,
+                                threads,
+                                slice,
+                                static_classify,
+                                ..McConfig::default()
+                            },
+                        )
+                        .expect("analyze");
+                        let bytes = serde_json::to_string(&report.canonical()).expect("serialize");
+                        match &baseline {
+                            None => baseline = Some(bytes),
+                            Some(b) => assert_eq!(
+                                &bytes, b,
+                                "canonical report drifted: {engine:?} \
+                                 threads={threads} slice={slice} static={static_classify}"
+                            ),
                         }
                     }
                 }
             }
         }
-        // The BDD engine ignores threads/scheduler/slice; its canonical
+        // The BDD engine ignores threads and slicing; its canonical
         // report must still match the baseline at both pre-pass settings.
         for static_classify in [true, false] {
             let report = analyze(

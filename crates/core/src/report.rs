@@ -202,7 +202,7 @@ impl McReport {
     /// Everything that remains — verdicts, per-step pair counts, the
     /// input-side counters (lint) — describes *what was decided about
     /// the circuit*, not *how hard the engine worked for it*, so two
-    /// runs differing only in thread count, scheduling policy, cone
+    /// runs differing only in thread count, cone
     /// slicing (`McConfig::slice`), or the static dataflow pre-pass
     /// (`McConfig::static_classify`) serialize to **byte-identical**
     /// JSON. Effort counters cannot share that property across slice

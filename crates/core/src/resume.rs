@@ -8,7 +8,7 @@
 //! config, same candidate pair set — and extracts its completed
 //! verdicts, which [`VerdictSource::Ledger`](crate::VerdictSource)
 //! splices into the pipeline so only the unresolved pairs reach the
-//! scheduler. `merge` checks each shard ledger with the same header
+//! pair loop. `merge` checks each shard ledger with the same header
 //! check.
 //!
 //! The merged result is *byte-identical* to an uninterrupted run's

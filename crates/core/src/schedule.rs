@@ -3,203 +3,97 @@
 //! The surviving FF pairs form an embarrassingly parallel workload with a
 //! brutally skewed cost profile: per Table 2, most pairs fall to the
 //! implication procedure in microseconds while the ATPG/SAT residue pairs
-//! each cost orders of magnitude more. Static chunking therefore
-//! serializes on whichever worker drew the residue; [`run_items`] instead
-//! offers a work-stealing policy — a global [`Injector`] seeded by the
-//! caller (hardest-first, see the pipeline's cost hints), per-worker LIFO
-//! deques, and stealing from both the injector and sibling workers when a
-//! deque runs dry.
+//! each cost orders of magnitude more. [`run_items`] handles the skew with
+//! one rule: the caller lists its items hardest-first (see the pipeline's
+//! cost hints), and whichever worker is free claims the next unclaimed
+//! item from one shared cursor. The expensive items start first, and the
+//! cheap tail fills in around them.
 //!
-//! Determinism contract: the scheduler changes only *which worker*
-//! processes a pair and *when* — callers' work closures must make each
-//! pair's outcome and flushed counter deltas independent of that (fresh
-//! or fully-restored engine state per pair). Under that contract the
-//! merged output, re-sorted by pair, is byte-identical for any thread
-//! count and either policy.
+//! Determinism contract: the loop changes only *which worker* processes
+//! an item and *when* — callers' work closures must make each item's
+//! outcome and flushed counter deltas independent of that (fresh or
+//! fully-restored engine state per item). Under that contract the merged
+//! output, re-sorted by pair, is byte-identical for any thread count.
 
-use crate::config::Scheduler;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use mcp_obs::ObsCtx;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
-/// The stream of work items one worker consumes; obtained inside a
-/// [`run_items`] work closure. Hides whether the run is a static slice
-/// walk or a stealing loop so engine closures are written once.
-pub(crate) enum PairFeed<'a, T> {
-    /// Sequential / static-chunk feed: a contiguous slice cursor.
-    Slice {
-        /// The chunk assigned to this worker.
-        pairs: &'a [T],
-        /// Next unread index.
-        at: usize,
-    },
-    /// Work-stealing feed.
-    Steal {
-        /// This worker's own deque.
-        local: Worker<T>,
-        /// The shared injector holding not-yet-claimed items.
-        injector: &'a Injector<T>,
-        /// Thief handles onto every worker's deque (including our own,
-        /// which is harmlessly empty whenever we consult it).
-        stealers: &'a [Stealer<T>],
-    },
+/// One worker's view of a [`run_items`] list: yields, in list order, the
+/// items no other worker has claimed yet, until the list runs out.
+pub(crate) struct Feed<'a, T> {
+    items: &'a [T],
+    cursor: &'a AtomicUsize,
 }
 
-impl<T: Copy> PairFeed<'_, T> {
-    /// The next item to process, or `None` when no work remains
-    /// anywhere. Popped items are never re-queued, so a `None` is final
-    /// for this worker.
-    pub(crate) fn next(&mut self) -> Option<T> {
-        match self {
-            PairFeed::Slice { pairs, at } => {
-                let p = pairs.get(*at).copied();
-                *at += 1;
-                p
-            }
-            PairFeed::Steal {
-                local,
-                injector,
-                stealers,
-            } => loop {
-                if let Some(p) = local.pop() {
-                    return Some(p);
-                }
-                // A `Retry` from any source means a racing operation was
-                // in flight; loop again rather than concluding "empty".
-                let mut retry = false;
-                match injector.steal_batch_and_pop(local) {
-                    Steal::Success(p) => return Some(p),
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-                for s in stealers.iter() {
-                    match s.steal() {
-                        Steal::Success(p) => return Some(p),
-                        Steal::Retry => retry = true,
-                        Steal::Empty => {}
-                    }
-                }
-                if !retry {
-                    return None;
-                }
-            },
-        }
+impl<'a, T> Iterator for Feed<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        // `Relaxed` suffices: the cursor publishes no data. The items are
+        // read-only and shared before any worker starts; `fetch_add`
+        // alone makes every claimed index unique.
+        self.items.get(self.cursor.fetch_add(1, Ordering::Relaxed))
     }
 }
 
-/// Runs `work` over `items` on `threads` workers under the given
-/// scheduling policy, returning all produced results (in arbitrary
-/// order — callers sort) plus the summed per-worker busy time.
+/// Runs `work` over `items` on `threads` workers, returning all produced
+/// results (in arbitrary order — callers sort) plus the summed per-worker
+/// busy time.
 ///
-/// The output element type `O` is independent of the item type `T`: a
-/// closure fed sink-group indices can still emit one keyed record per
-/// pair inside the group. Each worker's busy time is also added to the
-/// `span_path` timer of `obs`, one entry per worker. An empty `items`
-/// returns immediately without invoking `work` (so callers' engine setup
-/// is never spent on a no-op), and `threads` is clamped to
-/// `1..=items.len()`.
+/// Every worker gets a [`Feed`] over one shared cursor, so each item is
+/// claimed exactly once, in list order. At `threads == 1` the single
+/// worker runs on the calling thread. The output element type `O` is
+/// independent of the item type `T`: a closure fed sink groups can still
+/// emit one keyed record per pair inside the group. Each worker adds its
+/// busy time to the `span_path` timer of `obs` (one entry per worker) and
+/// opens a `{span_path}/worker` trace span. An empty `items` returns
+/// immediately without invoking `work` (so callers' engine setup is never
+/// spent on a no-op), and `threads` is clamped to `1..=items.len()`.
 pub(crate) fn run_items<T, O, F>(
     items: &[T],
     threads: usize,
-    scheduler: Scheduler,
     obs: &ObsCtx,
     span_path: &str,
     work: F,
 ) -> (Vec<O>, Duration)
 where
-    T: Send + Sync + Copy,
+    T: Sync,
     O: Send,
-    F: Fn(&mut PairFeed<'_, T>, &mut Vec<O>) + Sync,
+    F: Fn(Feed<'_, T>, &mut Vec<O>) + Sync,
 {
     if items.is_empty() {
         return (Vec::new(), Duration::ZERO);
     }
-    let threads = threads.max(1).min(items.len());
-    if threads == 1 {
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
         let span = obs.timers.span(span_path);
         let _tr = obs.trace_span(|| format!("{span_path}/worker"));
-        let mut out = Vec::with_capacity(items.len());
-        let mut feed = PairFeed::Slice {
-            pairs: items,
-            at: 0,
-        };
-        work(&mut feed, &mut out);
-        let dt = span.stop();
-        return (out, dt);
+        let mut out = Vec::new();
+        work(
+            Feed {
+                items,
+                cursor: &cursor,
+            },
+            &mut out,
+        );
+        (out, span.stop())
+    };
+    let threads = threads.clamp(1, items.len());
+    if threads == 1 {
+        return worker();
     }
-
-    let mut all = Vec::with_capacity(items.len());
-    let mut busy = Duration::ZERO;
-    match scheduler {
-        Scheduler::Static => {
-            let chunk = items.len().div_ceil(threads);
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = items
-                    .chunks(chunk)
-                    .map(|slice| {
-                        s.spawn(|_| {
-                            let t = Instant::now();
-                            let _tr = obs.trace_span(|| format!("{span_path}/worker"));
-                            let mut out = Vec::with_capacity(slice.len());
-                            let mut feed = PairFeed::Slice {
-                                pairs: slice,
-                                at: 0,
-                            };
-                            work(&mut feed, &mut out);
-                            (out, t.elapsed())
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    let (out, dt) = h.join().expect("worker panicked");
-                    all.extend(out);
-                    obs.timers.add(span_path, dt);
-                    busy += dt;
-                }
-            })
-            .expect("scope");
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        let mut all = Vec::with_capacity(items.len());
+        let mut busy = Duration::ZERO;
+        for h in handles {
+            let (out, dt) = h.join().expect("worker panicked");
+            all.extend(out);
+            busy += dt;
         }
-        Scheduler::WorkSteal => {
-            let injector = Injector::new();
-            for &p in items {
-                injector.push(p);
-            }
-            let workers: Vec<Worker<T>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-            let stealers: Vec<Stealer<T>> = workers.iter().map(Worker::stealer).collect();
-            let injector = &injector;
-            let stealers = &stealers;
-            // Move only `local` into each closure; the work closure is
-            // shared by reference (`F: Sync`), like in the static arm.
-            let work = &work;
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = workers
-                    .into_iter()
-                    .map(|local| {
-                        s.spawn(move |_| {
-                            let t = Instant::now();
-                            let _tr = obs.trace_span(|| format!("{span_path}/worker"));
-                            let mut out = Vec::new();
-                            let mut feed = PairFeed::Steal {
-                                local,
-                                injector,
-                                stealers,
-                            };
-                            work(&mut feed, &mut out);
-                            (out, t.elapsed())
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    let (out, dt) = h.join().expect("worker panicked");
-                    all.extend(out);
-                    obs.timers.add(span_path, dt);
-                    busy += dt;
-                }
-            })
-            .expect("scope");
-        }
-    }
-    (all, busy)
+        (all, busy)
+    })
 }
 
 #[cfg(test)]
@@ -210,59 +104,65 @@ mod tests {
         (0..n).map(|i| (i, i + 1)).collect()
     }
 
-    fn run_sorted(
-        items: &[(usize, usize)],
-        threads: usize,
-        scheduler: Scheduler,
-    ) -> Vec<((usize, usize), usize)> {
+    fn run_sorted(items: &[(usize, usize)], threads: usize) -> Vec<((usize, usize), usize)> {
         let obs = ObsCtx::new();
-        let (mut out, _) = run_items(
-            items,
-            threads,
-            scheduler,
-            &obs,
-            "test/pairs",
-            |feed, out| {
-                while let Some((i, j)) = feed.next() {
-                    out.push(((i, j), i * 100 + j));
-                }
-            },
-        );
+        let (mut out, _) = run_items(items, threads, &obs, "test/pairs", |feed, out| {
+            for &(i, j) in feed {
+                out.push(((i, j), i * 100 + j));
+            }
+        });
         out.sort_unstable_by_key(|&(p, _)| p);
         out
     }
 
     #[test]
-    fn every_item_is_processed_exactly_once_under_both_policies() {
+    fn every_item_is_processed_exactly_once() {
         let items = items(237);
-        let expected = run_sorted(&items, 1, Scheduler::WorkSteal);
-        for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-            for threads in [2, 3, 8, 500] {
-                assert_eq!(
-                    run_sorted(&items, threads, scheduler),
-                    expected,
-                    "{scheduler:?} at {threads} threads"
+        let expected = run_sorted(&items, 1);
+        for threads in [2, 3, 8, 500] {
+            assert_eq!(run_sorted(&items, threads), expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn each_worker_claims_items_in_list_order() {
+        // The caller's list is hardest-first, so no worker may run any
+        // part of it backwards: every worker's claims must be strictly
+        // increasing list indices, and together the workers must claim
+        // every index exactly once.
+        let n = 500;
+        let ids: Vec<usize> = (0..n).collect();
+        for threads in [1, 2, 8] {
+            let obs = ObsCtx::new();
+            let (claims, _) = run_items(&ids, threads, &obs, "test/pairs", |feed, out| {
+                let mine: Vec<usize> = feed.copied().collect();
+                out.push(mine);
+            });
+            for mine in &claims {
+                assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "claims out of list order at {threads} threads: {mine:?}"
                 );
             }
+            let mut all: Vec<usize> = claims.concat();
+            all.sort_unstable();
+            assert_eq!(all, ids, "every item exactly once at {threads} threads");
         }
     }
 
     #[test]
     fn empty_items_never_invoke_work() {
         let obs = ObsCtx::new();
-        for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-            for threads in [0, 1, 8] {
-                let (out, busy) = run_items::<(usize, usize), (), _>(
-                    &[],
-                    threads,
-                    scheduler,
-                    &obs,
-                    "test/pairs",
-                    |_feed, _out| panic!("work must not run on an empty item set"),
-                );
-                assert!(out.is_empty());
-                assert_eq!(busy, Duration::ZERO);
-            }
+        for threads in [0, 1, 8] {
+            let (out, busy) = run_items::<(usize, usize), (), _>(
+                &[],
+                threads,
+                &obs,
+                "test/pairs",
+                |_feed, _out| panic!("work must not run on an empty item set"),
+            );
+            assert!(out.is_empty());
+            assert_eq!(busy, Duration::ZERO);
         }
         assert!(
             obs.timers.snapshot().is_empty(),
@@ -272,47 +172,56 @@ mod tests {
 
     #[test]
     fn threads_are_clamped_to_the_item_count() {
-        // 3 items, 8 threads: must not panic (zero-size chunks, empty
-        // deques) and must still produce every result.
+        // 3 items, 8 threads: at most 3 workers run, and every result
+        // still comes back.
         let items = items(3);
-        for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-            assert_eq!(run_sorted(&items, 8, scheduler).len(), 3);
-        }
+        assert_eq!(run_sorted(&items, 8).len(), 3);
+        let obs = ObsCtx::new();
+        run_items(&items, 8, &obs, "test/pairs", |feed, out| {
+            out.extend(feed.map(|_| ()));
+        });
+        assert_eq!(obs.timers.snapshot()["test/pairs"].count, 3);
     }
 
     #[test]
-    fn stealing_rebalances_a_skewed_workload() {
+    fn a_skewed_workload_spreads_over_workers() {
         // One expensive item at the front, many cheap ones behind it. A
         // worker stuck on the expensive item must not strand the rest:
-        // with stealing, other workers drain them concurrently. We can't
-        // assert wall-clock in a unit test, so assert the load balance:
-        // no single worker processed everything.
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        // the other workers drain them meanwhile. The expensive item
+        // blocks until every cheap one is done (bounded, so a broken
+        // loop fails instead of hanging), which forces that interleaving
+        // without relying on timing.
         let items = items(64);
+        let cheap_done = AtomicUsize::new(0);
+        let stuck_worker_items = AtomicUsize::new(0);
         let obs = ObsCtx::new();
-        let max_per_worker = AtomicUsize::new(0);
-        let (out, _) = run_items(
-            &items,
-            4,
-            Scheduler::WorkSteal,
-            &obs,
-            "test/pairs",
-            |feed, out| {
-                let mut mine = 0usize;
-                while let Some((i, j)) = feed.next() {
-                    if i == 0 {
-                        std::thread::sleep(Duration::from_millis(20));
+        let (out, _) = run_items(&items, 4, &obs, "test/pairs", |feed, out| {
+            let mut mine = 0usize;
+            let mut stuck = false;
+            for &(i, j) in feed {
+                if i == 0 {
+                    stuck = true;
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    while cheap_done.load(Ordering::Relaxed) < items.len() - 1
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
                     }
-                    mine += 1;
-                    out.push(((i, j), ()));
+                } else {
+                    cheap_done.fetch_add(1, Ordering::Relaxed);
                 }
-                max_per_worker.fetch_max(mine, Ordering::Relaxed);
-            },
-        );
+                mine += 1;
+                out.push(((i, j), ()));
+            }
+            if stuck {
+                stuck_worker_items.store(mine, Ordering::Relaxed);
+            }
+        });
         assert_eq!(out.len(), items.len());
-        assert!(
-            max_per_worker.load(Ordering::Relaxed) < items.len(),
-            "work stealing should spread a skewed workload over workers"
+        assert_eq!(
+            stuck_worker_items.load(Ordering::Relaxed),
+            1,
+            "the other workers should drain every cheap item"
         );
     }
 
@@ -320,19 +229,12 @@ mod tests {
     fn busy_time_sums_every_worker() {
         let items = items(8);
         let obs = ObsCtx::new();
-        let (_, busy) = run_items(
-            &items,
-            4,
-            Scheduler::WorkSteal,
-            &obs,
-            "test/pairs",
-            |feed, out| {
-                while let Some(p) = feed.next() {
-                    std::thread::sleep(Duration::from_millis(2));
-                    out.push((p, ()));
-                }
-            },
-        );
+        let (_, busy) = run_items(&items, 4, &obs, "test/pairs", |feed, out| {
+            for &p in feed {
+                std::thread::sleep(Duration::from_millis(2));
+                out.push((p, ()));
+            }
+        });
         // 8 items × 2ms each ≥ 16ms of busy time regardless of threads.
         assert!(busy >= Duration::from_millis(16), "busy = {busy:?}");
         let snap = obs.timers.snapshot();

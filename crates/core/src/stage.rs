@@ -1,24 +1,16 @@
-//! The staged artifact graph of the analysis pipeline.
+//! The pipeline's stage implementations and its one stored artifact.
 //!
-//! The pipeline is an explicit chain of stages
-//!
-//! ```text
-//! Parsed → Linted → Expanded → Prefiltered → Grouped → Verdicts → Report
-//! ```
-//!
-//! where each stage is a named, serializable artifact keyed by a
-//! content hash of its inputs: the netlist content hash crossed with
-//! the fingerprint-covered config slice that stage actually reads
-//! ([`stage_key_for`]). The cheap deterministic stages (parse, lint,
-//! expansion, prefilters, grouping) are always recomputed — they are
-//! seed-deterministic and faster than deserializing — and their
-//! artifacts exist as the *identity record* the content-addressed store
-//! ([`CasStore`](crate::CasStore)) persists for observability and
-//! invalidation. The expensive stage is `Verdicts`: its artifact
-//! carries every engine verdict keyed both by FF index and FF *name*,
-//! which is what lets a warm rerun splice all engine work from the
-//! store and lets ECO re-analysis map surviving verdicts across a
-//! netlist edit.
+//! The cheap deterministic stages — parse, lint, expansion, the
+//! prefilters and sink-group planning — are recomputed on every run:
+//! they are seed-deterministic and faster than deserializing. The
+//! expensive stage is the engines', and its result is the one artifact
+//! the content-addressed store ([`CasStore`](crate::CasStore)) holds:
+//! [`VerdictsArtifact`], keyed by the netlist content hash crossed with
+//! the verdict-affecting [`McConfig::fingerprint`] ([`stage_key_for`]).
+//! It carries every engine verdict keyed both by FF index and FF *name*,
+//! which is what lets a warm rerun splice all engine work from the store
+//! and lets ECO re-analysis map surviving verdicts across a netlist
+//! edit.
 //!
 //! This module also owns the stage *implementations* the pipeline runs
 //! once per analysis: the deterministic prefilters (`run_prefilters`)
@@ -34,31 +26,8 @@ use mcp_sim::mc_filter_stats_seeded;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Stage name: the parsed netlist identity.
-pub const STAGE_PARSED: &str = "parsed";
-/// Stage name: the admission-lint outcome.
-pub const STAGE_LINTED: &str = "linted";
-/// Stage name: the time-frame expansion summary.
-pub const STAGE_EXPANDED: &str = "expanded";
-/// Stage name: the prefilter outcome (static + random simulation).
-pub const STAGE_PREFILTERED: &str = "prefiltered";
-/// Stage name: the sink-group plan.
-pub const STAGE_GROUPED: &str = "grouped";
 /// Stage name: the engine verdicts — the replayable artifact.
 pub const STAGE_VERDICTS: &str = "verdicts";
-/// Stage name: the canonical report.
-pub const STAGE_REPORT: &str = "report";
-
-/// Every stage of the artifact graph, in pipeline order.
-pub const STAGES: [&str; 7] = [
-    STAGE_PARSED,
-    STAGE_LINTED,
-    STAGE_EXPANDED,
-    STAGE_PREFILTERED,
-    STAGE_GROUPED,
-    STAGE_VERDICTS,
-    STAGE_REPORT,
-];
 
 /// Content key of one stage artifact: the stage name crossed with the
 /// netlist content hash and the config slice the stage reads.
@@ -66,109 +35,12 @@ pub fn stage_key(stage: &str, netlist_hash: u64, config_slice: u64) -> u64 {
     mcp_obs::fnv1a(format!("{stage}:{netlist_hash:016x}:{config_slice:016x}").as_bytes())
 }
 
-/// The fingerprint-covered config slice a stage reads.
-///
-/// Early stages depend on less of the config than the engines do, so
-/// their artifacts survive config changes that would invalidate the
-/// verdicts: parse and lint read nothing (netlist-only), expansion
-/// reads the cycle budget, the prefilters read the sim-filter knobs,
-/// and everything from grouping on is keyed by the full
-/// verdict-affecting [`McConfig::fingerprint`]. Verdict-*neutral*
-/// knobs (threads, scheduler, slicing, lanes, the static pre-pass,
-/// `cache_dir` itself) never enter any key, mirroring the fingerprint's
-/// own exclusions.
-pub fn config_slice(stage: &str, cfg: &McConfig) -> u64 {
-    let text = match stage {
-        STAGE_PARSED | STAGE_LINTED => String::new(),
-        STAGE_EXPANDED => format!("cycles={}", cfg.cycles),
-        STAGE_PREFILTERED => format!(
-            "cycles={};sim={};seed={};idle={};max={};self_pairs={}",
-            cfg.cycles,
-            cfg.use_sim_filter,
-            cfg.sim.seed,
-            cfg.sim.idle_words,
-            cfg.sim.max_words,
-            cfg.include_self_pairs,
-        ),
-        _ => return cfg.fingerprint(),
-    };
-    mcp_obs::fnv1a(text.as_bytes())
-}
-
-/// [`stage_key`] with the config slice derived from `cfg` via
-/// [`config_slice`].
+/// [`stage_key`] with the verdict-affecting [`McConfig::fingerprint`]
+/// as the config slice. Verdict-*neutral* knobs (threads, slicing,
+/// lanes, the static pre-pass, `cache_dir` itself) never enter the key,
+/// mirroring the fingerprint's own exclusions.
 pub fn stage_key_for(stage: &str, netlist_hash: u64, cfg: &McConfig) -> u64 {
-    stage_key(stage, netlist_hash, config_slice(stage, cfg))
-}
-
-/// `Parsed` artifact: the circuit's identity and size summary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ParsedArtifact {
-    /// Circuit name.
-    pub circuit: String,
-    /// Netlist content hash ([`Netlist::content_hash`]).
-    pub netlist_hash: u64,
-    /// Primary input count.
-    pub inputs: u64,
-    /// Flip-flop count.
-    pub ffs: u64,
-    /// Combinational gate count.
-    pub gates: u64,
-}
-
-/// `Linted` artifact: the admission-lint outcome for a netlist that
-/// passed the gate (a failing netlist never produces artifacts — the
-/// run refuses with [`AnalyzeError::CorruptNetlist`](crate::AnalyzeError)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LintedArtifact {
-    /// Netlist content hash.
-    pub netlist_hash: u64,
-    /// Whether the error-level lint gate actually ran (`McConfig::lint`).
-    pub gated: bool,
-}
-
-/// `Expanded` artifact: size summary of the time-frame expansion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExpandedArtifact {
-    /// Netlist content hash.
-    pub netlist_hash: u64,
-    /// Frames expanded (the cycle budget).
-    pub frames: u32,
-    /// Expansion node count.
-    pub nodes: u64,
-}
-
-/// `Prefiltered` artifact: the pairs the deterministic prefilters could
-/// not resolve, plus the per-prefilter resolution counts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PrefilteredArtifact {
-    /// Surviving candidate pairs, in candidate order.
-    pub survivors: Vec<(usize, usize)>,
-    /// Pairs the static dataflow pre-pass proved multi-cycle.
-    pub static_multi: u64,
-    /// Pairs random simulation disproved.
-    pub sim_single: u64,
-}
-
-/// One sink group of the `Grouped` artifact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupRecord {
-    /// Sink FF index.
-    pub sink: usize,
-    /// Source FF indices, ascending.
-    pub sources: Vec<usize>,
-    /// Exact cone-slice node count (the effort hint).
-    pub slice_nodes: u64,
-    /// Scheduling cost hint.
-    pub cost: u64,
-}
-
-/// `Grouped` artifact: the deterministic sink-group plan, in
-/// hardest-first order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupedArtifact {
-    /// The groups, hardest first.
-    pub groups: Vec<GroupRecord>,
+    stage_key(stage, netlist_hash, cfg.fingerprint())
 }
 
 /// One engine verdict of the `Verdicts` artifact.
@@ -208,25 +80,6 @@ pub struct VerdictsArtifact {
     pub verdicts: Vec<VerdictRecord>,
 }
 
-/// `Report` artifact: the canonical (wall-clock-free) report JSON.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReportArtifact {
-    /// `serde_json` serialization of [`McReport::canonical`](crate::McReport::canonical).
-    pub canonical: String,
-}
-
-/// Per-stage artifacts collected from one cold run, for persisting into
-/// the store. Filled by `analyze_from` for the sources that persist.
-#[derive(Debug)]
-pub(crate) struct StageTrace {
-    pub(crate) parsed: ParsedArtifact,
-    pub(crate) linted: LintedArtifact,
-    pub(crate) expanded: ExpandedArtifact,
-    pub(crate) prefiltered: PrefilteredArtifact,
-    pub(crate) grouped: GroupedArtifact,
-    pub(crate) verdicts: Vec<VerdictRecord>,
-}
-
 /// Journal name of a resolving [`Step`].
 pub(crate) fn step_name(step: Step) -> &'static str {
     match step {
@@ -242,7 +95,7 @@ pub(crate) struct Prefiltered {
     /// Candidate pairs no prefilter could resolve, in candidate order.
     pub(crate) survivors: Vec<(usize, usize)>,
     /// Per-FF toggle activity from the sim filter (`None` when the
-    /// filter was off) — the scheduler's hardness boost.
+    /// filter was off) — the cost hint's hardness boost.
     pub(crate) ff_toggles: Option<Vec<u64>>,
 }
 
@@ -421,7 +274,7 @@ pub(crate) struct SinkGroup {
     /// Source FF indices, ascending — the in-group classification order.
     pub(crate) sources: Vec<usize>,
     /// Exact node count of the group's cone slice (from
-    /// [`Expanded::cone_of`]) — the effort hint shared by the scheduler.
+    /// [`Expanded::cone_of`]) — the effort hint the group cost builds on.
     pub(crate) slice_nodes: u64,
     /// Scheduling cost hint: `slice_nodes` boosted by sim-filter source
     /// activity.
@@ -462,7 +315,7 @@ pub(crate) fn group_roots(x: &Expanded, group: &SinkGroup, cycles: u32) -> Vec<X
 ///   boost its group ahead of groups whose sources barely toggled.
 ///
 /// Ties break on the sink index, keeping the group order (and thus the
-/// static-chunk partition) fully deterministic.
+/// pair loop's claim order and the shard partition) fully deterministic.
 pub(crate) fn plan_sink_groups(
     x: &Expanded,
     survivors: &[(usize, usize)],
@@ -556,21 +409,6 @@ pub(crate) fn assign_shards(groups: &[SinkGroup], count: u64) -> Vec<Vec<(usize,
     shards
 }
 
-/// The [`GroupedArtifact`] projection of a sink-group plan.
-pub(crate) fn grouped_artifact(groups: &[SinkGroup]) -> GroupedArtifact {
-    GroupedArtifact {
-        groups: groups
-            .iter()
-            .map(|g| GroupRecord {
-                sink: g.sink,
-                sources: g.sources.clone(),
-                slice_nodes: g.slice_nodes,
-                cost: g.cost,
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,69 +418,32 @@ mod tests {
     fn stage_keys_separate_stages_netlists_and_config_slices() {
         let k = stage_key(STAGE_VERDICTS, 1, 2);
         assert_eq!(stage_key(STAGE_VERDICTS, 1, 2), k);
-        assert_ne!(stage_key(STAGE_GROUPED, 1, 2), k);
+        assert_ne!(stage_key("report", 1, 2), k);
         assert_ne!(stage_key(STAGE_VERDICTS, 3, 2), k);
         assert_ne!(stage_key(STAGE_VERDICTS, 1, 3), k);
     }
 
     #[test]
-    fn config_slices_narrow_with_the_stage() {
+    fn verdicts_key_follows_the_fingerprint_only() {
+        // Existing stores must keep hitting: the key is the stage name
+        // crossed with the netlist hash and the fingerprint.
         let base = McConfig::default();
-        // Engine changes invalidate verdicts but not expansion or the
-        // prefilters.
+        let key = stage_key_for(STAGE_VERDICTS, 7, &base);
+        assert_eq!(key, stage_key("verdicts", 7, base.fingerprint()));
+        // Verdict-affecting knobs move the key...
         let mut sat = base.clone();
         sat.engine = Engine::Sat;
-        assert_eq!(
-            config_slice(STAGE_EXPANDED, &base),
-            config_slice(STAGE_EXPANDED, &sat)
-        );
-        assert_eq!(
-            config_slice(STAGE_PREFILTERED, &base),
-            config_slice(STAGE_PREFILTERED, &sat)
-        );
-        assert_ne!(
-            config_slice(STAGE_VERDICTS, &base),
-            config_slice(STAGE_VERDICTS, &sat)
-        );
-        // Cycle-budget changes invalidate everything past parse/lint.
+        assert_ne!(stage_key_for(STAGE_VERDICTS, 7, &sat), key);
         let mut k3 = base.clone();
         k3.cycles = 3;
-        assert_eq!(
-            config_slice(STAGE_PARSED, &base),
-            config_slice(STAGE_PARSED, &k3)
-        );
-        assert_ne!(
-            config_slice(STAGE_EXPANDED, &base),
-            config_slice(STAGE_EXPANDED, &k3)
-        );
-        assert_ne!(
-            config_slice(STAGE_PREFILTERED, &base),
-            config_slice(STAGE_PREFILTERED, &k3)
-        );
-        // Sim-seed changes invalidate the prefilters but not expansion.
-        let mut seed = base.clone();
-        seed.sim.seed ^= 1;
-        assert_eq!(
-            config_slice(STAGE_EXPANDED, &base),
-            config_slice(STAGE_EXPANDED, &seed)
-        );
-        assert_ne!(
-            config_slice(STAGE_PREFILTERED, &base),
-            config_slice(STAGE_PREFILTERED, &seed)
-        );
-        // Verdict-neutral knobs never enter any stage key.
+        assert_ne!(stage_key_for(STAGE_VERDICTS, 7, &k3), key);
+        // ...verdict-neutral ones never do.
         let mut neutral = base.clone();
         neutral.threads = 8;
         neutral.slice = !neutral.slice;
         neutral.static_classify = !neutral.static_classify;
         neutral.sim.lanes = 64;
-        for stage in STAGES {
-            assert_eq!(
-                config_slice(stage, &base),
-                config_slice(stage, &neutral),
-                "stage {stage} must ignore verdict-neutral knobs"
-            );
-        }
+        assert_eq!(stage_key_for(STAGE_VERDICTS, 7, &neutral), key);
     }
 
     #[test]
@@ -660,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_round_trip_through_json() {
+    fn verdicts_artifact_round_trips_through_json() {
         let v = VerdictsArtifact {
             circuit: "c".to_owned(),
             netlist_hash: 7,
@@ -678,16 +479,5 @@ mod tests {
         let text = serde_json::to_string(&v).expect("serialize");
         let back: VerdictsArtifact = serde_json::from_str(&text).expect("parse");
         assert_eq!(back, v);
-        let g = GroupedArtifact {
-            groups: vec![GroupRecord {
-                sink: 1,
-                sources: vec![0, 2],
-                slice_nodes: 10,
-                cost: 20,
-            }],
-        };
-        let text = serde_json::to_string(&g).expect("serialize");
-        let back: GroupedArtifact = serde_json::from_str(&text).expect("parse");
-        assert_eq!(back, g);
     }
 }

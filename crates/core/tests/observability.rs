@@ -4,7 +4,7 @@
 //! pairs, the NDJSON journal carries one record per analyzed pair, and
 //! two same-seed runs produce identical counter snapshots.
 
-use mcp_core::{analyze, analyze_with, Engine, McConfig, Scheduler};
+use mcp_core::{analyze, analyze_with, Engine, McConfig};
 use mcp_gen::{circuits, suite};
 use mcp_obs::{read_journal_file, FileSink, ObsCtx};
 
@@ -107,9 +107,9 @@ fn same_seed_runs_produce_identical_counter_snapshots() {
 /// The tentpole determinism guarantee: the serialized canonical report —
 /// verdicts, per-step stats, and the strategy-independent counter
 /// projection — is byte-identical whether the pair loop ran on 1 worker
-/// or 8, under either scheduling policy, **with cone slicing on or
-/// off**, for both parallel engines. Only wall-clock, spans and engine
-/// effort (all projected out by `canonical()`) may differ between runs.
+/// or 8, **with cone slicing on or off**, for both parallel engines.
+/// Only wall-clock, spans and engine effort (all projected out by
+/// `canonical()`) may differ between runs.
 #[test]
 fn reports_are_byte_identical_across_thread_counts_and_slice_modes() {
     let nl = suite::quick_suite().remove(1); // m298: survivors for every step
@@ -118,11 +118,10 @@ fn reports_are_byte_identical_across_thread_counts_and_slice_modes() {
             if static_learning && engine != Engine::Implication {
                 continue; // learning feeds only the implication engine
             }
-            let mk = |threads: usize, scheduler: Scheduler, slice: bool| {
+            let mk = |threads: usize, slice: bool| {
                 let cfg = McConfig {
                     engine,
                     threads,
-                    scheduler,
                     static_learning,
                     slice,
                     backtrack_limit: 1024,
@@ -131,17 +130,15 @@ fn reports_are_byte_identical_across_thread_counts_and_slice_modes() {
                 let report = analyze(&nl, &cfg).expect("analyze");
                 serde_json::to_string(&report.canonical()).expect("serialize")
             };
-            let baseline = mk(1, Scheduler::WorkSteal, true);
+            let baseline = mk(1, true);
             for slice in [true, false] {
-                for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-                    for threads in [1usize, 2, 8] {
-                        assert_eq!(
-                            mk(threads, scheduler, slice),
-                            baseline,
-                            "{engine:?} (learning={static_learning}) drifted at \
-                             threads={threads} slice={slice} under {scheduler:?}"
-                        );
-                    }
+                for threads in [1usize, 2, 8] {
+                    assert_eq!(
+                        mk(threads, slice),
+                        baseline,
+                        "{engine:?} (learning={static_learning}) drifted at \
+                         threads={threads} slice={slice}"
+                    );
                 }
             }
         }
@@ -150,40 +147,37 @@ fn reports_are_byte_identical_across_thread_counts_and_slice_modes() {
 
 /// Within a fixed slice mode the *full* counter snapshot — engine effort
 /// included, nothing projected out — must not depend on the thread
-/// count or scheduling policy. (Across slice modes effort legitimately
-/// differs; that is exactly what `canonical()` projects away above.)
+/// count. (Across slice modes effort legitimately differs; that is
+/// exactly what `canonical()` projects away above.)
 #[test]
 fn full_counter_snapshots_are_thread_independent_within_a_slice_mode() {
     let nl = suite::quick_suite().remove(1); // m298
     for engine in [Engine::Implication, Engine::Sat] {
         for slice in [true, false] {
-            let run = |threads: usize, scheduler: Scheduler| {
+            let run = |threads: usize| {
                 let cfg = McConfig {
                     engine,
                     threads,
-                    scheduler,
                     slice,
                     backtrack_limit: 1024,
                     ..McConfig::default()
                 };
                 analyze(&nl, &cfg).expect("analyze").metrics.counters
             };
-            let baseline = run(1, Scheduler::WorkSteal);
+            let baseline = run(1);
             if slice {
                 assert!(baseline.slice_builds > 0, "{engine:?}: slicing ran");
                 assert!(baseline.slice_nodes_peak > 0);
             } else {
                 assert_eq!(baseline.slice_builds, 0, "{engine:?}: slicing was off");
             }
-            for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-                for threads in [2usize, 8] {
-                    assert_eq!(
-                        run(threads, scheduler),
-                        baseline,
-                        "{engine:?} slice={slice} counters drifted at \
-                         threads={threads} under {scheduler:?}"
-                    );
-                }
+            for threads in [2usize, 8] {
+                assert_eq!(
+                    run(threads),
+                    baseline,
+                    "{engine:?} slice={slice} counters drifted at \
+                     threads={threads}"
+                );
             }
         }
     }
@@ -191,16 +185,15 @@ fn full_counter_snapshots_are_thread_independent_within_a_slice_mode() {
 
 /// The prefilter's kernel is an implementation detail: the canonical
 /// report is byte-identical at every supported lane width, at every
-/// thread count, under both schedulers. The kernel-effort counters
-/// (`sim_passes`, `sim_fused_ops`, `jit_*`) are the only observable
-/// difference, and `canonical()` projects them out.
+/// thread count. The kernel-effort counters (`sim_passes`,
+/// `sim_fused_ops`, `jit_*`) are the only observable difference, and
+/// `canonical()` projects them out.
 #[test]
 fn reports_are_byte_identical_across_lane_widths_and_threads() {
     let nl = suite::quick_suite().remove(1); // m298: sim drops + survivors
-    let mk = |lanes: u32, threads: usize, scheduler: Scheduler| {
+    let mk = |lanes: u32, threads: usize| {
         let mut cfg = McConfig {
             threads,
-            scheduler,
             ..McConfig::default()
         };
         cfg.sim.lanes = lanes;
@@ -208,19 +201,16 @@ fn reports_are_byte_identical_across_lane_widths_and_threads() {
         let canon = serde_json::to_string(&report.canonical()).expect("serialize");
         (canon, report.metrics.counters)
     };
-    let (baseline, _) = mk(64, 1, Scheduler::WorkSteal);
+    let (baseline, _) = mk(64, 1);
     for lanes in [64u32, 128, 256, 512] {
         for threads in [1usize, 2, 8] {
-            for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-                let (canon, counters) = mk(lanes, threads, scheduler);
-                assert_eq!(
-                    canon, baseline,
-                    "canonical report drifted at lanes={lanes} threads={threads} \
-                     scheduler={scheduler:?}"
-                );
-                assert!(counters.sim_passes > 0, "the kernel counts its passes");
-                assert!(counters.sim_fused_ops > 0, "the kernel counts its ops");
-            }
+            let (canon, counters) = mk(lanes, threads);
+            assert_eq!(
+                canon, baseline,
+                "canonical report drifted at lanes={lanes} threads={threads}"
+            );
+            assert!(counters.sim_passes > 0, "the kernel counts its passes");
+            assert!(counters.sim_fused_ops > 0, "the kernel counts its ops");
         }
     }
 }

@@ -20,7 +20,7 @@
 //! and (for the brute-force oracle, which generalizes) at cycle budgets
 //! beyond the paper's `k = 2`.
 
-use mcp_core::{analyze, Engine, McConfig, Scheduler};
+use mcp_core::{analyze, Engine, McConfig};
 use mcp_gen::random::{random_netlist, RandomCircuitConfig};
 use mcp_gen::{circuits, oracle};
 use mcp_netlist::{bench, Expanded, Netlist, NodeKind, XId};
@@ -246,11 +246,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The differential property: on random small netlists, *every*
-    /// engine configuration at *every* thread count under *either*
-    /// scheduling policy, with cone slicing on *and* off, at cycle
-    /// budgets `k ∈ {2, 3}`, returns exactly the brute-force oracle's
-    /// verdict set, with no unknowns. (The BDD baseline only encodes
-    /// the paper's 2-cycle condition and is skipped at `k = 3`.)
+    /// engine configuration at *every* thread count, with cone slicing
+    /// on *and* off, at cycle budgets `k ∈ {2, 3}`, returns exactly the
+    /// brute-force oracle's verdict set, with no unknowns. (The BDD
+    /// baseline only encodes the paper's 2-cycle condition and is
+    /// skipped at `k = 3`.)
     #[test]
     fn random_netlists_every_engine_every_thread_count_equals_the_oracle(
         (seed, rc) in small_cfg_strategy(),
@@ -263,38 +263,34 @@ proptest! {
                     continue;
                 }
                 for slice in [true, false] {
-                    for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-                        for threads in [1usize, 2, 8] {
-                            let report = analyze(
-                                &nl,
-                                &McConfig {
-                                    cycles: k,
-                                    slice,
-                                    threads,
-                                    scheduler,
-                                    ..cfg.clone()
-                                },
-                            )
-                            .expect("analyze");
-                            prop_assert_eq!(
-                                report.multi_cycle_pairs(),
-                                multi.clone(),
-                                "seed={} k={} {:?} slice={} {:?} threads={} learning={}",
-                                seed, k, cfg.engine, slice, scheduler, threads,
-                                cfg.static_learning
-                            );
-                            prop_assert_eq!(
-                                report.single_cycle_pairs(),
-                                single.clone(),
-                                "seed={} k={} {:?} slice={} single set",
-                                seed, k, cfg.engine, slice
-                            );
-                            prop_assert!(
-                                report.unknown_pairs().is_empty(),
-                                "seed={} k={} {:?} slice={} left unknowns",
-                                seed, k, cfg.engine, slice
-                            );
-                        }
+                    for threads in [1usize, 2, 8] {
+                        let report = analyze(
+                            &nl,
+                            &McConfig {
+                                cycles: k,
+                                slice,
+                                threads,
+                                ..cfg.clone()
+                            },
+                        )
+                        .expect("analyze");
+                        prop_assert_eq!(
+                            report.multi_cycle_pairs(),
+                            multi.clone(),
+                            "seed={} k={} {:?} slice={} threads={} learning={}",
+                            seed, k, cfg.engine, slice, threads, cfg.static_learning
+                        );
+                        prop_assert_eq!(
+                            report.single_cycle_pairs(),
+                            single.clone(),
+                            "seed={} k={} {:?} slice={} single set",
+                            seed, k, cfg.engine, slice
+                        );
+                        prop_assert!(
+                            report.unknown_pairs().is_empty(),
+                            "seed={} k={} {:?} slice={} left unknowns",
+                            seed, k, cfg.engine, slice
+                        );
                     }
                 }
             }
@@ -364,32 +360,28 @@ proptest! {
     }
 }
 
-/// Thread count and scheduling policy must never change a verdict:
-/// every engine, at 1/2/8 threads under both policies, equals the
-/// oracle on the paper's Fig.1 circuit.
+/// Thread count must never change a verdict: every engine, at 1/2/8
+/// threads, equals the oracle on the paper's Fig.1 circuit.
 #[test]
 fn verdicts_match_the_oracle_at_any_thread_count() {
     let nl = circuits::fig1();
     let (multi, _) = brute_force_mc_pairs(&nl);
     for cfg in engine_configs() {
-        for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-            for threads in [1usize, 2, 8] {
-                let report = analyze(
-                    &nl,
-                    &McConfig {
-                        threads,
-                        scheduler,
-                        ..cfg.clone()
-                    },
-                )
-                .expect("analyze");
-                assert_eq!(
-                    report.multi_cycle_pairs(),
-                    multi,
-                    "{:?} at threads={threads} under {scheduler:?}",
-                    cfg.engine
-                );
-            }
+        for threads in [1usize, 2, 8] {
+            let report = analyze(
+                &nl,
+                &McConfig {
+                    threads,
+                    ..cfg.clone()
+                },
+            )
+            .expect("analyze");
+            assert_eq!(
+                report.multi_cycle_pairs(),
+                multi,
+                "{:?} at threads={threads}",
+                cfg.engine
+            );
         }
     }
 }

@@ -185,18 +185,21 @@ pub fn validate_sdc(
         }
     }
     for (pair, &(line, k)) in &setups {
+        // Multipliers are untrusted `u32`s: compare in `i64`, where
+        // `k - 1` can neither wrap nor overflow.
+        let expected = i64::from(k) - 1;
         match holds.get(pair) {
             None => report.push(Diagnostic::at_line(
                 "sdc-hold-mismatch",
                 Severity::Warn,
                 line,
-                format!("-setup {k} has no companion -hold {}", k.saturating_sub(1)),
+                format!("-setup {k} has no companion -hold {expected}"),
             )),
-            Some(&(hold_line, h)) if h + 1 != k => report.push(Diagnostic::at_line(
+            Some(&(hold_line, h)) if i64::from(h) != expected => report.push(Diagnostic::at_line(
                 "sdc-hold-mismatch",
                 Severity::Warn,
                 hold_line,
-                format!("-hold {h} does not match -setup {k} (expected {})", k - 1),
+                format!("-hold {h} does not match -setup {k} (expected {expected})"),
             )),
             Some(_) => {}
         }
@@ -378,6 +381,39 @@ mod tests {
             .expect("mismatch");
         assert!(d.message.contains("does not match"), "{d:?}");
         assert_eq!(d.line, Some(2));
+    }
+
+    /// The companion check at the `u32` edges, where `h + 1` or `k - 1`
+    /// would overflow: each input must yield exactly one typed mismatch
+    /// on the `-hold` line.
+    fn edge_mismatch(setup: u32, hold: u32) {
+        let nl = tri();
+        let text = format!(
+            "set_multicycle_path {setup} -setup -from [get_cells {{FF1}}] -to [get_cells {{FF2}}]\n\
+             set_multicycle_path {hold} -hold -from [get_cells {{FF1}}] -to [get_cells {{FF2}}]"
+        );
+        let report = validate_sdc(&nl, &[(0, 1)], &text);
+        let mismatches: Vec<_> = report
+            .iter()
+            .filter(|d| d.rule == "sdc-hold-mismatch")
+            .collect();
+        assert_eq!(mismatches.len(), 1, "{report:?}");
+        assert_eq!(mismatches[0].line, Some(2));
+        assert!(mismatches[0].message.contains("does not match"));
+    }
+
+    #[test]
+    fn setup_zero_with_a_hold_is_a_mismatch_not_a_panic() {
+        edge_mismatch(0, 0);
+        edge_mismatch(0, 1);
+    }
+
+    #[test]
+    fn hold_at_u32_max_is_a_mismatch_not_a_panic() {
+        // `u32::MAX + 1` must not wrap to 0 and pass as the companion
+        // of `-setup 0`.
+        edge_mismatch(0, u32::MAX);
+        edge_mismatch(2, u32::MAX);
     }
 
     #[test]

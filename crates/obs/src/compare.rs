@@ -76,8 +76,8 @@ fn flatten_content(prefix: &str, value: &Content, out: &mut BTreeMap<String, u64
 /// Aggregates an NDJSON ledger into deterministic counters: verdict
 /// counts keyed by resolving step and class, total assignment outcomes,
 /// and summed slice sizes. Per-event order and timing are discarded —
-/// under work stealing the append order is scheduling-dependent, but
-/// these aggregates are not.
+/// with several workers the append order depends on which worker
+/// finished first, but these aggregates do not.
 fn flatten_ledger(ledger: &Ledger, out: &mut BTreeMap<String, u64>) {
     if let Some(h) = &ledger.header {
         out.insert("header/pairs".to_owned(), h.pairs);

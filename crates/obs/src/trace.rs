@@ -26,7 +26,7 @@ thread_local! {
 ///
 /// Ids are handed out process-wide in first-use order, so the main
 /// thread and every scoped pair-loop worker get distinct tracks — which
-/// is exactly what makes the work-stealing schedule visible in a trace
+/// is exactly what makes the pair loop's schedule visible in a trace
 /// viewer. They are *not* OS thread ids; they are stable only within a
 /// process lifetime.
 pub fn current_tid() -> u64 {

@@ -85,7 +85,7 @@ pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(),
             );
         }
         (VerdictSource::Store(_), None) => {
-            let _ = writeln!(out, "cache: miss — artifacts persisted for the next run");
+            let _ = writeln!(out, "cache: miss — verdicts persisted for the next run");
         }
         (VerdictSource::Ledger(_), None) => {
             let _ = writeln!(

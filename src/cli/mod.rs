@@ -39,14 +39,13 @@
 //!   `--max-diags` caps the rendered finding list.
 //!
 //! Options: `--engine implication|sat|bdd`, `--cycles K`, `--backtracks N`,
-//! `--learn`, `--threads N`, `--scheduler steal|static`, `--no-sim`,
-//! `--sim-lanes 64|128|256|512`, `--no-self-pairs`,
-//! `--no-lint`, `--no-slice`, `--no-static-classify`, `--deny <rule>`,
-//! `--allow <rule>`, `--max-diags <n>`, `--json <path>`, `--canonical`,
-//! `--cache-dir <dir>`, `--eco <old.bench>`, `--resume <ledger>`,
-//! `--shard <I/N>`, `--shards <N>`, `--format text|json|chrome`,
-//! `--metrics`, `--trace-out <path>`, `--progress`, `--quiet`,
-//! `--compare <old> <new>`, `--threshold <pct>`.
+//! `--learn`, `--threads N`, `--no-sim`, `--sim-lanes 64|128|256|512`,
+//! `--no-self-pairs`, `--no-lint`, `--no-slice`, `--no-static-classify`,
+//! `--deny <rule>`, `--allow <rule>`, `--max-diags <n>`, `--json <path>`,
+//! `--canonical`, `--cache-dir <dir>`, `--eco <old.bench>`,
+//! `--resume <ledger>`, `--shard <I/N>`, `--shards <N>`,
+//! `--format text|json|chrome`, `--metrics`, `--trace-out <path>`,
+//! `--progress`, `--quiet`, `--compare <old> <new>`, `--threshold <pct>`.
 
 mod analyze;
 mod cache;
@@ -57,7 +56,7 @@ mod serve;
 #[cfg(test)]
 mod tests;
 
-use mcp_core::{Engine, HazardCheck, McConfig, Scheduler, ShardSpec};
+use mcp_core::{Engine, HazardCheck, McConfig, ShardSpec};
 use mcp_netlist::{bench, Netlist};
 use mcp_obs::{FileSink, ObsCtx};
 use std::time::Duration;
@@ -77,8 +76,6 @@ pub struct Command {
     pub learn: bool,
     /// Worker threads.
     pub threads: usize,
-    /// Pair-loop scheduling policy.
-    pub scheduler: Scheduler,
     /// Disable the random-simulation prefilter.
     pub no_sim: bool,
     /// Simulation lane width of the prefilter's compiled kernel
@@ -270,7 +267,6 @@ OPTIONS:
   --backtracks <N>               ATPG backtrack limit (default: 50)
   --learn                        enable SOCRATES-style static learning
   --threads <N>                  parallel pair workers (default: 1)
-  --scheduler steal|static       pair scheduling policy (default: steal)
   --no-sim                       skip the random-simulation prefilter
   --sim-lanes 64|128|256|512     prefilter patterns per pass (default: 256);
                                  the outcome is identical at every width
@@ -333,7 +329,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
     let mut backtracks = 50u64;
     let mut learn = false;
     let mut threads = 1usize;
-    let mut scheduler = Scheduler::default();
     let mut no_sim = false;
     let mut sim_lanes: Option<u32> = None;
     let mut max_bytes: Option<u64> = None;
@@ -404,15 +399,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                 threads = take_value(&mut args, "--threads")?
                     .parse()
                     .map_err(|e| ParseCliError(format!("bad --threads: {e}")))?;
-            }
-            "--scheduler" => {
-                scheduler = match take_value(&mut args, "--scheduler")?.as_str() {
-                    "steal" | "work-steal" => Scheduler::WorkSteal,
-                    "static" => Scheduler::Static,
-                    other => {
-                        return Err(ParseCliError(format!("unknown scheduler `{other}`")));
-                    }
-                }
             }
             "--json" => json = Some(take_value(&mut args, "--json")?),
             "--format" => {
@@ -675,7 +661,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         backtracks,
         learn,
         threads,
-        scheduler,
         no_sim,
         sim_lanes,
         no_self_pairs,
@@ -747,7 +732,6 @@ impl Command {
             backtrack_limit: self.backtracks,
             static_learning: self.learn,
             threads: self.threads,
-            scheduler: self.scheduler,
             use_sim_filter: !self.no_sim,
             include_self_pairs: !self.no_self_pairs,
             lint: !self.no_lint,
@@ -791,11 +775,6 @@ impl Command {
         }
         push("--threads");
         push(&self.threads.to_string());
-        push("--scheduler");
-        push(match self.scheduler {
-            Scheduler::WorkSteal => "steal",
-            Scheduler::Static => "static",
-        });
         if self.no_sim {
             push("--no-sim");
         }

@@ -21,17 +21,12 @@ fn parses_analyze_with_options() {
 }
 
 #[test]
-fn parses_scheduler_policy() {
-    let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert_eq!(cmd.scheduler, Scheduler::WorkSteal, "stealing is default");
-    assert_eq!(cmd.config().scheduler, Scheduler::WorkSteal);
-    let cmd = parse_args(argv("analyze f.bench --scheduler static")).expect("parse");
-    assert_eq!(cmd.scheduler, Scheduler::Static);
-    assert_eq!(cmd.config().scheduler, Scheduler::Static);
-    let cmd = parse_args(argv("analyze f.bench --scheduler steal")).expect("parse");
-    assert_eq!(cmd.scheduler, Scheduler::WorkSteal);
-    assert!(parse_args(argv("analyze f.bench --scheduler fifo")).is_err());
-    assert!(parse_args(argv("analyze f.bench --scheduler")).is_err());
+fn scheduler_flag_is_gone() {
+    // The pair loop has one policy; no flag can choose another.
+    for flag in ["scheduler static", "scheduler steal"] {
+        let err = parse_args(argv(&format!("analyze f.bench --{flag}"))).unwrap_err();
+        assert!(err.to_string().contains("unknown option"), "{flag}: {err}");
+    }
 }
 
 #[test]
@@ -76,15 +71,13 @@ fn analyze_runs_on_a_generated_file() {
     let cmd = parse_args(argv(&format!("kcycle {} --max-k 4", path.display()))).expect("parse");
     let out = run(&cmd).expect("kcycle");
     assert!(out.contains("cycles"), "{out}");
-    // The budget sweep is deterministic under parallel scheduling.
-    for extra in ["--threads 8", "--threads 8 --scheduler static"] {
-        let cmd = parse_args(argv(&format!(
-            "kcycle {} --max-k 4 {extra}",
-            path.display()
-        )))
-        .expect("parse");
-        assert_eq!(run(&cmd).expect("kcycle parallel"), out, "{extra}");
-    }
+    // The budget sweep is deterministic at any thread count.
+    let cmd = parse_args(argv(&format!(
+        "kcycle {} --max-k 4 --threads 8",
+        path.display()
+    )))
+    .expect("parse");
+    assert_eq!(run(&cmd).expect("kcycle parallel"), out);
 
     let cmd = parse_args(argv(&format!("sdc {}", path.display()))).expect("parse");
     let out = run(&cmd).expect("sdc");
@@ -277,11 +270,11 @@ fn no_slice_flag_reaches_the_config() {
 fn sim_lanes_flag_reaches_the_config() {
     let cmd = parse_args(argv("analyze f.bench --sim-lanes 128")).expect("parse");
     assert_eq!(cmd.sim_lanes, Some(128));
-    assert_eq!(cmd.config().sim_lanes(), 128);
+    assert_eq!(cmd.config().sim.lanes, 128);
     // Without the flag the library default applies.
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
     assert_eq!(cmd.config().sim, mcp_sim::FilterConfig::default());
-    assert_eq!(cmd.config().sim_lanes(), 256);
+    assert_eq!(cmd.config().sim.lanes, 256);
     // Non-numeric widths are parse errors; missing values too.
     assert!(parse_args(argv("analyze f.bench --sim-lanes abc")).is_err());
     assert!(parse_args(argv("analyze f.bench --sim-lanes")).is_err());
@@ -602,7 +595,7 @@ fn parses_shard_and_merge_surfaces() {
 fn shard_children_inherit_the_fingerprint_flags() {
     let cmd = parse_args(argv(
         "analyze f.bench --shards 2 --engine sat --cycles 3 --backtracks 99 --learn \
-         --threads 4 --scheduler static --no-sim --sim-lanes 128 \
+         --threads 4 --no-sim --sim-lanes 128 \
          --no-self-pairs --no-lint --no-slice --no-static-classify",
     ))
     .expect("parse");
@@ -624,7 +617,6 @@ fn shard_children_inherit_the_fingerprint_flags() {
     assert_eq!(rebuilt.config().fingerprint(), cmd.config().fingerprint());
     // And the neutral scheduling knobs ride along too.
     assert_eq!(rebuilt.threads, cmd.threads);
-    assert_eq!(rebuilt.scheduler, cmd.scheduler);
     assert_eq!(rebuilt.sim_lanes, cmd.sim_lanes);
     assert!(rebuilt.quiet);
 }

@@ -342,12 +342,12 @@ fn fault_injected_kill_is_deterministic_and_resume_loses_nothing() {
     );
 }
 
-/// The in-process determinism matrix: shard counts {1, 2, 4, 7} × both
-/// schedulers × a seeded random kill-and-resume of one shard all merge
+/// The in-process determinism matrix: shard counts {1, 2, 4, 7} × a
+/// seeded random kill-and-resume of one shard, at 2 threads, all merge
 /// to the `--threads 1` canonical report.
 #[test]
 fn merge_matrix_with_random_kills_matches_threads_1() {
-    use mcp_core::{analyze_from, analyze_with, McConfig, Scheduler, ShardSpec, VerdictSource};
+    use mcp_core::{analyze_from, analyze_with, McConfig, ShardSpec, VerdictSource};
     use mcp_obs::{Ledger, MemSink, ObsCtx};
     use std::sync::Arc;
 
@@ -383,58 +383,55 @@ fn merge_matrix_with_random_kills_matches_threads_1() {
         rng_state
     };
 
-    for scheduler in [Scheduler::WorkSteal, Scheduler::Static] {
-        for count in [1u64, 2, 4, 7] {
-            let cfg = McConfig {
-                threads: 2,
-                scheduler,
-                ..McConfig::default()
-            };
-            let mut ledgers: Vec<Ledger> = (0..count)
-                .map(|index| {
-                    let shard_cfg = McConfig {
-                        shard: Some(ShardSpec { index, count }),
-                        ..cfg.clone()
-                    };
-                    capture(&shard_cfg)
-                })
-                .collect();
-
-            // Kill one shard at a random durable event, then resume it.
-            let victim = (next_rand() % count) as usize;
-            let events = ledgers[victim].events.len();
-            if events > 0 {
-                let keep = (next_rand() as usize) % events;
-                let mut truncated = ledgers[victim].clone();
-                truncated.events.truncate(keep);
-                truncated.spans.clear(); // spans are end-of-run only
+    for count in [1u64, 2, 4, 7] {
+        let cfg = McConfig {
+            threads: 2,
+            ..McConfig::default()
+        };
+        let mut ledgers: Vec<Ledger> = (0..count)
+            .map(|index| {
                 let shard_cfg = McConfig {
-                    shard: Some(ShardSpec {
-                        index: victim as u64,
-                        count,
-                    }),
+                    shard: Some(ShardSpec { index, count }),
                     ..cfg.clone()
                 };
-                let sink = Arc::new(MemSink::new());
-                let obs = ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
-                analyze_from(&nl, &shard_cfg, &obs, VerdictSource::Ledger(&truncated))
-                    .expect("resume killed shard");
-                ledgers[victim] = Ledger {
-                    header: sink.take_header(),
-                    spans: sink.drain_spans(),
-                    events: sink.drain(),
-                };
-            }
+                capture(&shard_cfg)
+            })
+            .collect();
 
-            let merged = analyze_from(&nl, &base, &ObsCtx::new(), VerdictSource::Shards(&ledgers))
-                .expect("merge")
-                .report;
-            assert_eq!(
-                serde_json::to_string(&merged.canonical()).expect("serialize"),
-                baseline,
-                "{scheduler:?} × {count} shards (victim {victim}) must merge \
-                 byte-identical to --threads 1"
-            );
+        // Kill one shard at a random durable event, then resume it.
+        let victim = (next_rand() % count) as usize;
+        let events = ledgers[victim].events.len();
+        if events > 0 {
+            let keep = (next_rand() as usize) % events;
+            let mut truncated = ledgers[victim].clone();
+            truncated.events.truncate(keep);
+            truncated.spans.clear(); // spans are end-of-run only
+            let shard_cfg = McConfig {
+                shard: Some(ShardSpec {
+                    index: victim as u64,
+                    count,
+                }),
+                ..cfg.clone()
+            };
+            let sink = Arc::new(MemSink::new());
+            let obs = ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
+            analyze_from(&nl, &shard_cfg, &obs, VerdictSource::Ledger(&truncated))
+                .expect("resume killed shard");
+            ledgers[victim] = Ledger {
+                header: sink.take_header(),
+                spans: sink.drain_spans(),
+                events: sink.drain(),
+            };
         }
+
+        let merged = analyze_from(&nl, &base, &ObsCtx::new(), VerdictSource::Shards(&ledgers))
+            .expect("merge")
+            .report;
+        assert_eq!(
+            serde_json::to_string(&merged.canonical()).expect("serialize"),
+            baseline,
+            "{count} shards (victim {victim}) must merge \
+             byte-identical to --threads 1"
+        );
     }
 }
