@@ -83,7 +83,9 @@ pub struct McConfig {
     /// [`Slice`](mcp_netlist::Slice) of the time-frame expansion instead
     /// of the whole circuit (default: on). Verdicts — and the canonical
     /// report — are identical either way; only engine effort differs.
-    /// Disable (`--no-slice`) to A/B-measure whole-circuit engine cost.
+    /// With slicing off (`--no-slice`) the whole expansion is every
+    /// group's model; under [`Engine::Sat`] that is the whole-circuit
+    /// SAT baseline \[9\].
     pub slice: bool,
     /// Statically classify pairs whose sink D input the dataflow
     /// analysis proves constant at the first Kleene iterate, before the

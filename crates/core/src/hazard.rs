@@ -92,7 +92,6 @@ pub fn check_hazards_with(
 
     let mut robust = Vec::new();
     let mut demoted = Vec::new();
-    let mut v0 = vec![V3::X; netlist.num_nodes()];
     let mut v1 = vec![V3::X; netlist.num_nodes()];
 
     for (i, j) in report.multi_cycle_pairs() {
@@ -109,10 +108,9 @@ pub fn check_hazards_with(
                 .is_ok();
             if consistent {
                 for (id, _) in netlist.nodes() {
-                    v0[id.index()] = eng.value(x.value_of(0, id));
                     v1[id.index()] = eng.value(x.value_of(1, id));
                 }
-                if glitch_path_exists(netlist, i, j, &v0, &v1, check) {
+                if glitch_path_exists(netlist, i, j, &v1, check) {
                     hazardous = true;
                 }
             }
@@ -139,9 +137,10 @@ pub fn check_hazards_with(
 }
 
 /// Searches for a potentially hazardous path from FF `i`'s output to FF
-/// `j`'s D input, given the settled node values of the cycle before
-/// (`v0`) and after (`v1`) the transition edge (indexed by
-/// [`NodeId::index`]).
+/// `j`'s D input, given the settled node values `v1` of the cycle after
+/// the transition edge (indexed by [`NodeId::index`]). First-cycle values
+/// are unknown by construction (see the module docs), so they are not an
+/// input.
 ///
 /// The two criteria sit on opposite sides of the exact (delay-dependent)
 /// hazard condition. An edge `f → g` is traversable when:
@@ -170,7 +169,6 @@ pub fn glitch_path_exists(
     netlist: &Netlist,
     i: usize,
     j: usize,
-    v0: &[V3],
     v1: &[V3],
     check: HazardCheck,
 ) -> bool {
@@ -191,7 +189,7 @@ pub fn glitch_path_exists(
             if !netlist.node(g).kind().is_gate() || reached[g.index()] {
                 continue;
             }
-            if edge_traversable(netlist, f, g, v0, v1, check) {
+            if edge_traversable(netlist, f, g, v1, check) {
                 if g == dst {
                     return true;
                 }
@@ -207,7 +205,6 @@ fn edge_traversable(
     netlist: &Netlist,
     f: NodeId,
     g: NodeId,
-    v0: &[V3],
     v1: &[V3],
     check: HazardCheck,
 ) -> bool {
@@ -234,7 +231,6 @@ fn edge_traversable(
             // side input carries a controlling value): a gate whose settled
             // output is the controlled value must receive the controlling
             // value from the on-path edge.
-            let _ = v0;
             !(v1[g.index()] == V3::from(controlled) && v1[f.index()] == V3::from(!c))
         }
     }
@@ -284,7 +280,6 @@ pub fn sensitization_dependencies(
         report.multi_cycle_pairs().into_iter().collect();
     let robust = check_hazards(netlist, report, HazardCheck::Sensitization).robust;
 
-    let mut v0 = vec![V3::X; netlist.num_nodes()];
     let mut v1 = vec![V3::X; netlist.num_nodes()];
     let mut deps = Vec::with_capacity(robust.len());
 
@@ -301,7 +296,6 @@ pub fn sensitization_dependencies(
                 .is_ok();
             if consistent {
                 for (id, _) in netlist.nodes() {
-                    v0[id.index()] = eng.value(x.value_of(0, id));
                     v1[id.index()] = eng.value(x.value_of(1, id));
                 }
                 collect_blocking_sides(netlist, i, j, &v1, &mut blocking_ffs);
@@ -425,18 +419,13 @@ mod tests {
         // statically co-sensitizable (C is controlled and N can present
         // the controlling value).
         let nl = circuits::fig4_fragment();
-        let n = nl.num_nodes();
-        let mut v0 = vec![V3::X; n];
-        let mut v1 = vec![V3::X; n];
+        let mut v1 = vec![V3::X; nl.num_nodes()];
         let qa = nl.find_node("QA").unwrap();
         let qb = nl.find_node("QB").unwrap();
         let c = nl.find_node("C").unwrap();
-        // A falls 1 -> 0; B stable 0; C settled 0.
-        v0[qa.index()] = V3::One;
+        // A falls to 0; B and C settle at 0.
         v1[qa.index()] = V3::Zero;
-        v0[qb.index()] = V3::Zero;
         v1[qb.index()] = V3::Zero;
-        v0[c.index()] = V3::Zero;
         v1[c.index()] = V3::Zero;
 
         let i = nl.ff_index(qa).unwrap();
@@ -445,7 +434,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::Sensitization
         ));
@@ -453,7 +441,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::CoSensitization
         ));
@@ -462,14 +449,11 @@ mod tests {
     #[test]
     fn side_input_settling_noncontrolling_sensitizes() {
         let nl = circuits::fig4_fragment();
-        let n = nl.num_nodes();
-        let mut v0 = vec![V3::X; n];
-        let mut v1 = vec![V3::X; n];
+        let mut v1 = vec![V3::X; nl.num_nodes()];
         let qb = nl.find_node("QB").unwrap();
         // B settles at the non-controlling 1 (its first-cycle value is
-        // irrelevant — the paper treats it as unknown): the A-path is
-        // statically sensitizable, so both criteria flag a hazard.
-        v0[qb.index()] = V3::Zero;
+        // unknown, as the paper treats it): the A-path is statically
+        // sensitizable, so both criteria flag a hazard.
         v1[qb.index()] = V3::One;
         let i = nl.ff_index(nl.find_node("QA").unwrap()).unwrap();
         let j = nl.ff_index(nl.find_node("QC").unwrap()).unwrap();
@@ -477,7 +461,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::Sensitization
         ));
@@ -485,7 +468,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::CoSensitization
         ));
@@ -604,7 +586,6 @@ mod tests {
         // prove any path blocked (unknowns traverse) — the two bounds at
         // their widest.
         let nl = circuits::fig4_fragment();
-        let v0 = vec![V3::X; nl.num_nodes()];
         let v1 = vec![V3::X; nl.num_nodes()];
         let i = nl.ff_index(nl.find_node("QA").unwrap()).unwrap();
         let j = nl.ff_index(nl.find_node("QC").unwrap()).unwrap();
@@ -612,7 +593,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::Sensitization
         ));
@@ -620,7 +600,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::CoSensitization
         ));

@@ -10,15 +10,14 @@ use crate::engines::{
 use crate::report::{McReport, PairClass, PairResult, Step, StepStats};
 use crate::schedule::run_items;
 use crate::stage::{
-    assign_shards, group_roots, order_hardest_first, plan_sink_groups, run_prefilters,
-    stage_key_for, step_name, Prefiltered, SinkGroup, VerdictRecord, VerdictsArtifact,
-    STAGE_VERDICTS,
+    assign_shards, group_roots, plan_sink_groups, run_prefilters, stage_key_for, step_name,
+    Prefiltered, SinkGroup, VerdictRecord, VerdictsArtifact, STAGE_VERDICTS,
 };
 use crate::{resume, shard};
 use mcp_atpg::SearchConfig;
 use mcp_bdd::{InitStates, Ref, SymbolicFsm};
 use mcp_implication::{learn, ImpEngine, LearnConfig, LearnedImplications};
-use mcp_netlist::{Expanded, Netlist};
+use mcp_netlist::{Expanded, Netlist, Slice};
 use mcp_obs::{Ledger, ObsCtx, PairEvent, RunHeader, LEDGER_VERSION};
 use mcp_sat::CircuitCnf;
 use std::collections::{BTreeMap, BTreeSet};
@@ -599,292 +598,198 @@ pub fn analyze_from(
     )?;
     drop(tr_prepare);
 
-    // Steps 3-4: engine-specific classification of the survivors. The
-    // progress meter extrapolates its ETA over the groups' cost hints,
-    // not pair counts: groups run hardest-first, so count-based
-    // extrapolation would wildly overestimate early in the run.
+    // Steps 3-4: the engines. The sink groups are every engine's work
+    // list, hardest group first: implication and SAT share one parallel
+    // group loop, and BDD walks the same groups in the same order on its
+    // one FSM. The progress meter extrapolates its ETA over the groups'
+    // cost hints, not pair counts: groups run hardest-first, so
+    // count-based extrapolation would wildly overestimate early in the
+    // run.
     let done = AtomicUsize::new(0);
     let done_cost = AtomicU64::new(0);
     let total = survivors.len();
     let total_cost: u64 = groups.iter().map(|g| g.cost).sum();
-    let pair_share: BTreeMap<(usize, usize), u64> = groups
-        .iter()
-        .flat_map(|g| {
-            let share = g.cost / g.sources.len().max(1) as u64;
-            g.sources.iter().map(move |&i| ((i, g.sink), share))
-        })
-        .collect();
-    let tick = |pair: (usize, usize)| {
+    let tick = |group: &SinkGroup| {
         let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        let share = pair_share.get(&pair).copied().unwrap_or(0);
+        let share = group.cost / group.sources.len() as u64;
         let c = done_cost.fetch_add(share, Ordering::Relaxed) + share;
         obs.progress_with_cost("pairs", d, total, (c, total_cost));
     };
-    let (verdicts, busy) = match cfg.engine {
-        Engine::Implication => {
-            let search_cfg = SearchConfig {
-                backtrack_limit: cfg.backtrack_limit,
-            };
-            if cfg.slice {
-                stats.time_prepare = t_prepare.stop();
-                run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
-                    for group in feed {
-                        let _tr = obs.trace_span(|| format!("analyze/pairs/sink:{}", group.sink));
-                        let slice = x.build_slice(&group_roots(&x, group, cfg.cycles));
-                        let sx = slice.model();
-                        let sizes = (slice.num_nodes() as u64, slice.num_vars() as u64);
-                        note_slice_build(obs, sizes, group.sources.len());
-                        // Static learning is slice-local: the learned set
-                        // is sound on slice and whole circuit alike, but
-                        // only the slice's share is worth paying for here.
-                        let learned = if cfg.static_learning {
-                            let l = learn(
-                                sx,
-                                &LearnConfig {
-                                    max_implications: cfg.learn_budget,
-                                },
-                            );
-                            obs.metrics.learned_implications.add(l.len() as u64);
-                            Some(l)
-                        } else {
-                            None
-                        };
-                        let mut eng = match &learned {
-                            Some(l) => new_engine_with_learned(sx, l),
-                            None => ImpEngine::new(sx),
-                        };
-                        // Engine construction itself propagates (the
-                        // learned forced literals); subtract that baseline
-                        // so the flushed totals are pure per-group deltas
-                        // — independent of which worker ran the group.
-                        let base_implications = eng.implications();
-                        let base_contradictions = eng.contradictions();
-                        for &i in &group.sources {
-                            let v = classify_one_implication(
-                                &mut eng,
-                                i,
-                                group.sink,
-                                cfg,
-                                &search_cfg,
-                                obs,
-                                Some(sizes),
-                            );
-                            tick((i, group.sink));
-                            out.push(((i, group.sink), v));
-                        }
-                        obs.metrics
-                            .implications
-                            .add(eng.implications() - base_implications);
-                        obs.metrics
-                            .contradictions
-                            .add(eng.contradictions() - base_contradictions);
-                    }
-                })
-            } else {
-                let learned = if cfg.static_learning {
-                    let l = learn(
-                        &x,
-                        &LearnConfig {
-                            max_implications: cfg.learn_budget,
-                        },
-                    );
-                    obs.metrics.learned_implications.add(l.len() as u64);
-                    Some(l)
-                } else {
-                    None
+    let (verdicts, busy) = if let Engine::Bdd {
+        node_limit,
+        reachability,
+    } = cfg.engine
+    {
+        let t_pairs = t_total.child("pairs");
+        let _tr_pairs = obs.trace_span(|| "analyze/pairs/bdd".to_owned());
+        // A model or reachable set that blows the node budget leaves
+        // every pair unknown.
+        let mut fsm = SymbolicFsm::build(netlist, node_limit).ok();
+        let reached = match fsm.as_mut() {
+            Some(fsm) if reachability => fsm.reachable(InitStates::Zero).ok(),
+            Some(_) => Some(Ref::TRUE),
+            None => None,
+        };
+        stats.time_prepare = t_prepare.stop();
+        let mut verdicts = Vec::with_capacity(total);
+        for group in &groups {
+            for &i in &group.sources {
+                let (Some(fsm), Some(r)) = (fsm.as_mut(), reached) else {
+                    verdicts.push(((i, group.sink), Verdict::Unknown));
+                    continue;
                 };
-                stats.time_prepare = t_prepare.stop();
-                run_items(
-                    &survivors,
-                    cfg.threads,
-                    obs,
-                    "analyze/pairs",
-                    |feed, out| {
-                        let mut eng = match &learned {
-                            Some(l) => new_engine_with_learned(&x, l),
-                            None => ImpEngine::new(&x),
-                        };
-                        // Engine construction itself propagates (the learned
-                        // forced literals); subtract that baseline so the
-                        // flushed totals are pure per-pair deltas —
-                        // independent of how many workers were spawned.
-                        let base_implications = eng.implications();
-                        let base_contradictions = eng.contradictions();
-                        for &(i, j) in feed {
-                            let v = classify_one_implication(
-                                &mut eng,
-                                i,
-                                j,
-                                cfg,
-                                &search_cfg,
-                                obs,
-                                None,
-                            );
-                            tick((i, j));
-                            out.push(((i, j), v));
-                        }
-                        obs.metrics
-                            .implications
-                            .add(eng.implications() - base_implications);
-                        obs.metrics
-                            .contradictions
-                            .add(eng.contradictions() - base_contradictions);
-                    },
-                )
-            }
-        }
-        Engine::Sat => {
-            // Each sink group is solved on one incremental solver in
-            // fixed ascending-source order: variable numbering, decisions
-            // and learnt clauses of a group are identical no matter which
-            // worker runs the group, which is what makes the report
-            // (including SAT counter totals) byte-identical for any
-            // thread count. Within a group the queries share learnt
-            // clauses — the whole-circuit clone-per-pair of earlier
-            // revisions is gone from the hot path.
-            if cfg.slice {
-                stats.time_prepare = t_prepare.stop();
-                run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
-                    for group in feed {
-                        let _tr = obs.trace_span(|| format!("analyze/pairs/sink:{}", group.sink));
-                        let slice = x.build_slice(&group_roots(&x, group, cfg.cycles));
-                        let sx = slice.model();
-                        let mut cnf = CircuitCnf::new(sx);
-                        // Difference literals in canonical order:
-                        // ascending sources, then the sink boundaries.
-                        for &i in &group.sources {
-                            cnf.diff_lit(sx.ff_at(i, 0), sx.ff_at(i, 1));
-                        }
-                        for m in 1..cfg.cycles {
-                            cnf.diff_lit(sx.ff_at(group.sink, m), sx.ff_at(group.sink, m + 1));
-                        }
-                        let sizes = (slice.num_nodes() as u64, cnf.solver().num_vars() as u64);
-                        note_slice_build(obs, sizes, group.sources.len());
-                        for &i in &group.sources {
-                            let t_pair = Instant::now();
-                            let v = classify_pair_sat(&mut cnf, sx, i, group.sink, cfg.cycles);
-                            if obs.sink().enabled() {
-                                obs.sink().record(&verdict_event(
-                                    i,
-                                    group.sink,
-                                    &v,
-                                    "sat",
-                                    Vec::new(),
-                                    t_pair.elapsed(),
-                                    Some(sizes),
-                                ));
-                            }
-                            tick((i, group.sink));
-                            out.push(((i, group.sink), v));
-                        }
-                        // The solver started from zero for this group, so
-                        // its stats are already pure per-group deltas.
-                        flush_sat_stats(obs, &cnf);
-                    }
-                })
-            } else {
-                // Whole-circuit template with every pair's difference
-                // literals created in canonical (sorted-pair) order,
-                // cloned once per sink group (not per pair).
-                let template = {
-                    let mut cnf = CircuitCnf::new(&x);
-                    let mut sorted = survivors.clone();
-                    sorted.sort_unstable();
-                    for &(i, j) in &sorted {
-                        cnf.diff_lit(x.ff_at(i, 0), x.ff_at(i, 1));
-                        for m in 1..cfg.cycles {
-                            cnf.diff_lit(x.ff_at(j, m), x.ff_at(j, m + 1));
-                        }
-                    }
-                    cnf
-                };
-                stats.time_prepare = t_prepare.stop();
-                run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
-                    for group in feed {
-                        let _tr = obs.trace_span(|| format!("analyze/pairs/sink:{}", group.sink));
-                        let mut cnf = template.clone();
-                        for &i in &group.sources {
-                            let t_pair = Instant::now();
-                            let v = classify_pair_sat(&mut cnf, &x, i, group.sink, cfg.cycles);
-                            if obs.sink().enabled() {
-                                obs.sink().record(&verdict_event(
-                                    i,
-                                    group.sink,
-                                    &v,
-                                    "sat",
-                                    Vec::new(),
-                                    t_pair.elapsed(),
-                                    None,
-                                ));
-                            }
-                            tick((i, group.sink));
-                            out.push(((i, group.sink), v));
-                        }
-                        // The template's stats are zero (building it only
-                        // adds clauses), so the clone's totals are the
-                        // group's deltas.
-                        flush_sat_stats(obs, &cnf);
-                    }
-                })
-            }
-        }
-        Engine::Bdd {
-            node_limit,
-            reachability,
-        } => {
-            let t_pairs = t_total.child("pairs");
-            let _tr_pairs = obs.trace_span(|| "analyze/pairs/bdd".to_owned());
-            let mut verdicts = Vec::with_capacity(survivors.len());
-            match SymbolicFsm::build(netlist, node_limit) {
-                Err(_) => {
-                    // The model itself blew the budget: everything unknown.
-                    stats.time_prepare = t_prepare.stop();
-                    for &(i, j) in &survivors {
-                        verdicts.push(((i, j), Verdict::Unknown));
-                    }
+                let t_pair = Instant::now();
+                let v = classify_pair_bdd(fsm, i, group.sink, r);
+                if obs.sink().enabled() {
+                    obs.sink().record(&verdict_event(
+                        i,
+                        group.sink,
+                        &v,
+                        "bdd",
+                        Vec::new(),
+                        t_pair.elapsed(),
+                        None,
+                    ));
                 }
-                Ok(mut fsm) => {
-                    let reached = if reachability {
-                        fsm.reachable(InitStates::Zero).ok()
-                    } else {
-                        Some(Ref::TRUE)
-                    };
-                    stats.time_prepare = t_prepare.stop();
-                    match reached {
+                tick(group);
+                verdicts.push(((i, group.sink), v));
+            }
+        }
+        if let Some(fsm) = &fsm {
+            obs.metrics
+                .bdd_peak_nodes
+                .raise_to(fsm.bdd().num_nodes() as u64);
+            obs.metrics.bdd_cache_lookups.add(fsm.bdd().cache_lookups());
+            obs.metrics.bdd_cache_hits.add(fsm.bdd().cache_hits());
+        }
+        (verdicts, t_pairs.stop())
+    } else {
+        let sat = cfg.engine == Engine::Sat;
+        // Without slicing every group's model is the whole expansion, so
+        // what the engines derive from it alone is built once, here, and
+        // billed to `prepare`: the implication engine's learned set, or
+        // SAT's template with every pair's difference literals created
+        // in canonical (sorted-pair) order.
+        let whole_learned =
+            (!cfg.slice && !sat && cfg.static_learning).then(|| learn_counted(&x, cfg, obs));
+        let template = (!cfg.slice && sat).then(|| {
+            let mut cnf = CircuitCnf::new(&x);
+            let mut sorted = survivors.clone();
+            sorted.sort_unstable();
+            for (i, j) in sorted {
+                add_diff_lits(&mut cnf, &x, &[i], j, cfg.cycles);
+            }
+            cnf
+        });
+        stats.time_prepare = t_prepare.stop();
+        let search_cfg = SearchConfig {
+            backtrack_limit: cfg.backtrack_limit,
+        };
+        run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
+            for group in feed {
+                let _tr = obs.trace_span(|| format!("analyze/pairs/sink:{}", group.sink));
+                let slice = cfg
+                    .slice
+                    .then(|| x.build_slice(&group_roots(&x, group, cfg.cycles)));
+                let model = slice.as_ref().map_or(&x, Slice::model);
+                let mut finish = |i, v, engine, assignments, t_pair: Instant, sizes| {
+                    if obs.sink().enabled() {
+                        obs.sink().record(&verdict_event(
+                            i,
+                            group.sink,
+                            &v,
+                            engine,
+                            assignments,
+                            t_pair.elapsed(),
+                            sizes,
+                        ));
+                    }
+                    tick(group);
+                    out.push(((i, group.sink), v));
+                };
+                if sat {
+                    // One incremental solver per group, queried in
+                    // ascending-source order: its variable numbering,
+                    // decisions and learnt clauses do not depend on the
+                    // worker that runs the group, and the group's queries
+                    // share learnt clauses.
+                    let mut cnf = match &template {
+                        Some(t) => t.clone(),
                         None => {
-                            for &(i, j) in &survivors {
-                                verdicts.push(((i, j), Verdict::Unknown));
-                            }
+                            let mut cnf = CircuitCnf::new(model);
+                            add_diff_lits(&mut cnf, model, &group.sources, group.sink, cfg.cycles);
+                            cnf
                         }
-                        Some(r) => {
-                            for &(i, j) in &survivors {
-                                let t_pair = Instant::now();
-                                let v = classify_pair_bdd(&mut fsm, i, j, r);
-                                if obs.sink().enabled() {
-                                    obs.sink().record(&verdict_event(
-                                        i,
-                                        j,
-                                        &v,
-                                        "bdd",
-                                        Vec::new(),
-                                        t_pair.elapsed(),
-                                        None,
-                                    ));
-                                }
-                                tick((i, j));
-                                verdicts.push(((i, j), v));
-                            }
+                    };
+                    let sizes = slice
+                        .as_ref()
+                        .map(|s| (s.num_nodes() as u64, cnf.solver().num_vars() as u64));
+                    if let Some(sizes) = sizes {
+                        note_slice_build(obs, sizes, group.sources.len());
+                    }
+                    for &i in &group.sources {
+                        let t_pair = Instant::now();
+                        let v = classify_pair_sat(&mut cnf, model, i, group.sink, cfg.cycles);
+                        finish(i, v, "sat", Vec::new(), t_pair, sizes);
+                    }
+                    // A fresh solver, or a clone of the template (whose
+                    // stats are zero: building it only adds clauses), so
+                    // its totals are the group's deltas.
+                    flush_sat_stats(obs, &cnf);
+                } else {
+                    let sizes = slice
+                        .as_ref()
+                        .map(|s| (s.num_nodes() as u64, s.num_vars() as u64));
+                    if let Some(sizes) = sizes {
+                        note_slice_build(obs, sizes, group.sources.len());
+                    }
+                    // On a slice, learning is slice-local: the learned set
+                    // is sound on slice and whole circuit alike, but only
+                    // the slice's share is worth paying for here.
+                    let slice_learned;
+                    let learned = match (&slice, cfg.static_learning) {
+                        (_, false) => None,
+                        (Some(_), true) => {
+                            slice_learned = learn_counted(model, cfg, obs);
+                            Some(&slice_learned)
                         }
+                        (None, true) => whole_learned.as_ref(),
+                    };
+                    let mut eng = new_engine(model, learned);
+                    // Engine construction itself propagates (the learned
+                    // forced literals); subtract that baseline so the
+                    // flushed totals are pure per-group deltas.
+                    let base_implications = eng.implications();
+                    let base_contradictions = eng.contradictions();
+                    for &i in &group.sources {
+                        let t_pair = Instant::now();
+                        let mut probe = if obs.sink().enabled() {
+                            PairProbe::traced()
+                        } else {
+                            PairProbe::default()
+                        };
+                        let v = classify_pair_implication_probed(
+                            &mut eng,
+                            i,
+                            group.sink,
+                            cfg.cycles,
+                            &search_cfg,
+                            &mut probe,
+                        );
+                        obs.metrics.atpg_decisions.add(probe.decisions);
+                        obs.metrics.atpg_backtracks.add(probe.backtracks);
+                        obs.metrics.atpg_aborts.add(probe.aborts);
+                        finish(i, v, "implication", probe.assignments, t_pair, sizes);
                     }
                     obs.metrics
-                        .bdd_peak_nodes
-                        .raise_to(fsm.bdd().num_nodes() as u64);
-                    obs.metrics.bdd_cache_lookups.add(fsm.bdd().cache_lookups());
-                    obs.metrics.bdd_cache_hits.add(fsm.bdd().cache_hits());
+                        .implications
+                        .add(eng.implications() - base_implications);
+                    obs.metrics
+                        .contradictions
+                        .add(eng.contradictions() - base_contradictions);
                 }
             }
-            (verdicts, t_pairs.stop())
-        }
+        })
     };
     stats.time_pairs = busy;
 
@@ -969,8 +874,8 @@ type SpliceVerdict = ((usize, usize), Verdict);
 
 /// The splice step: applies the source's knowledge to the run's one
 /// sink-group plan and returns the spliced verdicts. On return
-/// `survivors` and `groups` hold only the pairs the engines must verify,
-/// hardest group first.
+/// `survivors` and `groups` hold only the pairs the engines must verify;
+/// `groups`, hardest first, is the engines' work list.
 ///
 /// The order matters. Shard ownership comes first, over the plan of
 /// *all* prefilter survivors: the prefilters are seed-deterministic, so
@@ -1066,7 +971,6 @@ fn splice(
             !g.sources.is_empty()
         });
     }
-    order_hardest_first(survivors, groups);
     Ok(restored)
 }
 
@@ -1110,16 +1014,45 @@ fn verdict_event(
     }
 }
 
-fn new_engine_with_learned<'a>(x: &'a Expanded, learned: &'a LearnedImplications) -> ImpEngine<'a> {
+/// An implication engine over `x`, with `learned`'s globally forced
+/// literals asserted up front when a learned set is given.
+fn new_engine<'a>(x: &'a Expanded, learned: Option<&'a LearnedImplications>) -> ImpEngine<'a> {
+    let Some(learned) = learned else {
+        return ImpEngine::new(x);
+    };
     let mut eng = ImpEngine::new(x).with_learned(learned);
-    // Assert globally forced literals up front; a conflict here would mean
-    // the circuit has no consistent assignment at all, which cannot happen
-    // for well-formed netlists.
+    // A conflict here would mean the circuit has no consistent
+    // assignment at all, which cannot happen for well-formed netlists.
     for &(id, v) in learned.forced() {
         let _ = eng.assign(id, v);
     }
     let _ = eng.propagate();
     eng
+}
+
+/// Runs static learning on `x` under the configured budget and counts
+/// the learned implications.
+fn learn_counted(x: &Expanded, cfg: &McConfig, obs: &ObsCtx) -> LearnedImplications {
+    let learned = learn(
+        x,
+        &LearnConfig {
+            max_implications: cfg.learn_budget,
+        },
+    );
+    obs.metrics.learned_implications.add(learned.len() as u64);
+    learned
+}
+
+/// Creates the difference literals of `sources` × `sink` on `x` in
+/// canonical order: each source's transition, then the sink's
+/// boundaries `t+m`/`t+m+1` for `m` in `1..cycles`.
+fn add_diff_lits(cnf: &mut CircuitCnf, x: &Expanded, sources: &[usize], sink: usize, cycles: u32) {
+    for &i in sources {
+        cnf.diff_lit(x.ff_at(i, 0), x.ff_at(i, 1));
+    }
+    for m in 1..cycles {
+        cnf.diff_lit(x.ff_at(sink, m), x.ff_at(sink, m + 1));
+    }
 }
 
 /// Accounts one slice construction of `(nodes, vars)` size that serves a
@@ -1132,42 +1065,6 @@ fn note_slice_build(obs: &ObsCtx, (nodes, vars): (u64, u64), group_size: usize) 
     obs.metrics.slice_nodes.add(nodes);
     obs.metrics.slice_vars.add(vars);
     obs.metrics.slice_nodes_peak.raise_to(nodes);
-}
-
-/// Classifies one pair on an implication engine (whole-circuit or
-/// sliced — `eng`'s expansion decides), flushing per-pair search effort
-/// counters and the journal event.
-fn classify_one_implication(
-    eng: &mut ImpEngine<'_>,
-    i: usize,
-    j: usize,
-    cfg: &McConfig,
-    search_cfg: &SearchConfig,
-    obs: &ObsCtx,
-    slice: Option<(u64, u64)>,
-) -> Verdict {
-    let t_pair = Instant::now();
-    let mut probe = if obs.sink().enabled() {
-        PairProbe::traced()
-    } else {
-        PairProbe::default()
-    };
-    let v = classify_pair_implication_probed(eng, i, j, cfg.cycles, search_cfg, &mut probe);
-    obs.metrics.atpg_decisions.add(probe.decisions);
-    obs.metrics.atpg_backtracks.add(probe.backtracks);
-    obs.metrics.atpg_aborts.add(probe.aborts);
-    if obs.sink().enabled() {
-        obs.sink().record(&verdict_event(
-            i,
-            j,
-            &v,
-            "implication",
-            std::mem::take(&mut probe.assignments),
-            t_pair.elapsed(),
-            slice,
-        ));
-    }
-    v
 }
 
 /// Adds a solver's lifetime totals to the SAT effort counters. Callers
@@ -1328,40 +1225,6 @@ mod tests {
                 assert_eq!(report.stats.time_pairs, Duration::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn hardest_first_ordering_is_a_deterministic_permutation() {
-        let nl = suite::quick_suite().remove(0); // m27
-        let x = Expanded::build(&nl, 2);
-        let mut pairs = nl.connected_ff_pairs();
-        let original = pairs.clone();
-        let toggles = vec![3u64; nl.num_ffs()];
-        let groups = plan_sink_groups(&x, &pairs, Some(&toggles), 2);
-        // Groups come out hardest-first by the exact slice-size hint.
-        assert!(
-            groups.windows(2).all(|w| w[0].cost >= w[1].cost),
-            "group costs must be non-increasing"
-        );
-        assert!(groups.iter().all(|g| g.slice_nodes > 0));
-        order_hardest_first(&mut pairs, &groups);
-        let mut sorted_a = pairs.clone();
-        sorted_a.sort_unstable();
-        let mut sorted_b = original.clone();
-        sorted_b.sort_unstable();
-        assert_eq!(sorted_a, sorted_b, "ordering must be a permutation");
-        // Re-running produces the identical order (ties broken by sink).
-        let again_groups = plan_sink_groups(&x, &original, Some(&toggles), 2);
-        let mut again = original.clone();
-        order_hardest_first(&mut again, &again_groups);
-        assert_eq!(again, pairs);
-        // Without toggle data the slice-size hint still applies.
-        let no_sim_groups = plan_sink_groups(&x, &original, None, 2);
-        let mut no_sim = original;
-        order_hardest_first(&mut no_sim, &no_sim_groups);
-        let mut sorted_c = no_sim.clone();
-        sorted_c.sort_unstable();
-        assert_eq!(sorted_c, sorted_b);
     }
 
     #[test]

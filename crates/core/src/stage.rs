@@ -15,8 +15,9 @@
 //! This module also owns the stage *implementations* the pipeline runs
 //! once per analysis: the deterministic prefilters (`run_prefilters`)
 //! and the sink-group planning (`plan_sink_groups`, `assign_shards`).
-//! Shard ownership, merge checks and ECO dirtiness all read that one
-//! plan, so they cannot drift from the run.
+//! That one plan is every engine's work list, hardest group first, and
+//! shard ownership, merge checks and ECO dirtiness all read it too, so
+//! none of them can drift from the run.
 
 use crate::config::McConfig;
 use crate::report::{PairClass, PairResult, SimKernelTier, Step, StepStats};
@@ -370,20 +371,6 @@ pub(crate) fn plan_sink_groups(
     groups
 }
 
-/// Rewrites `survivors` into the scheduling order implied by `groups`:
-/// hardest group first, ascending source within a group. Used directly
-/// by the engines that consume a flat pair list (BDD, no-slice
-/// implication); the group-fed engines get the same order from the
-/// groups themselves.
-pub(crate) fn order_hardest_first(survivors: &mut Vec<(usize, usize)>, groups: &[SinkGroup]) {
-    survivors.clear();
-    for g in groups {
-        for &i in &g.sources {
-            survivors.push((i, g.sink));
-        }
-    }
-}
-
 /// Partitions the sink groups over `count` shards and returns each
 /// shard's pair set (`count` entries, possibly empty).
 ///
@@ -457,6 +444,44 @@ mod tests {
                 let cone = x.cone_of(&group_roots(&x, g, cycles));
                 assert_eq!(g.slice_nodes, cone.len() as u64, "sink {}", g.sink);
             }
+        }
+    }
+
+    #[test]
+    fn the_plan_partitions_the_pairs_hardest_group_first() {
+        let nl = mcp_gen::suite::quick_suite().remove(1); // m298
+        let x = Expanded::build(&nl, 2);
+        let pairs = nl.connected_ff_pairs();
+        let mut sorted = pairs.clone();
+        sorted.sort_unstable();
+        let toggles: Vec<u64> = (0..nl.num_ffs() as u64).map(|i| i % 9).collect();
+        let layout = |groups: &[SinkGroup]| -> Vec<(usize, Vec<usize>, u64)> {
+            groups
+                .iter()
+                .map(|g| (g.sink, g.sources.clone(), g.cost))
+                .collect()
+        };
+        for hint in [Some(&toggles[..]), None] {
+            let groups = plan_sink_groups(&x, &pairs, hint, 2);
+            assert!(
+                groups.windows(2).all(|w| w[0].cost >= w[1].cost),
+                "group costs must be non-increasing (toggles: {})",
+                hint.is_some()
+            );
+            // One group per sink, and every pair in exactly one group.
+            let mut sinks: Vec<usize> = groups.iter().map(|g| g.sink).collect();
+            sinks.sort_unstable();
+            sinks.dedup();
+            assert_eq!(sinks.len(), groups.len());
+            let mut planned: Vec<(usize, usize)> = groups
+                .iter()
+                .flat_map(|g| g.sources.iter().map(move |&i| (i, g.sink)))
+                .collect();
+            planned.sort_unstable();
+            assert_eq!(planned, sorted, "the groups must partition the pairs");
+            // A re-plan claims in the identical order.
+            let again = plan_sink_groups(&x, &pairs, hint, 2);
+            assert_eq!(layout(&again), layout(&groups));
         }
     }
 

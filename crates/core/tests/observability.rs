@@ -148,17 +148,23 @@ fn reports_are_byte_identical_across_thread_counts_and_slice_modes() {
 /// Within a fixed slice mode the *full* counter snapshot — engine effort
 /// included, nothing projected out — must not depend on the thread
 /// count. (Across slice modes effort legitimately differs; that is
-/// exactly what `canonical()` projects away above.)
+/// exactly what `canonical()` projects away above.) Static learning
+/// covers the per-group engine built on the whole-circuit learned set.
 #[test]
 fn full_counter_snapshots_are_thread_independent_within_a_slice_mode() {
     let nl = suite::quick_suite().remove(1); // m298
-    for engine in [Engine::Implication, Engine::Sat] {
+    for (engine, static_learning) in [
+        (Engine::Implication, false),
+        (Engine::Implication, true),
+        (Engine::Sat, false),
+    ] {
         for slice in [true, false] {
             let run = |threads: usize| {
                 let cfg = McConfig {
                     engine,
                     threads,
                     slice,
+                    static_learning,
                     backtrack_limit: 1024,
                     ..McConfig::default()
                 };
@@ -171,12 +177,17 @@ fn full_counter_snapshots_are_thread_independent_within_a_slice_mode() {
             } else {
                 assert_eq!(baseline.slice_builds, 0, "{engine:?}: slicing was off");
             }
+            assert_eq!(
+                baseline.learned_implications > 0,
+                static_learning,
+                "{engine:?} slice={slice}: learning ran iff asked"
+            );
             for threads in [2usize, 8] {
                 assert_eq!(
                     run(threads),
                     baseline,
-                    "{engine:?} slice={slice} counters drifted at \
-                     threads={threads}"
+                    "{engine:?} (learning={static_learning}) slice={slice} \
+                     counters drifted at threads={threads}"
                 );
             }
         }

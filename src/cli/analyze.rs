@@ -1,13 +1,13 @@
 //! The `analyze`, `shard` and `merge` subcommands: the full pipeline in
-//! its single-process, cached, ECO-incremental, sharded-driver, one-shard
-//! and ledger-merge shapes. All of them funnel through [`append_report`]
+//! its single-process, cached, ECO-incremental, one-shard and
+//! ledger-merge shapes. All of them funnel through [`append_report`]
 //! so the rendered report is identical regardless of how it was produced.
 
 use super::render::{render_snapshot, render_step_table};
 use super::{load, pair_name, Command};
 use mcp_core::{analyze_from, CasStore, McReport, PairClass, Step, VerdictSource};
 use mcp_netlist::Netlist;
-use mcp_obs::{read_ledger_resilient_file, Ledger, ObsCtx};
+use mcp_obs::{read_ledger_resilient_file, Ledger};
 use std::fmt::Write as _;
 
 /// Opens the artifact store named by `--cache-dir` / `MCPATH_CACHE_DIR`.
@@ -25,15 +25,11 @@ fn read_ledger(p: &str) -> Result<Ledger, String> {
     read_ledger_resilient_file(p).map_err(|e| format!("cannot read ledger `{p}`: {e}"))
 }
 
-/// `analyze`: single-process, `--shards` driver, `--resume` replay,
-/// `--cache-dir` warm rerun or `--eco` incremental re-analysis. Each
-/// run reads exactly one verdict source.
+/// `analyze`: single-process, `--resume` replay, `--cache-dir` warm
+/// rerun or `--eco` incremental re-analysis. Each run reads exactly one
+/// verdict source.
 pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
     let nl = load(path)?;
-    if let Some(count) = cmd.shards {
-        let report = run_sharded(cmd, path, &nl, count, out)?;
-        return append_report(out, cmd, &nl, &report);
-    }
     let old = cmd.eco.as_deref().map(load).transpose()?;
     // Read the resume ledger *before* `obs()` opens `--trace-out`:
     // resuming a run onto its own ledger path is the natural CLI usage,
@@ -146,7 +142,9 @@ pub(crate) fn merge(
         .map(|p| read_ledger(p))
         .collect::<Result<Vec<_>, _>>()?;
     let obs = cmd.obs()?;
-    let report = merge_ledgers(&nl, cmd, &obs, &parsed)?;
+    let report = analyze_from(&nl, &cmd.config(), &obs, VerdictSource::Shards(&parsed))
+        .map_err(|e| e.to_string())?
+        .report;
     let _ = writeln!(
         out,
         "merged: {} shard ledgers, {} verdicts restored",
@@ -154,18 +152,6 @@ pub(crate) fn merge(
         obs.snapshot().counters.resume_pairs_loaded
     );
     append_report(out, cmd, &nl, &report)
-}
-
-/// Runs the pipeline over the union of `ledgers`.
-fn merge_ledgers(
-    nl: &Netlist,
-    cmd: &Command,
-    obs: &ObsCtx,
-    ledgers: &[Ledger],
-) -> Result<McReport, String> {
-    analyze_from(nl, &cmd.config(), obs, VerdictSource::Shards(ledgers))
-        .map(|a| a.report)
-        .map_err(|e| e.to_string())
 }
 
 /// Appends the standard `analyze`-style report output: the optional
@@ -236,72 +222,4 @@ pub(crate) fn append_report(
         out.push_str(&render_snapshot(&report.metrics));
     }
     Ok(())
-}
-
-/// `analyze --shards N`: fork one `mcpath shard` child process per
-/// partition slice, wait for all of them, and merge their ledgers
-/// in-process. The merged report is byte-identical (canonically) to a
-/// single-process run; the shard ledgers live in a scratch directory
-/// that is removed on success and kept on failure for post-mortems.
-fn run_sharded(
-    cmd: &Command,
-    path: &str,
-    nl: &Netlist,
-    count: u64,
-    out: &mut String,
-) -> Result<McReport, String> {
-    let exe =
-        std::env::current_exe().map_err(|e| format!("cannot locate the mcpath binary: {e}"))?;
-    let dir = std::env::temp_dir().join(format!("mcpath-shards-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create `{}`: {e}", dir.display()))?;
-    let flags = cmd.child_flags();
-
-    let mut children = Vec::with_capacity(count as usize);
-    let mut ledger_paths = Vec::with_capacity(count as usize);
-    for index in 0..count {
-        let ledger = dir.join(format!("shard-{index}.ndjson"));
-        let child = std::process::Command::new(&exe)
-            .arg("shard")
-            .arg(path)
-            .arg("--shard")
-            .arg(format!("{index}/{count}"))
-            .arg("--trace-out")
-            .arg(&ledger)
-            .args(&flags)
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawn shard {index}/{count}: {e}"))?;
-        children.push((index, child));
-        ledger_paths.push(ledger);
-    }
-    for (index, mut child) in children {
-        let status = child
-            .wait()
-            .map_err(|e| format!("wait for shard {index}/{count}: {e}"))?;
-        if !status.success() {
-            return Err(format!(
-                "shard {index}/{count} failed with {status} (its ledger is under \
-                 `{}`; fix the cause, resume it with `mcpath shard --resume`, then \
-                 `mcpath merge`)",
-                dir.display()
-            ));
-        }
-    }
-
-    let mut ledgers = Vec::with_capacity(ledger_paths.len());
-    for p in &ledger_paths {
-        ledgers.push(
-            read_ledger_resilient_file(p)
-                .map_err(|e| format!("cannot read ledger `{}`: {e}", p.display()))?,
-        );
-    }
-    let obs = cmd.obs()?;
-    let report = merge_ledgers(nl, cmd, &obs, &ledgers)?;
-    let _ = writeln!(
-        out,
-        "sharded: {count} processes, {} verdicts merged",
-        obs.snapshot().counters.resume_pairs_loaded
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
 }

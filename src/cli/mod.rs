@@ -43,8 +43,7 @@
 //! `--no-self-pairs`, `--no-lint`, `--no-slice`, `--no-static-classify`,
 //! `--deny <rule>`, `--allow <rule>`, `--max-diags <n>`, `--json <path>`,
 //! `--canonical`, `--cache-dir <dir>`, `--eco <old.bench>`,
-//! `--resume <ledger>`, `--shard <I/N>`, `--shards <N>`,
-//! `--format text|json|chrome`, `--metrics`, `--trace-out <path>`,
+//! `--resume <ledger>`, `--shard <I/N>`, `--format text|json|chrome`, `--metrics`, `--trace-out <path>`,
 //! `--progress`, `--quiet`, `--compare <old> <new>`, `--threshold <pct>`.
 
 mod analyze;
@@ -86,7 +85,8 @@ pub struct Command {
     /// Skip the pre-analysis structural lint gate.
     pub no_lint: bool,
     /// Run the engines on the whole-circuit expansion instead of per
-    /// sink-group cone slices (A/B escape hatch; verdicts are identical).
+    /// sink-group cone slices (the whole-circuit baseline; verdicts are
+    /// identical).
     pub no_slice: bool,
     /// Skip the dataflow pre-pass that statically classifies pairs whose
     /// sink FF is provably frozen (A/B escape hatch; the canonical report
@@ -116,9 +116,6 @@ pub struct Command {
     /// Which slice of the deterministic pair partition this process
     /// verifies (`--shard I/N`; the `shard` subcommand requires it).
     pub shard: Option<(u64, u64)>,
-    /// Driver mode for `analyze`: fork `--shards N` child `shard`
-    /// processes over the pair partition and merge their ledgers.
-    pub shards: Option<u64>,
     /// Print engine counters and span timings after the analysis.
     pub metrics: bool,
     /// Optional NDJSON run-ledger path.
@@ -290,8 +287,8 @@ OPTIONS:
   --cache-dir <dir>              persist the staged pipeline artifacts so a
                                  warm rerun answers from cache (also via the
                                  MCPATH_CACHE_DIR env var); refused with
-                                 --resume, --shard, --shards and `merge`,
-                                 which ignore MCPATH_CACHE_DIR
+                                 --resume, --shard and `merge`, which
+                                 ignore MCPATH_CACHE_DIR
   --eco <old.bench>              re-verify only the sink groups touched by
                                  the edit old -> new, splicing the cached
                                  verdicts of the rest (needs --cache-dir)
@@ -299,8 +296,6 @@ OPTIONS:
                                  re-verifying only the unresolved pairs
   --shard <I/N>                  verify shard I of the N-way deterministic
                                  pair partition (the `shard` subcommand)
-  --shards <N>                   analyze by forking N `shard` child
-                                 processes and merging their ledgers
   --metrics                      print engine counters and span timings
   --trace-out <path>             write the NDJSON run ledger (header, one
                                  record per pair, timestamped span tree)
@@ -346,7 +341,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
     let mut eco = None;
     let mut resume = None;
     let mut shard: Option<(u64, u64)> = None;
-    let mut shards: Option<u64> = None;
     let mut metrics = false;
     let mut trace_out = None;
     let mut progress = false;
@@ -423,13 +417,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                 shard = Some(parsed.ok_or_else(|| {
                     ParseCliError(format!("bad --shard `{v}` (expected I/N, e.g. 0/4)"))
                 })?);
-            }
-            "--shards" => {
-                shards = Some(
-                    take_value(&mut args, "--shards")?
-                        .parse()
-                        .map_err(|e| ParseCliError(format!("bad --shards: {e}")))?,
-                );
             }
             "--compare" => {
                 let old = take_value(&mut args, "--compare")?;
@@ -599,29 +586,15 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         other => return Err(ParseCliError(format!("unknown subcommand `{other}`"))),
     };
 
-    // The driver forks fresh shard processes; a prior ledger belongs to
-    // one shard, not to the whole partition.
-    if shards.is_some() && resume.is_some() {
-        return Err(ParseCliError(
-            "`--shards` cannot be combined with `--resume` (restart the killed shard \
-             with `mcpath shard --resume`, then `mcpath merge`)"
-                .into(),
-        ));
-    }
-    if let Some(count) = shards {
-        if count == 0 {
-            return Err(ParseCliError("`--shards` needs at least 1".into()));
-        }
-    }
     if eco.is_some() {
         if !matches!(action, Action::Analyze(_)) {
             return Err(ParseCliError("`--eco` only applies to `analyze`".into()));
         }
         // ECO splicing and the other replay modes each own the verdict
         // journal; combining them would double-restore pairs.
-        if shards.is_some() || resume.is_some() || shard.is_some() {
+        if resume.is_some() || shard.is_some() {
             return Err(ParseCliError(
-                "`--eco` cannot be combined with `--resume`, `--shard` or `--shards`".into(),
+                "`--eco` cannot be combined with `--resume` or `--shard`".into(),
             ));
         }
     }
@@ -630,8 +603,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
     if cache_dir.is_some() {
         let ledger_mode = if resume.is_some() {
             Some("`--resume`")
-        } else if shards.is_some() {
-            Some("`--shards`")
         } else if shard.is_some() {
             Some("`--shard`")
         } else if matches!(action, Action::Merge { .. }) {
@@ -677,7 +648,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         eco,
         resume,
         shard,
-        shards,
         metrics,
         trace_out,
         progress,
@@ -747,55 +717,6 @@ impl Command {
                 .or_else(|| std::env::var_os("MCPATH_CACHE_DIR").map(std::path::PathBuf::from)),
             ..defaults
         }
-    }
-
-    /// The flags a forked `shard` child must inherit so its config
-    /// fingerprint (and its verdict-neutral scheduling knobs) match the
-    /// parent `analyze --shards` invocation.
-    fn child_flags(&self) -> Vec<String> {
-        let mut flags: Vec<String> = Vec::new();
-        let mut push = |f: &str| flags.push(f.to_owned());
-        match self.engine {
-            Engine::Implication => {}
-            Engine::Sat => {
-                push("--engine");
-                push("sat");
-            }
-            Engine::Bdd { .. } => {
-                push("--engine");
-                push("bdd");
-            }
-        }
-        push("--cycles");
-        push(&self.cycles.to_string());
-        push("--backtracks");
-        push(&self.backtracks.to_string());
-        if self.learn {
-            push("--learn");
-        }
-        push("--threads");
-        push(&self.threads.to_string());
-        if self.no_sim {
-            push("--no-sim");
-        }
-        if let Some(lanes) = self.sim_lanes {
-            push("--sim-lanes");
-            push(&lanes.to_string());
-        }
-        if self.no_self_pairs {
-            push("--no-self-pairs");
-        }
-        if self.no_lint {
-            push("--no-lint");
-        }
-        if self.no_slice {
-            push("--no-slice");
-        }
-        if self.no_static_classify {
-            push("--no-static-classify");
-        }
-        push("--quiet");
-        flags
     }
 }
 

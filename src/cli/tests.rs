@@ -30,6 +30,14 @@ fn scheduler_flag_is_gone() {
 }
 
 #[test]
+fn shards_driver_flag_is_gone() {
+    // Splitting a run over processes is `shard` + `merge`; `analyze`
+    // no longer forks shard processes that each replay the prefilter.
+    let err = parse_args(argv("analyze f.bench --shards 4")).unwrap_err();
+    assert!(err.to_string().contains("unknown option"), "{err}");
+}
+
+#[test]
 fn rejects_unknown_flags_and_engines() {
     assert!(parse_args(argv("analyze f.bench --frobnicate")).is_err());
     assert!(parse_args(argv("analyze f.bench --engine quantum")).is_err());
@@ -577,48 +585,6 @@ fn parses_shard_and_merge_surfaces() {
         }
     );
     assert!(parse_args(argv("merge f.bench")).is_err());
-
-    // `analyze --shards` is the driver; it refuses `--resume`.
-    let cmd = parse_args(argv("analyze f.bench --shards 4")).expect("parse");
-    assert_eq!(cmd.shards, Some(4));
-    assert!(
-        cmd.config().shard.is_none(),
-        "the driver itself is unsharded"
-    );
-    assert!(parse_args(argv("analyze f.bench --shards 0")).is_err());
-    assert!(parse_args(argv("analyze f.bench --shards abc")).is_err());
-    let err = parse_args(argv("analyze f.bench --shards 2 --resume l.ndjson")).unwrap_err();
-    assert!(err.to_string().contains("--resume"), "{err}");
-}
-
-#[test]
-fn shard_children_inherit_the_fingerprint_flags() {
-    let cmd = parse_args(argv(
-        "analyze f.bench --shards 2 --engine sat --cycles 3 --backtracks 99 --learn \
-         --threads 4 --no-sim --sim-lanes 128 \
-         --no-self-pairs --no-lint --no-slice --no-static-classify",
-    ))
-    .expect("parse");
-    let flags = cmd.child_flags();
-    let rebuilt = parse_args(
-        ["shard".into(), "f.bench".into()]
-            .into_iter()
-            .chain([
-                "--shard".to_owned(),
-                "0/2".to_owned(),
-                "--trace-out".to_owned(),
-                "s.ndjson".to_owned(),
-            ])
-            .chain(flags),
-    )
-    .expect("child command parses");
-    // The verdict-affecting config must survive the round trip
-    // exactly: equal fingerprints are what `merge` enforces.
-    assert_eq!(rebuilt.config().fingerprint(), cmd.config().fingerprint());
-    // And the neutral scheduling knobs ride along too.
-    assert_eq!(rebuilt.threads, cmd.threads);
-    assert_eq!(rebuilt.sim_lanes, cmd.sim_lanes);
-    assert!(rebuilt.quiet);
 }
 
 #[test]
@@ -711,7 +677,7 @@ fn parses_cache_and_eco_flags() {
     if std::env::var_os("MCPATH_CACHE_DIR").is_none() {
         assert!(parse_args(argv("analyze f.bench --eco old.bench")).is_err());
     }
-    for bad in ["--shards 2", "--resume l.ndjson", "--shard 0/2"] {
+    for bad in ["--resume l.ndjson", "--shard 0/2"] {
         assert!(
             parse_args(argv(&format!(
                 "analyze f.bench --eco old.bench --cache-dir /tmp/c {bad}"
@@ -740,11 +706,6 @@ fn assert_cache_dir_refused(args: &str, mode: &str) {
 #[test]
 fn cache_dir_is_refused_with_resume() {
     assert_cache_dir_refused("analyze f.bench --resume l.ndjson", "--resume");
-}
-
-#[test]
-fn cache_dir_is_refused_with_the_shards_driver() {
-    assert_cache_dir_refused("analyze f.bench --shards 2", "--shards");
 }
 
 #[test]
