@@ -25,30 +25,6 @@ pub enum Engine {
     },
 }
 
-/// Which slice of a sharded run this process owns.
-///
-/// The surviving pair set is partitioned into `count` deterministic,
-/// sink-group-aligned shards (see `mcp_core::shard`); a process with a
-/// `ShardSpec` verifies only the pairs of shard `index` and journals
-/// its shard identity into the run-ledger header so `merge` can check
-/// completeness. Sharding is verdict-neutral scheduling policy — the
-/// merged report is byte-identical to an unsharded run — so it is
-/// excluded from [`McConfig::fingerprint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// 0-based shard index, `< count`.
-    pub index: u64,
-    /// Total number of shards, `>= 1`.
-    pub count: u64,
-}
-
-impl ShardSpec {
-    /// Whether `index < count` and `count >= 1`.
-    pub fn is_valid(&self) -> bool {
-        self.count >= 1 && self.index < self.count
-    }
-}
-
 /// Configuration of [`analyze`](crate::analyze).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McConfig {
@@ -99,11 +75,6 @@ pub struct McConfig {
     /// sequential. The BDD engine is inherently sequential and ignores
     /// this.
     pub threads: usize,
-    /// Restrict this run to one shard of the deterministic pair
-    /// partition (`None` = verify everything, the default). Like
-    /// `threads`, this is pure scheduling policy: it never changes a
-    /// verdict, only which process computes it.
-    pub shard: Option<ShardSpec>,
     /// Root of the content-addressed stage-artifact store
     /// ([`CasStore`](crate::CasStore)); `None` (the default) disables
     /// caching entirely. The CLI sets it from `--cache-dir` or the
@@ -129,7 +100,6 @@ impl Default for McConfig {
             slice: true,
             static_classify: true,
             threads: 1,
-            shard: None,
             cache_dir: None,
         }
     }
@@ -146,12 +116,9 @@ impl McConfig {
     /// budget (learning moves pairs between the implication and ATPG
     /// steps), and self-pair inclusion. Deliberately *excludes* knobs
     /// proven verdict-neutral by the determinism test suite — threads,
-    /// sharding, slicing, sim lane width, the static pre-classification
-    /// pass (it resolves pairs the engines would classify identically)
-    /// — and the lint gate, so a resumed run may change any of those.
-    /// Shard neutrality is what lets `merge` check every shard ledger
-    /// against one fingerprint, and lets a shard be resumed with a
-    /// different thread count.
+    /// slicing, sim lane width, the static pre-classification pass (it
+    /// resolves pairs the engines would classify identically) — and the
+    /// lint gate, so a resumed run may change any of those.
     pub fn fingerprint(&self) -> u64 {
         let engine = match self.engine {
             Engine::Implication => "implication".to_owned(),
@@ -211,7 +178,6 @@ mod tests {
         neutral.lint = !neutral.lint;
         neutral.sim.lanes = 64;
         neutral.static_classify = !neutral.static_classify;
-        neutral.shard = Some(ShardSpec { index: 1, count: 4 });
         neutral.cache_dir = Some(std::path::PathBuf::from("/tmp/mcpath-cache"));
         assert_eq!(neutral.fingerprint(), fp);
 
@@ -228,13 +194,5 @@ mod tests {
         let mut engine = base.clone();
         engine.engine = Engine::Sat;
         assert_ne!(engine.fingerprint(), fp);
-    }
-
-    #[test]
-    fn shard_specs_validate_index_against_count() {
-        assert!(ShardSpec { index: 0, count: 1 }.is_valid());
-        assert!(ShardSpec { index: 3, count: 4 }.is_valid());
-        assert!(!ShardSpec { index: 4, count: 4 }.is_valid());
-        assert!(!ShardSpec { index: 0, count: 0 }.is_valid());
     }
 }

@@ -54,14 +54,13 @@ pub mod report;
 pub mod resume;
 mod schedule;
 pub mod sdc;
-pub mod shard;
 pub mod stage;
 
 pub use borrowing::condition2_candidates;
 pub use budget::{max_cycle_budget, max_cycle_budgets, CycleBudget, PairBudgets};
 pub use cache::analyze_cached_with;
 pub use cas::{CacheStats, CasError, CasLock, CasStore, GcOutcome, StageUsage};
-pub use config::{Engine, McConfig, ShardSpec};
+pub use config::{Engine, McConfig};
 pub use eco::{analyze_eco_with, EcoSummary};
 pub use hazard::{
     check_hazards, check_hazards_with, sensitization_dependencies, HazardCheck, HazardReport,

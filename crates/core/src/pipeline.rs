@@ -8,12 +8,12 @@ use crate::engines::{
     classify_pair_bdd, classify_pair_implication_probed, classify_pair_sat, PairProbe, Verdict,
 };
 use crate::report::{McReport, PairClass, PairResult, Step, StepStats};
+use crate::resume;
 use crate::schedule::run_items;
 use crate::stage::{
-    assign_shards, group_roots, plan_sink_groups, run_prefilters, stage_key_for, step_name,
-    Prefiltered, SinkGroup, VerdictRecord, VerdictsArtifact, STAGE_VERDICTS,
+    group_roots, plan_sink_groups, run_prefilters, stage_key_for, step_name, Prefiltered,
+    SinkGroup, VerdictRecord, VerdictsArtifact, STAGE_VERDICTS,
 };
-use crate::{resume, shard};
 use mcp_atpg::SearchConfig;
 use mcp_bdd::{InitStates, Ref, SymbolicFsm};
 use mcp_implication::{learn, ImpEngine, LearnConfig, LearnedImplications};
@@ -53,24 +53,16 @@ pub enum AnalyzeError {
         report: mcp_lint::Diagnostics,
     },
     /// `--resume` was handed a ledger that does not belong to this run:
-    /// wrong format version, different candidate pair set, or a
-    /// different shard identity. Splicing verdicts across any of those
-    /// boundaries would corrupt the report, so the resume is refused;
-    /// rerun without `--resume` instead. (Netlist and config drift get
-    /// the dedicated [`AnalyzeError::DigestMismatch`].)
+    /// no run header, a different format version, a different candidate
+    /// pair set, or a verdict outside that set. Splicing verdicts across
+    /// any of those boundaries would corrupt the report, so the resume
+    /// is refused; rerun without `--resume` instead. (Netlist and config
+    /// drift get the dedicated [`AnalyzeError::DigestMismatch`].)
     ResumeMismatch {
         /// What specifically failed to match.
         reason: String,
     },
-    /// The shard spec is invalid: the index must be below the count and
-    /// the count at least 1.
-    InvalidShard {
-        /// Requested 0-based shard index.
-        index: u64,
-        /// Requested shard count.
-        count: u64,
-    },
-    /// A resume or merge ledger carries a different run-identity digest
+    /// A resume ledger carries a different run-identity digest
     /// than the current invocation. Verdicts spliced across a netlist or
     /// verdict-affecting-config boundary would be meaningless, so the
     /// operation is refused — naming both digests so the two runs can be
@@ -82,23 +74,6 @@ pub enum AnalyzeError {
         ledger: u64,
         /// The digest of the current netlist / config.
         current: u64,
-    },
-    /// The ledgers handed to `merge` do not form one complete,
-    /// consistent sharded run: a ledger is missing its header or from a
-    /// foreign run, a shard index is missing or duplicated, or a ledger
-    /// carries verdicts for pairs its shard does not own.
-    ShardMerge {
-        /// What specifically is unsound.
-        reason: String,
-    },
-    /// One shard ledger lacks verdicts for pairs that shard owns — the
-    /// process was killed mid-run. Resume that shard to completion
-    /// (`mcpath shard ... --resume`) and merge again.
-    ShardIncomplete {
-        /// The incomplete shard's 0-based index.
-        index: u64,
-        /// Owned pairs with no verdict in its ledger.
-        missing: usize,
     },
     /// A cache entry exists under the expected key but is unreadable or
     /// fails its integrity check (truncated or hand-edited JSON, a
@@ -160,13 +135,6 @@ impl fmt::Display for AnalyzeError {
             AnalyzeError::ResumeMismatch { reason } => {
                 write!(f, "cannot resume from this ledger: {reason}")
             }
-            AnalyzeError::InvalidShard { index, count } => {
-                write!(
-                    f,
-                    "shard index must be below the shard count (which must be ≥ 1), \
-                     got shard {index}/{count}"
-                )
-            }
             AnalyzeError::DigestMismatch {
                 what,
                 ledger,
@@ -186,16 +154,6 @@ impl fmt::Display for AnalyzeError {
                     f,
                     "{kind} mismatch: ledger digest {ledger:016x}, current {current:016x} \
                      ({hint})"
-                )
-            }
-            AnalyzeError::ShardMerge { reason } => {
-                write!(f, "cannot merge shard ledgers: {reason}")
-            }
-            AnalyzeError::ShardIncomplete { index, missing } => {
-                write!(
-                    f,
-                    "shard {index} is incomplete: {missing} owned pair(s) have no verdict \
-                     in its ledger; resume that shard to completion before merging"
                 )
             }
             AnalyzeError::CacheCorrupt { stage, reason } => {
@@ -261,13 +219,8 @@ pub enum VerdictSource<'a> {
     Fresh,
     /// A prior run's ledger (`--resume`). Its engine verdicts are
     /// restored and re-journaled with `resumed` set. The header must
-    /// match this run's netlist, config, candidate set and shard spec.
+    /// match this run's netlist, config and candidate set.
     Ledger(&'a Ledger),
-    /// The ledgers of all shards of one sharded run (`merge`). Each
-    /// shard's engine verdicts must lie inside the partition this run
-    /// derives, and every owned pair must have one. `cfg.shard` is
-    /// ignored: a merge is the whole run.
-    Shards(&'a [Ledger]),
     /// The artifact store (`--cache-dir`). A stored `Verdicts` artifact
     /// for this netlist and config is spliced with `cached` set; on a
     /// miss the run computes everything and persists its artifacts.
@@ -359,11 +312,8 @@ struct Known<'a> {
     /// prefilters (and, under ECO, its sink group is clean).
     verdicts: KnownVerdicts,
     /// Journal provenance of spliced verdicts: `cached` for the store
-    /// and ECO sources, `resumed` for the ledger and shard sources.
+    /// and ECO sources, `resumed` for the ledger source.
     cached: bool,
-    /// Merge: each shard's engine verdicts, by shard index. They join
-    /// `verdicts` once the plan fixes which shard owns which pair.
-    shards: Vec<KnownVerdicts>,
     /// ECO: the changed node names; groups whose cone meets one of them
     /// are re-verified.
     changed: Option<BTreeSet<String>>,
@@ -391,10 +341,7 @@ fn load_source<'a>(
     match source {
         VerdictSource::Fresh => {}
         VerdictSource::Ledger(ledger) => {
-            known.verdicts = resume::ledger_verdicts(ledger, cfg, id, candidates)?;
-        }
-        VerdictSource::Shards(ledgers) => {
-            known.shards = shard::shard_verdicts(ledgers, id, candidates)?;
+            known.verdicts = resume::ledger_verdicts(ledger, id, candidates)?;
         }
         VerdictSource::Store(store) => {
             let key = stage_key_for(STAGE_VERDICTS, id.netlist_hash, cfg);
@@ -454,19 +401,16 @@ fn load_source<'a>(
 ///
 /// The pipeline runs lint, the prefilters, the expansion and the
 /// sink-group plan over all survivors once. One splice step then
-/// applies the plan: shard ownership (for `cfg.shard` and for a merge)
-/// from a single LPT assignment, ECO dirtiness from each group's cone,
-/// and the source's verdicts for every pair it may answer. The engines
-/// verify the rest. Spliced verdicts are journaled with `resumed` set
-/// (ledger and shard sources) or `cached` set (store and ECO sources).
+/// applies the plan: ECO dirtiness from each group's cone, and the
+/// source's verdicts for every pair it may answer. The engines verify
+/// the rest. Spliced verdicts are journaled with `resumed` set (the
+/// ledger source) or `cached` set (store and ECO sources).
 ///
 /// # Errors
 ///
 /// Everything [`analyze`] can return, plus the source's refusals:
 /// [`AnalyzeError::ResumeMismatch`] / [`AnalyzeError::DigestMismatch`]
-/// for a ledger that belongs to another run,
-/// [`AnalyzeError::ShardMerge`] / [`AnalyzeError::ShardIncomplete`] for
-/// shard ledgers that do not form one complete run, and
+/// for a ledger that belongs to another run, and
 /// [`AnalyzeError::CacheCorrupt`] / [`AnalyzeError::CacheIo`] for a
 /// damaged or unwritable store. Header, digest and store refusals fire
 /// before anything is journaled.
@@ -476,17 +420,6 @@ pub fn analyze_from(
     obs: &ObsCtx,
     source: VerdictSource<'_>,
 ) -> Result<Analysis, AnalyzeError> {
-    let unsharded;
-    let cfg = match source {
-        VerdictSource::Shards(_) => {
-            unsharded = McConfig {
-                shard: None,
-                ..cfg.clone()
-            };
-            &unsharded
-        }
-        _ => cfg,
-    };
     if cfg.cycles < 2 {
         return Err(AnalyzeError::InvalidCycles { got: cfg.cycles });
     }
@@ -498,14 +431,6 @@ pub fn analyze_from(
     // `mc_filter` panic-free in pipeline use.
     if cfg.sim.lane_words().is_none() {
         return Err(AnalyzeError::InvalidSimLanes { got: cfg.sim.lanes });
-    }
-    if let Some(spec) = cfg.shard {
-        if !spec.is_valid() {
-            return Err(AnalyzeError::InvalidShard {
-                index: spec.index,
-                count: spec.count,
-            });
-        }
     }
 
     // Step 1: structural candidates. They come before the lint gate
@@ -547,13 +472,8 @@ pub fn analyze_from(
     stats.candidates = candidates.len();
 
     // Open the ledger with the run's identity, before any event can be
-    // appended: format version plus the digests `--resume` and `merge`
-    // will check. A shard journals its shard identity and the parent-run
-    // digest, but commits to the *full* candidate set — shard membership
-    // is derived, not part of the pair digest — so every sibling shard
-    // (and an unsharded run of the same config) shares these digests.
+    // appended: format version plus the digests `--resume` will check.
     if let (true, Some(id)) = (obs.sink().enabled(), &id) {
-        let (shard_index, shard_count) = cfg.shard.map_or((0, 0), |s| (s.index, s.count));
         obs.sink().record_header(&RunHeader {
             ledger: LEDGER_VERSION,
             circuit: netlist.name().to_owned(),
@@ -561,9 +481,6 @@ pub fn analyze_from(
             config_fingerprint: id.fingerprint,
             pair_digest: id.pair_digest,
             pairs: candidates.len() as u64,
-            shard_index,
-            shard_count,
-            run_digest: mcp_obs::run_digest(id.netlist_hash, id.fingerprint, id.pair_digest),
         });
     }
 
@@ -584,7 +501,7 @@ pub fn analyze_from(
     // groups also carry the hardest-first cost hints: the pair loop's
     // workers claim groups from the front of the list, so front-loading
     // the expensive groups keeps the tail of the run short. This one
-    // plan fixes shard ownership and ECO dirtiness.
+    // plan also fixes ECO dirtiness.
     let mut groups = plan_sink_groups(&x, &survivors, ff_toggles.as_deref(), cfg.cycles);
 
     let restored = splice(
@@ -595,7 +512,7 @@ pub fn analyze_from(
         &mut groups,
         &mut survivors,
         &mut known,
-    )?;
+    );
     drop(tr_prepare);
 
     // Steps 3-4: the engines. The sink groups are every engine's work
@@ -877,13 +794,10 @@ type SpliceVerdict = ((usize, usize), Verdict);
 /// `survivors` and `groups` hold only the pairs the engines must verify;
 /// `groups`, hardest first, is the engines' work list.
 ///
-/// The order matters. Shard ownership comes first, over the plan of
-/// *all* prefilter survivors: the prefilters are seed-deterministic, so
-/// every sibling shard, a resume of one, and the merge derive the same
-/// partition, which a splice-dependent plan could not guarantee. ECO
-/// dirtiness comes next, then the splice itself. The prefilters re-ran
-/// on this netlist, so their drops are recomputed rather than spliced;
-/// only engine work is saved.
+/// The order matters: ECO dirtiness comes first, over the plan of
+/// *all* prefilter survivors, then the splice itself. The prefilters
+/// re-ran on this netlist, so their drops are recomputed rather than
+/// spliced; only engine work is saved.
 fn splice(
     netlist: &Netlist,
     cfg: &McConfig,
@@ -892,27 +806,8 @@ fn splice(
     groups: &mut Vec<SinkGroup>,
     survivors: &mut Vec<(usize, usize)>,
     known: &mut Known<'_>,
-) -> Result<Vec<SpliceVerdict>, AnalyzeError> {
+) -> Vec<SpliceVerdict> {
     let planned = survivors.len();
-    let count = cfg
-        .shard
-        .map_or(known.shards.len() as u64, |spec| spec.count);
-    let owners = if count > 0 {
-        assign_shards(groups, count)
-    } else {
-        Vec::new()
-    };
-    if let Some(spec) = cfg.shard {
-        let owned: BTreeSet<(usize, usize)> = owners[spec.index as usize].iter().copied().collect();
-        survivors.retain(|p| owned.contains(p));
-        obs.metrics.shard_pairs_owned.add(survivors.len() as u64);
-        obs.metrics
-            .shard_pairs_skipped
-            .add((planned - survivors.len()) as u64);
-    }
-    if !known.shards.is_empty() {
-        known.verdicts = shard::owned_verdicts(std::mem::take(&mut known.shards), &owners)?;
-    }
     if let (Some(changed), Some(summary)) = (&known.changed, known.eco.as_mut()) {
         let invalidated = eco::drop_dirty(
             netlist,
@@ -937,7 +832,7 @@ fn splice(
     // complete. A cache splice is not a crash recovery: its events say
     // `cached` and carry no engine tag, so a warm run's ledger shows
     // zero engine work. Known verdicts for pairs outside the survivors
-    // (another shard's, or pairs the prefilters now resolve) stay unused.
+    // (pairs the prefilters now resolve) stay unused.
     let mut restored = Vec::new();
     survivors.retain(|pair| match known.verdicts.get(pair) {
         Some(event) => {
@@ -971,7 +866,7 @@ fn splice(
             !g.sources.is_empty()
         });
     }
-    Ok(restored)
+    restored
 }
 
 /// The journal `(step, class)` names of a verdict.

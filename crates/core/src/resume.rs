@@ -8,35 +8,48 @@
 //! config, same candidate pair set — and extracts its completed
 //! verdicts, which [`VerdictSource::Ledger`](crate::VerdictSource)
 //! splices into the pipeline so only the unresolved pairs reach the
-//! pair loop. `merge` checks each shard ledger with the same header
-//! check.
+//! pair loop.
 //!
-//! The merged result is *byte-identical* to an uninterrupted run's
+//! The resumed result is *byte-identical* to an uninterrupted run's
 //! canonical report: verdicts are deterministic per pair, the sim
 //! prefilter and lint gate re-run from the same seed and config, and
 //! everything wall-clock-dependent is projected out by
-//! [`McReport::canonical`](crate::McReport::canonical).
+//! [`McReport::canonical`](crate::McReport::canonical). Ledgers written
+//! by the retired `shard` subcommand commit to the full candidate set
+//! under the same digests, so they resume as partial ledgers: their
+//! engine verdicts are spliced and every other pair is verified.
 
-use crate::config::McConfig;
 use crate::pipeline::{AnalyzeError, DigestKind, KnownVerdicts, RunIdentity};
-use mcp_obs::{Ledger, RunHeader, LEDGER_VERSION};
+use mcp_obs::{Ledger, LEDGER_VERSION};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Checks that a ledger header belongs to the current run: format
-/// version, netlist hash, config fingerprint and candidate pair set.
-/// Netlist and config drift get [`AnalyzeError::DigestMismatch`]; every
-/// other failure becomes `refuse(reason)`.
-pub(crate) fn check_run_header<'l>(
-    header: Option<&'l RunHeader>,
+/// Validates a resume ledger against the current run and returns its
+/// restorable engine verdicts by pair.
+///
+/// Sim-prefilter and static events (no engine tag) are skipped — the
+/// prefilters are deterministic and cheap, so the pipeline recomputes
+/// them — as are span lines. Last write wins: duplicates only arise
+/// from a ledger that was itself resumed, where the replayed and
+/// original verdicts are identical.
+///
+/// # Errors
+///
+/// [`AnalyzeError::DigestMismatch`] when the netlist content hash or the
+/// verdict-affecting config fingerprint disagrees (naming both digests);
+/// [`AnalyzeError::ResumeMismatch`] when the ledger has no v2 header, a
+/// different format version, a different candidate pair set (digest or
+/// count), or a verdict outside the candidate set.
+pub(crate) fn ledger_verdicts(
+    ledger: &Ledger,
     id: &RunIdentity,
-    candidates: &BTreeSet<(usize, usize)>,
-    refuse: impl Fn(String) -> AnalyzeError,
-) -> Result<&'l RunHeader, AnalyzeError> {
-    let header = header.ok_or_else(|| {
-        refuse("no run header (pre-v2 journal, or the run died before writing one)".to_owned())
+    candidates: &[(usize, usize)],
+) -> Result<KnownVerdicts, AnalyzeError> {
+    let mismatch = |reason: String| AnalyzeError::ResumeMismatch { reason };
+    let header = ledger.header.as_ref().ok_or_else(|| {
+        mismatch("no run header (pre-v2 journal, or the run died before writing one)".to_owned())
     })?;
     if header.ledger != LEDGER_VERSION {
-        return Err(refuse(format!(
+        return Err(mismatch(format!(
             "ledger format v{} (this build reads v{LEDGER_VERSION})",
             header.ledger
         )));
@@ -55,8 +68,9 @@ pub(crate) fn check_run_header<'l>(
             current: id.fingerprint,
         });
     }
+    let candidates: BTreeSet<(usize, usize)> = candidates.iter().copied().collect();
     if header.pair_digest != id.pair_digest || header.pairs != candidates.len() as u64 {
-        return Err(refuse(format!(
+        return Err(mismatch(format!(
             "candidate pair set mismatch: ledger committed to {} pairs (digest {:016x}), \
              this run has {} (digest {:016x})",
             header.pairs,
@@ -65,79 +79,18 @@ pub(crate) fn check_run_header<'l>(
             id.pair_digest
         )));
     }
-    Ok(header)
-}
-
-/// A ledger's engine verdicts by pair. Sim-prefilter and static events
-/// (no engine tag) are skipped — the prefilters are deterministic and
-/// cheap, so the pipeline recomputes them — as are span lines. Last
-/// write wins: duplicates only arise from a ledger that was itself
-/// resumed, where the replayed and original verdicts are identical.
-/// A verdict outside the candidate set becomes `refuse(reason)`.
-pub(crate) fn engine_verdicts(
-    ledger: &Ledger,
-    candidates: &BTreeSet<(usize, usize)>,
-    refuse: impl Fn(String) -> AnalyzeError,
-) -> Result<KnownVerdicts, AnalyzeError> {
     let mut verdicts = BTreeMap::new();
     for event in ledger.events.iter().filter(|e| e.engine.is_some()) {
         let pair = (event.src, event.dst);
         if !candidates.contains(&pair) {
-            return Err(refuse(format!(
-                "a verdict for pair ({}, {}) outside the candidate set",
+            return Err(mismatch(format!(
+                "ledger carries a verdict for pair ({}, {}) outside the candidate set",
                 event.src, event.dst
             )));
         }
         verdicts.insert(pair, event.clone());
     }
     Ok(verdicts)
-}
-
-/// Validates a resume ledger against the current run and returns its
-/// restorable engine verdicts.
-///
-/// # Errors
-///
-/// [`AnalyzeError::DigestMismatch`] when the netlist content hash or the
-/// verdict-affecting config fingerprint disagrees (naming both digests);
-/// [`AnalyzeError::ResumeMismatch`] when the ledger has no v2 header, a
-/// different format version, a different candidate pair set (digest or
-/// count), a different shard identity, or a verdict outside the
-/// candidate set.
-pub(crate) fn ledger_verdicts(
-    ledger: &Ledger,
-    cfg: &McConfig,
-    id: &RunIdentity,
-    candidates: &[(usize, usize)],
-) -> Result<KnownVerdicts, AnalyzeError> {
-    let mismatch = |reason: String| AnalyzeError::ResumeMismatch { reason };
-    let candidates: BTreeSet<(usize, usize)> = candidates.iter().copied().collect();
-    let header = check_run_header(ledger.header.as_ref(), id, &candidates, mismatch)?;
-    // Shard identity must match exactly: a shard's ledger only covers
-    // that shard's owned pairs, so splicing it into an unsharded run (or
-    // a different shard) would silently leave — or duplicate — work.
-    // `merge` is the one consumer allowed to cross this boundary.
-    // Pre-shard ledgers carry the unsharded (0, 0) identity via serde
-    // defaults and keep resuming unsharded runs.
-    let (want_index, want_count) = cfg.shard.map_or((0, 0), |s| (s.index, s.count));
-    if (header.shard_index, header.shard_count) != (want_index, want_count) {
-        let describe = |index: u64, count: u64| {
-            if count == 0 {
-                "unsharded".to_owned()
-            } else {
-                format!("shard {index}/{count}")
-            }
-        };
-        return Err(mismatch(format!(
-            "shard mismatch: ledger is {}, this run is {} \
-             (use `mcpath merge` to combine shard ledgers)",
-            describe(header.shard_index, header.shard_count),
-            describe(want_index, want_count),
-        )));
-    }
-    engine_verdicts(ledger, &candidates, |r| {
-        mismatch(format!("ledger carries {r}"))
-    })
 }
 
 #[cfg(test)]
@@ -297,35 +250,6 @@ mod tests {
         neutral.slice = !neutral.slice;
         neutral.static_classify = !neutral.static_classify;
         assert!(resume(&nl, &neutral, &ledger).is_ok());
-    }
-
-    #[test]
-    fn resume_rejects_shard_identity_drift() {
-        use crate::config::ShardSpec;
-        let nl = circuits::fig1();
-        let cfg = McConfig::default();
-        let (_, ledger) = run_with_ledger(&nl, &cfg);
-
-        // An unsharded ledger cannot resume a shard run...
-        let mut sharded = cfg.clone();
-        sharded.shard = Some(ShardSpec { index: 0, count: 2 });
-        let err = resume(&nl, &sharded, &ledger).unwrap_err();
-        assert!(err.to_string().contains("shard mismatch"), "{err}");
-
-        // ...nor a shard ledger an unsharded (or differently-sharded) run.
-        let (_, shard_ledger) = run_with_ledger(&nl, &sharded);
-        let h = shard_ledger.header.as_ref().expect("header");
-        assert_eq!((h.shard_index, h.shard_count), (0, 2));
-        assert_eq!(h.run_digest, h.expected_run_digest());
-        let err = resume(&nl, &cfg, &shard_ledger).unwrap_err();
-        assert!(err.to_string().contains("shard mismatch"), "{err}");
-        let mut other_shard = cfg.clone();
-        other_shard.shard = Some(ShardSpec { index: 1, count: 2 });
-        let err = resume(&nl, &other_shard, &shard_ledger).unwrap_err();
-        assert!(err.to_string().contains("shard mismatch"), "{err}");
-
-        // The matching shard spec resumes fine.
-        assert!(resume(&nl, &sharded, &shard_ledger).is_ok());
     }
 
     #[test]

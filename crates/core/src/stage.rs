@@ -14,10 +14,9 @@
 //!
 //! This module also owns the stage *implementations* the pipeline runs
 //! once per analysis: the deterministic prefilters (`run_prefilters`)
-//! and the sink-group planning (`plan_sink_groups`, `assign_shards`).
-//! That one plan is every engine's work list, hardest group first, and
-//! shard ownership, merge checks and ECO dirtiness all read it too, so
-//! none of them can drift from the run.
+//! and the sink-group planning (`plan_sink_groups`). That one plan is
+//! every engine's work list, hardest group first, and ECO dirtiness
+//! reads it too, so neither can drift from the run.
 
 use crate::config::McConfig;
 use crate::report::{PairClass, PairResult, SimKernelTier, Step, StepStats};
@@ -104,12 +103,12 @@ pub(crate) struct Prefiltered {
 /// the random-pattern simulation prefilter. Resolved pairs land in
 /// `results`/`stats` (and the journal); the survivors come back.
 ///
-/// Shard ownership and ECO dirtiness are defined over the prefiltered
-/// survivors, so every process must derive the same set. Both stages
-/// are deterministic for a fixed netlist and fingerprint-covered config
-/// — the static pass is a pure dataflow fixpoint, and the sim filter
-/// draws from a fixed seed word-slot-major, independent of thread
-/// count.
+/// ECO dirtiness is defined over the prefiltered survivors, and every
+/// verdict source splices onto them, so every run must derive the same
+/// set. Both stages are deterministic for a fixed netlist and
+/// fingerprint-covered config — the static pass is a pure dataflow
+/// fixpoint, and the sim filter draws from a fixed seed
+/// word-slot-major, independent of thread count.
 pub(crate) fn run_prefilters(
     netlist: &Netlist,
     cfg: &McConfig,
@@ -316,7 +315,7 @@ pub(crate) fn group_roots(x: &Expanded, group: &SinkGroup, cycles: u32) -> Vec<X
 ///   boost its group ahead of groups whose sources barely toggled.
 ///
 /// Ties break on the sink index, keeping the group order (and thus the
-/// pair loop's claim order and the shard partition) fully deterministic.
+/// pair loop's claim order) fully deterministic.
 pub(crate) fn plan_sink_groups(
     x: &Expanded,
     survivors: &[(usize, usize)],
@@ -369,31 +368,6 @@ pub(crate) fn plan_sink_groups(
         .collect();
     groups.sort_unstable_by_key(|g| (std::cmp::Reverse(g.cost), g.sink));
     groups
-}
-
-/// Partitions the sink groups over `count` shards and returns each
-/// shard's pair set (`count` entries, possibly empty).
-///
-/// Greedy LPT (longest-processing-time) over the groups in their
-/// deterministic hardest-first order: each group goes, whole, to the
-/// currently least-loaded shard (ties to the lowest shard index). Keeping
-/// groups whole preserves the one-slice-per-sink-group economics inside
-/// every shard; LPT keeps the load split within 4/3 of optimal for the
-/// heavy-tailed group costs. The input order, the costs and the tie
-/// break are all deterministic, so every process — shards, resumes, the
-/// merge — derives the identical partition.
-pub(crate) fn assign_shards(groups: &[SinkGroup], count: u64) -> Vec<Vec<(usize, usize)>> {
-    let count = count.max(1) as usize;
-    let mut shards: Vec<Vec<(usize, usize)>> = vec![Vec::new(); count];
-    let mut load = vec![0u64; count];
-    for g in groups {
-        let lightest = (0..count).min_by_key(|&s| (load[s], s)).unwrap_or(0);
-        // Every group costs at least its slice walk even when the cost
-        // hint degenerates to 0, so bare group count still balances.
-        load[lightest] += g.cost.max(1);
-        shards[lightest].extend(g.sources.iter().map(|&i| (i, g.sink)));
-    }
-    shards
 }
 
 #[cfg(test)]

@@ -50,21 +50,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Digest identifying a run's full configuration identity: FNV-1a over
-/// the little-endian bytes of the netlist hash, the config fingerprint,
-/// and the candidate-pair-set digest, in that order. Every shard of one
-/// logical run shares this value, so `merge` can reject a ledger that
-/// belongs to a different run even when shard indices happen to line up.
-pub fn run_digest(netlist_hash: u64, config_fingerprint: u64, pair_digest: u64) -> u64 {
-    let mut bytes = [0u8; 24];
-    bytes[..8].copy_from_slice(&netlist_hash.to_le_bytes());
-    bytes[8..16].copy_from_slice(&config_fingerprint.to_le_bytes());
-    bytes[16..].copy_from_slice(&pair_digest.to_le_bytes());
-    fnv1a(&bytes)
-}
-
 /// First line of a v2+ ledger: identifies the run so `--resume` can
 /// refuse to splice verdicts from a different circuit or config.
+///
+/// Ledgers written by the retired `shard` subcommand also carry three
+/// shard-identity keys; deserializing ignores unknown keys, so those
+/// headers still parse.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunHeader {
     /// Ledger format version ([`LEDGER_VERSION`] when written by this
@@ -79,34 +70,9 @@ pub struct RunHeader {
     /// Fingerprint of the verdict-affecting `McConfig` fields.
     pub config_fingerprint: u64,
     /// Digest of the ordered candidate pair set the run committed to.
-    /// Shard ledgers commit to the **full** candidate set — shard
-    /// identity lives in the dedicated fields below — so any shard of a
-    /// run is digest-compatible with its siblings and with an unsharded
-    /// run of the same config.
     pub pair_digest: u64,
     /// Number of candidate pairs in that set.
     pub pairs: u64,
-    /// 0-based shard index, or 0 for an unsharded run. Pre-shard ledgers
-    /// deserialize to the unsharded `(0, 0)` identity.
-    #[serde(default)]
-    pub shard_index: u64,
-    /// Total shard count, or 0 for an unsharded run.
-    #[serde(default)]
-    pub shard_count: u64,
-    /// Parent-run digest (see [`run_digest`]): identical across every
-    /// shard of one logical run. 0 in pre-shard ledgers.
-    #[serde(default)]
-    pub run_digest: u64,
-}
-
-impl RunHeader {
-    /// The run digest this header's identity fields imply. `merge`
-    /// recomputes it per shard and refuses ledgers whose recorded
-    /// [`RunHeader::run_digest`] disagrees (a foreign or doctored
-    /// journal).
-    pub fn expected_run_digest(&self) -> u64 {
-        run_digest(self.netlist_hash, self.config_fingerprint, self.pair_digest)
-    }
 }
 
 /// One timestamped span: a node of the run's span tree, written to the

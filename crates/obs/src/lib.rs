@@ -45,9 +45,8 @@ pub use compare::{
 pub use ctx::ObsCtx;
 pub use ledger::{
     fnv1a, read_journal, read_journal_file, read_ledger, read_ledger_file, read_ledger_resilient,
-    read_ledger_resilient_file, run_digest, AssignmentEvent, FailAfter, FileSink, Ledger, MemSink,
-    NullSink, ObsSink, PairEvent, RunHeader, SpanEvent, FAIL_AFTER_ENV, FAULT_EXIT_CODE,
-    LEDGER_VERSION,
+    read_ledger_resilient_file, AssignmentEvent, FailAfter, FileSink, Ledger, MemSink, NullSink,
+    ObsSink, PairEvent, RunHeader, SpanEvent, FAIL_AFTER_ENV, FAULT_EXIT_CODE, LEDGER_VERSION,
 };
 pub use metrics::{Counter, Counters, Metrics, MetricsSnapshot};
 pub use timers::{SpanGuard, SpanStat, Timers};
@@ -202,11 +201,7 @@ mod tests {
             config_fingerprint: 22,
             pair_digest: 33,
             pairs: 2,
-            shard_index: 1,
-            shard_count: 4,
-            run_digest: run_digest(11, 22, 33),
         };
-        assert_eq!(header.run_digest, header.expected_run_digest());
         let span = SpanEvent {
             span: "analyze/pairs".to_owned(),
             tid: 1,
@@ -326,24 +321,23 @@ mod tests {
     }
 
     #[test]
-    fn run_digest_is_order_sensitive() {
-        // The three identity digests feed the run digest in a fixed
-        // order; swapping any two must change it, or a netlist/config
-        // transposition could collide.
-        let d = run_digest(1, 2, 3);
-        assert_eq!(run_digest(1, 2, 3), d);
-        assert_ne!(run_digest(2, 1, 3), d);
-        assert_ne!(run_digest(1, 3, 2), d);
-        assert_ne!(run_digest(3, 2, 1), d);
-    }
-
-    #[test]
-    fn pre_shard_headers_parse_as_unsharded() {
+    fn shard_era_headers_still_parse() {
+        // The retired `shard` subcommand wrote three more header keys.
         let old = "{\"ledger\":2,\"circuit\":\"s27\",\"netlist_hash\":11,\
-                   \"config_fingerprint\":22,\"pair_digest\":33,\"pairs\":2}";
-        let h: RunHeader = serde_json::from_str(old).expect("old header parses");
-        assert_eq!((h.shard_index, h.shard_count), (0, 0));
-        assert_eq!(h.run_digest, 0);
+                   \"config_fingerprint\":22,\"pair_digest\":33,\"pairs\":2,\
+                   \"shard_index\":1,\"shard_count\":4,\"run_digest\":44}";
+        let h: RunHeader = serde_json::from_str(old).expect("shard-era header parses");
+        assert_eq!(
+            h,
+            RunHeader {
+                ledger: 2,
+                circuit: "s27".to_owned(),
+                netlist_hash: 11,
+                config_fingerprint: 22,
+                pair_digest: 33,
+                pairs: 2,
+            }
+        );
     }
 
     #[test]

@@ -117,12 +117,6 @@ pub struct Metrics {
     /// Resume: completed verdicts restored from a prior run's ledger
     /// instead of being re-verified. Zero on an uninterrupted run.
     pub resume_pairs_loaded: Counter,
-    /// Sharding: surviving pairs this shard owns after the deterministic
-    /// sink-group partition. Zero on an unsharded run.
-    pub shard_pairs_owned: Counter,
-    /// Sharding: surviving pairs assigned to other shards and skipped by
-    /// this process. Zero on an unsharded run.
-    pub shard_pairs_skipped: Counter,
     /// Artifact cache: store lookups that found a usable entry.
     pub cache_hits: Counter,
     /// Artifact cache: store lookups that found nothing (cold runs).
@@ -183,8 +177,6 @@ impl Metrics {
             slice_vars: self.slice_vars.get(),
             slice_nodes_peak: self.slice_nodes_peak.get(),
             resume_pairs_loaded: self.resume_pairs_loaded.get(),
-            shard_pairs_owned: self.shard_pairs_owned.get(),
-            shard_pairs_skipped: self.shard_pairs_skipped.get(),
             cache_hits: self.cache_hits.get(),
             cache_misses: self.cache_misses.get(),
             cache_invalidations: self.cache_invalidations.get(),
@@ -260,11 +252,6 @@ pub struct Counters {
     // Resume support (ledger format 2) arrived after the slice fields.
     #[serde(default)]
     pub resume_pairs_loaded: u64,
-    // Shard counters arrived with multi-process verification.
-    #[serde(default)]
-    pub shard_pairs_owned: u64,
-    #[serde(default)]
-    pub shard_pairs_skipped: u64,
     // Cache/ECO counters arrived with the staged artifact store.
     #[serde(default)]
     pub cache_hits: u64,

@@ -1,20 +1,31 @@
-//! Pins the checked-in PR-1-era journal fixture against the ledger
-//! readers: journals written before the run header, span events, slice
-//! fields and the `resumed` flag existed must keep loading unchanged.
+//! Pins the checked-in historical ledger fixtures against the ledger
+//! readers:
 //!
-//! The in-crate unit test covers the *shape* with a synthetic line; this
-//! test covers the *artifact* — a real multi-line fixture file that must
+//! - `pr1_journal.ndjson`: journals written before the run header, span
+//!   events, slice fields and the `resumed` flag existed must keep
+//!   loading unchanged;
+//! - `pr15_shard_ledger.ndjson`: shard 0 of 2 of `m298.bench`, written
+//!   by the retired `shard` subcommand, whose header carries the
+//!   `shard_index`, `shard_count` and `run_digest` keys.
+//!
+//! The in-crate unit tests cover the *shape* with synthetic lines; these
+//! tests cover the *artifacts* — real multi-line fixture files that must
 //! never be regenerated, so reader drift against historical journals is
-//! caught even if the unit test's literal is updated alongside the code.
+//! caught even if the unit tests' literals are updated alongside the
+//! code.
 
 use mcp_obs::{
     compare_artifacts, read_journal_file, read_ledger_file, read_ledger_resilient_file,
-    CompareConfig,
+    CompareConfig, LEDGER_VERSION,
 };
 use std::path::PathBuf;
 
 fn fixture() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr1_journal.ndjson")
+}
+
+fn shard_fixture() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr15_shard_ledger.ndjson")
 }
 
 #[test]
@@ -69,4 +80,24 @@ fn the_pr1_fixture_feeds_the_compare_gate() {
         "got: {}",
         cmp.render()
     );
+}
+
+#[test]
+fn the_shard_era_fixture_loads_with_its_header() {
+    for ledger in [
+        read_ledger_file(shard_fixture()).expect("strict read"),
+        read_ledger_resilient_file(shard_fixture()).expect("resilient read"),
+    ] {
+        let header = ledger.header.expect("shard-era ledgers carry a v2 header");
+        assert_eq!(header.ledger, LEDGER_VERSION);
+        assert_eq!(header.circuit, "m298.bench");
+        assert_eq!(header.pairs, 39, "committed to the full candidate set");
+        // 26 sim drops plus the 7 survivors shard 0 verified.
+        assert_eq!(ledger.events.len(), 33);
+        assert_eq!(
+            ledger.events.iter().filter(|e| e.engine.is_some()).count(),
+            7
+        );
+        assert_eq!(ledger.spans.len(), 7);
+    }
 }

@@ -1,16 +1,16 @@
 //! Property-based fuzzing of ledger ingestion.
 //!
-//! The resume and merge paths trust [`mcp_obs::read_ledger_resilient`]
-//! to turn whatever a crashed (or hostile) process left on disk into
-//! either a clean resume point or a typed error. These properties pin
-//! that contract against the failure shapes sharded runs actually
+//! The resume path trusts [`mcp_obs::read_ledger_resilient`] to turn
+//! whatever a crashed (or hostile) process left on disk into either a
+//! clean resume point or a typed error. These properties pin that
+//! contract against the failure shapes killed and resumed runs actually
 //! produce: truncated final lines, duplicated or interleaved events,
 //! and corrupt JSON. Two things must never happen: a panic, or silent
 //! loss of a verdict that was durably written before the corruption
 //! point.
 
 use mcp_obs::{
-    read_ledger, read_ledger_resilient, run_digest, PairEvent, RunHeader, SpanEvent, LEDGER_VERSION,
+    read_ledger, read_ledger_resilient, PairEvent, RunHeader, SpanEvent, LEDGER_VERSION,
 };
 use proptest::prelude::*;
 
@@ -38,7 +38,7 @@ fn event(src: usize, dst: usize, resolved: bool) -> PairEvent {
     }
 }
 
-fn header(shard_index: u64, shard_count: u64) -> RunHeader {
+fn header() -> RunHeader {
     RunHeader {
         ledger: LEDGER_VERSION,
         circuit: "fuzz".to_owned(),
@@ -46,21 +46,18 @@ fn header(shard_index: u64, shard_count: u64) -> RunHeader {
         config_fingerprint: 9,
         pair_digest: 13,
         pairs: 32,
-        shard_index,
-        shard_count,
-        run_digest: run_digest(7, 9, 13),
     }
 }
 
 /// A syntactically valid ledger built from the generated shape: header,
 /// a run of pair events (with optional duplicates), and a span line.
 fn render(events: &[(usize, usize, bool)], dup_every: usize, with_span: bool) -> String {
-    let mut out = serde_json::to_string(&header(1, 4)).unwrap() + "\n";
+    let mut out = serde_json::to_string(&header()).unwrap() + "\n";
     for (k, &(src, dst, resolved)) in events.iter().enumerate() {
         let line = serde_json::to_string(&event(src, dst, resolved)).unwrap();
         out.push_str(&line);
         out.push('\n');
-        // A resumed-then-killed-then-resumed shard re-journals restored
+        // A resumed-then-killed-then-resumed run re-journals restored
         // verdicts, so real ledgers contain duplicates; ingestion must
         // keep them all (last-write-wins is the resume planner's job).
         if dup_every != 0 && k % dup_every == 0 {
@@ -99,7 +96,7 @@ proptest! {
     ) {
         let full = render(&events, dup_every, with_span);
         let parsed = read_ledger(full.as_bytes()).expect("well-formed ledger parses strictly");
-        prop_assert_eq!(parsed.header.as_ref(), Some(&header(1, 4)));
+        prop_assert_eq!(parsed.header.as_ref(), Some(&header()));
 
         // Tear the final line at an arbitrary byte offset strictly
         // inside its JSON (a cut at or past the closing brace is not a
@@ -157,11 +154,11 @@ proptest! {
         (events_b, dup_b, _) in shape_strategy(),
         stripe in 1usize..5,
     ) {
-        // Concatenating or striping two shard journals (as a naive
-        // collector might) still yields every event: ingestion is
+        // Concatenating or striping two journals (as a naive collector
+        // might) still yields every event: ingestion is
         // order-insensitive and duplication-tolerant. Soundness checks
-        // (foreign shards, conflicting verdicts) belong to the merge
-        // planner, which needs the full event set to make them.
+        // (foreign runs, verdicts outside the candidate set) belong to
+        // the resume check, which needs the full event set to make them.
         let a = render(&events_a, dup_a, false);
         let b = render(&events_b, dup_b, false);
         let la = read_ledger(a.as_bytes()).expect("parses");
@@ -188,8 +185,8 @@ proptest! {
         let woven = woven.join("\n") + "\n";
         let ledger = read_ledger(woven.as_bytes()).expect("interleaved ledgers parse");
         prop_assert_eq!(ledger.events.len(), la.events.len() + lb.events.len());
-        // The header slot is last-write-wins; with identical shard
-        // headers that is still the shared header.
+        // The header slot is last-write-wins; with identical headers
+        // that is still the shared header.
         prop_assert!(ledger.header.is_some());
     }
 }

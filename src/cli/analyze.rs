@@ -1,7 +1,7 @@
-//! The `analyze`, `shard` and `merge` subcommands: the full pipeline in
-//! its single-process, cached, ECO-incremental, one-shard and
-//! ledger-merge shapes. All of them funnel through [`append_report`]
-//! so the rendered report is identical regardless of how it was produced.
+//! The `analyze` subcommand: the full pipeline in its fresh, cached,
+//! ECO-incremental and resumed shapes. All of them funnel through
+//! [`append_report`] so the rendered report is identical regardless of
+//! how it was produced.
 
 use super::render::{render_snapshot, render_step_table};
 use super::{load, pair_name, Command};
@@ -35,11 +35,10 @@ pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(),
     // resuming a run onto its own ledger path is the natural CLI usage,
     // and `FileSink::create` truncates.
     let ledger = cmd.resume.as_deref().map(read_ledger).transpose()?;
-    // A resume or a single shard never reads the store, not even an
-    // MCPATH_CACHE_DIR one.
-    let store = match (&ledger, cmd.shard) {
-        (None, None) => open_store(cmd)?,
-        _ => None,
+    // A resume never reads the store, not even an MCPATH_CACHE_DIR one.
+    let store = match &ledger {
+        None => open_store(cmd)?,
+        Some(_) => None,
     };
     let source = match (&old, &ledger, &store) {
         (Some(old), _, Some(store)) => VerdictSource::Eco { old, store },
@@ -95,70 +94,10 @@ pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(),
     append_report(out, cmd, &nl, &analysis.report)
 }
 
-/// `shard`: verify one slice of the pair partition, journaling to
-/// `--trace-out` (optionally restarting from `--resume`).
-pub(crate) fn shard(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
-    let (index, count) = cmd
-        .shard
-        .ok_or_else(|| "`shard` needs --shard <I/N>".to_owned())?;
-    let nl = load(path)?;
-    // Same ordering constraint as `analyze --resume`: a killed shard
-    // restarts onto its own ledger path, which `obs()` truncates on open.
-    let ledger = cmd.resume.as_deref().map(read_ledger).transpose()?;
-    let source = ledger
-        .as_ref()
-        .map_or(VerdictSource::Fresh, VerdictSource::Ledger);
-    let obs = cmd.obs()?;
-    let report = analyze_from(&nl, &cmd.config(), &obs, source)
-        .map_err(|e| e.to_string())?
-        .report;
-    let counters = obs.snapshot().counters;
-    if ledger.is_some() {
-        let _ = writeln!(
-            out,
-            "resumed: {} verdicts restored from the ledger",
-            counters.resume_pairs_loaded
-        );
-    }
-    let _ = writeln!(
-        out,
-        "shard {index}/{count}: owns {} of {} surviving pairs",
-        counters.shard_pairs_owned,
-        counters.shard_pairs_owned + counters.shard_pairs_skipped
-    );
-    append_report(out, cmd, &nl, &report)
-}
-
-/// `merge`: combine per-shard ledgers into the canonical report.
-pub(crate) fn merge(
-    cmd: &Command,
-    path: &str,
-    ledgers: &[String],
-    out: &mut String,
-) -> Result<(), String> {
-    let nl = load(path)?;
-    let parsed = ledgers
-        .iter()
-        .map(|p| read_ledger(p))
-        .collect::<Result<Vec<_>, _>>()?;
-    let obs = cmd.obs()?;
-    let report = analyze_from(&nl, &cmd.config(), &obs, VerdictSource::Shards(&parsed))
-        .map_err(|e| e.to_string())?
-        .report;
-    let _ = writeln!(
-        out,
-        "merged: {} shard ledgers, {} verdicts restored",
-        parsed.len(),
-        obs.snapshot().counters.resume_pairs_loaded
-    );
-    append_report(out, cmd, &nl, &report)
-}
-
 /// Appends the standard `analyze`-style report output: the optional
 /// `--json` dump, the summary lines, the per-pair listing (unless
-/// `--quiet`), and the `--metrics` tables. Shared by `analyze`, `shard`
-/// and `merge`, whose reports must render identically.
-pub(crate) fn append_report(
+/// `--quiet`), and the `--metrics` tables.
+fn append_report(
     out: &mut String,
     cmd: &Command,
     nl: &Netlist,

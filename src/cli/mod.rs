@@ -6,8 +6,9 @@
 //! * `analyze <file.bench>` — run the multi-cycle FF-pair analysis and
 //!   print the verdict list plus per-step statistics; `--cache-dir`
 //!   persists the staged artifacts so a warm rerun answers from cache,
-//!   and `--eco <old.bench>` re-verifies only the sink groups touched by
-//!   the edit, splicing cached verdicts for the rest;
+//!   `--eco <old.bench>` re-verifies only the sink groups touched by
+//!   the edit, splicing cached verdicts for the rest, and `--resume
+//!   <ledger>` restarts a killed run from its `--trace-out` journal;
 //! * `hazard <file.bench>` — analyze, then validate the multi-cycle pairs
 //!   against static hazards with both criteria;
 //! * `kcycle <file.bench> --max-k <K>` — sweep the cycle budget and report
@@ -21,13 +22,6 @@
 //!   snapshots or BENCH tables) and exit non-zero on regressions;
 //! * `trace <ledger.ndjson|report.json>` — export the captured span tree
 //!   as Chrome trace-event JSON (Perfetto / `chrome://tracing`);
-//! * `shard <file.bench> --shard <I/N> --trace-out <ledger>` — verify one
-//!   shard of the deterministic pair partition and journal its verdicts
-//!   (the ledger *is* the shard's output; `--resume` restarts a killed
-//!   shard from its own journal);
-//! * `merge <file.bench> <shard1.ndjson> ...` — combine the per-shard
-//!   ledgers of one run into the canonical report, refusing missing,
-//!   duplicate, foreign or incomplete shards;
 //! * `gen <suite-name>` — emit a synthetic suite circuit as `.bench` text
 //!   (so external tools can consume the benchmark suite);
 //! * `serve <socket>` — answer NDJSON analyze requests over a Unix
@@ -43,8 +37,10 @@
 //! `--no-self-pairs`, `--no-lint`, `--no-slice`, `--no-static-classify`,
 //! `--deny <rule>`, `--allow <rule>`, `--max-diags <n>`, `--json <path>`,
 //! `--canonical`, `--cache-dir <dir>`, `--eco <old.bench>`,
-//! `--resume <ledger>`, `--shard <I/N>`, `--format text|json|chrome`, `--metrics`, `--trace-out <path>`,
+//! `--resume <ledger>`, `--format text|json|chrome`, `--metrics`, `--trace-out <path>`,
 //! `--progress`, `--quiet`, `--compare <old> <new>`, `--threshold <pct>`.
+//! `--eco`, `--resume`, `--trace-out`, `--progress` and `--metrics` only
+//! apply to `analyze`; any other subcommand refuses them.
 
 mod analyze;
 mod cache;
@@ -55,7 +51,7 @@ mod serve;
 #[cfg(test)]
 mod tests;
 
-use mcp_core::{Engine, HazardCheck, McConfig, ShardSpec};
+use mcp_core::{Engine, HazardCheck, McConfig};
 use mcp_netlist::{bench, Netlist};
 use mcp_obs::{FileSink, ObsCtx};
 use std::time::Duration;
@@ -113,9 +109,6 @@ pub struct Command {
     pub eco: Option<String>,
     /// Resume `analyze` from a prior run's NDJSON ledger.
     pub resume: Option<String>,
-    /// Which slice of the deterministic pair partition this process
-    /// verifies (`--shard I/N`; the `shard` subcommand requires it).
-    pub shard: Option<(u64, u64)>,
     /// Print engine counters and span timings after the analysis.
     pub metrics: bool,
     /// Optional NDJSON run-ledger path.
@@ -152,16 +145,6 @@ pub enum Action {
     Deps(String),
     /// Cycle-budget sweep on a `.bench` file up to the given `k`.
     Kcycle(String, u32),
-    /// Verify one shard of a `.bench` file's pair partition, journaling
-    /// the verdicts to `--trace-out`.
-    Shard(String),
-    /// Merge per-shard NDJSON ledgers into the canonical report.
-    Merge {
-        /// The `.bench` file the shards analyzed.
-        path: String,
-        /// One ledger path per shard (any order).
-        ledgers: Vec<String>,
-    },
     /// Print structural statistics of a `.bench` file.
     Stats(String),
     /// Diff the deterministic counters of two artifacts.
@@ -241,9 +224,6 @@ USAGE:
   mcpath hazard  <file.bench> [options]
   mcpath deps    <file.bench> [options]
   mcpath kcycle  <file.bench> --max-k <K> [options]
-  mcpath shard   <file.bench> --shard <I/N> --trace-out <ledger.ndjson>
-                 [--resume <ledger.ndjson>] [options]
-  mcpath merge   <file.bench> <shard0.ndjson> [<shard1.ndjson> ...] [options]
   mcpath stats   <file.bench|report.json|ledger.ndjson>
   mcpath stats   --compare <old> <new> [--threshold <pct>]
   mcpath trace   <ledger.ndjson|report.json> [--format chrome]
@@ -287,19 +267,18 @@ OPTIONS:
   --cache-dir <dir>              persist the staged pipeline artifacts so a
                                  warm rerun answers from cache (also via the
                                  MCPATH_CACHE_DIR env var); refused with
-                                 --resume, --shard and `merge`, which
-                                 ignore MCPATH_CACHE_DIR
+                                 --resume, which ignores MCPATH_CACHE_DIR
   --eco <old.bench>              re-verify only the sink groups touched by
                                  the edit old -> new, splicing the cached
                                  verdicts of the rest (needs --cache-dir)
   --resume <ledger.ndjson>       restart analyze from a prior run's ledger,
                                  re-verifying only the unresolved pairs
-  --shard <I/N>                  verify shard I of the N-way deterministic
-                                 pair partition (the `shard` subcommand)
   --metrics                      print engine counters and span timings
   --trace-out <path>             write the NDJSON run ledger (header, one
                                  record per pair, timestamped span tree)
   --progress                     report pair-loop progress on stderr
+                                 (--eco, --resume, --metrics, --trace-out
+                                 and --progress apply to `analyze` only)
   --compare <old> <new>          diff two artifacts' deterministic counters
   --threshold <pct>              counter growth tolerated by --compare
                                  before it counts as a regression (default 0)
@@ -340,7 +319,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
     let mut cache_dir = None;
     let mut eco = None;
     let mut resume = None;
-    let mut shard: Option<(u64, u64)> = None;
     let mut metrics = false;
     let mut trace_out = None;
     let mut progress = false;
@@ -409,15 +387,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             "--cache-dir" => cache_dir = Some(take_value(&mut args, "--cache-dir")?),
             "--eco" => eco = Some(take_value(&mut args, "--eco")?),
             "--resume" => resume = Some(take_value(&mut args, "--resume")?),
-            "--shard" => {
-                let v = take_value(&mut args, "--shard")?;
-                let parsed = v
-                    .split_once('/')
-                    .and_then(|(i, n)| Some((i.parse::<u64>().ok()?, n.parse::<u64>().ok()?)));
-                shard = Some(parsed.ok_or_else(|| {
-                    ParseCliError(format!("bad --shard `{v}` (expected I/N, e.g. 0/4)"))
-                })?);
-            }
             "--compare" => {
                 let old = take_value(&mut args, "--compare")?;
                 let new = args
@@ -495,32 +464,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             one_positional("a .bench file")?,
             max_k.ok_or_else(|| ParseCliError("`kcycle` needs --max-k <K>".into()))?,
         ),
-        "shard" => {
-            if shard.is_none() {
-                return Err(ParseCliError(
-                    "`shard` needs --shard <I/N> (e.g. --shard 0/4)".into(),
-                ));
-            }
-            if trace_out.is_none() {
-                return Err(ParseCliError(
-                    "`shard` needs --trace-out <ledger.ndjson>: the journal is the \
-                     shard's output (`merge` consumes it)"
-                        .into(),
-                ));
-            }
-            Action::Shard(one_positional("a .bench file")?)
-        }
-        "merge" => match positional.as_slice() {
-            [path, rest @ ..] if !rest.is_empty() => Action::Merge {
-                path: path.clone(),
-                ledgers: rest.to_vec(),
-            },
-            _ => {
-                return Err(ParseCliError(
-                    "`merge` needs: <file.bench> <shard0.ndjson> [<shard1.ndjson> ...]".into(),
-                ))
-            }
-        },
         "stats" => match &compare {
             Some((old, new)) => {
                 if !positional.is_empty() {
@@ -586,35 +529,36 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         other => return Err(ParseCliError(format!("unknown subcommand `{other}`"))),
     };
 
-    if eco.is_some() {
-        if !matches!(action, Action::Analyze(_)) {
-            return Err(ParseCliError("`--eco` only applies to `analyze`".into()));
-        }
-        // ECO splicing and the other replay modes each own the verdict
-        // journal; combining them would double-restore pairs.
-        if resume.is_some() || shard.is_some() {
-            return Err(ParseCliError(
-                "`--eco` cannot be combined with `--resume` or `--shard`".into(),
-            ));
+    // Only `analyze` reads these; any other subcommand would silently
+    // ignore them.
+    if !matches!(action, Action::Analyze(_)) {
+        let analyze_only = [
+            ("--eco", eco.is_some()),
+            ("--resume", resume.is_some()),
+            ("--trace-out", trace_out.is_some()),
+            ("--progress", progress),
+            ("--metrics", metrics),
+        ];
+        if let Some((flag, _)) = analyze_only.iter().find(|(_, given)| *given) {
+            return Err(ParseCliError(format!("`{flag}` only applies to `analyze`")));
         }
     }
-    // A run reads exactly one verdict source. Resume, shard and merge
-    // runs never touch the store, so an explicit one would be ignored.
-    if cache_dir.is_some() {
-        let ledger_mode = if resume.is_some() {
-            Some("`--resume`")
-        } else if shard.is_some() {
-            Some("`--shard`")
-        } else if matches!(action, Action::Merge { .. }) {
-            Some("`merge`")
-        } else {
-            None
-        };
-        if let Some(mode) = ledger_mode {
-            return Err(ParseCliError(format!(
-                "`--cache-dir` cannot be combined with {mode}: that mode never \
+    // A run reads exactly one verdict source. ECO splicing and resume
+    // each own the verdict journal, so combining them would
+    // double-restore pairs; a resume never touches the store, so an
+    // explicit one would be ignored.
+    if resume.is_some() {
+        if eco.is_some() {
+            return Err(ParseCliError(
+                "`--eco` cannot be combined with `--resume`".into(),
+            ));
+        }
+        if cache_dir.is_some() {
+            return Err(ParseCliError(
+                "`--cache-dir` cannot be combined with `--resume`: that mode never \
                  reads or writes the artifact store"
-            )));
+                    .into(),
+            ));
         }
     }
 
@@ -647,7 +591,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         cache_dir,
         eco,
         resume,
-        shard,
         metrics,
         trace_out,
         progress,
@@ -707,7 +650,6 @@ impl Command {
             lint: !self.no_lint,
             slice: !self.no_slice,
             static_classify: !self.no_static_classify,
-            shard: self.shard.map(|(index, count)| ShardSpec { index, count }),
             // A store location is a path, so the environment may supply
             // it; the flag wins over the MCPATH_CACHE_DIR env var.
             cache_dir: self
@@ -750,8 +692,6 @@ pub fn run(cmd: &Command) -> Result<String, String> {
         Action::Trace(path) => misc::trace(cmd, path, &mut out)?,
         Action::Gen(name) => misc::gen(name, &mut out)?,
         Action::Analyze(path) => analyze::analyze(cmd, path, &mut out)?,
-        Action::Shard(path) => analyze::shard(cmd, path, &mut out)?,
-        Action::Merge { path, ledgers } => analyze::merge(cmd, path, ledgers, &mut out)?,
         Action::Hazard(path) => misc::hazard(cmd, path, &mut out)?,
         Action::Sweep(path) => misc::sweep(path, &mut out)?,
         Action::Dot(path) => misc::dot(path, &mut out)?,

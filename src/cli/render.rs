@@ -126,7 +126,7 @@ fn fmt_words_per_sec(words: u64, t: Duration) -> String {
 pub(crate) fn render_snapshot(m: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let c = &m.counters;
-    let rows: [(&str, u64); 40] = [
+    let rows: [(&str, u64); 38] = [
         ("implications", c.implications),
         ("contradictions", c.contradictions),
         ("learned_implications", c.learned_implications),
@@ -159,8 +159,6 @@ pub(crate) fn render_snapshot(m: &MetricsSnapshot) -> String {
         ("dataflow_consts", c.dataflow_consts),
         ("dataflow_iters", c.dataflow_iters),
         ("static_resolved", c.static_resolved),
-        ("shard_pairs_owned", c.shard_pairs_owned),
-        ("shard_pairs_skipped", c.shard_pairs_skipped),
         ("cache_hits", c.cache_hits),
         ("cache_misses", c.cache_misses),
         ("cache_invalidations", c.cache_invalidations),

@@ -1,6 +1,5 @@
 use super::render::render_snapshot;
 use super::*;
-use std::fmt::Write as _;
 
 fn argv(s: &str) -> Vec<String> {
     s.split_whitespace().map(str::to_owned).collect()
@@ -31,10 +30,63 @@ fn scheduler_flag_is_gone() {
 
 #[test]
 fn shards_driver_flag_is_gone() {
-    // Splitting a run over processes is `shard` + `merge`; `analyze`
-    // no longer forks shard processes that each replay the prefilter.
+    // One process runs the pair loop; `analyze` no longer forks shard
+    // processes that each replay the prefilter.
     let err = parse_args(argv("analyze f.bench --shards 4")).unwrap_err();
     assert!(err.to_string().contains("unknown option"), "{err}");
+}
+
+#[test]
+fn shard_and_merge_are_gone() {
+    // The process-level shard path is retired; crash safety is
+    // `analyze --resume`.
+    for args in ["shard f.bench", "merge f.bench a.ndjson"] {
+        let err = parse_args(argv(args)).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown subcommand"),
+            "{args}: {err}"
+        );
+    }
+    let err = parse_args(argv("analyze f.bench --shard 0/2")).unwrap_err();
+    assert!(err.to_string().contains("unknown option"), "{err}");
+}
+
+#[test]
+fn analyze_only_flags_are_refused_elsewhere() {
+    let flags = [
+        "--resume l.ndjson",
+        "--trace-out t.ndjson",
+        "--progress",
+        "--metrics",
+    ];
+    let others = [
+        "hazard f.bench",
+        "deps f.bench",
+        "kcycle f.bench --max-k 3",
+        "sdc f.bench",
+        "stats f.bench",
+        "trace t.ndjson",
+        "gen m27",
+        "sweep f.bench",
+        "dot f.bench",
+        "lint f.bench",
+        "glitch f.bench a b out.vcd",
+        "serve s.sock --cache-dir /tmp/c",
+        "cache stats --cache-dir /tmp/c",
+        "help",
+    ];
+    for flag in flags {
+        let name = flag.split_whitespace().next().unwrap();
+        assert!(
+            parse_args(argv(&format!("analyze f.bench {flag}"))).is_ok(),
+            "analyze must accept {flag}"
+        );
+        for sub in others {
+            assert!(parse_args(argv(sub)).is_ok(), "{sub} alone must parse");
+            let err = parse_args(argv(&format!("{sub} {flag}"))).unwrap_err();
+            assert!(err.to_string().contains(name), "{sub} {flag}: {err}");
+        }
+    }
 }
 
 #[test]
@@ -557,95 +609,6 @@ fn span_table_renders_as_an_indented_hierarchy() {
 }
 
 #[test]
-fn parses_shard_and_merge_surfaces() {
-    // `shard` needs --shard I/N and --trace-out.
-    let cmd = parse_args(argv("shard f.bench --shard 2/4 --trace-out s2.ndjson")).expect("parse");
-    assert_eq!(cmd.action, Action::Shard("f.bench".into()));
-    assert_eq!(cmd.shard, Some((2, 4)));
-    assert_eq!(cmd.config().shard, Some(ShardSpec { index: 2, count: 4 }));
-    assert!(parse_args(argv("shard f.bench --trace-out s.ndjson")).is_err());
-    assert!(parse_args(argv("shard f.bench --shard 0/4")).is_err());
-    for bad in ["2", "2/", "/4", "a/b", "1/2/3"] {
-        assert!(
-            parse_args(argv(&format!(
-                "shard f.bench --shard {bad} --trace-out s.ndjson"
-            )))
-            .is_err(),
-            "--shard {bad} must be rejected"
-        );
-    }
-
-    // `merge` takes the bench plus at least one ledger.
-    let cmd = parse_args(argv("merge f.bench a.ndjson b.ndjson")).expect("parse");
-    assert_eq!(
-        cmd.action,
-        Action::Merge {
-            path: "f.bench".into(),
-            ledgers: vec!["a.ndjson".into(), "b.ndjson".into()],
-        }
-    );
-    assert!(parse_args(argv("merge f.bench")).is_err());
-}
-
-#[test]
-fn shard_and_merge_round_trip_matches_single_process() {
-    let dir = std::env::temp_dir().join("mcpath-cli-shard");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let bench_path = dir.join("m27.bench");
-    let text = run(&parse_args(argv("gen m27")).expect("parse")).expect("gen");
-    std::fs::write(&bench_path, text).expect("write");
-
-    // Single-process canonical baseline.
-    let baseline = dir.join("baseline.json");
-    run(&parse_args(argv(&format!(
-        "analyze {} --threads 1 --json {} --canonical --quiet",
-        bench_path.display(),
-        baseline.display()
-    )))
-    .expect("parse"))
-    .expect("baseline analyze");
-
-    // Run the three shards in-process and merge their ledgers.
-    let mut ledger_args = String::new();
-    for index in 0..3 {
-        let ledger = dir.join(format!("shard-{index}.ndjson"));
-        let out = run(&parse_args(argv(&format!(
-            "shard {} --shard {index}/3 --trace-out {} --quiet",
-            bench_path.display(),
-            ledger.display()
-        )))
-        .expect("parse"))
-        .expect("shard run");
-        assert!(out.contains(&format!("shard {index}/3:")), "{out}");
-        let _ = write!(ledger_args, " {}", ledger.display());
-    }
-    let merged = dir.join("merged.json");
-    let out = run(&parse_args(argv(&format!(
-        "merge {}{ledger_args} --json {} --canonical --quiet",
-        bench_path.display(),
-        merged.display()
-    )))
-    .expect("parse"))
-    .expect("merge");
-    assert!(out.contains("merged: 3 shard ledgers"), "{out}");
-    assert_eq!(
-        std::fs::read(&baseline).expect("read baseline"),
-        std::fs::read(&merged).expect("read merged"),
-        "merged canonical report must be byte-identical"
-    );
-
-    // A missing shard is refused with a clean message.
-    let err = run(&parse_args(argv(&format!(
-        "merge {} {}",
-        bench_path.display(),
-        dir.join("shard-0.ndjson").display()
-    )))
-    .expect("parse"))
-    .unwrap_err();
-    assert!(err.contains("missing shard"), "{err}");
-}
-
-#[test]
 fn missing_file_is_a_clean_error() {
     let cmd = parse_args(argv("analyze /no/such/file.bench")).expect("parse");
     let err = run(&cmd).unwrap_err();
@@ -671,21 +634,17 @@ fn parses_cache_and_eco_flags() {
         parse_args(argv("analyze f.bench --eco old.bench --cache-dir /tmp/c")).expect("parse");
     assert_eq!(cmd.eco.as_deref(), Some("old.bench"));
 
-    // `--eco` belongs to `analyze`, needs a cache, and refuses the other
-    // verdict-replay modes (each owns the restored-pair journal).
+    // `--eco` belongs to `analyze`, needs a cache, and refuses
+    // `--resume` (each owns the restored-pair journal).
     assert!(parse_args(argv("hazard f.bench --eco old.bench --cache-dir /tmp/c")).is_err());
     if std::env::var_os("MCPATH_CACHE_DIR").is_none() {
         assert!(parse_args(argv("analyze f.bench --eco old.bench")).is_err());
     }
-    for bad in ["--resume l.ndjson", "--shard 0/2"] {
-        assert!(
-            parse_args(argv(&format!(
-                "analyze f.bench --eco old.bench --cache-dir /tmp/c {bad}"
-            )))
-            .is_err(),
-            "--eco with {bad} must be rejected"
-        );
-    }
+    let err = parse_args(argv(
+        "analyze f.bench --eco old.bench --cache-dir /tmp/c --resume l.ndjson",
+    ))
+    .unwrap_err();
+    assert!(err.to_string().contains("--resume"), "{err}");
 
     // `serve` requires the resident store.
     let cmd = parse_args(argv("serve /tmp/s.sock --cache-dir /tmp/c")).expect("parse");
@@ -693,29 +652,15 @@ fn parses_cache_and_eco_flags() {
     assert!(parse_args(argv("serve /tmp/s.sock")).is_err());
 }
 
-/// A run reads one verdict source: an explicit `--cache-dir` next to a
-/// resume, shard or merge mode is a parse error (exit 2), naming the
-/// mode.
-fn assert_cache_dir_refused(args: &str, mode: &str) {
-    let err = parse_args(argv(&format!("{args} --cache-dir /tmp/c"))).unwrap_err();
-    assert!(err.to_string().contains("--cache-dir"), "{err}");
-    assert!(err.to_string().contains(mode), "{err}");
-    assert!(parse_args(argv(args)).is_ok(), "{args} alone must parse");
-}
-
+/// A run reads one verdict source: an explicit `--cache-dir` next to
+/// `--resume` is a parse error (exit 2), naming both flags.
 #[test]
 fn cache_dir_is_refused_with_resume() {
-    assert_cache_dir_refused("analyze f.bench --resume l.ndjson", "--resume");
-}
-
-#[test]
-fn cache_dir_is_refused_with_a_single_shard() {
-    assert_cache_dir_refused("shard f.bench --shard 0/2 --trace-out s.ndjson", "--shard");
-}
-
-#[test]
-fn cache_dir_is_refused_with_merge() {
-    assert_cache_dir_refused("merge f.bench a.ndjson b.ndjson", "merge");
+    let args = "analyze f.bench --resume l.ndjson";
+    let err = parse_args(argv(&format!("{args} --cache-dir /tmp/c"))).unwrap_err();
+    assert!(err.to_string().contains("--cache-dir"), "{err}");
+    assert!(err.to_string().contains("--resume"), "{err}");
+    assert!(parse_args(argv(args)).is_ok(), "{args} alone must parse");
 }
 
 #[test]
