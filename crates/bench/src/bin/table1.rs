@@ -12,7 +12,7 @@
 use mcp_bench::{bench_artifact, secs, HarnessArgs};
 use mcp_core::{analyze, Engine, McConfig};
 use mcp_netlist::Expanded;
-use mcp_obs::Timers;
+use mcp_obs::Tracer;
 use mcp_sat::CircuitCnf;
 use serde::Serialize;
 
@@ -74,9 +74,9 @@ fn main() {
     let mut rows = Vec::new();
     let mut total_pairs = 0usize;
     let mut total_mc = 0usize;
-    // Per-engine wall-clock accumulates in span timers; `stop()` returns
+    // Per-engine wall-clock accumulates in a span log; `stop()` returns
     // each circuit's slice for the table row.
-    let timers = Timers::new();
+    let timers = Tracer::new();
 
     for nl in &suite {
         let s = nl.stats();

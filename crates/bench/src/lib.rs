@@ -76,8 +76,8 @@ impl HarnessArgs {
     /// # Errors
     ///
     /// Returns a message on an unknown argument, a `--json`/`--baseline`
-    /// without a path, a non-numeric `--threshold`, or a non-numeric /
-    /// zero `--threads`.
+    /// without a path, a `--threshold` that is not a finite, non-negative
+    /// number, or a non-numeric / zero `--threads`.
     pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = HarnessArgs::default();
         let mut args = args.into_iter();
@@ -93,9 +93,7 @@ impl HarnessArgs {
                 }
                 "--threshold" => {
                     let v = args.next().ok_or("`--threshold` needs a percentage")?;
-                    out.threshold = v
-                        .parse()
-                        .map_err(|e| format!("bad `--threshold {v}`: {e}"))?;
+                    out.threshold = mcp_obs::parse_threshold_pct(&v)?;
                 }
                 "--threads" => {
                     let v = args.next().ok_or("`--threads` needs a count")?;
@@ -378,6 +376,18 @@ mod tests {
         assert_eq!(HarnessArgs::default().drift_check(bad).expect("off"), None);
         assert!(HarnessArgs::try_parse(argv("--baseline")).is_err());
         assert!(HarnessArgs::try_parse(argv("--threshold x")).is_err());
+    }
+
+    #[test]
+    fn baseline_threshold_must_be_finite_and_non_negative() {
+        let argv = |s: &str| s.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
+        // NaN or infinity would silently turn the drift gate off.
+        for bad in ["nan", "inf", "-inf", "-1"] {
+            let err = HarnessArgs::try_parse(argv(&format!("--threshold {bad}"))).unwrap_err();
+            assert!(err.contains("--threshold"), "{bad}: {err}");
+        }
+        let args = HarnessArgs::try_parse(argv("--threshold 0")).expect("zero is a threshold");
+        assert_eq!(args.threshold, 0.0);
     }
 
     #[test]

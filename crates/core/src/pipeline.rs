@@ -189,7 +189,7 @@ pub fn analyze(netlist: &Netlist, cfg: &McConfig) -> Result<McReport, AnalyzeErr
     analyze_with(netlist, cfg, &ObsCtx::new())
 }
 
-/// [`analyze`] with an explicit observability context: span timers and
+/// [`analyze`] with an explicit observability context: spans and
 /// engine counters accumulate into `obs`, per-pair events go to its sink,
 /// and the returned report embeds the final
 /// [`MetricsSnapshot`](mcp_obs::MetricsSnapshot).
@@ -432,6 +432,9 @@ pub fn analyze_from(
     if cfg.sim.lane_words().is_none() {
         return Err(AnalyzeError::InvalidSimLanes { got: cfg.sim.lanes });
     }
+    // The run's root span: every other `analyze/...` span, lint
+    // included, lies inside it.
+    let t_total = obs.timers.span("analyze");
 
     // Step 1: structural candidates. They come before the lint gate
     // because a source is checked against their digest, and refused,
@@ -465,8 +468,6 @@ pub fn analyze_from(
         }
     }
 
-    let t_total = obs.timers.span("analyze");
-    let tr_total = obs.trace_span(|| "analyze".to_owned());
     let mut stats = StepStats::default();
     let mut results: Vec<PairResult> = Vec::new();
     stats.candidates = candidates.len();
@@ -491,8 +492,7 @@ pub fn analyze_from(
         ff_toggles,
     } = run_prefilters(netlist, cfg, obs, &mut stats, &mut results, candidates);
 
-    let t_prepare = t_total.child("prepare");
-    let tr_prepare = obs.trace_span(|| "analyze/prepare".to_owned());
+    let t_prepare = obs.timers.span("analyze/prepare");
     let x = Expanded::build(netlist, cfg.cycles);
 
     // Sink-group planning over every survivor: survivors sharing a sink
@@ -513,7 +513,6 @@ pub fn analyze_from(
         &mut survivors,
         &mut known,
     );
-    drop(tr_prepare);
 
     // Steps 3-4: the engines. The sink groups are every engine's work
     // list, hardest group first: implication and SAT share one parallel
@@ -537,8 +536,7 @@ pub fn analyze_from(
         reachability,
     } = cfg.engine
     {
-        let t_pairs = t_total.child("pairs");
-        let _tr_pairs = obs.trace_span(|| "analyze/pairs/bdd".to_owned());
+        let t_pairs = obs.timers.span("analyze/pairs");
         // A model or reachable set that blows the node budget leaves
         // every pair unknown.
         let mut fsm = SymbolicFsm::build(netlist, node_limit).ok();
@@ -604,7 +602,9 @@ pub fn analyze_from(
         };
         run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
             for group in feed {
-                let _tr = obs.trace_span(|| format!("analyze/pairs/sink:{}", group.sink));
+                let _group = obs
+                    .timers
+                    .span(format!("analyze/pairs/sink:{}", group.sink));
                 let slice = cfg
                     .slice
                     .then(|| x.build_slice(&group_roots(&x, group, cfg.cycles)));
@@ -765,11 +765,11 @@ pub fn analyze_from(
 
     results.sort_unstable_by_key(|p| (p.src, p.dst));
     stats.time_total = t_total.stop();
-    drop(tr_total);
-    // Close the ledger with the timestamped span tree (pair verdicts are
-    // already durable — they were flushed as they landed).
-    if obs.tracing() {
-        for span in obs.tracer.drain() {
+    // Close the ledger with the run's span log (pair verdicts are
+    // already durable — they were flushed as they landed). The log
+    // stays whole for the report's totals.
+    if obs.sink().enabled() {
+        for span in obs.timers.events() {
             obs.sink().record_span(&span);
         }
     }

@@ -45,11 +45,12 @@ impl<'a, T> Iterator for Feed<'a, T> {
 /// claimed exactly once, in list order. At `threads == 1` the single
 /// worker runs on the calling thread. The output element type `O` is
 /// independent of the item type `T`: a closure fed sink groups can still
-/// emit one keyed record per pair inside the group. Each worker adds its
-/// busy time to the `span_path` timer of `obs` (one entry per worker) and
-/// opens a `{span_path}/worker` trace span. An empty `items` returns
-/// immediately without invoking `work` (so callers' engine setup is never
-/// spent on a no-op), and `threads` is clamped to `1..=items.len()`.
+/// emit one keyed record per pair inside the group. The loop is one
+/// `span_path` span of `obs`, and each worker's busy time one
+/// `{span_path}/worker` span inside it. An empty `items` returns
+/// immediately without invoking `work` or opening a span (so callers'
+/// engine setup is never spent on a no-op), and `threads` is clamped to
+/// `1..=items.len()`.
 pub(crate) fn run_items<T, O, F>(
     items: &[T],
     threads: usize,
@@ -65,10 +66,11 @@ where
     if items.is_empty() {
         return (Vec::new(), Duration::ZERO);
     }
+    let _loop = obs.timers.span(span_path);
+    let worker_path = format!("{span_path}/worker");
     let cursor = AtomicUsize::new(0);
     let worker = || {
-        let span = obs.timers.span(span_path);
-        let _tr = obs.trace_span(|| format!("{span_path}/worker"));
+        let span = obs.timers.span(worker_path.as_str());
         let mut out = Vec::new();
         work(
             Feed {
@@ -165,7 +167,7 @@ mod tests {
             assert_eq!(busy, Duration::ZERO);
         }
         assert!(
-            obs.timers.snapshot().is_empty(),
+            obs.timers.events().is_empty(),
             "no span entries for no-op runs"
         );
     }
@@ -180,7 +182,9 @@ mod tests {
         run_items(&items, 8, &obs, "test/pairs", |feed, out| {
             out.extend(feed.map(|_| ()));
         });
-        assert_eq!(obs.timers.snapshot()["test/pairs"].count, 3);
+        let totals = obs.timers.totals();
+        assert_eq!(totals["test/pairs"].count, 1, "one span around the loop");
+        assert_eq!(totals["test/pairs/worker"].count, 3);
     }
 
     #[test]
@@ -237,8 +241,8 @@ mod tests {
         });
         // 8 items × 2ms each ≥ 16ms of busy time regardless of threads.
         assert!(busy >= Duration::from_millis(16), "busy = {busy:?}");
-        let snap = obs.timers.snapshot();
-        assert_eq!(snap["test/pairs"].count, 4, "one span entry per worker");
-        assert_eq!(snap["test/pairs"].total, busy);
+        let totals = obs.timers.totals();
+        assert_eq!(totals["test/pairs/worker"].count, 4, "one span per worker");
+        assert_eq!(totals["test/pairs/worker"].total, busy);
     }
 }

@@ -139,7 +139,6 @@ pub(crate) fn run_prefilters(
         .any(|(_, n)| matches!(n.kind(), mcp_netlist::NodeKind::Const(_)));
     if cfg.static_classify && !candidates.is_empty() && has_consts {
         let t_static = obs.timers.span("analyze/static");
-        let _tr_static = obs.trace_span(|| "analyze/static".to_owned());
         let lattice = mcp_lint::const_lattice(netlist);
         obs.metrics
             .dataflow_consts
@@ -196,7 +195,6 @@ pub(crate) fn run_prefilters(
     let mut ff_toggles: Option<Vec<u64>> = None;
     let survivors: Vec<(usize, usize)> = if cfg.use_sim_filter {
         let t_sim = obs.timers.span("analyze/sim");
-        let _tr_sim = obs.trace_span(|| "analyze/sim".to_owned());
         // The base lattice (when the pre-pass computed one) seeds the
         // tape compiler: provably constant gates are pinned and their
         // instructions folded away. Outcome-identical — the constants
@@ -204,13 +202,6 @@ pub(crate) fn run_prefilters(
         let consts = base_consts.as_deref().unwrap_or(&[]);
         let (out, sim_stats) = mc_filter_stats_seeded(netlist, &candidates, &cfg.sim, consts);
         stats.time_sim = t_sim.stop();
-        // Re-record the sim time under the kernel that actually ran
-        // (known only after the filter returns): per-kernel children of
-        // `analyze/sim` are what `sim_words_per_sec` attributes against,
-        // so warm/static-heavy phases that never simulate don't deflate
-        // the rate.
-        obs.timers
-            .add(&format!("analyze/sim/{}", sim_stats.kernel), stats.time_sim);
         stats.sim_words = out.words_simulated;
         stats.sim_kernel = SimKernelTier::from_tag(sim_stats.kernel);
         obs.metrics.sim_words.add(out.words_simulated);

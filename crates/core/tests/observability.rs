@@ -1,12 +1,15 @@
 //! Integration checks for the observability surface of the pipeline:
 //! `StepStats` totals cover the structural pair count, the embedded
 //! `MetricsSnapshot` has non-zero counters for every step that resolved
-//! pairs, the NDJSON journal carries one record per analyzed pair, and
-//! two same-seed runs produce identical counter snapshots.
+//! pairs, the NDJSON journal carries one record per analyzed pair, the
+//! report and the ledger carry the same spans, and two same-seed runs
+//! produce identical counter snapshots.
 
 use mcp_core::{analyze, analyze_with, Engine, McConfig};
 use mcp_gen::{circuits, suite};
-use mcp_obs::{read_journal_file, FileSink, ObsCtx};
+use mcp_obs::{read_journal_file, FileSink, MemSink, ObsCtx};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 #[test]
 fn fig1_step_totals_cover_every_structural_pair() {
@@ -44,7 +47,7 @@ fn fig1_counters_are_nonzero_for_every_resolving_step() {
         assert_eq!(c.atpg_aborts, 0);
     }
 
-    // Span timers covered the phases, and the nested spans cannot
+    // The span log covered the phases, and the nested spans cannot
     // exceed the root (single-threaded run).
     let spans = &report.metrics.spans;
     for key in ["analyze", "analyze/sim", "analyze/prepare", "analyze/pairs"] {
@@ -291,4 +294,93 @@ fn empty_survivor_set_leaves_no_pair_loop_trace() {
     );
     assert_eq!(report.metrics.counters.implications, 0);
     assert_eq!(report.metrics.counters.atpg_decisions, 0);
+}
+
+/// The report's span totals and the ledger's span lines come from one
+/// log: every report key is a ledger span path (its `:label` suffix
+/// folded away), each key's total is the ledger's summed `dur_us`, and
+/// every `analyze/...` span lies inside the `analyze` span — lint
+/// included.
+#[test]
+fn report_and_ledger_hold_the_same_spans() {
+    let nl = suite::quick_suite().remove(1); // m298: every step runs
+    let bdd = Engine::Bdd {
+        node_limit: 1 << 22,
+        reachability: false,
+    };
+    for (engine, threads) in [
+        (Engine::Implication, 1usize),
+        (Engine::Implication, 2),
+        (Engine::Sat, 1),
+        (bdd, 1),
+    ] {
+        let run = format!("{engine:?} threads={threads}");
+        let sink = Arc::new(MemSink::new());
+        let obs = ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
+        let cfg = McConfig {
+            engine,
+            threads,
+            ..McConfig::default()
+        };
+        let report = analyze_with(&nl, &cfg, &obs).expect("analyze");
+        let spans = sink.drain_spans();
+
+        let mut ledger: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for s in &spans {
+            let path = s.span.split_once(':').map_or(s.span.as_str(), |(p, _)| p);
+            let (dur, count) = ledger.entry(path).or_default();
+            *dur += s.dur_us;
+            *count += 1;
+        }
+        for (path, stat) in &report.metrics.spans {
+            let Some(&(dur_us, count)) = ledger.get(path.as_str()) else {
+                panic!("{run}: report span `{path}` is not in the ledger");
+            };
+            assert_eq!(stat.count, count, "{run}: `{path}` entries");
+            let total_us = stat.total.as_micros() as u64;
+            assert!(
+                total_us.abs_diff(dur_us) <= count,
+                "{run}: `{path}` totals {total_us}us in the report, {dur_us}us in the ledger"
+            );
+        }
+        for path in [
+            "analyze",
+            "analyze/lint",
+            "analyze/sim",
+            "analyze/prepare",
+            "analyze/pairs",
+        ] {
+            assert!(
+                report.metrics.spans.contains_key(path),
+                "{run}: no `{path}`"
+            );
+        }
+        let workers = ledger.get("analyze/pairs/worker").map_or(0, |&(_, n)| n);
+        let expected = if matches!(engine, Engine::Bdd { .. }) {
+            0
+        } else {
+            threads as u64
+        };
+        assert_eq!(workers, expected, "{run}: one worker span per worker");
+
+        let roots: Vec<_> = spans.iter().filter(|s| s.span == "analyze").collect();
+        assert_eq!(roots.len(), 1, "{run}: one root span");
+        let root = roots[0];
+        for s in spans.iter().filter(|s| s.span.starts_with("analyze/")) {
+            assert!(
+                s.start_us >= root.start_us && s.start_us + s.dur_us <= root.start_us + root.dur_us,
+                "{run}: `{}` [{}, +{}] outside `analyze` [{}, +{}]",
+                s.span,
+                s.start_us,
+                s.dur_us,
+                root.start_us,
+                root.dur_us
+            );
+        }
+        // Exporting to the ledger leaves the log whole.
+        assert_eq!(
+            obs.timers.total("analyze"),
+            report.metrics.spans["analyze"].total
+        );
+    }
 }

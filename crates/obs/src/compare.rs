@@ -141,6 +141,26 @@ impl Default for CompareConfig {
     }
 }
 
+/// Parses a `--threshold <pct>` value for [`CompareConfig::threshold_pct`].
+///
+/// # Errors
+///
+/// Returns a message unless the text is a finite, non-negative number.
+/// NaN fails every growth comparison and infinity passes none, so either
+/// would turn the gate off without a word.
+pub fn parse_threshold_pct(text: &str) -> Result<f64, String> {
+    let pct: f64 = text
+        .parse()
+        .map_err(|e| format!("bad --threshold `{text}`: {e}"))?;
+    if pct.is_finite() && pct >= 0.0 {
+        Ok(pct)
+    } else {
+        Err(format!(
+            "bad --threshold `{text}`: must be a finite, non-negative percentage"
+        ))
+    }
+}
+
 /// One counter that differs between the two artifacts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterDiff {

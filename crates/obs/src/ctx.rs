@@ -1,26 +1,24 @@
-//! The per-run observability context bundling timers, counters, sink,
-//! tracer, and progress meter.
+//! The per-run observability context bundling the span log, counters,
+//! sink, and progress meter.
 
 use crate::ledger::{ObsSink, PairEvent};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::progress::ProgressMeter;
-use crate::timers::Timers;
-use crate::trace::{TraceGuard, Tracer};
+use crate::trace::Tracer;
 use crate::NullSink;
 use std::time::Duration;
 
-/// Everything the pipeline needs to observe one run: timers, counters,
-/// a ledger sink, a timestamped-span tracer, and an optional progress
-/// meter. Shared by reference across the pair-loop worker threads.
+/// Everything the pipeline needs to observe one run: the span log,
+/// counters, a ledger sink, and an optional progress meter. Shared by
+/// reference across the pair-loop worker threads.
 pub struct ObsCtx {
-    /// Span timers (flat totals by path).
-    pub timers: Timers,
+    /// The run's span log: every timed layer, timestamped. Its totals
+    /// are the report's `metrics.spans`; an enabled sink receives its
+    /// events at the end of the run.
+    pub timers: Tracer,
     /// Engine counters.
     pub metrics: Metrics,
-    /// Timestamped span collector for trace export.
-    pub tracer: Tracer,
     sink: Box<dyn ObsSink>,
-    tracing: bool,
     progress: Option<ProgressMeter>,
 }
 
@@ -36,39 +34,25 @@ impl std::fmt::Debug for ObsCtx {
             .field("timers", &self.timers)
             .field("metrics", &self.metrics)
             .field("sink_enabled", &self.sink.enabled())
-            .field("tracing", &self.tracing)
             .field("progress", &self.progress.is_some())
             .finish()
     }
 }
 
 impl ObsCtx {
-    /// A context with a [`NullSink`], tracing off, and no progress
-    /// meter — the zero-overhead default.
+    /// A context with a [`NullSink`] and no progress meter.
     pub fn new() -> Self {
         ObsCtx {
-            timers: Timers::new(),
+            timers: Tracer::new(),
             metrics: Metrics::new(),
-            tracer: Tracer::new(),
             sink: Box::new(NullSink),
-            tracing: false,
             progress: None,
         }
     }
 
-    /// Replaces the ledger sink. Tracing follows the sink: an enabled
-    /// sink turns timestamped span capture on, since captured spans are
-    /// only ever observable through the sink's end-of-run span dump.
+    /// Replaces the ledger sink.
     pub fn with_sink(mut self, sink: Box<dyn ObsSink>) -> Self {
-        self.tracing = sink.enabled();
         self.sink = sink;
-        self
-    }
-
-    /// Overrides whether timestamped spans are captured (independent of
-    /// the sink, e.g. for tests that read the tracer directly).
-    pub fn with_tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
         self
     }
 
@@ -81,22 +65,6 @@ impl ObsCtx {
     /// The ledger sink.
     pub fn sink(&self) -> &dyn ObsSink {
         &*self.sink
-    }
-
-    /// Whether timestamped span capture is on.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    /// Enters a timestamped trace span if tracing is on. The path
-    /// closure only runs when the span will actually be captured, so
-    /// hot paths pay nothing for label formatting when tracing is off.
-    pub fn trace_span(&self, path: impl FnOnce() -> String) -> Option<TraceGuard<'_>> {
-        if self.tracing {
-            Some(self.tracer.span(path()))
-        } else {
-            None
-        }
     }
 
     /// Records one pair event through the sink (no-op when disabled).
@@ -121,11 +89,11 @@ impl ObsCtx {
         }
     }
 
-    /// Counters-plus-spans snapshot of the run so far.
+    /// Counters-plus-span-totals snapshot of the run so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.metrics.counters(),
-            spans: self.timers.snapshot(),
+            spans: self.timers.totals(),
         }
     }
 }

@@ -31,11 +31,12 @@ pub const LEDGER_VERSION: u64 = 2;
 /// an ordinary failure.
 pub const FAULT_EXIT_CODE: i32 = 86;
 
-/// Environment variable read by [`FileSink::create`]: when set to an
-/// integer `k`, the sink aborts the process (exit [`FAULT_EXIT_CODE`])
-/// on the `k+1`-th journal write, after exactly `k` lines have become
-/// durable. This is the test tier's stand-in for a SIGKILL landing at a
-/// deterministic point in the run.
+/// Environment variable the `mcpath` CLI reads when it opens a
+/// `--trace-out` ledger: when set to an integer `k`, the sink aborts the
+/// process (exit [`FAULT_EXIT_CODE`]) on the `k+1`-th journal write,
+/// after exactly `k` lines have become durable. This is the test tier's
+/// stand-in for a SIGKILL landing at a deterministic point in the run.
+/// The library never reads it: [`FileSink::create`] writes unfaulted.
 pub const FAIL_AFTER_ENV: &str = "MCPATH_FAIL_AFTER_EVENTS";
 
 /// 64-bit FNV-1a over a byte string — the repo-wide content hash for
@@ -260,15 +261,9 @@ impl FailAfter {
         }
     }
 
-    /// Reads the budget from [`FAIL_AFTER_ENV`], or `None` when the
-    /// variable is unset or not an integer (a typo disables the hook
-    /// rather than silently killing a production run at line 0).
-    pub fn from_env() -> Option<Self> {
-        Self::from_value(&std::env::var(FAIL_AFTER_ENV).ok()?)
-    }
-
-    /// Parses a budget from the env-var text (testable core of
-    /// [`from_env`](Self::from_env)).
+    /// Parses a budget from [`FAIL_AFTER_ENV`]'s text, or `None` when it
+    /// is not an integer (a typo disables the hook rather than silently
+    /// killing a production run at line 0).
     pub fn from_value(value: &str) -> Option<Self> {
         value.trim().parse().ok().map(Self::new)
     }
@@ -294,11 +289,11 @@ impl FailAfter {
 /// the final line is torn mid-write; [`read_ledger_resilient`] tolerates
 /// exactly that.
 ///
-/// When [`FAIL_AFTER_ENV`] is set (or a [`FailAfter`] is attached via
-/// [`FileSink::with_fault`]), the sink becomes the fault-injection
-/// surface: once the budget is exhausted it flushes what it has and
-/// terminates the process with [`FAULT_EXIT_CODE`], simulating a crash
-/// at a deterministic journal position.
+/// When a [`FailAfter`] is attached via [`FileSink::with_fault`], the
+/// sink becomes the fault-injection surface: once the budget is
+/// exhausted it flushes what it has and terminates the process with
+/// [`FAULT_EXIT_CODE`], simulating a crash at a deterministic journal
+/// position.
 #[derive(Debug)]
 pub struct FileSink {
     out: Mutex<BufWriter<File>>,
@@ -306,15 +301,14 @@ pub struct FileSink {
 }
 
 impl FileSink {
-    /// Creates (truncates) the ledger file at `path`, arming the
-    /// fault-injection hook when [`FAIL_AFTER_ENV`] is set.
+    /// Creates (truncates) the ledger file at `path`, with no fault
+    /// budget.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(Self::with_fault(File::create(path)?, FailAfter::from_env()))
+        Ok(Self::with_fault(File::create(path)?, None))
     }
 
     /// Wraps an already-open file, with an explicit (or no) fault
-    /// budget — the constructor tests use to exercise the hook without
-    /// touching process-global environment.
+    /// budget.
     pub fn with_fault(file: File, fault: Option<FailAfter>) -> Self {
         FileSink {
             out: Mutex::new(BufWriter::new(file)),

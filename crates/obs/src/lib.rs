@@ -1,12 +1,15 @@
 //! Observability for the multi-cycle path pipeline.
 //!
-//! Four complementary facilities, all cheap enough to stay on by
+//! Three complementary facilities, all cheap enough to stay on by
 //! default and all safe to share across the scoped worker threads of the
 //! pair loop:
 //!
-//! - **Span timers** ([`Timers`], [`SpanGuard`]): RAII wall-clock
-//!   accumulation keyed by hierarchical `a/b/c` paths on the monotonic
-//!   clock, replacing ad-hoc `Instant::now()` bookkeeping.
+//! - **Span log** ([`Tracer`], [`SpanGuard`]): RAII spans keyed by
+//!   hierarchical `a/b/c` paths, each recorded once with its begin time,
+//!   duration and thread track. The log's per-path totals
+//!   ([`SpanStat`]) are the report's timings; its events close the
+//!   ledger and export as Chrome trace-event JSON ([`chrome_trace`]) for
+//!   Perfetto.
 //! - **Engine counters** ([`Metrics`], [`Counters`]): relaxed
 //!   `AtomicU64`s the pipeline flushes per-pair deltas into — decisions,
 //!   backtracks, implications, SAT conflicts, BDD cache traffic, words
@@ -21,9 +24,6 @@
 //!   default [`NullSink`] reports `enabled() == false` so hot paths skip
 //!   event construction entirely; [`FileSink`] writes the NDJSON ledger;
 //!   [`MemSink`] buffers in memory for tests.
-//! - **Trace capture** ([`Tracer`], [`chrome_trace`]): timestamped spans
-//!   with per-thread track ids, exportable as Chrome trace-event JSON
-//!   for Perfetto.
 //!
 //! [`ObsCtx`] bundles these plus an optional throttled progress meter,
 //! and is what the pipeline's `analyze_with` entry point accepts.
@@ -36,11 +36,11 @@ mod ctx;
 mod ledger;
 mod metrics;
 mod progress;
-mod timers;
 mod trace;
 
 pub use compare::{
-    compare_artifacts, compare_counters, flatten_artifact, CompareConfig, Comparison, CounterDiff,
+    compare_artifacts, compare_counters, flatten_artifact, parse_threshold_pct, CompareConfig,
+    Comparison, CounterDiff,
 };
 pub use ctx::ObsCtx;
 pub use ledger::{
@@ -49,9 +49,9 @@ pub use ledger::{
     ObsSink, PairEvent, RunHeader, SpanEvent, FAIL_AFTER_ENV, FAULT_EXIT_CODE, LEDGER_VERSION,
 };
 pub use metrics::{Counter, Counters, Metrics, MetricsSnapshot};
-pub use timers::{SpanGuard, SpanStat, Timers};
 pub use trace::{
-    chrome_trace, chrome_trace_from_totals, current_tid, ChromeEvent, ChromeTrace, Tracer,
+    chrome_trace, chrome_trace_from_totals, current_tid, ChromeEvent, ChromeTrace, SpanGuard,
+    SpanStat, Tracer,
 };
 
 #[cfg(test)]
@@ -60,32 +60,68 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    #[test]
-    fn span_guards_accumulate_by_path() {
-        let timers = Timers::new();
-        {
-            let root = timers.span("analyze");
-            let _child = root.child("pairs");
-            std::thread::sleep(Duration::from_millis(2));
+    fn span(path: &str, start_us: u64, dur_us: u64) -> SpanEvent {
+        SpanEvent {
+            span: path.to_owned(),
+            tid: 1,
+            start_us,
+            dur_us,
         }
-        timers.add("analyze/pairs", Duration::from_millis(5));
-        let snap = timers.snapshot();
-        assert_eq!(snap["analyze"].count, 1);
-        assert_eq!(snap["analyze/pairs"].count, 2);
-        assert!(snap["analyze/pairs"].total >= Duration::from_millis(5));
-        assert!(timers.total("analyze") >= Duration::from_millis(2));
-        assert_eq!(timers.total("never"), Duration::ZERO);
+    }
+
+    #[test]
+    fn span_log_totals_fold_labels_into_their_path() {
+        let log = Tracer::new();
+        {
+            let _root = log.span("analyze");
+            for sink in [3, 7] {
+                let _group = log.span(format!("analyze/pairs/sink:{sink}"));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // Spans entered and left inside the root lie inside it.
+        let events = log.events();
+        let (root, children) = events.split_last().unwrap();
+        assert_eq!(root.span, "analyze");
+        assert_eq!(
+            children[1].span, "analyze/pairs/sink:7",
+            "labels stay in the log"
+        );
+        for e in children {
+            assert!(e.start_us >= root.start_us);
+            assert!(e.start_us + e.dur_us <= root.start_us + root.dur_us);
+        }
+
+        log.record(span("analyze/pairs/sink:9", 0, 5));
+        let totals = log.totals();
+        assert_eq!(
+            totals.keys().collect::<Vec<_>>(),
+            ["analyze", "analyze/pairs/sink"]
+        );
+        assert_eq!(totals["analyze"].count, 1);
+        assert_eq!(totals["analyze/pairs/sink"].count, 3);
+        assert!(totals["analyze/pairs/sink"].total >= Duration::from_millis(2));
+        assert_eq!(
+            log.total("analyze/pairs/sink"),
+            totals["analyze/pairs/sink"].total
+        );
+        assert!(log.total("analyze") >= Duration::from_millis(2));
+        assert_eq!(log.total("never"), Duration::ZERO);
     }
 
     #[test]
     fn span_stop_returns_elapsed_once() {
-        let timers = Timers::new();
-        let g = timers.span("x");
+        let log = Tracer::new();
+        let g = log.span("x");
+        std::thread::sleep(Duration::from_millis(1));
         let elapsed = g.stop();
-        let snap = timers.snapshot();
-        assert_eq!(snap["x"].count, 1);
-        assert_eq!(snap["x"].total, elapsed);
-        assert_eq!(snap["x"].mean(), elapsed);
+        let events = log.events();
+        assert_eq!(events.len(), 1, "stop records; the drop after it does not");
+        assert_eq!(Duration::from_micros(events[0].dur_us), elapsed);
+        let totals = log.totals();
+        assert_eq!(totals["x"].count, 1);
+        assert_eq!(totals["x"].total, elapsed);
+        assert_eq!(totals["x"].mean(), elapsed);
     }
 
     #[test]
@@ -112,7 +148,7 @@ mod tests {
     fn snapshot_round_trips_through_json() {
         let ctx = ObsCtx::new();
         ctx.metrics.sat_conflicts.add(7);
-        ctx.timers.add("analyze/sim", Duration::from_micros(1234));
+        ctx.timers.record(span("analyze/sim", 0, 1234));
         let snap = ctx.snapshot();
         let text = serde_json::to_string(&snap).expect("serialize");
         let back: MetricsSnapshot = serde_json::from_str(&text).expect("parse");
@@ -307,7 +343,7 @@ mod tests {
         let ctx = ObsCtx::new();
         assert_eq!(ctx.snapshot().sim_words_per_sec(), 0.0);
         ctx.metrics.sim_words.add(500);
-        ctx.timers.add("analyze/sim", Duration::from_millis(250));
+        ctx.timers.record(span("analyze/sim", 0, 250_000));
         let wps = ctx.snapshot().sim_words_per_sec();
         assert!((wps - 2000.0).abs() < 1e-6, "got {wps}");
     }
@@ -474,18 +510,17 @@ mod tests {
     }
 
     #[test]
-    fn obs_ctx_trace_spans_follow_the_sink() {
-        let off = ObsCtx::new();
-        assert!(!off.tracing());
-        assert!(off.trace_span(|| "x".to_owned()).is_none());
-
-        let on = ObsCtx::new().with_sink(Box::new(MemSink::new()));
-        assert!(on.tracing());
-        on.trace_span(|| "analyze/pairs/g".to_owned());
-        assert_eq!(on.tracer.drain().len(), 1);
-
-        let null = ObsCtx::new().with_sink(Box::new(NullSink));
-        assert!(!null.tracing());
+    fn obs_ctx_keeps_its_span_log_whatever_the_sink() {
+        for ctx in [
+            ObsCtx::new(),
+            ObsCtx::new().with_sink(Box::new(MemSink::new())),
+        ] {
+            ctx.timers.span("analyze/sim").stop();
+            // Reading the events (as the ledger export does) leaves the
+            // log intact for the totals.
+            assert_eq!(ctx.timers.events().len(), 1);
+            assert_eq!(ctx.snapshot().spans["analyze/sim"].count, 1);
+        }
     }
 
     #[test]
@@ -530,7 +565,6 @@ mod tests {
     fn obs_ctx_is_sync_and_sendable() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<ObsCtx>();
-        assert_sync::<Timers>();
         assert_sync::<Metrics>();
         assert_sync::<Tracer>();
     }

@@ -1,6 +1,6 @@
 //! Relaxed atomic engine counters and their serializable snapshots.
 
-use crate::timers::SpanStat;
+use crate::trace::SpanStat;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -301,50 +301,25 @@ impl Counters {
 pub struct MetricsSnapshot {
     /// Engine counters (deterministic for a fixed seed/config).
     pub counters: Counters,
-    /// Accumulated span timings by path (wall-clock, not deterministic).
+    /// Span totals by path, from the run's span log (wall-clock, not
+    /// deterministic).
     pub spans: BTreeMap<String, SpanStat>,
 }
 
 impl MetricsSnapshot {
     /// Random-simulation throughput: 64-pattern words per wall-clock
-    /// second, or 0.0 when no sim time was recorded. Wall-clock-derived,
-    /// so (unlike the counters) not deterministic across runs.
-    ///
-    /// Attribution is **per kernel**: when kernel-tagged child
-    /// spans (`analyze/sim/<kernel>`, e.g. `analyze/sim/jit-avx2`) exist,
-    /// their summed time is the denominator — the parent `analyze/sim`
-    /// span also covers tape/lowering compilation and pair grouping, and
-    /// on warm-cache or static-resolved runs it accrues time with *zero*
-    /// words simulated, which used to deflate the rate. The parent span
-    /// remains the fallback for snapshots recorded before the tags
-    /// existed.
+    /// second of the `analyze/sim` span, or 0.0 when no sim time was
+    /// recorded. Wall-clock-derived, so (unlike the counters) not
+    /// deterministic across runs.
     pub fn sim_words_per_sec(&self) -> f64 {
-        let tiers: f64 = self
+        let secs = self
             .spans
-            .iter()
-            .filter(|(path, _)| path.starts_with("analyze/sim/"))
-            .map(|(_, s)| s.total.as_secs_f64())
-            .sum();
-        let secs = if tiers > 0.0 {
-            tiers
-        } else {
-            self.spans
-                .get("analyze/sim")
-                .map_or(0.0, |s| s.total.as_secs_f64())
-        };
+            .get("analyze/sim")
+            .map_or(0.0, |s| s.total.as_secs_f64());
         if secs > 0.0 {
             self.counters.sim_words as f64 / secs
         } else {
             0.0
         }
-    }
-
-    /// The kernel tags that recorded sim time, in span order —
-    /// e.g. `["jit-avx2"]`. Empty for pre-tag snapshots.
-    pub fn sim_kernel_tags(&self) -> Vec<&str> {
-        self.spans
-            .keys()
-            .filter_map(|path| path.strip_prefix("analyze/sim/"))
-            .collect()
     }
 }

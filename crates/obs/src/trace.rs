@@ -1,20 +1,19 @@
-//! Timestamped span capture and Chrome trace-event export.
+//! The run's span log, and its Chrome trace-event export.
 //!
-//! [`Timers`](crate::Timers) answers "how much total time went where";
-//! this module answers "when, and on which thread". The pipeline runs a
-//! [`Tracer`] alongside the timers, collecting one [`SpanEvent`] per
-//! entered span with begin/end timestamps relative to the tracer's
-//! epoch and a per-thread track id. `mcpath trace --format chrome`
-//! turns those into trace-event JSON loadable in Perfetto or
-//! `chrome://tracing`.
+//! A [`Tracer`] collects one [`SpanEvent`] per entered span, with
+//! begin/end timestamps relative to the tracer's epoch and a per-thread
+//! track id. The same log answers "how much total time went where"
+//! ([`Tracer::totals`], the report's `metrics.spans`) and "when, and on
+//! which thread" (the ledger's span lines, which `mcpath trace --format
+//! chrome` turns into trace-event JSON loadable in Perfetto or
+//! `chrome://tracing`).
 
 use crate::ledger::SpanEvent;
-use crate::timers::SpanStat;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -33,10 +32,40 @@ pub fn current_tid() -> u64 {
     TRACE_TID.with(|t| *t)
 }
 
-/// Collector of timestamped spans, shared by reference across worker
-/// threads. All timestamps are microseconds since the tracer's
-/// construction (its *epoch*), so the resulting events are
-/// self-contained without wall-clock anchoring.
+/// Accumulated wall-clock total and entry count of one span path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SpanStat {
+    /// Total time spent inside the span, summed over entries.
+    pub total: Duration,
+    /// Number of times the span was entered.
+    pub count: u64,
+}
+
+impl SpanStat {
+    /// Mean time per entry, or zero when the span was never entered.
+    pub fn mean(&self) -> Duration {
+        if self.count == 0 {
+            Duration::ZERO
+        } else {
+            self.total / self.count as u32
+        }
+    }
+}
+
+/// The path a span's time is totalled under: `path` without its
+/// `:label` suffix (everything from the first `:`), which names one
+/// instance — `analyze/pairs/sink:42` counts towards `analyze/pairs/sink`.
+fn total_key(path: &str) -> &str {
+    path.split_once(':').map_or(path, |(key, _)| key)
+}
+
+/// The span log of one run, shared by reference across worker threads.
+///
+/// Spans are keyed by `/`-separated paths (`"analyze/pairs/worker"`);
+/// the hierarchy is by naming convention, so a [`totals`](Self::totals)
+/// map sorts parents directly above their children. Timestamps are
+/// whole microseconds since the tracer's construction (its *epoch*), so
+/// the events are self-contained without wall-clock anchoring.
 #[derive(Debug)]
 pub struct Tracer {
     epoch: Instant,
@@ -50,7 +79,7 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer whose epoch is now.
+    /// Creates an empty log whose epoch is now.
     pub fn new() -> Self {
         Tracer {
             epoch: Instant::now(),
@@ -58,13 +87,13 @@ impl Tracer {
         }
     }
 
-    /// Enters a timestamped span at `path` on the calling thread's
-    /// track; the returned guard records the span when dropped.
-    pub fn span(&self, path: impl Into<String>) -> TraceGuard<'_> {
-        TraceGuard {
+    /// Enters a span at `path` on the calling thread's track; the
+    /// returned guard records it when stopped or dropped.
+    pub fn span(&self, path: impl Into<String>) -> SpanGuard<'_> {
+        SpanGuard {
             tracer: self,
             path: path.into(),
-            start: Instant::now(),
+            start_us: self.now_us(),
             done: false,
         }
     }
@@ -74,45 +103,82 @@ impl Tracer {
         self.spans.lock().expect("tracer poisoned").push(span);
     }
 
-    /// Takes every span recorded so far, leaving the tracer empty.
+    /// A copy of every span recorded so far, in the order they ended.
+    pub fn events(&self) -> Vec<SpanEvent> {
+        self.spans.lock().expect("tracer poisoned").clone()
+    }
+
+    /// Takes every span recorded so far, leaving the log empty.
     pub fn drain(&self) -> Vec<SpanEvent> {
         std::mem::take(&mut self.spans.lock().expect("tracer poisoned"))
     }
 
-    fn finish(&self, path: &str, start: Instant) {
-        let start_us = start.duration_since(self.epoch).as_micros() as u64;
-        let dur_us = start.elapsed().as_micros() as u64;
-        self.record(SpanEvent {
-            span: path.to_owned(),
-            tid: current_tid(),
-            start_us,
-            dur_us,
-        });
+    /// Total recorded so far under `path` (zero if never entered);
+    /// labelled instances count towards their unlabelled path.
+    pub fn total(&self, path: &str) -> Duration {
+        let spans = self.spans.lock().expect("tracer poisoned");
+        let us = spans
+            .iter()
+            .filter(|s| total_key(&s.span) == path)
+            .map(|s| s.dur_us)
+            .sum();
+        Duration::from_micros(us)
+    }
+
+    /// Every path's total and entry count; labelled instances fold into
+    /// their unlabelled path.
+    pub fn totals(&self) -> BTreeMap<String, SpanStat> {
+        let mut out: BTreeMap<String, SpanStat> = BTreeMap::new();
+        for s in self.spans.lock().expect("tracer poisoned").iter() {
+            let stat = out.entry(total_key(&s.span).to_owned()).or_default();
+            stat.total += Duration::from_micros(s.dur_us);
+            stat.count += 1;
+        }
+        out
+    }
+
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 }
 
-/// RAII guard of one entered trace span; see [`Tracer::span`].
+/// RAII guard of one entered span; see [`Tracer::span`].
+///
+/// Begin and end are both read as whole microseconds since the epoch,
+/// so a span entered and left inside another one lies inside it in the
+/// log too.
 #[must_use = "dropping the guard immediately records a ~zero-length span"]
 #[derive(Debug)]
-pub struct TraceGuard<'t> {
+pub struct SpanGuard<'t> {
     tracer: &'t Tracer,
     path: String,
-    start: Instant,
+    start_us: u64,
     done: bool,
 }
 
-impl TraceGuard<'_> {
-    /// Ends the span now.
-    pub fn stop(mut self) {
-        self.tracer.finish(&self.path, self.start);
+impl SpanGuard<'_> {
+    /// Ends the span now and returns its recorded duration.
+    pub fn stop(mut self) -> Duration {
         self.done = true;
+        self.finish()
+    }
+
+    fn finish(&mut self) -> Duration {
+        let dur_us = self.tracer.now_us().saturating_sub(self.start_us);
+        self.tracer.record(SpanEvent {
+            span: std::mem::take(&mut self.path),
+            tid: current_tid(),
+            start_us: self.start_us,
+            dur_us,
+        });
+        Duration::from_micros(dur_us)
     }
 }
 
-impl Drop for TraceGuard<'_> {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if !self.done {
-            self.tracer.finish(&self.path, self.start);
+            self.finish();
         }
     }
 }

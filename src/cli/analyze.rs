@@ -33,7 +33,7 @@ pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(),
     let old = cmd.eco.as_deref().map(load).transpose()?;
     // Read the resume ledger *before* `obs()` opens `--trace-out`:
     // resuming a run onto its own ledger path is the natural CLI usage,
-    // and `FileSink::create` truncates.
+    // and opening the ledger truncates it.
     let ledger = cmd.resume.as_deref().map(read_ledger).transpose()?;
     // A resume never reads the store, not even an MCPATH_CACHE_DIR one.
     let store = match &ledger {

@@ -6,7 +6,13 @@ use super::load;
 use mcp_netlist::Netlist;
 use std::fmt::Write as _;
 
-pub(crate) const GLITCH_TRIALS: usize = 512;
+const GLITCH_TRIALS: usize = 512;
+
+/// Random 64-lane words sampled at most. A source FF that never toggles
+/// (one that holds its value) yields no trial, so the trial budget alone
+/// would never end the hunt. Eight words per wanted trial still fills
+/// the trials of a source that toggles in one lane in 512.
+const GLITCH_WORDS: usize = 8 * GLITCH_TRIALS;
 
 /// `glitch`: sample random edges where `src` toggles until `dst`'s D
 /// input glitches, then write the VCD waveform.
@@ -25,15 +31,14 @@ pub(crate) fn glitch(
     };
     let (i, j) = (find_ff(src)?, find_ff(dst)?);
     match hunt_glitch(&nl, i, j) {
-        None => {
+        Err(edges) => {
             let _ = writeln!(
                 out,
-                "no dynamic glitch found at {dst}'s D input in {} sampled \
-                 edges where {src} toggles",
-                GLITCH_TRIALS
+                "no dynamic glitch found at {dst}'s D input in {edges} sampled \
+                 edges where {src} toggles"
             );
         }
-        Some((initial, events, transitions)) => {
+        Ok((initial, events, transitions)) => {
             let mut file =
                 std::fs::File::create(vcd_path).map_err(|e| format!("create `{vcd_path}`: {e}"))?;
             mcp_sim::vcd::write_vcd(&nl, &initial, &events, &mut file)
@@ -50,13 +55,15 @@ pub(crate) fn glitch(
 
 /// Samples random pre/post-edge value pairs where FF `i` toggles, under
 /// random transport delays, until FF `j`'s D input glitches; returns the
-/// initial values, the event trace and the transition count.
+/// initial values, the event trace and the transition count, or the
+/// number of edges sampled without a glitch once the trial or word
+/// budget runs out.
 #[allow(clippy::type_complexity)]
 fn hunt_glitch(
     nl: &Netlist,
     i: usize,
     j: usize,
-) -> Option<(Vec<bool>, Vec<(u64, mcp_netlist::NodeId, bool)>, u32)> {
+) -> Result<(Vec<bool>, Vec<(u64, mcp_netlist::NodeId, bool)>, u32), usize> {
     use mcp_sim::{DelaySim, ParallelSim};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -65,7 +72,10 @@ fn hunt_glitch(
     let mut psim = ParallelSim::new(nl);
     let dst = nl.ff_d_input(j);
     let mut trials = 0usize;
-    while trials < GLITCH_TRIALS {
+    for _ in 0..GLITCH_WORDS {
+        if trials >= GLITCH_TRIALS {
+            break;
+        }
         psim.randomize_state(&mut rng);
         psim.randomize_inputs(&mut rng);
         let s0: Vec<u64> = (0..nl.num_ffs()).map(|k| psim.state(k)).collect();
@@ -92,9 +102,9 @@ fn hunt_glitch(
             let initial: Vec<bool> = nl.nodes().map(|(id, _)| dsim.value(id)).collect();
             let report = dsim.edge(&pis1, &ffs1);
             if report.glitched(dst) {
-                return Some((initial, report.events().to_vec(), report.transitions(dst)));
+                return Ok((initial, report.events().to_vec(), report.transitions(dst)));
             }
         }
     }
-    None
+    Err(trials)
 }

@@ -53,7 +53,7 @@ mod tests;
 
 use mcp_core::{Engine, HazardCheck, McConfig};
 use mcp_netlist::{bench, Netlist};
-use mcp_obs::{FileSink, ObsCtx};
+use mcp_obs::{FailAfter, FileSink, ObsCtx, FAIL_AFTER_ENV};
 use std::time::Duration;
 
 /// A parsed command line.
@@ -395,9 +395,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                 compare = Some((old, new));
             }
             "--threshold" => {
-                threshold = take_value(&mut args, "--threshold")?
-                    .parse()
-                    .map_err(|e| ParseCliError(format!("bad --threshold: {e}")))?;
+                threshold = mcp_obs::parse_threshold_pct(&take_value(&mut args, "--threshold")?)
+                    .map_err(ParseCliError)?;
             }
             "--robust" => {
                 robust_check = Some(match take_value(&mut args, "--robust")?.as_str() {
@@ -617,12 +616,16 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
 
 impl Command {
     /// Builds the observability context requested by `--trace-out` /
-    /// `--progress`.
+    /// `--progress`. The ledger arms the deterministic crash hook when
+    /// `MCPATH_FAIL_AFTER_EVENTS` holds a journal-line budget.
     fn obs(&self) -> Result<ObsCtx, String> {
         let mut obs = ObsCtx::new();
         if let Some(p) = &self.trace_out {
-            let sink = FileSink::create(p).map_err(|e| format!("create `{p}`: {e}"))?;
-            obs = obs.with_sink(Box::new(sink));
+            let file = std::fs::File::create(p).map_err(|e| format!("create `{p}`: {e}"))?;
+            let fault = std::env::var(FAIL_AFTER_ENV)
+                .ok()
+                .and_then(|v| FailAfter::from_value(&v));
+            obs = obs.with_sink(Box::new(FileSink::with_fault(file, fault)));
         }
         if self.progress {
             obs = obs.with_progress(Duration::from_millis(200));

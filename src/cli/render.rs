@@ -192,17 +192,13 @@ pub(crate) fn render_snapshot(m: &MetricsSnapshot) -> String {
     if wps > 0.0 {
         let _ = writeln!(out, "  {:<24} {wps:.0}", "sim_words_per_sec");
     }
-    let tags = m.sim_kernel_tags();
-    if !tags.is_empty() {
-        let _ = writeln!(out, "  {:<24} {}", "sim_kernels", tags.join(" "));
-    }
     if !m.spans.is_empty() {
         let _ = writeln!(out, "spans:");
         // The BTreeMap's lexicographic order visits parents before their
         // children, so the `/`-separated paths render as an indented
         // tree: each entry prints its final segment at a depth matching
         // its ancestry, with bare `name/` lines for ancestors that have
-        // no timer entry of their own.
+        // no span of their own.
         let mut prev: Vec<&str> = Vec::new();
         for (path, st) in &m.spans {
             let segs: Vec<&str> = path.split('/').collect();

@@ -195,6 +195,38 @@ fn dot_and_glitch_subcommands_work() {
 }
 
 #[test]
+fn glitch_ends_when_the_source_never_toggles() {
+    // `q` holds its value forever, so no sampled edge toggles it: the
+    // hunt must run out of words instead of looping. A watchdog turns a
+    // regression into a failure rather than a hung suite.
+    let dir = std::env::temp_dir().join("mcpath-cli-glitch-hold");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("hold.bench");
+    std::fs::write(&path, "INPUT(a)\nOUTPUT(q)\nq = DFF(d)\nd = BUFF(q)\n").expect("write");
+    let vcd = dir.join("out.vcd");
+    let _ = std::fs::remove_file(&vcd);
+    let cmd = parse_args(argv(&format!(
+        "glitch {} q q {}",
+        path.display(),
+        vcd.display()
+    )))
+    .expect("parse");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(run(&cmd));
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("`glitch` on a source that never toggles must terminate")
+        .expect("glitch");
+    assert!(
+        out.contains("no dynamic glitch found at q's D input in 0 sampled edges"),
+        "{out}"
+    );
+    assert!(!vcd.exists(), "no glitch, no waveform");
+}
+
+#[test]
 fn lint_subcommand_reports_and_gates() {
     let dir = std::env::temp_dir().join("mcpath-cli-lint");
     std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -422,9 +454,29 @@ fn metrics_trace_and_stats_round_trip() {
     assert!(out.contains("per-step resolution"), "{out}");
     assert!(out.contains("throughput"), "{out}");
     assert!(out.contains("sim_words_per_sec"), "{out}");
-    // The throughput attribution names the kernel tier that ran (the
-    // exact tag is host-dependent: jit-avx2, jit-scalar or fused).
-    assert!(out.contains("sim_kernels"), "{out}");
+    // The step table's throughput cell names the kernel tier that ran
+    // (the exact tag is host-dependent: jit-avx2, jit-scalar or fused).
+    assert!(
+        ["[jit-avx2]", "[jit-scalar]", "[fused]"]
+            .iter()
+            .any(|tag| out.contains(tag)),
+        "{out}"
+    );
+    // The kernel is named once, there: no span copies the sim time
+    // under the kernel's name.
+    assert!(!out.contains("sim_kernels"), "{out}");
+    let saved: mcp_core::McReport =
+        serde_json::from_str(&std::fs::read_to_string(&json).expect("read")).expect("report");
+    assert!(saved.metrics.spans.contains_key("analyze/sim"));
+    assert!(
+        !saved
+            .metrics
+            .spans
+            .keys()
+            .any(|k| k.starts_with("analyze/sim/")),
+        "{:?}",
+        saved.metrics.spans.keys()
+    );
 
     // `stats` on the NDJSON journal aggregates the per-pair events.
     let cmd = parse_args(argv(&format!("stats {}", trace.display()))).expect("parse");
@@ -466,6 +518,26 @@ fn parses_resume_compare_and_canonical_flags() {
     assert!(parse_args(argv("stats --compare a.json")).is_err());
     assert!(parse_args(argv("stats x.bench --compare a.json b.json")).is_err());
     assert!(parse_args(argv("stats --compare a.json b.json --threshold abc")).is_err());
+}
+
+#[test]
+fn compare_threshold_must_be_finite_and_non_negative() {
+    // NaN or infinity would silently turn the gate off; a negative
+    // tolerance has no meaning.
+    for bad in ["nan", "NaN", "inf", "-inf", "infinity", "-1", "-0.5"] {
+        let err = parse_args(argv(&format!(
+            "stats --compare a.json b.json --threshold {bad}"
+        )))
+        .unwrap_err();
+        assert!(err.to_string().contains("--threshold"), "{bad}: {err}");
+    }
+    for good in ["0", "2.5", "100"] {
+        let cmd = parse_args(argv(&format!(
+            "stats --compare a.json b.json --threshold {good}"
+        )))
+        .expect(good);
+        assert_eq!(cmd.threshold, good.parse::<f64>().unwrap());
+    }
 
     let cmd = parse_args(argv("trace t.ndjson")).expect("parse");
     assert_eq!(cmd.action, Action::Trace("t.ndjson".into()));
