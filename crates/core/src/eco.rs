@@ -11,7 +11,9 @@
 //! 3. takes the **new** revision's sink groups from the run's one plan,
 //!    and
 //! 4. marks a group *dirty* exactly when its cone of influence in the
-//!    new time-frame expansion contains a changed node. Dirty groups are
+//!    new time-frame expansion contains an expansion node that carries a
+//!    changed node's value: the node's copy in every frame and, for a
+//!    flip-flop, its value after the last frame. Dirty groups are
 //!    re-verified by the engines; every clean group's pairs splice their
 //!    old verdicts (matched by FF *name* — indices may shift across the
 //!    edit), and pairs with no old verdict (newly created) are
@@ -155,6 +157,12 @@ pub(crate) fn old_verdicts(
 /// Drops from `verdicts` every pair of a group whose cone meets
 /// `changed`, filling in the group and pair counts of `summary`.
 /// Returns the number of old verdicts the edit invalidated.
+///
+/// A changed node is resolved to every expansion node that carries its
+/// value: its copy in each frame, plus, for a flip-flop, its value after
+/// the last frame. Node origins alone would miss a flip-flop's later
+/// values, which are the nodes of its D input: a group reading a
+/// rewired flip-flop at `t+1` only ever meets the new D input's nodes.
 pub(crate) fn drop_dirty(
     new: &Netlist,
     x: &Expanded,
@@ -165,18 +173,21 @@ pub(crate) fn drop_dirty(
     summary: &mut EcoSummary,
 ) -> u64 {
     summary.groups_total = groups.len();
+    let mut touched = vec![false; x.num_nodes()];
+    for n in changed.iter().filter_map(|name| new.find_node(name)) {
+        for f in 0..x.frames() {
+            touched[x.value_of(f, n).index()] = true;
+        }
+        if let Some(k) = new.ff_index(n) {
+            touched[x.ff_at(k, x.frames()).index()] = true;
+        }
+    }
     let mut invalidated = 0;
     for group in groups {
-        // Dirty iff any node of the group's cone originates from a
-        // changed netlist node. Every expansion node of a cone traces to
-        // an origin except the frame-0 FF pseudo-inputs, which carry no
-        // structure of their own.
         let dirty = !changed.is_empty()
-            && x.cone_of(&group_roots(x, group, cycles)).iter().any(|&id| {
-                x.node(id)
-                    .origin()
-                    .is_some_and(|(_, nid)| changed.contains(new.node(nid).name()))
-            });
+            && x.cone_of(&group_roots(x, group.sink, &group.sources, cycles))
+                .iter()
+                .any(|id| touched[id.index()]);
         if dirty {
             summary.groups_reverified += 1;
             summary.pairs_reverified += group.sources.len();
@@ -334,6 +345,52 @@ mod tests {
         assert!(summary.full_run, "{summary:?}");
         let cold = analyze_with(&new, &cfg, &ObsCtx::new()).expect("cold");
         assert_eq!(canon(&eco), canon(&cold));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An old/new pair that differs only in the D input of `q`: `n1` is
+    /// constant 0, so `(s, q)` is multi-cycle in the old revision; `n2`
+    /// is a 31-input AND no random pattern excites, so the new
+    /// revision's single-cycle verdict comes from the search.
+    fn rewired_dff_pair() -> (Netlist, Netlist) {
+        let ands: Vec<String> = (1..=30).map(|k| format!("a{k}")).collect();
+        let text = |q_input: &str| {
+            let mut lines = vec!["INPUT(a)".to_owned()];
+            lines.extend(ands.iter().map(|a| format!("INPUT({a})")));
+            lines.extend([
+                "s = DFF(a)".to_owned(),
+                "ns = NOT(s)".to_owned(),
+                "n1 = AND(s, ns)".to_owned(),
+                format!("n2 = AND(s, {})", ands.join(", ")),
+                format!("q = DFF({q_input})"),
+                "r1 = DFF(n1)".to_owned(),
+                "r2 = DFF(n2)".to_owned(),
+            ]);
+            lines.join("\n")
+        };
+        let parse = |t: String| bench::parse("rewire", &t).expect("parse");
+        (parse(text("n1")), parse(text("n2")))
+    }
+
+    #[test]
+    fn rewiring_a_dff_input_dirties_the_groups_that_read_it() {
+        // The group of sink `q` reads q(t+1) and q(t+2), which are `n2`'s
+        // nodes: no node of its cone has `q` as origin, yet the edit
+        // changes its verdict.
+        let dir = tempdir("rewire");
+        let store = CasStore::open(&dir).expect("open");
+        let (old, new) = rewired_dff_pair();
+        let cfg = McConfig::default();
+        analyze_cached_with(&old, &cfg, &ObsCtx::new(), &store).expect("seed old");
+        let (eco, summary) =
+            analyze_eco_with(&old, &new, &cfg, &ObsCtx::new(), &store).expect("eco");
+        let cold = analyze_with(&new, &cfg, &ObsCtx::new()).expect("cold");
+        assert_eq!(canon(&eco), canon(&cold), "ECO must equal the cold run");
+        assert_eq!(summary.changed_nodes, 1, "{summary:?}");
+        assert!(summary.groups_reverified > 0, "{summary:?}");
+        // A later warm query answers from what the ECO stored.
+        let warm = analyze_cached_with(&new, &cfg, &ObsCtx::new(), &store).expect("warm");
+        assert_eq!(canon(&warm), canon(&cold));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,12 +31,13 @@
 //! possibly-hazardous, the conservative direction.
 
 use crate::report::McReport;
+use crate::stage::group_roots;
 use mcp_implication::ImpEngine;
 use mcp_logic::V3;
-use mcp_netlist::{Expanded, Netlist, NodeId};
+use mcp_netlist::{Expanded, Netlist, NodeId, NodeKind};
 use mcp_obs::ObsCtx;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 /// Which delay-independent hazard criterion to apply.
@@ -87,52 +88,289 @@ pub fn check_hazards_with(
     obs: &ObsCtx,
 ) -> HazardReport {
     let span = obs.timers.span("hazard/check");
+    let walk = walk_sinks(netlist, report, check, false, obs);
+    HazardReport {
+        check,
+        robust: walk.robust,
+        demoted: walk.demoted,
+        elapsed: span.stop(),
+    }
+}
+
+/// What one walk over a report's multi-cycle pairs found, each list
+/// sorted by pair.
+#[derive(Default)]
+struct Walk {
+    robust: Vec<(usize, usize)>,
+    demoted: Vec<(usize, usize)>,
+    /// The dependencies of every robust pair, when the walk collects them.
+    deps: Vec<PairDependencies>,
+}
+
+/// The `(FFi(t), FFj(t+1))` assignments of a pair's four scenarios.
+const SCENARIOS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+
+/// The one walk behind [`check_hazards_with`] and
+/// [`sensitization_dependencies`]: the multi-cycle pairs grouped by sink,
+/// every scenario of a sink's pairs run on that sink's slice.
+///
+/// A sink's slice is cut at [`group_roots`], which are exactly the nodes
+/// a scenario asserts, and carries one slice-local implication engine.
+/// Direct implication restricted to a fanin-closed cone that holds every
+/// asserted node derives the same values inside that cone as on the
+/// whole circuit (DESIGN §11). Every source→sink glitch path lies inside
+/// the sink's fanin cone, whose frame-1 values the slice holds, so the
+/// searches read those values straight from the engine. No per-sink
+/// step touches anything sized to the whole circuit.
+fn walk_sinks(
+    netlist: &Netlist,
+    report: &McReport,
+    check: HazardCheck,
+    with_deps: bool,
+    obs: &ObsCtx,
+) -> Walk {
     let x = Expanded::build(netlist, 2);
-    let mut eng = ImpEngine::new(&x);
-
-    let mut robust = Vec::new();
-    let mut demoted = Vec::new();
-    let mut v1 = vec![V3::X; netlist.num_nodes()];
-
+    let mut by_sink: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (i, j) in report.multi_cycle_pairs() {
-        let mut hazardous = false;
-        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            let cp = eng.checkpoint();
-            let consistent = eng
-                .assign(x.ff_at(i, 0), a)
-                .and_then(|()| eng.assign(x.ff_at(i, 1), !a))
-                .and_then(|()| eng.assign(x.ff_at(j, 1), b))
-                // The pair satisfies the MC condition, so the sink holds:
-                .and_then(|()| eng.assign(x.ff_at(j, 2), b))
-                .and_then(|()| eng.propagate())
-                .is_ok();
-            if consistent {
-                for (id, _) in netlist.nodes() {
-                    v1[id.index()] = eng.value(x.value_of(1, id));
+        by_sink.entry(j).or_default().push(i);
+    }
+    let mut cone = SinkCone::new(netlist);
+    let mut out = Walk::default();
+    for (&j, sources) in &by_sink {
+        let slice = x.build_slice(&group_roots(&x, j, sources, 2));
+        let sx = slice.model();
+        let mut eng = ImpEngine::new(sx);
+        cone.enter_sink(netlist, j);
+        for &i in sources {
+            let mut hazardous = false;
+            let mut sides = Vec::new();
+            let on_path = with_deps && cone.enter_pair(netlist, i);
+            for (a, b) in SCENARIOS {
+                let cp = eng.checkpoint();
+                let consistent = eng
+                    .assign(sx.ff_at(i, 0), a)
+                    .and_then(|()| eng.assign(sx.ff_at(i, 1), !a))
+                    .and_then(|()| eng.assign(sx.ff_at(j, 1), b))
+                    // The pair satisfies the MC condition, so the sink holds:
+                    .and_then(|()| eng.assign(sx.ff_at(j, 2), b))
+                    .and_then(|()| eng.propagate())
+                    .is_ok();
+                if consistent {
+                    let v1 = |n: NodeId| eng.value(sx.value_of(1, n));
+                    hazardous = cone.glitch_path(netlist, i, &v1, check);
+                    if on_path && !hazardous {
+                        cone.blocking_sides(netlist, &v1, &mut sides);
+                    }
                 }
-                if glitch_path_exists(netlist, i, j, &v1, check) {
-                    hazardous = true;
+                eng.backtrack(cp);
+                if hazardous {
+                    break;
                 }
             }
-            eng.backtrack(cp);
             if hazardous {
-                break;
+                out.demoted.push((i, j));
+                continue;
+            }
+            out.robust.push((i, j));
+            if with_deps {
+                let deps = cone
+                    .feeding_ffs(netlist, &sides)
+                    .into_iter()
+                    .filter(|&k| k != i && sources.binary_search(&k).is_ok())
+                    .map(|k| (k, j))
+                    .collect();
+                out.deps.push(((i, j), deps));
             }
         }
-        if hazardous {
-            demoted.push((i, j));
-        } else {
-            robust.push((i, j));
+        obs.metrics.implications.add(eng.implications());
+        obs.metrics.contradictions.add(eng.contradictions());
+    }
+    out.robust.sort_unstable();
+    out.demoted.sort_unstable();
+    out.deps.sort_unstable_by_key(|&(pair, _)| pair);
+    out
+}
+
+/// A node set over the netlist, allocated once and emptied in O(1): a
+/// node is in the set when its stamp equals the current epoch.
+struct Stamps {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Stamps {
+    fn new(num_nodes: usize) -> Self {
+        Stamps {
+            stamp: vec![0; num_nodes],
+            epoch: 1,
         }
     }
 
-    obs.metrics.implications.add(eng.implications());
-    obs.metrics.contradictions.add(eng.contradictions());
-    HazardReport {
-        check,
-        robust,
-        demoted,
-        elapsed: span.stop(),
+    fn clear(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Adds `id`; `false` when it was already in.
+    fn insert(&mut self, id: NodeId) -> bool {
+        std::mem::replace(&mut self.stamp[id.index()], self.epoch) != self.epoch
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        self.stamp[id.index()] == self.epoch
+    }
+}
+
+/// One sink's fanin cone and the searches run inside it. Allocated once
+/// per walk; re-aiming it at a sink or a pair costs only that cone.
+struct SinkCone {
+    /// The sink's D-input node.
+    dst: NodeId,
+    /// The gates of the sink's combinational fanin cone.
+    gates: Stamps,
+    /// The current pair's path cone: its source, and the cone's gates
+    /// the source reaches.
+    path: Stamps,
+    /// The path cone's gates, in discovery order.
+    path_gates: Vec<NodeId>,
+    /// Visit marks of one search.
+    seen: Stamps,
+    queue: VecDeque<NodeId>,
+}
+
+impl SinkCone {
+    fn new(netlist: &Netlist) -> Self {
+        let n = netlist.num_nodes();
+        SinkCone {
+            dst: NodeId::from_index(0),
+            gates: Stamps::new(n),
+            path: Stamps::new(n),
+            path_gates: Vec::new(),
+            seen: Stamps::new(n),
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Aims the cone at sink FF `j`.
+    fn enter_sink(&mut self, netlist: &Netlist, j: usize) {
+        self.dst = netlist.ff_d_input(j);
+        self.gates.clear();
+        self.queue.clear();
+        self.queue.push_back(self.dst);
+        while let Some(n) = self.queue.pop_front() {
+            let node = netlist.node(n);
+            if node.kind().is_gate() && self.gates.insert(n) {
+                self.queue.extend(node.fanins());
+            }
+        }
+    }
+
+    /// Whether a glitch can travel from FF `i`'s output to the sink's D
+    /// input under the settled frame-1 values `v1`: plain BFS over the
+    /// traversable edges (see [`glitch_path_exists`]), inside the cone.
+    fn glitch_path(
+        &mut self,
+        netlist: &Netlist,
+        i: usize,
+        v1: &impl Fn(NodeId) -> V3,
+        check: HazardCheck,
+    ) -> bool {
+        let src = netlist.dffs()[i];
+        if src == self.dst {
+            // A direct wire: the source transition arrives unfiltered.
+            return true;
+        }
+        self.seen.clear();
+        self.queue.clear();
+        self.queue.push_back(src);
+        while let Some(f) = self.queue.pop_front() {
+            for &g in netlist.fanouts(f) {
+                if !self.gates.contains(g) || self.seen.contains(g) {
+                    continue;
+                }
+                if edge_traversable(netlist, f, g, v1, check) {
+                    if g == self.dst {
+                        return true;
+                    }
+                    self.seen.insert(g);
+                    self.queue.push_back(g);
+                }
+            }
+        }
+        false
+    }
+
+    /// Marks the path cone of FF `i` to the sink — the nodes on at least
+    /// one source→sink path, `Netlist::path_cone` restricted to the sink's
+    /// cone, where all of it lies. `false` when no path exists.
+    fn enter_pair(&mut self, netlist: &Netlist, i: usize) -> bool {
+        let src = netlist.dffs()[i];
+        self.path.clear();
+        self.path_gates.clear();
+        self.path.insert(src);
+        self.queue.clear();
+        self.queue.push_back(src);
+        while let Some(f) = self.queue.pop_front() {
+            for &g in netlist.fanouts(f) {
+                if self.gates.contains(g) && self.path.insert(g) {
+                    self.path_gates.push(g);
+                    self.queue.push_back(g);
+                }
+            }
+        }
+        self.path.contains(self.dst)
+    }
+
+    /// Records every potential side input of the path cone that is
+    /// provably settled at its gate's controlling value. Conservative:
+    /// every gate on *some* structural path is examined, whether or not
+    /// the glitch provably reaches it — the report is a superset of the
+    /// load-bearing blockades, which is the safe direction for a "these
+    /// constraints interact" warning.
+    fn blocking_sides(&self, netlist: &Netlist, v1: &impl Fn(NodeId) -> V3, out: &mut Vec<NodeId>) {
+        for &g in &self.path_gates {
+            let node = netlist.node(g);
+            let Some(c) = node.kind().gate_kind().and_then(|k| k.controlling_value()) else {
+                continue;
+            };
+            for (pos, &side) in node.fanins().iter().enumerate() {
+                // `side` is a potential side input iff some *other* fanin
+                // of this gate lies on a path.
+                let has_on_path_sibling = node
+                    .fanins()
+                    .iter()
+                    .enumerate()
+                    .any(|(k, &f)| k != pos && self.path.contains(f));
+                if has_on_path_sibling && v1(side) == V3::from(c) {
+                    out.push(side);
+                }
+            }
+        }
+    }
+
+    /// The FFs in the combinational fanin cones of `sides`, ascending —
+    /// `Netlist::cone_sources` of each, walked once.
+    fn feeding_ffs(&mut self, netlist: &Netlist, sides: &[NodeId]) -> Vec<usize> {
+        let mut ffs = Vec::new();
+        self.seen.clear();
+        self.queue.clear();
+        self.queue.extend(sides);
+        while let Some(n) = self.queue.pop_front() {
+            if !self.seen.insert(n) {
+                continue;
+            }
+            let node = netlist.node(n);
+            match node.kind() {
+                NodeKind::Dff => ffs.extend(netlist.ff_index(n)),
+                NodeKind::Gate(_) => self.queue.extend(node.fanins()),
+                NodeKind::Input | NodeKind::Const(_) => {}
+            }
+        }
+        ffs.sort_unstable();
+        ffs
     }
 }
 
@@ -164,7 +402,9 @@ pub fn check_hazards_with(
 /// XOR/XNOR/NOT/BUF gates have no controlling value and never block either
 /// criterion. Since traversability of an edge does not depend on the path
 /// taken to reach it, existence of a fully traversable path is plain BFS
-/// reachability — linear, no path enumeration.
+/// reachability — linear, no path enumeration — and every path to the
+/// sink lies in its combinational fanin cone, so the search never leaves
+/// that cone.
 pub fn glitch_path_exists(
     netlist: &Netlist,
     i: usize,
@@ -172,40 +412,16 @@ pub fn glitch_path_exists(
     v1: &[V3],
     check: HazardCheck,
 ) -> bool {
-    let src = netlist.dffs()[i];
-    let dst = netlist.ff_d_input(j);
-    if src == dst {
-        // A direct wire: the source transition arrives unfiltered.
-        return true;
-    }
-
-    let mut reached = vec![false; netlist.num_nodes()];
-    let mut queue = VecDeque::new();
-    reached[src.index()] = true;
-    queue.push_back(src);
-
-    while let Some(f) = queue.pop_front() {
-        for &g in netlist.fanouts(f) {
-            if !netlist.node(g).kind().is_gate() || reached[g.index()] {
-                continue;
-            }
-            if edge_traversable(netlist, f, g, v1, check) {
-                if g == dst {
-                    return true;
-                }
-                reached[g.index()] = true;
-                queue.push_back(g);
-            }
-        }
-    }
-    false
+    let mut cone = SinkCone::new(netlist);
+    cone.enter_sink(netlist, j);
+    cone.glitch_path(netlist, i, &|n: NodeId| v1[n.index()], check)
 }
 
 fn edge_traversable(
     netlist: &Netlist,
     f: NodeId,
     g: NodeId,
-    v1: &[V3],
+    v1: &impl Fn(NodeId) -> V3,
     check: HazardCheck,
 ) -> bool {
     let node = netlist.node(g);
@@ -223,7 +439,7 @@ fn edge_traversable(
             node.fanins()
                 .iter()
                 .filter(|&&s| s != f)
-                .all(|&s| v1[s.index()] == V3::from(!c))
+                .all(|&s| v1(s) == V3::from(!c))
         }
         HazardCheck::CoSensitization => {
             // Pure co-sensitization (side values deliberately ignored — the
@@ -231,7 +447,7 @@ fn edge_traversable(
             // side input carries a controlling value): a gate whose settled
             // output is the controlled value must receive the controlling
             // value from the on-path edge.
-            !(v1[g.index()] == V3::from(controlled) && v1[f.index()] == V3::from(!c))
+            !(v1(g) == V3::from(controlled) && v1(f) == V3::from(!c))
         }
     }
 }
@@ -263,29 +479,44 @@ pub type PairDependencies = ((usize, usize), Vec<(usize, usize)>);
 /// other multi-cycle pairs its robustness depends on (see
 /// [`SensitizationDependencies`]).
 ///
-/// For each robust pair and each consistent scenario, the glitch BFS is
-/// replayed; whenever an edge is blocked by a side input whose settled
-/// value is *provably controlling*, the FFs in that side's fan-in cone
-/// are recorded. A recorded FF `k` contributes a dependency edge to
-/// `(k, j)` when `(k, j)` is itself a multi-cycle pair of the report —
-/// exactly the "if a path from B to C is also detected as a multi-cycle
-/// path" condition of the paper.
+/// For each robust pair and each consistent scenario, the pair's path
+/// cone (every gate on some source→sink path) is scanned for side inputs
+/// whose settled value is *provably controlling*, and the FFs in those
+/// sides' fan-in cones are recorded. A recorded FF `k` contributes a
+/// dependency edge to `(k, j)` when `(k, j)` is itself a multi-cycle pair
+/// of the report — exactly the "if a path from B to C is also detected as
+/// a multi-cycle path" condition of the paper.
 pub fn sensitization_dependencies(
     netlist: &Netlist,
     report: &McReport,
 ) -> SensitizationDependencies {
+    let walk = walk_sinks(
+        netlist,
+        report,
+        HazardCheck::Sensitization,
+        true,
+        &ObsCtx::new(),
+    );
+    SensitizationDependencies { deps: walk.deps }
+}
+
+/// The original whole-circuit, per-pair walk: one engine over the whole
+/// expansion, every node's frame-1 value copied per consistent scenario,
+/// an unrestricted glitch BFS, and `path_cone`/`cone_sources` on the
+/// whole netlist. Kept as the differential oracle for [`walk_sinks`]; no
+/// configuration reaches it.
+#[cfg(test)]
+fn reference_walk(netlist: &Netlist, report: &McReport, check: HazardCheck) -> Walk {
     let x = Expanded::build(netlist, 2);
     let mut eng = ImpEngine::new(&x);
     let mc: std::collections::HashSet<(usize, usize)> =
         report.multi_cycle_pairs().into_iter().collect();
-    let robust = check_hazards(netlist, report, HazardCheck::Sensitization).robust;
-
     let mut v1 = vec![V3::X; netlist.num_nodes()];
-    let mut deps = Vec::with_capacity(robust.len());
-
-    for &(i, j) in &robust {
+    let mut walk = Walk::default();
+    for (i, j) in report.multi_cycle_pairs() {
+        let mut hazardous = false;
         let mut blocking_ffs: Vec<usize> = Vec::new();
-        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+        for (a, b) in SCENARIOS {
             let cp = eng.checkpoint();
             let consistent = eng
                 .assign(x.ff_at(i, 0), a)
@@ -298,30 +529,80 @@ pub fn sensitization_dependencies(
                 for (id, _) in netlist.nodes() {
                     v1[id.index()] = eng.value(x.value_of(1, id));
                 }
-                collect_blocking_sides(netlist, i, j, &v1, &mut blocking_ffs);
+                hazardous = reference_glitch_path(netlist, i, j, &v1, check);
+                if !hazardous && check == HazardCheck::Sensitization {
+                    reference_blocking_sides(netlist, i, j, &v1, &mut blocking_ffs);
+                }
             }
             eng.backtrack(cp);
+            if hazardous {
+                break;
+            }
         }
-        blocking_ffs.sort_unstable();
-        blocking_ffs.dedup();
-        let pair_deps: Vec<(usize, usize)> = blocking_ffs
-            .into_iter()
-            .filter(|&k| k != i && mc.contains(&(k, j)))
-            .map(|k| (k, j))
-            .collect();
-        deps.push(((i, j), pair_deps));
+        if hazardous {
+            walk.demoted.push((i, j));
+            continue;
+        }
+        walk.robust.push((i, j));
+        if check == HazardCheck::Sensitization {
+            blocking_ffs.sort_unstable();
+            blocking_ffs.dedup();
+            let deps = blocking_ffs
+                .into_iter()
+                .filter(|&k| k != i && mc.contains(&(k, j)))
+                .map(|k| (k, j))
+                .collect();
+            walk.deps.push(((i, j), deps));
+        }
     }
-
-    SensitizationDependencies { deps }
+    walk
 }
 
-/// Scans the source→sink path cone and records, for every potential side
-/// input that is provably settled at its gate's controlling value, the FFs
-/// feeding it. Conservative: every gate on *some* structural path is
-/// examined, whether or not the glitch provably reaches it — the report is
-/// a superset of the load-bearing blockades, which is the safe direction
-/// for a "these constraints interact" warning.
-fn collect_blocking_sides(netlist: &Netlist, i: usize, j: usize, v1: &[V3], out: &mut Vec<usize>) {
+/// The original glitch BFS over the source's whole forward cone.
+#[cfg(test)]
+fn reference_glitch_path(
+    netlist: &Netlist,
+    i: usize,
+    j: usize,
+    v1: &[V3],
+    check: HazardCheck,
+) -> bool {
+    let src = netlist.dffs()[i];
+    let dst = netlist.ff_d_input(j);
+    if src == dst {
+        return true;
+    }
+    let mut reached = vec![false; netlist.num_nodes()];
+    let mut queue = VecDeque::new();
+    reached[src.index()] = true;
+    queue.push_back(src);
+    while let Some(f) = queue.pop_front() {
+        for &g in netlist.fanouts(f) {
+            if !netlist.node(g).kind().is_gate() || reached[g.index()] {
+                continue;
+            }
+            if edge_traversable(netlist, f, g, &|n: NodeId| v1[n.index()], check) {
+                if g == dst {
+                    return true;
+                }
+                reached[g.index()] = true;
+                queue.push_back(g);
+            }
+        }
+    }
+    false
+}
+
+/// The original blocking-side scan: `path_cone` and `cone_sources` on
+/// the whole netlist, per scenario.
+#[cfg(test)]
+fn reference_blocking_sides(
+    netlist: &Netlist,
+    i: usize,
+    j: usize,
+    v1: &[V3],
+    out: &mut Vec<usize>,
+) {
     let cone = netlist.path_cone(i, j);
     let mut in_cone = vec![false; netlist.num_nodes()];
     for &n in &cone {
@@ -336,8 +617,6 @@ fn collect_blocking_sides(netlist: &Netlist, i: usize, j: usize, v1: &[V3], out:
             continue;
         };
         for (pos, &side) in node.fanins().iter().enumerate() {
-            // `side` is a potential side input iff some *other* fanin of
-            // this gate lies on a path (is in the cone).
             let has_on_path_sibling = node
                 .fanins()
                 .iter()
@@ -603,5 +882,71 @@ mod tests {
             &v1,
             HazardCheck::CoSensitization
         ));
+    }
+
+    /// Both checks and the dependency report must equal the whole-circuit
+    /// reference walk, pair for pair.
+    fn assert_matches_reference(nl: &Netlist, report: &McReport) {
+        for check in [HazardCheck::Sensitization, HazardCheck::CoSensitization] {
+            let reference = reference_walk(nl, report, check);
+            let hz = check_hazards(nl, report, check);
+            assert_eq!(hz.robust, reference.robust, "{}: {check:?}", nl.name());
+            assert_eq!(hz.demoted, reference.demoted, "{}: {check:?}", nl.name());
+            if check == HazardCheck::Sensitization {
+                let deps = sensitization_dependencies(nl, report);
+                assert_eq!(deps.deps, reference.deps, "{}", nl.name());
+            }
+        }
+    }
+
+    #[test]
+    fn sink_walk_matches_the_reference_on_the_paper_circuits() {
+        for nl in [
+            circuits::fig1(),
+            circuits::fig3(),
+            circuits::fig4_fragment(),
+            dependency_circuit(),
+        ] {
+            let report = analyze(&nl, &McConfig::default()).expect("analyze");
+            assert_matches_reference(&nl, &report);
+        }
+    }
+
+    #[test]
+    fn sink_walk_matches_the_reference_on_the_quick_suite() {
+        for nl in mcp_gen::suite::quick_suite() {
+            let report = analyze(&nl, &McConfig::default()).expect("analyze");
+            assert!(!report.multi_cycle_pairs().is_empty(), "{}", nl.name());
+            assert_matches_reference(&nl, &report);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn sink_walk_matches_the_reference_on_random_circuits(
+            seed in 0u64..100_000,
+            ffs in 1usize..6,
+            pis in 0usize..4,
+            gates in 2usize..35,
+        ) {
+            let cfg = mcp_gen::random::RandomCircuitConfig {
+                ffs,
+                pis,
+                gates,
+                max_arity: 3,
+            };
+            let nl = mcp_gen::random::random_netlist(seed, &cfg);
+            let report = analyze(
+                &nl,
+                &McConfig {
+                    backtrack_limit: 100_000,
+                    ..McConfig::default()
+                },
+            )
+            .expect("analyze");
+            assert_matches_reference(&nl, &report);
+        }
     }
 }

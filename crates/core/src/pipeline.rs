@@ -605,9 +605,9 @@ pub fn analyze_from(
                 let _group = obs
                     .timers
                     .span(format!("analyze/pairs/sink:{}", group.sink));
-                let slice = cfg
-                    .slice
-                    .then(|| x.build_slice(&group_roots(&x, group, cfg.cycles)));
+                let slice = cfg.slice.then(|| {
+                    x.build_slice(&group_roots(&x, group.sink, &group.sources, cfg.cycles))
+                });
                 let model = slice.as_ref().map_or(&x, Slice::model);
                 let mut finish = |i, v, engine, assignments, t_pair: Instant, sizes| {
                     if obs.sink().enabled() {

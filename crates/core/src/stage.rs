@@ -264,10 +264,8 @@ pub(crate) struct SinkGroup {
     pub(crate) sink: usize,
     /// Source FF indices, ascending — the in-group classification order.
     pub(crate) sources: Vec<usize>,
-    /// Exact node count of the group's cone slice (from
-    /// [`Expanded::cone_of`]) — the effort hint the group cost builds on.
-    pub(crate) slice_nodes: u64,
-    /// Scheduling cost hint: `slice_nodes` boosted by sim-filter source
+    /// Scheduling cost hint: the exact node count of the group's cone
+    /// slice (from [`Expanded::cone_of`]), boosted by sim-filter source
     /// activity.
     pub(crate) cost: u64,
 }
@@ -276,14 +274,14 @@ pub(crate) struct SinkGroup {
 /// boundary (`t`, `t+1`) for every source, sink values at `t+1 ..= t+k`.
 /// Their fanin cone is exactly the logic any of the group's per-pair
 /// queries can touch.
-pub(crate) fn group_roots(x: &Expanded, group: &SinkGroup, cycles: u32) -> Vec<XId> {
-    let mut roots = Vec::with_capacity(2 * group.sources.len() + cycles as usize);
-    for &i in &group.sources {
+pub(crate) fn group_roots(x: &Expanded, sink: usize, sources: &[usize], cycles: u32) -> Vec<XId> {
+    let mut roots = Vec::with_capacity(2 * sources.len() + cycles as usize);
+    for &i in sources {
         roots.push(x.ff_at(i, 0));
         roots.push(x.ff_at(i, 1));
     }
     for m in 1..=cycles {
-        roots.push(x.ff_at(group.sink, m));
+        roots.push(x.ff_at(sink, m));
     }
     roots.sort_unstable();
     roots.dedup();
@@ -317,44 +315,24 @@ pub(crate) fn plan_sink_groups(
     for &(i, j) in survivors {
         by_sink.entry(j).or_default().push(i);
     }
-    // `x.cone_of(..).len()`, but with one visit stamp per expansion node
-    // bumped per group: sizing a cone then costs only that cone, where
-    // `cone_of` clears and scans the whole expansion for every group.
-    let mut stamp = vec![0u32; x.num_nodes()];
-    let mut stack: Vec<XId> = Vec::new();
-    let mut cone_size = |epoch: u32, roots: Vec<XId>| -> u64 {
-        let mut size = 0;
-        stack.extend(roots);
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut stamp[id.index()], epoch) != epoch {
-                size += 1;
-                stack.extend_from_slice(x.node(id).fanins());
-            }
-        }
-        size
-    };
     let mut groups: Vec<SinkGroup> = by_sink
         .into_iter()
-        .zip(1..)
-        .map(|((sink, mut sources), epoch)| {
+        .map(|(sink, mut sources)| {
             sources.sort_unstable();
             sources.dedup();
-            let mut g = SinkGroup {
-                sink,
-                sources,
-                slice_nodes: 0,
-                cost: 0,
-            };
-            g.slice_nodes = cone_size(epoch, group_roots(x, &g, cycles));
+            let slice_nodes = x.cone_of(&group_roots(x, sink, &sources, cycles)).len() as u64;
             // Saturating at 7 keeps the boost bounded: beyond ~7 toggling
             // lanes the premise is plainly easy to excite and tells us
             // nothing more about hardness.
             let boost = match ff_toggles {
-                Some(t) => 1 + g.sources.iter().map(|&i| t[i]).max().unwrap_or(0).min(7),
+                Some(t) => 1 + sources.iter().map(|&i| t[i]).max().unwrap_or(0).min(7),
                 None => 1,
             };
-            g.cost = g.slice_nodes * boost;
-            g
+            SinkGroup {
+                sink,
+                sources,
+                cost: slice_nodes * boost,
+            }
         })
         .collect();
     groups.sort_unstable_by_key(|g| (std::cmp::Reverse(g.cost), g.sink));
@@ -403,11 +381,12 @@ mod tests {
         let nl = mcp_gen::suite::quick_suite().remove(1); // m298
         for cycles in [2, 3] {
             let x = Expanded::build(&nl, cycles);
+            // Without a toggle hint the cost is the bare slice size.
             let groups = plan_sink_groups(&x, &nl.connected_ff_pairs(), None, cycles);
             assert!(groups.len() > 1);
             for g in &groups {
-                let cone = x.cone_of(&group_roots(&x, g, cycles));
-                assert_eq!(g.slice_nodes, cone.len() as u64, "sink {}", g.sink);
+                let cone = x.cone_of(&group_roots(&x, g.sink, &g.sources, cycles));
+                assert_eq!(g.cost, cone.len() as u64, "sink {}", g.sink);
             }
         }
     }

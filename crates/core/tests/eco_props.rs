@@ -2,10 +2,10 @@
 //! cold full analysis of the edited netlist.
 //!
 //! Random circuits get a random single edit — a gate-op swap inside the
-//! {AND, OR, NAND, NOR} family, a dangling tap that touches zero sink
-//! groups, or no edit at all — and the spliced ECO report must be
-//! byte-identical (canonical form) to analysing the edited netlist from
-//! scratch.
+//! {AND, OR, NAND, NOR} family, a flip-flop whose D input moves to
+//! another node, a dangling tap that touches zero sink groups, or no
+//! edit at all — and the spliced ECO report must be byte-identical
+//! (canonical form) to a cold analysis of the edited netlist.
 
 use mcp_core::{analyze_cached_with, analyze_eco_with, analyze_with, CasStore, McConfig};
 use mcp_gen::random::{random_netlist, RandomCircuitConfig};
@@ -25,11 +25,14 @@ fn tempdir(case: usize) -> PathBuf {
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
-/// The three edit shapes the property exercises.
+/// The edit shapes the property exercises.
 #[derive(Debug, Clone, Copy)]
 enum Edit {
     /// Swap one gate's op within {AND, OR, NAND, NOR}.
     SwapGate,
+    /// Point one flip-flop's D input at another node: the flip-flop's
+    /// values after `t` become the new D input's expansion nodes.
+    RewireDff,
     /// Append `eco_tap = NOT(<node>)` + `OUTPUT(eco_tap)`: a real netlist
     /// change that intersects zero flip-flop cones.
     DanglingTap,
@@ -79,6 +82,30 @@ fn apply_edit(old: &Netlist, edit: Edit, pick: usize) -> (Netlist, Edit) {
                 .collect();
             (reparse(old, &patched.join("\n")), Edit::SwapGate)
         }
+        Edit::RewireDff => {
+            let lines: Vec<&str> = text.lines().collect();
+            let dffs: Vec<usize> = lines
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.contains(" = DFF("))
+                .map(|(i, _)| i)
+                .collect();
+            if dffs.is_empty() {
+                return apply_edit(old, Edit::DanglingTap, pick);
+            }
+            let target = dffs[pick % dffs.len()];
+            let (ff, rest) = lines[target].split_once(" = DFF(").expect("a DFF line");
+            let d_input = rest.trim_end_matches(')');
+            let names: Vec<&str> = old
+                .nodes()
+                .map(|(_, n)| n.name())
+                .filter(|&n| n != d_input)
+                .collect();
+            let rewired = format!("{ff} = DFF({})", names[pick % names.len()]);
+            let mut patched: Vec<&str> = lines.clone();
+            patched[target] = &rewired;
+            (reparse(old, &patched.join("\n")), Edit::RewireDff)
+        }
         Edit::DanglingTap => {
             let source = text
                 .lines()
@@ -101,9 +128,10 @@ fn canon(report: &mcp_core::McReport) -> String {
 }
 
 fn edit_strategy() -> impl Strategy<Value = Edit> {
-    (0usize..3).prop_map(|n| match n {
+    (0usize..4).prop_map(|n| match n {
         0 => Edit::SwapGate,
-        1 => Edit::DanglingTap,
+        1 => Edit::RewireDff,
+        2 => Edit::DanglingTap,
         _ => Edit::Identity,
     })
 }
@@ -123,18 +151,22 @@ fn cfg_strategy() -> impl Strategy<Value = (u64, RandomCircuitConfig)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn eco_reanalysis_equals_cold_full_analysis(
         (seed, gen_cfg) in cfg_strategy(),
         edit in edit_strategy(),
         pick in 0usize..64,
+        sim in 0usize..2,
     ) {
         let old = random_netlist(seed, &gen_cfg);
         let (new, applied) = apply_edit(&old, edit, pick);
+        // Without the prefilter every pair reaches the engines, so a
+        // stale spliced engine verdict cannot hide behind a fresh drop.
         let cfg = McConfig {
             backtrack_limit: 100_000,
+            use_sim_filter: sim == 1,
             ..McConfig::default()
         };
 
@@ -167,7 +199,7 @@ proptest! {
                 prop_assert_eq!(summary.removed_nodes, 0, "{:?}", summary);
                 prop_assert_eq!(summary.groups_reverified, 0, "{:?}", summary);
             }
-            Edit::SwapGate => {
+            Edit::SwapGate | Edit::RewireDff => {
                 prop_assert!(summary.changed_nodes > 0, "{:?}", summary);
             }
         }

@@ -15,7 +15,9 @@
 
 use crate::model::{Netlist, NodeId, NodeKind};
 use mcp_logic::{GateKind, V3};
+use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node in an [`Expanded`] model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -122,22 +124,37 @@ pub struct Expanded {
     frames: u32,
     num_pis: usize,
     num_ffs: usize,
-    /// `value_in_frame[f][orig.index()]`: the expanded node computing the
-    /// original node's value during frame `f`.
-    value_in_frame: Vec<Vec<XId>>,
-    /// D-input node id per FF in the original netlist (cached).
-    d_inputs: Vec<NodeId>,
+    /// The frame/FF/PI lookup tables, in whole-model ids: a model and
+    /// every slice cut from it share one copy.
+    lookup: Arc<Lookup>,
+    /// On a slice, the whole-model id of every node, ascending: lookups
+    /// translate their whole-model answer through it. `None` on a whole
+    /// model.
+    whole_ids: Option<Arc<[XId]>>,
     fanouts: Vec<Vec<XId>>,
     /// All gate nodes in topological order.
     topo: Vec<XId>,
-    /// All free variables.
+    /// All free variables, in id order.
     vars: Vec<XId>,
+    level: Vec<u32>,
+}
+
+/// The lookup tables of a whole expansion.
+#[derive(Debug)]
+struct Lookup {
+    /// `value_in_frame[f][orig.index()]`: the expanded node computing the
+    /// original node's value during frame `f`.
+    value_in_frame: Vec<Vec<XId>>,
+    /// D-input node id per FF in the original netlist.
+    d_inputs: Vec<NodeId>,
     /// `pi_vars[f * num_pis + pi]`: the variable for PI `pi` in frame `f`.
     pi_vars: Vec<XId>,
     /// `state_vars[ff]`: the initial-state variable of FF `ff`.
     state_vars: Vec<XId>,
-    level: Vec<u32>,
 }
+
+/// The id a lookup answers for a node outside a slice's cone.
+const UNSET: XId = XId(u32::MAX);
 
 impl Expanded {
     /// Expands `netlist` into `frames` combinational frames (`frames ≥ 1`).
@@ -153,7 +170,6 @@ impl Expanded {
         assert!(frames >= 1, "expansion needs at least one frame");
         let n = netlist.num_nodes();
         let mut nodes: Vec<XNode> = Vec::with_capacity(n * frames as usize);
-        let mut vars = Vec::new();
         let mut pi_vars = Vec::new();
         let mut state_vars = Vec::new();
         let mut value_in_frame: Vec<Vec<XId>> = Vec::with_capacity(frames as usize);
@@ -168,7 +184,6 @@ impl Expanded {
             .map(|k| netlist.ff_d_input(k))
             .collect();
 
-        const UNSET: XId = XId(u32::MAX);
         for f in 0..frames {
             let mut map = vec![UNSET; n];
             // Sources first: PIs are fresh variables each frame; FF outputs
@@ -187,7 +202,6 @@ impl Expanded {
                         origin: Some((f, pi)),
                     },
                 );
-                vars.push(id);
                 pi_vars.push(id);
                 map[pi.index()] = id;
             }
@@ -201,7 +215,6 @@ impl Expanded {
                             origin: Some((0, ff)),
                         },
                     );
-                    vars.push(id);
                     state_vars.push(id);
                     map[ff.index()] = id;
                 } else {
@@ -240,38 +253,78 @@ impl Expanded {
             value_in_frame.push(map);
         }
 
+        let lookup = Lookup {
+            value_in_frame,
+            d_inputs,
+            pi_vars,
+            state_vars,
+        };
+        Expanded::from_nodes(
+            nodes,
+            frames,
+            netlist.num_inputs(),
+            netlist.num_ffs(),
+            Arc::new(lookup),
+            None,
+        )
+    }
+
+    /// Assembles a model over `nodes` (in topological id order), deriving
+    /// its fanouts, gate order, variable list and levels.
+    fn from_nodes(
+        nodes: Vec<XNode>,
+        frames: u32,
+        num_pis: usize,
+        num_ffs: usize,
+        lookup: Arc<Lookup>,
+        whole_ids: Option<Arc<[XId]>>,
+    ) -> Expanded {
         let mut fanouts: Vec<Vec<XId>> = vec![Vec::new(); nodes.len()];
         let mut topo = Vec::new();
+        let mut vars = Vec::new();
         let mut level = vec![0u32; nodes.len()];
         for (i, node) in nodes.iter().enumerate() {
             let id = XId(i as u32);
-            if matches!(node.kind, XKind::Gate(_)) {
-                topo.push(id); // creation order is topological
-                level[i] = 1 + node
-                    .fanins
-                    .iter()
-                    .map(|f| level[f.index()])
-                    .max()
-                    .unwrap_or(0);
+            match node.kind {
+                // Creation order is topological.
+                XKind::Gate(_) => {
+                    topo.push(id);
+                    level[i] = 1 + node
+                        .fanins
+                        .iter()
+                        .map(|f| level[f.index()])
+                        .max()
+                        .unwrap_or(0);
+                }
+                XKind::Var(_) => vars.push(id),
+                XKind::Const(_) => {}
             }
             for &f in &node.fanins {
                 fanouts[f.index()].push(id);
             }
         }
-
         Expanded {
             nodes,
             frames,
-            num_pis: netlist.num_inputs(),
-            num_ffs: netlist.num_ffs(),
-            value_in_frame,
-            d_inputs,
+            num_pis,
+            num_ffs,
+            lookup,
+            whole_ids,
             fanouts,
             topo,
             vars,
-            pi_vars,
-            state_vars,
             level,
+        }
+    }
+
+    /// The local id of whole-model node `whole`: itself on a whole
+    /// model; on a slice, its slice id, or the unmapped sentinel when it
+    /// lies outside the cone.
+    #[inline]
+    fn local(&self, whole: XId) -> XId {
+        match &self.whole_ids {
+            None => whole,
+            Some(ids) => ids.binary_search(&whole).map_or(UNSET, |i| XId(i as u32)),
         }
     }
 
@@ -328,11 +381,12 @@ impl Expanded {
             "time {time} exceeds frames {}",
             self.frames
         );
-        if time == 0 {
-            self.state_vars[ff]
+        let t = &self.lookup;
+        self.local(if time == 0 {
+            t.state_vars[ff]
         } else {
-            self.value_in_frame[time as usize - 1][self.d_inputs[ff].index()]
-        }
+            t.value_in_frame[time as usize - 1][t.d_inputs[ff].index()]
+        })
     }
 
     /// The expanded node giving the value of primary input `pi` during
@@ -343,7 +397,7 @@ impl Expanded {
     /// Panics if `pi` or `frame` is out of range.
     pub fn pi_at(&self, pi: usize, frame: u32) -> XId {
         assert!(frame < self.frames && pi < self.num_pis);
-        self.pi_vars[frame as usize * self.num_pis + pi]
+        self.local(self.lookup.pi_vars[frame as usize * self.num_pis + pi])
     }
 
     /// The expanded node computing original node `orig` during frame
@@ -357,7 +411,7 @@ impl Expanded {
     /// Panics if `frame` is out of range.
     #[inline]
     pub fn value_of(&self, frame: u32, orig: NodeId) -> XId {
-        self.value_in_frame[frame as usize][orig.index()]
+        self.local(self.lookup.value_in_frame[frame as usize][orig.index()])
     }
 
     /// Readers of a node.
@@ -372,8 +426,8 @@ impl Expanded {
         &self.topo
     }
 
-    /// All free variables (per-frame PIs then initial FF state for frame 0,
-    /// then later frames' PIs).
+    /// All free variables in id order (per-frame PIs then initial FF state
+    /// for frame 0, then later frames' PIs).
     #[inline]
     pub fn vars(&self) -> &[XId] {
         &self.vars
@@ -411,27 +465,22 @@ impl Expanded {
     /// The fanin closure (cone of influence) of `roots`, as an ascending
     /// list of node ids. Ascending id order is topological, so the cone is
     /// directly usable as a dense sub-model node order.
+    ///
+    /// Costs O(|cone| log |cone|) and allocates nothing sized to the
+    /// whole model: the walk pops the largest pending id first, and since
+    /// every fanin has a smaller id than its reader, all pending copies of
+    /// a node are popped back to back, so the heap is the visited set.
     pub fn cone_of(&self, roots: &[XId]) -> Vec<XId> {
-        let mut in_cone = vec![false; self.nodes.len()];
-        let mut stack: Vec<XId> = Vec::new();
-        for &r in roots {
-            if !in_cone[r.index()] {
-                in_cone[r.index()] = true;
-                stack.push(r);
+        let mut pending: BinaryHeap<XId> = roots.iter().copied().collect();
+        let mut cone: Vec<XId> = Vec::new();
+        while let Some(id) = pending.pop() {
+            if cone.last() != Some(&id) {
+                cone.push(id);
+                pending.extend(self.nodes[id.index()].fanins.iter().copied());
             }
         }
-        while let Some(id) = stack.pop() {
-            for &f in &self.nodes[id.index()].fanins {
-                if !in_cone[f.index()] {
-                    in_cone[f.index()] = true;
-                    stack.push(f);
-                }
-            }
-        }
-        (0..self.nodes.len())
-            .filter(|&i| in_cone[i])
-            .map(|i| XId(i as u32))
-            .collect()
+        cone.reverse();
+        cone
     }
 
     /// Builds the cone-of-influence [`Slice`] rooted at `roots`: a dense
@@ -442,89 +491,45 @@ impl Expanded {
     /// and PI indexing — [`ff_at`](Self::ff_at), [`pi_at`](Self::pi_at)
     /// and [`value_of`](Self::value_of) answer with slice-local ids for
     /// any node inside the cone, so every engine built against `Expanded`
-    /// runs on a slice unchanged. Asking for a node *outside* the cone
-    /// returns an unmapped sentinel and will panic on use; callers scope
-    /// their queries to the roots they sliced for.
+    /// runs on a slice unchanged. They answer through the whole model's
+    /// lookup tables, shared rather than copied, translating by binary
+    /// search on the cone, so a slice costs O(|cone| log |cone|) however
+    /// large the circuit. Asking for a node *outside* the cone returns an
+    /// unmapped sentinel and will panic on use; callers scope their
+    /// queries to the roots they sliced for.
     pub fn build_slice(&self, roots: &[XId]) -> Slice {
-        const UNSET: XId = XId(u32::MAX);
-        let from_slice = self.cone_of(roots);
-        let mut to_slice = vec![UNSET; self.nodes.len()];
-        for (si, &wid) in from_slice.iter().enumerate() {
-            to_slice[wid.index()] = XId(si as u32);
-        }
-        let remap = |id: XId| to_slice[id.index()];
-
-        // Dense nodes with remapped fanins: ascending whole-id order means
-        // every fanin of an in-cone gate is already mapped (fanin closure).
+        let from_slice: Arc<[XId]> = self.cone_of(roots).into();
+        let remap = |id: &XId| {
+            XId(from_slice
+                .binary_search(id)
+                .expect("the cone is fanin-closed") as u32)
+        };
         let nodes: Vec<XNode> = from_slice
             .iter()
             .map(|&wid| {
                 let w = &self.nodes[wid.index()];
                 XNode {
                     kind: w.kind,
-                    fanins: w.fanins.iter().map(|&f| remap(f)).collect(),
+                    fanins: w.fanins.iter().map(remap).collect(),
                     origin: w.origin,
                 }
             })
             .collect();
-
-        // Full-width lookup maps with UNSET holes for out-of-cone entries,
-        // so original frame/FF/PI indices keep working.
-        let value_in_frame: Vec<Vec<XId>> = self
-            .value_in_frame
-            .iter()
-            .map(|frame_map| {
-                frame_map
-                    .iter()
-                    .map(|&x| if x == UNSET { UNSET } else { remap(x) })
-                    .collect()
-            })
-            .collect();
-        let state_vars: Vec<XId> = self.state_vars.iter().map(|&x| remap(x)).collect();
-        let pi_vars: Vec<XId> = self.pi_vars.iter().map(|&x| remap(x)).collect();
-
-        // In-cone free variables in canonical (ascending) order.
-        let vars: Vec<XId> = self
-            .vars
-            .iter()
-            .filter(|&&x| to_slice[x.index()] != UNSET)
-            .map(|&x| remap(x))
-            .collect();
-
-        let mut fanouts: Vec<Vec<XId>> = vec![Vec::new(); nodes.len()];
-        let mut topo = Vec::new();
-        let mut level = vec![0u32; nodes.len()];
-        for (i, node) in nodes.iter().enumerate() {
-            let id = XId(i as u32);
-            if matches!(node.kind, XKind::Gate(_)) {
-                topo.push(id);
-                level[i] = 1 + node
-                    .fanins
-                    .iter()
-                    .map(|f| level[f.index()])
-                    .max()
-                    .unwrap_or(0);
-            }
-            for &f in &node.fanins {
-                fanouts[f.index()].push(id);
-            }
-        }
-
+        // The lookups answer in the root model's ids, so a slice of a
+        // slice translates from those.
+        let whole_ids = match &self.whole_ids {
+            None => Arc::clone(&from_slice),
+            Some(ids) => from_slice.iter().map(|&id| ids[id.index()]).collect(),
+        };
         Slice {
-            model: Expanded {
+            model: Expanded::from_nodes(
                 nodes,
-                frames: self.frames,
-                num_pis: self.num_pis,
-                num_ffs: self.num_ffs,
-                value_in_frame,
-                d_inputs: self.d_inputs.clone(),
-                fanouts,
-                topo,
-                vars,
-                pi_vars,
-                state_vars,
-                level,
-            },
+                self.frames,
+                self.num_pis,
+                self.num_ffs,
+                Arc::clone(&self.lookup),
+                Some(whole_ids),
+            ),
             from_slice,
         }
     }
@@ -544,7 +549,7 @@ impl Expanded {
 pub struct Slice {
     model: Expanded,
     /// `from_slice[slice_id] = whole_id`, ascending.
-    from_slice: Vec<XId>,
+    from_slice: Arc<[XId]>,
 }
 
 impl Slice {
