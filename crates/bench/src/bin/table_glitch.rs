@@ -18,10 +18,9 @@
 
 use mcp_bench::HarnessArgs;
 use mcp_core::{analyze, check_hazards, HazardCheck, McConfig};
-use mcp_netlist::Netlist;
-use mcp_sim::{DelaySim, ParallelSim};
+use mcp_sim::sample_glitch;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::Serialize;
 
 const TRIALS_PER_PAIR: usize = 24;
@@ -32,60 +31,6 @@ struct GroupRow {
     group: &'static str,
     pairs: usize,
     pairs_with_observed_glitch: usize,
-}
-
-/// Samples scenarios for pair `(i, j)`: random pre-edge states/inputs
-/// where the source toggles across the edge; returns whether any sampled
-/// delay assignment glitches the sink's D input.
-fn observe_glitch(nl: &Netlist, i: usize, j: usize, rng: &mut StdRng) -> bool {
-    let dst = nl.ff_d_input(j);
-    let mut psim = ParallelSim::new(nl);
-    let mut trials = 0usize;
-
-    for _ in 0..SAMPLE_WORDS {
-        if trials >= TRIALS_PER_PAIR {
-            break;
-        }
-        psim.randomize_state(rng);
-        psim.randomize_inputs(rng);
-        let s0: Vec<u64> = (0..nl.num_ffs()).map(|k| psim.state(k)).collect();
-        psim.eval();
-        let in0: Vec<u64> = nl.inputs().iter().map(|&pi| psim.value(pi)).collect();
-        let s1: Vec<u64> = (0..nl.num_ffs()).map(|k| psim.next_state(k)).collect();
-
-        // Pick lanes where the source FF toggles at the edge.
-        let toggles = s0[i] ^ s1[i];
-        if toggles == 0 {
-            continue;
-        }
-        for lane in 0..64 {
-            if trials >= TRIALS_PER_PAIR {
-                break;
-            }
-            if toggles >> lane & 1 == 0 {
-                continue;
-            }
-            trials += 1;
-            let bit = |w: u64| w >> lane & 1 == 1;
-            let pis0: Vec<bool> = in0.iter().map(|&w| bit(w)).collect();
-            let ffs0: Vec<bool> = s0.iter().map(|&w| bit(w)).collect();
-            let ffs1: Vec<bool> = s1.iter().map(|&w| bit(w)).collect();
-            // Post-edge inputs: fresh random values (they switch with the
-            // edge, like the other FFs' outputs).
-            let pis1: Vec<bool> = (0..nl.num_inputs()).map(|_| rng.random()).collect();
-
-            let mut dsim = DelaySim::new(nl);
-            for &g in nl.topo_gates() {
-                dsim.set_delay(g, rng.random_range(1..16));
-            }
-            dsim.init(&pis0, &ffs0);
-            let report = dsim.edge(&pis1, &ffs1);
-            if report.glitched(dst) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 fn main() {
@@ -120,7 +65,7 @@ fn main() {
         let cosens = check_hazards(nl, &report, HazardCheck::CoSensitization);
         let mut rng = StdRng::seed_from_u64(0x611c_4a5e);
         for (i, j) in report.multi_cycle_pairs() {
-            let glitched = observe_glitch(nl, i, j, &mut rng);
+            let glitched = sample_glitch(nl, i, j, TRIALS_PER_PAIR, SAMPLE_WORDS, &mut rng).is_ok();
             let group = if sens.demoted.contains(&(i, j)) {
                 &mut demoted_sens
             } else if cosens.demoted.contains(&(i, j)) {

@@ -68,19 +68,22 @@ pub struct McConfig {
     /// sim prefilter or any engine runs (default: on). A frozen sink
     /// never transitions, so such pairs are multi-cycle for every `k`;
     /// the engines would reach the same verdict the expensive way.
-    /// Verdicts — and the canonical report — are identical either way.
-    /// Disable (`--no-static-classify`) to A/B-measure the saving.
+    /// Verdicts — and the canonical report — are identical either way,
+    /// so the CLI has no switch for it; a library caller may turn it off
+    /// to A/B-measure the saving.
     pub static_classify: bool,
     /// Worker threads for the pair loop (pairs are independent). `1` =
     /// sequential. The BDD engine is inherently sequential and ignores
     /// this.
     pub threads: usize,
-    /// Root of the content-addressed stage-artifact store
-    /// ([`CasStore`](crate::CasStore)); `None` (the default) disables
-    /// caching entirely. The CLI sets it from `--cache-dir` or the
-    /// `MCPATH_CACHE_DIR` environment variable; the library default
-    /// never reads the environment. Where the artifacts *live* never
-    /// affects what they *say*, so this knob is excluded from
+    /// Root of a content-addressed stage-artifact store
+    /// ([`CasStore`](crate::CasStore)). No library function reads this
+    /// field: a run uses a store only through the
+    /// [`VerdictSource`](crate::VerdictSource) it is handed. The CLI
+    /// keeps its `--cache-dir` (or `MCPATH_CACHE_DIR`) directory here and
+    /// opens the store from it; the library default, `None`, never reads
+    /// the environment. Where the artifacts *live* never affects what
+    /// they *say*, so this field is excluded from
     /// [`McConfig::fingerprint`] and from every stage key.
     pub cache_dir: Option<std::path::PathBuf>,
 }

@@ -39,7 +39,8 @@ pub enum AnalyzeError {
         got: u32,
     },
     /// The simulation lane width is not one of the supported values
-    /// (64, 128, 256, 512). Reachable via `--sim-lanes`.
+    /// (64, 128, 256, 512). Only library callers can reach it, through
+    /// `McConfig::sim`; the CLI always runs the default width.
     InvalidSimLanes {
         /// The rejected value.
         got: u32,
@@ -426,9 +427,9 @@ pub fn analyze_from(
     if matches!(cfg.engine, Engine::Bdd { .. }) && cfg.cycles != 2 {
         return Err(AnalyzeError::BddNeedsTwoCycles { got: cfg.cycles });
     }
-    // Validated even when the filter is off: a bad `--sim-lanes` value
-    // is a config error either way, and catching it here keeps
-    // `mc_filter` panic-free in pipeline use.
+    // Validated even when the filter is off: a bad lane width is a
+    // config error either way, and catching it here keeps `mc_filter`
+    // panic-free in pipeline use.
     if cfg.sim.lane_words().is_none() {
         return Err(AnalyzeError::InvalidSimLanes { got: cfg.sim.lanes });
     }

@@ -9,7 +9,7 @@
 //! threshold as regressions, giving CI a drift gate that works where
 //! timing comparisons cannot.
 
-use crate::ledger::{read_ledger, Ledger};
+use crate::ledger::{read_ledger_resilient, Ledger};
 use serde::Content;
 use std::collections::BTreeMap;
 use std::io;
@@ -101,16 +101,23 @@ fn flatten_ledger(ledger: &Ledger, out: &mut BTreeMap<String, u64>) {
 /// has required fields no other artifact has at top level, so a one-line
 /// journal and a multi-line journal take the same (aggregating) path —
 /// then as a single JSON document (saved report, metrics snapshot,
-/// BENCH artifact). Anything parseable as neither is an error.
+/// BENCH artifact). Anything parseable as neither is an error. Ledgers
+/// are read like `--resume` reads them, so a final line torn by a
+/// SIGKILL is dropped; a text whose only line fails to parse is no
+/// ledger, though, which keeps a one-line JSON document on the JSON path.
 pub fn flatten_artifact(text: &str) -> io::Result<BTreeMap<String, u64>> {
     let mut out = BTreeMap::new();
-    match read_ledger(text.as_bytes()) {
-        Ok(ledger) => {
+    match read_ledger_resilient(text.as_bytes()) {
+        Ok(ledger) if ledger != Ledger::default() || text.trim().is_empty() => {
             flatten_ledger(&ledger, &mut out);
             Ok(out)
         }
-        Err(ledger_err) => {
+        ledger => {
             let content = serde_json::from_str_content(text).map_err(|e| {
+                let ledger_err = ledger.map_or_else(
+                    |le| le.to_string(),
+                    |_| "its only line is no ledger record".to_owned(),
+                );
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(

@@ -503,8 +503,9 @@ pub fn read_ledger_resilient_file(path: impl AsRef<Path>) -> io::Result<Ledger> 
 /// Parses an NDJSON journal back into its pair events, skipping header
 /// and span lines. Blank lines are ignored; malformed lines are errors.
 ///
-/// This is the aggregation-oriented reader behind `mcpath stats`; use
-/// [`read_ledger`] when the header or spans matter.
+/// Use [`read_ledger`] when the header or spans matter, and
+/// [`read_ledger_resilient`] (as `mcpath stats` does) to forgive a torn
+/// final line.
 pub fn read_journal(reader: impl io::Read) -> io::Result<Vec<PairEvent>> {
     read_ledger(reader).map(|l| l.events)
 }

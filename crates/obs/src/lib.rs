@@ -562,6 +562,27 @@ mod tests {
     }
 
     #[test]
+    fn compare_forgives_a_torn_final_ledger_line() {
+        let clean = format!(
+            "{}\n{}\n",
+            serde_json::to_string(&sample_event(0)).unwrap(),
+            serde_json::to_string(&sample_event(1)).unwrap()
+        );
+        let torn = format!("{clean}{{\"src\":9,\"dst\":10,\"st");
+        assert_eq!(
+            flatten_artifact(&torn).expect("torn ledger"),
+            flatten_artifact(&clean).expect("clean ledger")
+        );
+        // A text whose only line fails to parse is no ledger: a one-line
+        // JSON document keeps its counters, and a lone torn line is an
+        // error rather than an empty ledger.
+        let doc = flatten_artifact("{\"counters\":{\"implications\":7}}").expect("JSON");
+        assert_eq!(doc.get("counters/implications"), Some(&7));
+        assert!(flatten_artifact("{\"src\":9,\"dst\":10,\"st").is_err());
+        assert!(flatten_artifact("").expect("empty ledger").is_empty());
+    }
+
+    #[test]
     fn obs_ctx_is_sync_and_sendable() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<ObsCtx>();

@@ -4,9 +4,8 @@
 //! begin/end timestamps relative to the tracer's epoch and a per-thread
 //! track id. The same log answers "how much total time went where"
 //! ([`Tracer::totals`], the report's `metrics.spans`) and "when, and on
-//! which thread" (the ledger's span lines, which `mcpath trace --format
-//! chrome` turns into trace-event JSON loadable in Perfetto or
-//! `chrome://tracing`).
+//! which thread" (the ledger's span lines, which `mcpath trace` turns
+//! into trace-event JSON loadable in Perfetto or `chrome://tracing`).
 
 use crate::ledger::SpanEvent;
 use serde::{Deserialize, Serialize};

@@ -14,7 +14,9 @@
 //! makes static hazards visible (an inertial model would swallow narrow
 //! pulses).
 
+use crate::ParallelSim;
 use mcp_netlist::{Netlist, NodeId, NodeKind};
+use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -243,6 +245,84 @@ impl<'a> DelaySim<'a> {
     }
 }
 
+/// A dynamic glitch [`sample_glitch`] observed at a sink's D input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Glitch {
+    /// Every node's settled value before the edge, indexed by node id.
+    pub initial: Vec<bool>,
+    /// The edge's `(time, node, new_value)` events in firing order.
+    pub events: Vec<(u64, NodeId, bool)>,
+    /// How many times the sink's D input transitioned.
+    pub transitions: u32,
+}
+
+/// Samples clock edges on which flip-flop `src` toggles, under random
+/// transport delays 1..16, until flip-flop `dst`'s D input glitches.
+///
+/// Each of at most `words` random 64-lane [`ParallelSim`] words yields
+/// the edges of the lanes where `src` toggles. Each such edge is one
+/// trial, up to `trials` in all, with fresh random post-edge inputs and
+/// gate delays. The word budget ends the search for a source that never
+/// toggles. Returns the first glitch, or the number of trials run
+/// without one.
+pub fn sample_glitch<R: Rng + ?Sized>(
+    nl: &Netlist,
+    src: usize,
+    dst: usize,
+    trials: usize,
+    words: usize,
+    rng: &mut R,
+) -> Result<Glitch, usize> {
+    let d_input = nl.ff_d_input(dst);
+    let mut psim = ParallelSim::new(nl);
+    let mut done = 0usize;
+    for _ in 0..words {
+        if done >= trials {
+            break;
+        }
+        psim.randomize_state(rng);
+        psim.randomize_inputs(rng);
+        let s0: Vec<u64> = (0..nl.num_ffs()).map(|k| psim.state(k)).collect();
+        psim.eval();
+        let in0: Vec<u64> = nl.inputs().iter().map(|&pi| psim.value(pi)).collect();
+        let s1: Vec<u64> = (0..nl.num_ffs()).map(|k| psim.next_state(k)).collect();
+        let toggles = s0[src] ^ s1[src];
+        for lane in (0..64).filter(|lane| toggles >> lane & 1 == 1) {
+            if done >= trials {
+                break;
+            }
+            done += 1;
+            let bit = |w: u64| w >> lane & 1 == 1;
+            let pis0: Vec<bool> = in0.iter().map(|&w| bit(w)).collect();
+            let ffs0: Vec<bool> = s0.iter().map(|&w| bit(w)).collect();
+            let ffs1: Vec<bool> = s1.iter().map(|&w| bit(w)).collect();
+            // Post-edge inputs switch with the edge, like the FF outputs.
+            let pis1: Vec<bool> = (0..nl.num_inputs()).map(|_| rng.random()).collect();
+            let mut sim = DelaySim::new(nl);
+            for &g in nl.topo_gates() {
+                sim.set_delay(g, rng.random_range(1..16));
+            }
+            sim.record_waveforms(true);
+            sim.init(&pis0, &ffs0);
+            let report = sim.edge(&pis1, &ffs1);
+            if report.glitched(d_input) {
+                // Every transition flips its node, so a node's pre-edge
+                // value is its settled one flipped once per transition.
+                let initial = nl
+                    .nodes()
+                    .map(|(id, _)| sim.value(id) ^ (report.transitions(id) % 2 == 1))
+                    .collect();
+                return Ok(Glitch {
+                    initial,
+                    events: report.events().to_vec(),
+                    transitions: report.transitions(d_input),
+                });
+            }
+        }
+    }
+    Err(done)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,5 +437,29 @@ mod tests {
             assert_eq!(report.transitions(id), 0);
         }
         assert_eq!(report.settle_time(), 0);
+    }
+
+    #[test]
+    fn a_sampled_glitch_replays_from_its_initial_values() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // `q`'s D input is `y`, the static-1 hazard, and `q` toggles
+        // whenever it starts at 0.
+        let nl = hazard_or();
+        let mut rng = StdRng::seed_from_u64(7);
+        let glitch = sample_glitch(&nl, 0, 0, 64, 64, &mut rng).expect("a glitch");
+        let y = nl.find_node("y").unwrap();
+        assert_eq!(glitch.transitions, 2);
+        assert_eq!(glitch.initial.len(), nl.num_nodes());
+        assert!(glitch.initial[y.index()], "y is 1 before the edge");
+        // Every event flips its node, starting from the initial values.
+        let mut values = glitch.initial.clone();
+        for &(_, node, v) in &glitch.events {
+            assert_ne!(values[node.index()], v, "{node:?} did not change");
+            values[node.index()] = v;
+        }
+        assert_eq!(glitch.events.iter().filter(|e| e.1 == y).count(), 2);
+        // The word budget ends the hunt when no sampled lane toggles.
+        assert_eq!(sample_glitch(&nl, 0, 0, 64, 0, &mut rng), Err(0));
     }
 }

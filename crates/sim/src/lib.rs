@@ -29,7 +29,8 @@
 //!   inspection of small circuits.
 //! * [`DelaySim`] — a two-valued transport-delay simulator that makes
 //!   **dynamic glitches** observable, the delay-dependent ground truth the
-//!   static hazard checks are validated against.
+//!   static hazard checks are validated against; [`sample_glitch`] hunts
+//!   one down on a flip-flop pair under random edges and delays.
 //!
 //! # Example
 //!
@@ -63,7 +64,7 @@ pub mod parallel;
 pub mod tape;
 pub mod vcd;
 
-pub use delay::{DelaySim, EdgeReport};
+pub use delay::{sample_glitch, DelaySim, EdgeReport, Glitch};
 pub use event::EventSim;
 pub use filter::{
     mc_filter, mc_filter_stats, mc_filter_stats_seeded, FilterConfig, FilterOutcome, FilterStats,

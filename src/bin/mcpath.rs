@@ -13,7 +13,7 @@ fn main() {
     let cmd = match mcpath::cli::parse_args(std::env::args().skip(1)) {
         Ok(cmd) => cmd,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", mcpath::cli::USAGE);
+            eprintln!("error: {e}\n\n{}", mcpath::cli::usage());
             std::process::exit(2);
         }
     };

@@ -13,10 +13,12 @@ use std::fmt::Write as _;
 /// Opens the artifact store named by `--cache-dir` / `MCPATH_CACHE_DIR`.
 /// Returns `Ok(None)` when no cache directory is configured.
 pub(crate) fn open_store(cmd: &Command) -> Result<Option<CasStore>, String> {
-    match cmd.config().cache_dir {
-        Some(dir) => CasStore::open(dir).map(Some).map_err(|e| e.to_string()),
-        None => Ok(None),
-    }
+    cmd.cfg
+        .cache_dir
+        .as_ref()
+        .map(CasStore::open)
+        .transpose()
+        .map_err(|e| e.to_string())
 }
 
 /// Reads a ledger resiliently, so a final line torn by a SIGKILL does
@@ -35,11 +37,9 @@ pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(),
     // resuming a run onto its own ledger path is the natural CLI usage,
     // and opening the ledger truncates it.
     let ledger = cmd.resume.as_deref().map(read_ledger).transpose()?;
-    // A resume never reads the store, not even an MCPATH_CACHE_DIR one.
-    let store = match &ledger {
-        None => open_store(cmd)?,
-        Some(_) => None,
-    };
+    // `parse_args` leaves a resume without a store, not even an
+    // MCPATH_CACHE_DIR one.
+    let store = open_store(cmd)?;
     let source = match (&old, &ledger, &store) {
         (Some(old), _, Some(store)) => VerdictSource::Eco { old, store },
         (Some(_), _, None) => return Err("`--eco` needs --cache-dir (or MCPATH_CACHE_DIR)".into()),
@@ -48,7 +48,7 @@ pub(crate) fn analyze(cmd: &Command, path: &str, out: &mut String) -> Result<(),
         (None, None, None) => VerdictSource::Fresh,
     };
     let obs = cmd.obs()?;
-    let analysis = analyze_from(&nl, &cmd.config(), &obs, source).map_err(|e| e.to_string())?;
+    let analysis = analyze_from(&nl, &cmd.cfg, &obs, source).map_err(|e| e.to_string())?;
     let counters = obs.snapshot().counters;
     match (source, analysis.eco) {
         (_, Some(summary)) if summary.full_run => {

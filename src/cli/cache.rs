@@ -7,15 +7,12 @@
 //!   until the store fits the budget. Refuses (exit error) while a live
 //!   process — a running `mcpath serve` — holds the store's lock.
 
+use super::analyze::open_store;
 use super::{CacheOp, Command};
-use mcp_core::CasStore;
 
 pub(crate) fn cache(cmd: &Command, op: &CacheOp, out: &mut String) -> Result<(), String> {
-    let dir = cmd
-        .config()
-        .cache_dir
+    let store = open_store(cmd)?
         .ok_or_else(|| "`cache` needs --cache-dir <dir> (or MCPATH_CACHE_DIR)".to_owned())?;
-    let store = CasStore::open(&dir).map_err(|e| e.to_string())?;
     match op {
         CacheOp::Stats => {
             let stats = store.stats().map_err(|e| e.to_string())?;

@@ -3,7 +3,9 @@
 //! VCD.
 
 use super::load;
-use mcp_netlist::Netlist;
+use mcp_sim::sample_glitch;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::fmt::Write as _;
 
 const GLITCH_TRIALS: usize = 512;
@@ -30,7 +32,8 @@ pub(crate) fn glitch(
             .ok_or_else(|| format!("`{name}` is not a flip-flop of the circuit"))
     };
     let (i, j) = (find_ff(src)?, find_ff(dst)?);
-    match hunt_glitch(&nl, i, j) {
+    let mut rng = StdRng::seed_from_u64(0x1905_0607);
+    match sample_glitch(&nl, i, j, GLITCH_TRIALS, GLITCH_WORDS, &mut rng) {
         Err(edges) => {
             let _ = writeln!(
                 out,
@@ -38,73 +41,18 @@ pub(crate) fn glitch(
                  edges where {src} toggles"
             );
         }
-        Ok((initial, events, transitions)) => {
+        Ok(glitch) => {
             let mut file =
                 std::fs::File::create(vcd_path).map_err(|e| format!("create `{vcd_path}`: {e}"))?;
-            mcp_sim::vcd::write_vcd(&nl, &initial, &events, &mut file)
+            mcp_sim::vcd::write_vcd(&nl, &glitch.initial, &glitch.events, &mut file)
                 .map_err(|e| format!("write `{vcd_path}`: {e}"))?;
             let _ = writeln!(
                 out,
-                "glitch found: {dst}'s D input transitioned {transitions} times; \
-                 waveform written to {vcd_path}"
+                "glitch found: {dst}'s D input transitioned {} times; \
+                 waveform written to {vcd_path}",
+                glitch.transitions
             );
         }
     }
     Ok(())
-}
-
-/// Samples random pre/post-edge value pairs where FF `i` toggles, under
-/// random transport delays, until FF `j`'s D input glitches; returns the
-/// initial values, the event trace and the transition count, or the
-/// number of edges sampled without a glitch once the trial or word
-/// budget runs out.
-#[allow(clippy::type_complexity)]
-fn hunt_glitch(
-    nl: &Netlist,
-    i: usize,
-    j: usize,
-) -> Result<(Vec<bool>, Vec<(u64, mcp_netlist::NodeId, bool)>, u32), usize> {
-    use mcp_sim::{DelaySim, ParallelSim};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut rng = StdRng::seed_from_u64(0x1905_0607);
-    let mut psim = ParallelSim::new(nl);
-    let dst = nl.ff_d_input(j);
-    let mut trials = 0usize;
-    for _ in 0..GLITCH_WORDS {
-        if trials >= GLITCH_TRIALS {
-            break;
-        }
-        psim.randomize_state(&mut rng);
-        psim.randomize_inputs(&mut rng);
-        let s0: Vec<u64> = (0..nl.num_ffs()).map(|k| psim.state(k)).collect();
-        psim.eval();
-        let in0: Vec<u64> = nl.inputs().iter().map(|&pi| psim.value(pi)).collect();
-        let s1: Vec<u64> = (0..nl.num_ffs()).map(|k| psim.next_state(k)).collect();
-        let toggles = s0[i] ^ s1[i];
-        for lane in 0..64 {
-            if toggles >> lane & 1 == 0 || trials >= GLITCH_TRIALS {
-                continue;
-            }
-            trials += 1;
-            let bit = |w: u64| w >> lane & 1 == 1;
-            let pis0: Vec<bool> = in0.iter().map(|&w| bit(w)).collect();
-            let ffs0: Vec<bool> = s0.iter().map(|&w| bit(w)).collect();
-            let ffs1: Vec<bool> = s1.iter().map(|&w| bit(w)).collect();
-            let pis1: Vec<bool> = (0..nl.num_inputs()).map(|_| rng.random()).collect();
-            let mut dsim = DelaySim::new(nl);
-            for &g in nl.topo_gates() {
-                dsim.set_delay(g, rng.random_range(1..16));
-            }
-            dsim.record_waveforms(true);
-            dsim.init(&pis0, &ffs0);
-            let initial: Vec<bool> = nl.nodes().map(|(id, _)| dsim.value(id)).collect();
-            let report = dsim.edge(&pis1, &ffs1);
-            if report.glitched(dst) {
-                return Ok((initial, report.events().to_vec(), report.transitions(dst)));
-            }
-        }
-    }
-    Err(trials)
 }

@@ -9,18 +9,20 @@ use mcp_core::{
 };
 use mcp_netlist::bench;
 use mcp_obs::{
-    chrome_trace, chrome_trace_from_totals, compare_artifacts, read_journal_file,
-    read_ledger_resilient_file, CompareConfig, MetricsSnapshot,
+    chrome_trace, chrome_trace_from_totals, compare_artifacts, read_ledger_resilient_file,
+    CompareConfig, MetricsSnapshot,
 };
 use std::fmt::Write as _;
 
 /// `stats`: structural statistics of a `.bench` file, or the
 /// pretty-printed observability data of a saved JSON / NDJSON artifact.
-pub(crate) fn stats(_cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
+pub(crate) fn stats(path: &str, out: &mut String) -> Result<(), String> {
     if path.ends_with(".ndjson") {
-        let events =
-            read_journal_file(path).map_err(|e| format!("cannot read journal `{path}`: {e}"))?;
-        out.push_str(&render_journal(&events));
+        // Like `trace` and `--resume`, tolerate the final line a SIGKILL
+        // tore.
+        let ledger = read_ledger_resilient_file(path)
+            .map_err(|e| format!("cannot read journal `{path}`: {e}"))?;
+        out.push_str(&render_journal(&ledger.events));
     } else if path.ends_with(".json") {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
@@ -66,10 +68,7 @@ pub(crate) fn compare(cmd: &Command, old: &str, new: &str, out: &mut String) -> 
 }
 
 /// `trace`: export an artifact's span tree as Chrome trace-event JSON.
-pub(crate) fn trace(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
-    if cmd.format != OutputFormat::Chrome {
-        return Err("`trace` only supports --format chrome".into());
-    }
+pub(crate) fn trace(path: &str, out: &mut String) -> Result<(), String> {
     let doc = if path.ends_with(".ndjson") {
         let ledger = read_ledger_resilient_file(path)
             .map_err(|e| format!("cannot read ledger `{path}`: {e}"))?;
@@ -117,7 +116,7 @@ pub(crate) fn gen(name: &str, out: &mut String) -> Result<(), String> {
 /// hazards with both criteria.
 pub(crate) fn hazard(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
     let nl = load(path)?;
-    let report = analyze(&nl, &cmd.config()).map_err(|e| e.to_string())?;
+    let report = analyze(&nl, &cmd.cfg).map_err(|e| e.to_string())?;
     let _ = writeln!(
         out,
         "{}: {} multi-cycle pairs by the MC condition",
@@ -212,9 +211,6 @@ pub(crate) fn lint(cmd: &Command, path: &str, out: &mut String) -> Result<(), St
             text
         }
         OutputFormat::Json => report.render_json(),
-        OutputFormat::Chrome => {
-            return Err("`lint` supports --format text|json only".into());
-        }
     };
     if gate_failed {
         return Err(rendered);
@@ -231,14 +227,14 @@ pub(crate) fn sdc(
     out: &mut String,
 ) -> Result<(), String> {
     let nl = load(path)?;
-    let report = analyze(&nl, &cmd.config()).map_err(|e| e.to_string())?;
+    let report = analyze(&nl, &cmd.cfg).map_err(|e| e.to_string())?;
     let robust_only = robust.map(|check| check_hazards(&nl, &report, check));
     let text = to_sdc(
         &nl,
         &report,
         &SdcOptions {
             robust_only,
-            cycles: cmd.cycles,
+            cycles: cmd.cfg.cycles,
         },
     );
     // Round-trip the emitted constraints through the validator before
@@ -261,7 +257,7 @@ pub(crate) fn sdc(
 /// sensitization-validated multi-cycle pairs.
 pub(crate) fn deps(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
     let nl = load(path)?;
-    let report = analyze(&nl, &cmd.config()).map_err(|e| e.to_string())?;
+    let report = analyze(&nl, &cmd.cfg).map_err(|e| e.to_string())?;
     let deps = sensitization_dependencies(&nl, &report);
     if let Some(p) = &cmd.json {
         let text = serde_json::to_string_pretty(&deps).map_err(|e| format!("serialize: {e}"))?;
@@ -305,7 +301,7 @@ pub(crate) fn kcycle(
     }
     // Classic 2-cycle analysis selects the multi-cycle pairs; the budget
     // computation then brackets each pair's maximum.
-    let report = analyze(&nl, &cmd.config()).map_err(|e| e.to_string())?;
+    let report = analyze(&nl, &cmd.cfg).map_err(|e| e.to_string())?;
     let _ = writeln!(
         out,
         "{}: cycle budgets of the {} multi-cycle pairs (limit {max_k}):",
@@ -314,7 +310,7 @@ pub(crate) fn kcycle(
     );
     // One shared expansion, pair sweeps distributed over `--threads`
     // workers; results come back sorted by pair.
-    let budgets = max_cycle_budgets(&nl, &report.multi_cycle_pairs(), max_k, &cmd.config())
+    let budgets = max_cycle_budgets(&nl, &report.multi_cycle_pairs(), max_k, &cmd.cfg)
         .map_err(|e| e.to_string())?;
     for ((i, j), budget) in budgets {
         let desc = match budget {

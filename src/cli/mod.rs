@@ -32,15 +32,19 @@
 //!   `--deny`/`--allow` escalate or disable individual rules, and
 //!   `--max-diags` caps the rendered finding list.
 //!
-//! Options: `--engine implication|sat|bdd`, `--cycles K`, `--backtracks N`,
-//! `--learn`, `--threads N`, `--no-sim`, `--sim-lanes 64|128|256|512`,
-//! `--no-self-pairs`, `--no-lint`, `--no-slice`, `--no-static-classify`,
-//! `--deny <rule>`, `--allow <rule>`, `--max-diags <n>`, `--json <path>`,
-//! `--canonical`, `--cache-dir <dir>`, `--eco <old.bench>`,
-//! `--resume <ledger>`, `--format text|json|chrome`, `--metrics`, `--trace-out <path>`,
-//! `--progress`, `--quiet`, `--compare <old> <new>`, `--threshold <pct>`.
-//! `--eco`, `--resume`, `--trace-out`, `--progress` and `--metrics` only
-//! apply to `analyze`; any other subcommand refuses them.
+//! Flags parse straight into the library's [`McConfig`] ([`Command::cfg`]):
+//! the analysis options `--engine implication|sat|bdd`, `--cycles K`,
+//! `--backtracks N`, `--learn`, `--threads N`, `--no-sim`,
+//! `--no-self-pairs`, `--no-lint` and `--no-slice` each write one field,
+//! and `--cache-dir <dir>` (or the `MCPATH_CACHE_DIR` env var) writes its
+//! store directory. The other flags pick outputs and modes: `--json
+//! <path>`, `--canonical`, `--eco <old.bench>`, `--resume <ledger>`,
+//! `--metrics`, `--trace-out <path>`, `--progress`, `--quiet`, `--max-k
+//! <K>`, `--robust sens|cosens`, `--deny <rule>`, `--allow <rule>`,
+//! `--max-diags <n>`, `--format text|json`, `--max-bytes <N>`,
+//! `--compare <old> <new>` and `--threshold <pct>`. One table says which
+//! flags each subcommand reads; [`parse_args`] refuses every other flag,
+//! naming it and the subcommand.
 
 mod analyze;
 mod cache;
@@ -57,55 +61,29 @@ use mcp_obs::{FailAfter, FileSink, ObsCtx, FAIL_AFTER_ENV};
 use std::time::Duration;
 
 /// A parsed command line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Command {
     /// The subcommand and its positional payload.
     pub action: Action,
-    /// Engine selection.
-    pub engine: Engine,
-    /// Cycle budget.
-    pub cycles: u32,
-    /// ATPG backtrack limit.
-    pub backtracks: u64,
-    /// Enable static learning.
-    pub learn: bool,
-    /// Worker threads.
-    pub threads: usize,
-    /// Disable the random-simulation prefilter.
-    pub no_sim: bool,
-    /// Simulation lane width of the prefilter's compiled kernel
-    /// (64, 128, 256 or 512); `None` keeps the default (256).
-    pub sim_lanes: Option<u32>,
-    /// Exclude self pairs.
-    pub no_self_pairs: bool,
-    /// Skip the pre-analysis structural lint gate.
-    pub no_lint: bool,
-    /// Run the engines on the whole-circuit expansion instead of per
-    /// sink-group cone slices (the whole-circuit baseline; verdicts are
-    /// identical).
-    pub no_slice: bool,
-    /// Skip the dataflow pre-pass that statically classifies pairs whose
-    /// sink FF is provably frozen (A/B escape hatch; the canonical report
-    /// is byte-identical either way).
-    pub no_static_classify: bool,
+    /// The analysis configuration: [`McConfig::default()`] with each
+    /// analysis flag written into its field, and the `--cache-dir` (or
+    /// `MCPATH_CACHE_DIR`) store directory in `cache_dir`.
+    pub cfg: McConfig,
     /// Lint rule ids escalated to error severity (`--deny`, repeatable).
     pub deny: Vec<String>,
     /// Lint rule ids disabled entirely (`--allow`, repeatable).
     pub allow: Vec<String>,
     /// Cap on the findings the `lint` subcommand renders (`--max-diags`).
     pub max_diags: Option<usize>,
-    /// Output format of the `lint` and `trace` subcommands.
+    /// Output format of the `lint` subcommand.
     pub format: OutputFormat,
     /// Optional JSON report path.
     pub json: Option<String>,
     /// Write the `--json` report in canonical form (wall-clock and
     /// machine-dependent fields projected out) for byte comparison.
     pub canonical: bool,
-    /// Persist the staged pipeline artifacts under this directory
-    /// (`--cache-dir`; overrides the `MCPATH_CACHE_DIR` env var).
-    pub cache_dir: Option<String>,
     /// Baseline netlist for ECO-incremental re-analysis
-    /// (`analyze --eco <old.bench>`; needs `--cache-dir`).
+    /// (`analyze --eco <old.bench>`; needs a store).
     pub eco: Option<String>,
     /// Resume `analyze` from a prior run's NDJSON ledger.
     pub resume: Option<String>,
@@ -121,20 +99,18 @@ pub struct Command {
     pub quiet: bool,
 }
 
-/// Output format of the `lint` and `trace` subcommands.
+/// Output format of the `lint` subcommand.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OutputFormat {
-    /// One line per finding plus a summary line (`lint` only).
+    /// One line per finding plus a summary line.
     #[default]
     Text,
-    /// Machine-readable JSON ([`mcp_lint::Diagnostics`] for `lint`).
+    /// Machine-readable [`mcp_lint::Diagnostics`] JSON.
     Json,
-    /// Chrome trace-event JSON (`trace` only).
-    Chrome,
 }
 
 /// What to do.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Action {
     /// Analyze a `.bench` file.
     Analyze(String),
@@ -188,7 +164,69 @@ pub enum Action {
     /// Inspect or shrink the `--cache-dir` artifact store.
     Cache(CacheOp),
     /// Print usage.
+    #[default]
     Help,
+}
+
+/// The analysis options: each writes one [`McConfig`] field.
+const ANALYSIS: [&str; 9] = [
+    "--engine",
+    "--cycles",
+    "--backtracks",
+    "--learn",
+    "--threads",
+    "--no-sim",
+    "--no-self-pairs",
+    "--no-lint",
+    "--no-slice",
+];
+
+impl Action {
+    /// The subcommand as typed and the flags it reads: the analysis
+    /// options when the `bool` is set, plus the listed ones. This is the
+    /// one table of which flags go where; [`parse_args`] refuses every
+    /// flag a subcommand does not read.
+    fn reads(&self) -> (&'static str, bool, &'static [&'static str]) {
+        match self {
+            Action::Analyze(_) => (
+                "analyze",
+                true,
+                &[
+                    "--cache-dir",
+                    "--eco",
+                    "--resume",
+                    "--json",
+                    "--canonical",
+                    "--metrics",
+                    "--trace-out",
+                    "--progress",
+                    "--quiet",
+                ],
+            ),
+            Action::Hazard(_) => ("hazard", true, &["--quiet"]),
+            Action::Deps(_) => ("deps", true, &["--json", "--quiet"]),
+            Action::Kcycle(..) => ("kcycle", true, &["--max-k"]),
+            Action::Sdc { .. } => ("sdc", true, &["--robust"]),
+            Action::Serve(_) => ("serve", true, &["--cache-dir"]),
+            Action::Lint(_) => (
+                "lint",
+                false,
+                &["--deny", "--allow", "--max-diags", "--format"],
+            ),
+            Action::Cache(CacheOp::Stats) => ("cache stats", false, &["--cache-dir"]),
+            Action::Cache(CacheOp::Gc { .. }) => {
+                ("cache gc", false, &["--cache-dir", "--max-bytes"])
+            }
+            Action::Compare { .. } => ("stats --compare", false, &["--compare", "--threshold"]),
+            Action::Stats(_) => ("stats", false, &[]),
+            Action::Trace(_) => ("trace", false, &[]),
+            Action::Gen(_) => ("gen", false, &[]),
+            Action::Sweep(_) => ("sweep", false, &[]),
+            Action::Dot(_) => ("dot", false, &[]),
+            Action::Glitch { .. } => ("glitch", false, &[]),
+            Action::Help => ("help", false, &[]),
+        }
+    }
 }
 
 /// What the `cache` subcommand does to the artifact store.
@@ -215,53 +253,69 @@ impl std::fmt::Display for ParseCliError {
 
 impl std::error::Error for ParseCliError {}
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// The `--engine` names.
+const ENGINES: [(&str, Engine); 3] = [
+    ("implication", Engine::Implication),
+    ("sat", Engine::Sat),
+    (
+        "bdd",
+        Engine::Bdd {
+            node_limit: 1 << 22,
+            reachability: false,
+        },
+    ),
+];
+
+/// Usage text. The analysis defaults it states are read from
+/// [`McConfig::default()`].
+pub fn usage() -> String {
+    let d = McConfig::default();
+    let engine = ENGINES
+        .iter()
+        .find(|(_, e)| *e == d.engine)
+        .map_or("?", |(name, _)| name);
+    format!(
+        "\
 mcpath — implication-based multi-cycle FF-pair detection (DAC 2002)
 
 USAGE:
-  mcpath analyze <file.bench> [options]
-  mcpath hazard  <file.bench> [options]
-  mcpath deps    <file.bench> [options]
-  mcpath kcycle  <file.bench> --max-k <K> [options]
+  mcpath analyze <file.bench> [analysis options] [--json <path> [--canonical]]
+                 [--cache-dir <dir>] [--eco <old.bench>] [--resume <ledger>]
+                 [--metrics] [--trace-out <path>] [--progress] [--quiet]
+  mcpath hazard  <file.bench> [analysis options] [--quiet]
+  mcpath deps    <file.bench> [analysis options] [--json <path>] [--quiet]
+  mcpath kcycle  <file.bench> --max-k <K> [analysis options]
+  mcpath sdc     <file.bench> [--robust sens|cosens] [analysis options]
+  mcpath serve   <socket> --cache-dir <dir> [analysis options]
+  mcpath lint    <file.bench> [--format text|json] [--deny <rule>]
+                 [--allow <rule>] [--max-diags <n>]
+  mcpath cache   stats --cache-dir <dir>
+  mcpath cache   gc --cache-dir <dir> --max-bytes <N>
   mcpath stats   <file.bench|report.json|ledger.ndjson>
   mcpath stats   --compare <old> <new> [--threshold <pct>]
-  mcpath trace   <ledger.ndjson|report.json> [--format chrome]
+  mcpath trace   <ledger.ndjson|report.json>
   mcpath gen     <m27|m298|...|m38584>
   mcpath dot     <file.bench>
   mcpath sweep   <file.bench>
-  mcpath sdc     <file.bench> [--robust sens|cosens] [options]
   mcpath glitch  <file.bench> <srcFF> <dstFF> <out.vcd>
-  mcpath serve   <socket> --cache-dir <dir> [options]
-  mcpath cache   stats --cache-dir <dir>
-  mcpath cache   gc --cache-dir <dir> --max-bytes <N>
-  mcpath lint    <file.bench> [--format text|json] [--deny <rule>]
-                 [--allow <rule>] [--max-diags <n>]
 
-OPTIONS:
-  --engine implication|sat|bdd   decision engine (default: implication)
-  --cycles <K>                   cycle budget (default: 2)
-  --backtracks <N>               ATPG backtrack limit (default: 50)
+Each subcommand refuses the flags its line does not name.
+
+ANALYSIS OPTIONS:
+  --engine implication|sat|bdd   decision engine (default: {engine})
+  --cycles <K>                   cycle budget (default: {cycles})
+  --backtracks <N>               ATPG backtrack limit (default: {backtracks})
   --learn                        enable SOCRATES-style static learning
-  --threads <N>                  parallel pair workers (default: 1)
+  --threads <N>                  parallel pair workers (default: {threads})
   --no-sim                       skip the random-simulation prefilter
-  --sim-lanes 64|128|256|512     prefilter patterns per pass (default: 256);
-                                 the outcome is identical at every width
-  --max-bytes <N>                byte budget for `cache gc` (entries are
-                                 evicted least-recently-touched first)
   --no-self-pairs                exclude (FFi, FFi) pairs ([9]'s convention)
   --no-lint                      analyze even if structural lints fail
   --no-slice                     engines run on the whole-circuit expansion
                                  instead of per-sink-group cone slices
-  --no-static-classify           skip the dataflow pre-pass that resolves
-                                 pairs with provably frozen sink FFs
-  --deny <rule>                  escalate a lint rule to error severity
-                                 (repeatable; `lint` only)
-  --allow <rule>                 disable a lint rule entirely
-                                 (repeatable; `lint` only)
-  --max-diags <n>                cap the findings `lint` renders
-  --format text|json|chrome      lint/trace output format
-  --json <path>                  dump the report as JSON
+
+OTHER OPTIONS:
+  --json <path>                  dump the report (`deps`: the dependencies)
+                                 as JSON
   --canonical                    write the --json report in canonical form
                                  (timings zeroed; byte-comparable)
   --cache-dir <dir>              persist the staged pipeline artifacts so a
@@ -277,129 +331,102 @@ OPTIONS:
   --trace-out <path>             write the NDJSON run ledger (header, one
                                  record per pair, timestamped span tree)
   --progress                     report pair-loop progress on stderr
-                                 (--eco, --resume, --metrics, --trace-out
-                                 and --progress apply to `analyze` only)
+  --quiet                        omit the per-pair listing
+  --max-k <K>                    largest cycle budget `kcycle` tries
+  --robust sens|cosens           constrain only the pairs that pass this
+                                 hazard check
+  --format text|json             lint output format
+  --deny <rule>                  escalate a lint rule to error severity
+                                 (repeatable)
+  --allow <rule>                 disable a lint rule entirely (repeatable)
+  --max-diags <n>                cap the findings `lint` renders
+  --max-bytes <N>                byte budget for `cache gc` (entries are
+                                 evicted least-recently-touched first)
   --compare <old> <new>          diff two artifacts' deterministic counters
   --threshold <pct>              counter growth tolerated by --compare
                                  before it counts as a regression (default 0)
-  --quiet                        omit the per-pair listing
-";
+",
+        cycles = d.cycles,
+        backtracks = d.backtrack_limit,
+        threads = d.threads,
+    )
+}
+
+/// The value after `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ParseCliError> {
+    args.next()
+        .ok_or_else(|| ParseCliError(format!("`{flag}` needs a value")))
+}
+
+/// The value after `flag`, parsed as a number.
+fn number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, ParseCliError>
+where
+    T::Err: std::fmt::Display,
+{
+    value(args, flag)?
+        .parse()
+        .map_err(|e| ParseCliError(format!("bad {flag}: {e}")))
+}
 
 /// Parses raw arguments (without the program name).
 ///
 /// # Errors
 ///
 /// Returns [`ParseCliError`] with a human-readable message on malformed
-/// input.
+/// input, and for any flag the subcommand does not read.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseCliError> {
-    let mut args = args.into_iter().peekable();
+    let mut args = args.into_iter();
     let sub = args
         .next()
         .ok_or_else(|| ParseCliError("missing subcommand (try `mcpath help`)".into()))?;
 
+    let mut cmd = Command::default();
     let mut positional: Vec<String> = Vec::new();
-    let mut engine = Engine::Implication;
-    let mut cycles = 2u32;
-    let mut backtracks = 50u64;
-    let mut learn = false;
-    let mut threads = 1usize;
-    let mut no_sim = false;
-    let mut sim_lanes: Option<u32> = None;
-    let mut max_bytes: Option<u64> = None;
-    let mut no_self_pairs = false;
-    let mut no_lint = false;
-    let mut no_slice = false;
-    let mut no_static_classify = false;
-    let mut deny: Vec<String> = Vec::new();
-    let mut allow: Vec<String> = Vec::new();
-    let mut max_diags: Option<usize> = None;
-    let mut format: Option<OutputFormat> = None;
-    let mut json = None;
-    let mut canonical = false;
-    let mut cache_dir = None;
-    let mut eco = None;
-    let mut resume = None;
-    let mut metrics = false;
-    let mut trace_out = None;
-    let mut progress = false;
-    let mut threshold = 0.0f64;
-    let mut compare: Option<(String, String)> = None;
-    let mut quiet = false;
+    // Every flag as given, checked against the subcommand's table below.
+    let mut given: Vec<String> = Vec::new();
     let mut max_k: Option<u32> = None;
-    let mut robust_check: Option<HazardCheck> = None;
+    let mut robust: Option<HazardCheck> = None;
+    let mut max_bytes: Option<u64> = None;
+    let mut compare: Option<(String, String)> = None;
 
-    let take_value = |args: &mut std::iter::Peekable<I::IntoIter>,
-                      flag: &str|
-     -> Result<String, ParseCliError> {
-        args.next()
-            .ok_or_else(|| ParseCliError(format!("`{flag}` needs a value")))
-    };
-
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    while let Some(flag) = args.next() {
+        if !flag.starts_with("--") {
+            positional.push(flag);
+            continue;
+        }
+        let cfg = &mut cmd.cfg;
+        match flag.as_str() {
             "--engine" => {
-                engine = match take_value(&mut args, "--engine")?.as_str() {
-                    "implication" => Engine::Implication,
-                    "sat" => Engine::Sat,
-                    "bdd" => Engine::Bdd {
-                        node_limit: 1 << 22,
-                        reachability: false,
-                    },
-                    other => {
-                        return Err(ParseCliError(format!("unknown engine `{other}`")));
-                    }
-                }
+                let name = value(&mut args, &flag)?;
+                cfg.engine = ENGINES
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|&(_, engine)| engine)
+                    .ok_or_else(|| ParseCliError(format!("unknown engine `{name}`")))?;
             }
-            "--cycles" => {
-                cycles = take_value(&mut args, "--cycles")?
-                    .parse()
-                    .map_err(|e| ParseCliError(format!("bad --cycles: {e}")))?;
-            }
-            "--backtracks" => {
-                backtracks = take_value(&mut args, "--backtracks")?
-                    .parse()
-                    .map_err(|e| ParseCliError(format!("bad --backtracks: {e}")))?;
-            }
-            "--max-k" => {
-                max_k = Some(
-                    take_value(&mut args, "--max-k")?
-                        .parse()
-                        .map_err(|e| ParseCliError(format!("bad --max-k: {e}")))?,
-                );
-            }
-            "--threads" => {
-                threads = take_value(&mut args, "--threads")?
-                    .parse()
-                    .map_err(|e| ParseCliError(format!("bad --threads: {e}")))?;
-            }
-            "--json" => json = Some(take_value(&mut args, "--json")?),
-            "--format" => {
-                format = Some(match take_value(&mut args, "--format")?.as_str() {
-                    "text" => OutputFormat::Text,
-                    "json" => OutputFormat::Json,
-                    "chrome" => OutputFormat::Chrome,
-                    other => {
-                        return Err(ParseCliError(format!("unknown format `{other}`")));
-                    }
-                })
-            }
-            "--trace-out" => trace_out = Some(take_value(&mut args, "--trace-out")?),
-            "--cache-dir" => cache_dir = Some(take_value(&mut args, "--cache-dir")?),
-            "--eco" => eco = Some(take_value(&mut args, "--eco")?),
-            "--resume" => resume = Some(take_value(&mut args, "--resume")?),
-            "--compare" => {
-                let old = take_value(&mut args, "--compare")?;
-                let new = args
-                    .next()
-                    .ok_or_else(|| ParseCliError("`--compare` needs two artifact paths".into()))?;
-                compare = Some((old, new));
-            }
-            "--threshold" => {
-                threshold = mcp_obs::parse_threshold_pct(&take_value(&mut args, "--threshold")?)
-                    .map_err(ParseCliError)?;
-            }
+            "--cycles" => cfg.cycles = number(&mut args, &flag)?,
+            "--backtracks" => cfg.backtrack_limit = number(&mut args, &flag)?,
+            "--learn" => cfg.static_learning = true,
+            "--threads" => cfg.threads = number(&mut args, &flag)?,
+            "--no-sim" => cfg.use_sim_filter = false,
+            "--no-self-pairs" => cfg.include_self_pairs = false,
+            "--no-lint" => cfg.lint = false,
+            "--no-slice" => cfg.slice = false,
+            "--cache-dir" => cfg.cache_dir = Some(value(&mut args, &flag)?.into()),
+            "--json" => cmd.json = Some(value(&mut args, &flag)?),
+            "--canonical" => cmd.canonical = true,
+            "--eco" => cmd.eco = Some(value(&mut args, &flag)?),
+            "--resume" => cmd.resume = Some(value(&mut args, &flag)?),
+            "--metrics" => cmd.metrics = true,
+            "--trace-out" => cmd.trace_out = Some(value(&mut args, &flag)?),
+            "--progress" => cmd.progress = true,
+            "--quiet" => cmd.quiet = true,
+            "--max-k" => max_k = Some(number(&mut args, &flag)?),
             "--robust" => {
-                robust_check = Some(match take_value(&mut args, "--robust")?.as_str() {
+                robust = Some(match value(&mut args, &flag)?.as_str() {
                     "sensitization" | "sens" => HazardCheck::Sensitization,
                     "co-sensitization" | "cosens" => HazardCheck::CoSensitization,
                     other => {
@@ -407,44 +434,33 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                     }
                 })
             }
-            "--sim-lanes" => {
-                sim_lanes = Some(
-                    take_value(&mut args, "--sim-lanes")?
-                        .parse()
-                        .map_err(|e| ParseCliError(format!("bad --sim-lanes: {e}")))?,
-                );
+            "--format" => {
+                cmd.format = match value(&mut args, &flag)?.as_str() {
+                    "text" => OutputFormat::Text,
+                    "json" => OutputFormat::Json,
+                    other => {
+                        return Err(ParseCliError(format!("unknown format `{other}`")));
+                    }
+                }
             }
-            "--max-bytes" => {
-                max_bytes = Some(
-                    take_value(&mut args, "--max-bytes")?
-                        .parse()
-                        .map_err(|e| ParseCliError(format!("bad --max-bytes: {e}")))?,
-                );
+            "--deny" => cmd.deny.push(value(&mut args, &flag)?),
+            "--allow" => cmd.allow.push(value(&mut args, &flag)?),
+            "--max-diags" => cmd.max_diags = Some(number(&mut args, &flag)?),
+            "--max-bytes" => max_bytes = Some(number(&mut args, &flag)?),
+            "--compare" => {
+                let old = value(&mut args, &flag)?;
+                let new = args
+                    .next()
+                    .ok_or_else(|| ParseCliError("`--compare` needs two artifact paths".into()))?;
+                compare = Some((old, new));
             }
-            "--learn" => learn = true,
-            "--canonical" => canonical = true,
-            "--metrics" => metrics = true,
-            "--progress" => progress = true,
-            "--no-sim" => no_sim = true,
-            "--no-self-pairs" => no_self_pairs = true,
-            "--no-lint" => no_lint = true,
-            "--no-slice" => no_slice = true,
-            "--no-static-classify" => no_static_classify = true,
-            "--deny" => deny.push(take_value(&mut args, "--deny")?),
-            "--allow" => allow.push(take_value(&mut args, "--allow")?),
-            "--max-diags" => {
-                max_diags = Some(
-                    take_value(&mut args, "--max-diags")?
-                        .parse()
-                        .map_err(|e| ParseCliError(format!("bad --max-diags: {e}")))?,
-                );
+            "--threshold" => {
+                cmd.threshold = mcp_obs::parse_threshold_pct(&value(&mut args, &flag)?)
+                    .map_err(ParseCliError)?;
             }
-            "--quiet" => quiet = true,
-            other if other.starts_with("--") => {
-                return Err(ParseCliError(format!("unknown option `{other}`")));
-            }
-            _ => positional.push(a),
+            _ => return Err(ParseCliError(format!("unknown option `{flag}`"))),
         }
+        given.push(flag);
     }
 
     let one_positional = |what: &str| -> Result<String, ParseCliError> {
@@ -455,7 +471,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         }
     };
 
-    let action = match sub.as_str() {
+    cmd.action = match sub.as_str() {
         "analyze" => Action::Analyze(one_positional("a .bench file")?),
         "hazard" => Action::Hazard(one_positional("a .bench file")?),
         "deps" => Action::Deps(one_positional("a .bench file")?),
@@ -463,17 +479,14 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             one_positional("a .bench file")?,
             max_k.ok_or_else(|| ParseCliError("`kcycle` needs --max-k <K>".into()))?,
         ),
-        "stats" => match &compare {
+        "stats" => match compare {
             Some((old, new)) => {
                 if !positional.is_empty() {
                     return Err(ParseCliError(
                         "`stats --compare` takes no positional file".into(),
                     ));
                 }
-                Action::Compare {
-                    old: old.clone(),
-                    new: new.clone(),
-                }
+                Action::Compare { old, new }
             }
             None => Action::Stats(one_positional("a .bench file")?),
         },
@@ -484,7 +497,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         "lint" => Action::Lint(one_positional("a .bench file")?),
         "sdc" => Action::Sdc {
             path: one_positional("a .bench file")?,
-            robust: robust_check,
+            robust,
         },
         "glitch" => match positional.as_slice() {
             [path, src, dst, out] => Action::Glitch {
@@ -499,16 +512,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                 ))
             }
         },
-        "serve" => {
-            if cache_dir.is_none() {
-                return Err(ParseCliError(
-                    "`serve` needs --cache-dir <dir>: the resident artifact store \
-                     is what makes repeat requests warm"
-                        .into(),
-                ));
-            }
-            Action::Serve(one_positional("a socket path")?)
-        }
+        "serve" => Action::Serve(one_positional("a socket path")?),
         "cache" => {
             let op = match positional.as_slice() {
                 [op] if op == "stats" => CacheOp::Stats,
@@ -528,87 +532,57 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         other => return Err(ParseCliError(format!("unknown subcommand `{other}`"))),
     };
 
-    // Only `analyze` reads these; any other subcommand would silently
-    // ignore them.
-    if !matches!(action, Action::Analyze(_)) {
-        let analyze_only = [
-            ("--eco", eco.is_some()),
-            ("--resume", resume.is_some()),
-            ("--trace-out", trace_out.is_some()),
-            ("--progress", progress),
-            ("--metrics", metrics),
-        ];
-        if let Some((flag, _)) = analyze_only.iter().find(|(_, given)| *given) {
-            return Err(ParseCliError(format!("`{flag}` only applies to `analyze`")));
-        }
+    // A flag the subcommand does not read would be dropped without a
+    // word.
+    let (name, analysis, reads) = cmd.action.reads();
+    let read = |flag: &str| analysis && ANALYSIS.contains(&flag) || reads.contains(&flag);
+    if let Some(flag) = given.iter().find(|flag| !read(flag)) {
+        return Err(ParseCliError(format!(
+            "`{flag}` does not apply to `{name}`"
+        )));
+    }
+    if cmd.canonical && cmd.json.is_none() {
+        return Err(ParseCliError(
+            "`--canonical` only applies to `analyze --json`".into(),
+        ));
     }
     // A run reads exactly one verdict source. ECO splicing and resume
     // each own the verdict journal, so combining them would
     // double-restore pairs; a resume never touches the store, so an
     // explicit one would be ignored.
-    if resume.is_some() {
-        if eco.is_some() {
+    if cmd.resume.is_some() {
+        if cmd.eco.is_some() {
             return Err(ParseCliError(
                 "`--eco` cannot be combined with `--resume`".into(),
             ));
         }
-        if cache_dir.is_some() {
+        if cmd.cfg.cache_dir.is_some() {
             return Err(ParseCliError(
                 "`--cache-dir` cannot be combined with `--resume`: that mode never \
                  reads or writes the artifact store"
                     .into(),
             ));
         }
+    } else if read("--cache-dir") && cmd.cfg.cache_dir.is_none() {
+        // MCPATH_CACHE_DIR is the env form of `--cache-dir`; the flag
+        // wins, and a resume ignores both.
+        cmd.cfg.cache_dir = std::env::var_os("MCPATH_CACHE_DIR").map(Into::into);
     }
-
-    // `trace` defaults to the only format it supports; everything else
-    // keeps the historical text default.
-    let format = format.unwrap_or(match action {
-        Action::Trace(_) => OutputFormat::Chrome,
-        _ => OutputFormat::Text,
-    });
-
-    let cmd = Command {
-        action,
-        engine,
-        cycles,
-        backtracks,
-        learn,
-        threads,
-        no_sim,
-        sim_lanes,
-        no_self_pairs,
-        no_lint,
-        no_slice,
-        no_static_classify,
-        deny,
-        allow,
-        max_diags,
-        format,
-        json,
-        canonical,
-        cache_dir,
-        eco,
-        resume,
-        metrics,
-        trace_out,
-        progress,
-        threshold,
-        quiet,
-    };
-    // Both modes need a store; `config()` folds in MCPATH_CACHE_DIR.
-    if cmd.config().cache_dir.is_none() {
-        if matches!(cmd.action, Action::Cache(_)) {
-            return Err(ParseCliError(
-                "`cache` needs --cache-dir <dir> (or MCPATH_CACHE_DIR)".into(),
-            ));
-        }
-        if cmd.eco.is_some() {
-            return Err(ParseCliError(
-                "`--eco` needs --cache-dir <dir>: the baseline's verdicts are \
-                 spliced from the artifact store"
-                    .into(),
-            ));
+    if cmd.cfg.cache_dir.is_none() {
+        let needs_store = match cmd.action {
+            Action::Serve(_) => Some(
+                "`serve` needs --cache-dir <dir> (or MCPATH_CACHE_DIR): the resident \
+                 artifact store is what makes repeat requests warm",
+            ),
+            Action::Cache(_) => Some("`cache` needs --cache-dir <dir> (or MCPATH_CACHE_DIR)"),
+            _ if cmd.eco.is_some() => Some(
+                "`--eco` needs --cache-dir <dir>: the baseline's verdicts are spliced \
+                 from the artifact store",
+            ),
+            _ => None,
+        };
+        if let Some(msg) = needs_store {
+            return Err(ParseCliError(msg.into()));
         }
     }
     Ok(cmd)
@@ -631,37 +605,6 @@ impl Command {
             obs = obs.with_progress(Duration::from_millis(200));
         }
         Ok(obs)
-    }
-
-    fn config(&self) -> McConfig {
-        let defaults = McConfig::default();
-        let mut sim = defaults.sim;
-        if let Some(lanes) = self.sim_lanes {
-            // Validation happens in `analyze` (AnalyzeError::InvalidSimLanes)
-            // so library callers get the same diagnostics.
-            sim.lanes = lanes;
-        }
-        McConfig {
-            sim,
-            engine: self.engine,
-            cycles: self.cycles,
-            backtrack_limit: self.backtracks,
-            static_learning: self.learn,
-            threads: self.threads,
-            use_sim_filter: !self.no_sim,
-            include_self_pairs: !self.no_self_pairs,
-            lint: !self.no_lint,
-            slice: !self.no_slice,
-            static_classify: !self.no_static_classify,
-            // A store location is a path, so the environment may supply
-            // it; the flag wins over the MCPATH_CACHE_DIR env var.
-            cache_dir: self
-                .cache_dir
-                .as_ref()
-                .map(std::path::PathBuf::from)
-                .or_else(|| std::env::var_os("MCPATH_CACHE_DIR").map(std::path::PathBuf::from)),
-            ..defaults
-        }
     }
 }
 
@@ -689,10 +632,10 @@ pub(crate) fn pair_name(nl: &Netlist, i: usize, j: usize) -> String {
 pub fn run(cmd: &Command) -> Result<String, String> {
     let mut out = String::new();
     match &cmd.action {
-        Action::Help => out.push_str(USAGE),
-        Action::Stats(path) => misc::stats(cmd, path, &mut out)?,
+        Action::Help => out.push_str(&usage()),
+        Action::Stats(path) => misc::stats(path, &mut out)?,
         Action::Compare { old, new } => misc::compare(cmd, old, new, &mut out)?,
-        Action::Trace(path) => misc::trace(cmd, path, &mut out)?,
+        Action::Trace(path) => misc::trace(path, &mut out)?,
         Action::Gen(name) => misc::gen(name, &mut out)?,
         Action::Analyze(path) => analyze::analyze(cmd, path, &mut out)?,
         Action::Hazard(path) => misc::hazard(cmd, path, &mut out)?,

@@ -5,6 +5,7 @@
 
 use mcp_core::{McReport, StepStats};
 use mcp_obs::{MetricsSnapshot, PairEvent};
+use serde::{Content, Serialize as _};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -126,49 +127,11 @@ fn fmt_words_per_sec(words: u64, t: Duration) -> String {
 pub(crate) fn render_snapshot(m: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let c = &m.counters;
-    let rows: [(&str, u64); 38] = [
-        ("implications", c.implications),
-        ("contradictions", c.contradictions),
-        ("learned_implications", c.learned_implications),
-        ("atpg_decisions", c.atpg_decisions),
-        ("atpg_backtracks", c.atpg_backtracks),
-        ("atpg_aborts", c.atpg_aborts),
-        ("sat_decisions", c.sat_decisions),
-        ("sat_propagations", c.sat_propagations),
-        ("sat_conflicts", c.sat_conflicts),
-        ("sat_learned", c.sat_learned),
-        ("sat_restarts", c.sat_restarts),
-        ("bdd_peak_nodes", c.bdd_peak_nodes),
-        ("bdd_cache_lookups", c.bdd_cache_lookups),
-        ("bdd_cache_hits", c.bdd_cache_hits),
-        ("slice_builds", c.slice_builds),
-        ("slice_cache_hits", c.slice_cache_hits),
-        ("slice_nodes", c.slice_nodes),
-        ("slice_vars", c.slice_vars),
-        ("slice_nodes_peak", c.slice_nodes_peak),
-        ("sim_words", c.sim_words),
-        ("sim_pairs_dropped", c.sim_pairs_dropped),
-        ("sim_passes", c.sim_passes),
-        ("sim_fused_ops", c.sim_fused_ops),
-        ("jit_compiles", c.jit_compiles),
-        ("jit_bytes", c.jit_bytes),
-        ("jit_batches", c.jit_batches),
-        ("lint_rules_run", c.lint_rules_run),
-        ("lint_violations", c.lint_violations),
-        ("lint_nodes_visited", c.lint_nodes_visited),
-        ("dataflow_consts", c.dataflow_consts),
-        ("dataflow_iters", c.dataflow_iters),
-        ("static_resolved", c.static_resolved),
-        ("cache_hits", c.cache_hits),
-        ("cache_misses", c.cache_misses),
-        ("cache_invalidations", c.cache_invalidations),
-        ("cache_pairs_spliced", c.cache_pairs_spliced),
-        ("eco_groups_reverified", c.eco_groups_reverified),
-        ("eco_groups_spliced", c.eco_groups_spliced),
-    ];
     let _ = writeln!(out, "engine counters:");
-    for (name, v) in rows {
-        if v != 0 {
+    // The rows are the counters' own serialization, in field order, so a
+    // counter added later cannot be left out.
+    for (name, v) in c.to_content().as_map().unwrap_or_default() {
+        if let Content::U64(v @ 1..) = v {
             let _ = writeln!(out, "  {name:<24} {v}");
         }
     }

@@ -20,6 +20,7 @@
 //! Malformed requests get an `{"ok":false,"error":...}` line; they never
 //! take the server down.
 
+use super::analyze::open_store;
 use super::{load, Command};
 use mcp_core::{analyze_cached_with, analyze_eco_with, CasLock, CasStore};
 use serde::Content;
@@ -28,12 +29,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 
 /// `serve`: accept connections on `socket` until a `shutdown` request.
 pub(crate) fn serve(cmd: &Command, socket: &str, out: &mut String) -> Result<(), String> {
-    let store = CasStore::open(
-        cmd.config()
-            .cache_dir
-            .ok_or_else(|| "`serve` needs --cache-dir".to_owned())?,
-    )
-    .map_err(|e| e.to_string())?;
+    let store = open_store(cmd)?.ok_or_else(|| "`serve` needs --cache-dir".to_owned())?;
     // Mark the store as held by a live process so `cache gc` refuses to
     // evict entries out from under resident requests. Released on drop
     // when the accept loop ends; a crash leaves a stale lock that the
@@ -170,12 +166,13 @@ fn handle_request(cmd: &Command, store: &CasStore, line: &str) -> Result<Reply, 
             let report = match field("eco") {
                 Some(old_path) => {
                     let old = load(&old_path)?;
-                    analyze_eco_with(&old, &nl, &cmd.config(), &obs, store)
+                    analyze_eco_with(&old, &nl, &cmd.cfg, &obs, store)
                         .map(|(report, _)| report)
                         .map_err(|e| e.to_string())?
                 }
-                None => analyze_cached_with(&nl, &cmd.config(), &obs, store)
-                    .map_err(|e| e.to_string())?,
+                None => {
+                    analyze_cached_with(&nl, &cmd.cfg, &obs, store).map_err(|e| e.to_string())?
+                }
             };
             let hit = obs.snapshot().counters.cache_hits > 0;
             let json = serde_json::to_string(&report.canonical())

@@ -12,11 +12,14 @@ fn parses_analyze_with_options() {
     ))
     .expect("parse");
     assert_eq!(cmd.action, Action::Analyze("foo.bench".into()));
-    assert_eq!(cmd.engine, Engine::Sat);
-    assert_eq!(cmd.cycles, 3);
-    assert_eq!(cmd.backtracks, 99);
-    assert_eq!(cmd.threads, 4);
+    assert_eq!(cmd.cfg.engine, Engine::Sat);
+    assert_eq!(cmd.cfg.cycles, 3);
+    assert_eq!(cmd.cfg.backtrack_limit, 99);
+    assert_eq!(cmd.cfg.threads, 4);
     assert!(cmd.quiet);
+    // Without flags the config is the library's default.
+    let cmd = parse_args(argv("hazard foo.bench")).expect("parse");
+    assert_eq!(cmd.cfg, McConfig::default());
 }
 
 #[test]
@@ -51,40 +54,83 @@ fn shard_and_merge_are_gone() {
     assert!(err.to_string().contains("unknown option"), "{err}");
 }
 
+/// Tries every flag with every subcommand: the combinations the table
+/// lists parse, and every other one is refused with a message naming
+/// both the flag and the subcommand.
 #[test]
-fn analyze_only_flags_are_refused_elsewhere() {
-    let flags = [
-        "--resume l.ndjson",
-        "--trace-out t.ndjson",
-        "--progress",
-        "--metrics",
+fn every_flag_parses_only_with_the_subcommands_that_read_it() {
+    const ANALYSIS: [&str; 6] = ["analyze", "hazard", "deps", "kcycle", "sdc", "serve"];
+    // Each flag with a sample value, and the subcommands that read it.
+    let table: [(&str, &[&str]); 28] = [
+        ("--engine sat", &ANALYSIS),
+        ("--cycles 3", &ANALYSIS),
+        ("--backtracks 9", &ANALYSIS),
+        ("--learn", &ANALYSIS),
+        ("--threads 2", &ANALYSIS),
+        ("--no-sim", &ANALYSIS),
+        ("--no-self-pairs", &ANALYSIS),
+        ("--no-lint", &ANALYSIS),
+        ("--no-slice", &ANALYSIS),
+        (
+            "--cache-dir /tmp/c",
+            &["analyze", "serve", "cache stats", "cache gc"],
+        ),
+        ("--eco old.bench --cache-dir /tmp/c", &["analyze"]),
+        ("--resume l.ndjson", &["analyze"]),
+        ("--json j.json", &["analyze", "deps"]),
+        // `analyze` reads `--canonical` only together with `--json`.
+        ("--canonical --json j.json", &["analyze"]),
+        ("--canonical", &[]),
+        ("--metrics", &["analyze"]),
+        ("--trace-out t.ndjson", &["analyze"]),
+        ("--progress", &["analyze"]),
+        ("--quiet", &["analyze", "hazard", "deps"]),
+        ("--max-k 3", &["kcycle"]),
+        ("--robust sens", &["sdc"]),
+        ("--deny comb-cycle", &["lint"]),
+        ("--allow comb-cycle", &["lint"]),
+        ("--max-diags 5", &["lint"]),
+        ("--format json", &["lint"]),
+        ("--max-bytes 9", &["cache gc"]),
+        ("--compare a.json b.json", &["stats --compare"]),
+        ("--threshold 5", &["stats --compare"]),
     ];
-    let others = [
-        "hazard f.bench",
-        "deps f.bench",
-        "kcycle f.bench --max-k 3",
-        "sdc f.bench",
-        "stats f.bench",
-        "trace t.ndjson",
-        "gen m27",
-        "sweep f.bench",
-        "dot f.bench",
-        "lint f.bench",
-        "glitch f.bench a b out.vcd",
-        "serve s.sock --cache-dir /tmp/c",
-        "cache stats --cache-dir /tmp/c",
-        "help",
+    // Each subcommand with its positional arguments and required flags.
+    let subcommands = [
+        ("analyze", "analyze f.bench"),
+        ("hazard", "hazard f.bench"),
+        ("deps", "deps f.bench"),
+        ("kcycle", "kcycle f.bench --max-k 3"),
+        ("sdc", "sdc f.bench"),
+        ("serve", "serve s.sock --cache-dir /tmp/c"),
+        ("lint", "lint f.bench"),
+        ("cache stats", "cache stats --cache-dir /tmp/c"),
+        ("cache gc", "cache gc --cache-dir /tmp/c --max-bytes 0"),
+        ("stats", "stats f.bench"),
+        ("stats --compare", "stats --compare a.json b.json"),
+        ("trace", "trace t.ndjson"),
+        ("gen", "gen m27"),
+        ("sweep", "sweep f.bench"),
+        ("dot", "dot f.bench"),
+        ("glitch", "glitch f.bench a b out.vcd"),
+        ("help", "help"),
     ];
-    for flag in flags {
-        let name = flag.split_whitespace().next().unwrap();
-        assert!(
-            parse_args(argv(&format!("analyze f.bench {flag}"))).is_ok(),
-            "analyze must accept {flag}"
-        );
-        for sub in others {
-            assert!(parse_args(argv(sub)).is_ok(), "{sub} alone must parse");
-            let err = parse_args(argv(&format!("{sub} {flag}"))).unwrap_err();
-            assert!(err.to_string().contains(name), "{sub} {flag}: {err}");
+    for (sub, base) in subcommands {
+        assert!(parse_args(argv(base)).is_ok(), "{base} alone must parse");
+        for (flag, readers) in table {
+            let args = format!("{base} {flag}");
+            match parse_args(argv(&args)) {
+                Ok(_) => assert!(readers.contains(&sub), "{args}: must be refused"),
+                Err(err) => {
+                    assert!(!readers.contains(&sub), "{args}: {err}");
+                    let name = flag.split_whitespace().next().unwrap();
+                    let msg = err.to_string();
+                    assert!(
+                        msg.contains(name) && msg.contains(sub),
+                        "{args}: the refusal must name {name} and {sub}: {msg}"
+                    );
+                }
+            }
         }
     }
 }
@@ -266,19 +312,9 @@ fn lint_subcommand_reports_and_gates() {
 #[test]
 fn no_lint_flag_reaches_the_config() {
     let cmd = parse_args(argv("analyze f.bench --no-lint")).expect("parse");
-    assert!(cmd.no_lint);
-    assert!(!cmd.config().lint);
+    assert!(!cmd.cfg.lint);
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert!(cmd.config().lint);
-}
-
-#[test]
-fn no_static_classify_flag_reaches_the_config() {
-    let cmd = parse_args(argv("analyze f.bench --no-static-classify")).expect("parse");
-    assert!(cmd.no_static_classify);
-    assert!(!cmd.config().static_classify);
-    let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert!(cmd.config().static_classify, "on by default");
+    assert!(cmd.cfg.lint);
 }
 
 #[test]
@@ -352,24 +388,44 @@ fn lint_deny_allow_and_max_diags() {
 #[test]
 fn no_slice_flag_reaches_the_config() {
     let cmd = parse_args(argv("analyze f.bench --no-slice")).expect("parse");
-    assert!(cmd.no_slice);
-    assert!(!cmd.config().slice);
+    assert!(!cmd.cfg.slice);
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert!(cmd.config().slice, "on by default");
+    assert!(cmd.cfg.slice, "on by default");
 }
 
 #[test]
-fn sim_lanes_flag_reaches_the_config() {
-    let cmd = parse_args(argv("analyze f.bench --sim-lanes 128")).expect("parse");
-    assert_eq!(cmd.sim_lanes, Some(128));
-    assert_eq!(cmd.config().sim.lanes, 128);
-    // Without the flag the library default applies.
+fn no_static_classify_flag_is_gone() {
+    // The static pre-pass is verdict-neutral, and
+    // `static_classification_keeps_the_canonical_report_byte_identical`
+    // pins that; no flag A/Bs it any more, so it is always on.
+    let err = parse_args(argv("analyze f.bench --no-static-classify")).unwrap_err();
+    assert!(err.to_string().contains("unknown option"), "{err}");
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert_eq!(cmd.config().sim, mcp_sim::FilterConfig::default());
-    assert_eq!(cmd.config().sim.lanes, 256);
-    // Non-numeric widths are parse errors; missing values too.
-    assert!(parse_args(argv("analyze f.bench --sim-lanes abc")).is_err());
-    assert!(parse_args(argv("analyze f.bench --sim-lanes")).is_err());
+    assert!(cmd.cfg.static_classify, "on by default");
+}
+
+#[test]
+fn sim_lanes_flag_is_gone() {
+    // The lane width is verdict-neutral, and
+    // `lane_width_does_not_change_the_canonical_report` pins that; no flag
+    // sets it, so the library default applies.
+    for flag in ["sim-lanes 128", "sim-lanes"] {
+        let err = parse_args(argv(&format!("analyze f.bench --{flag}"))).unwrap_err();
+        assert!(err.to_string().contains("unknown option"), "{flag}: {err}");
+    }
+    let cmd = parse_args(argv("analyze f.bench")).expect("parse");
+    assert_eq!(cmd.cfg.sim, mcp_sim::FilterConfig::default());
+    assert_eq!(cmd.cfg.sim.lanes, 256);
+}
+
+#[test]
+fn chrome_format_is_gone() {
+    // `trace` always writes Chrome trace-event JSON; `--format` is
+    // `lint`'s, with two values.
+    let err = parse_args(argv("trace t.ndjson --format chrome")).unwrap_err();
+    assert!(err.to_string().contains("chrome"), "{err}");
+    let err = parse_args(argv("lint f.bench --format chrome")).unwrap_err();
+    assert!(err.to_string().contains("unknown format"), "{err}");
 }
 
 #[test]
@@ -383,18 +439,17 @@ fn kernel_selection_flags_are_gone() {
 
 #[test]
 fn unsupported_lane_width_is_a_clean_analyze_error() {
-    // 96 parses as a number; `analyze` rejects it (the same check
-    // covers library callers, so the CLI does not pre-validate).
+    // No flag sets the lane width, but a library caller that builds the
+    // `Command` can. `analyze` rejects 96 (the same check covers every
+    // library entry point, so the CLI does not pre-validate).
     let dir = std::env::temp_dir().join("mcpath-cli-test-lanes");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let bench_path = dir.join("m27.bench");
     let text = run(&parse_args(argv("gen m27")).expect("parse")).expect("gen");
     std::fs::write(&bench_path, text).expect("write");
-    let cmd = parse_args(argv(&format!(
-        "analyze {} --sim-lanes 96 --quiet",
-        bench_path.display()
-    )))
-    .expect("parse");
+    let mut cmd =
+        parse_args(argv(&format!("analyze {} --quiet", bench_path.display()))).expect("parse");
+    cmd.cfg.sim.lanes = 96;
     let err = run(&cmd).unwrap_err();
     assert!(err.contains("sim lanes"), "{err}");
     assert!(err.contains("96"), "{err}");
@@ -541,9 +596,7 @@ fn compare_threshold_must_be_finite_and_non_negative() {
 
     let cmd = parse_args(argv("trace t.ndjson")).expect("parse");
     assert_eq!(cmd.action, Action::Trace("t.ndjson".into()));
-    assert_eq!(cmd.format, OutputFormat::Chrome, "trace defaults to chrome");
     assert!(parse_args(argv("trace")).is_err());
-    assert!(run(&parse_args(argv("lint f.bench --format chrome")).expect("parse")).is_err());
 }
 
 #[test]
@@ -681,6 +734,88 @@ fn span_table_renders_as_an_indented_hierarchy() {
 }
 
 #[test]
+fn every_counter_renders_when_non_zero() {
+    // A snapshot whose counters are all 1, built from their own
+    // serialization so the test lists no field by hand.
+    let names: Vec<String> = serde::Serialize::to_content(&mcp_obs::Counters::default())
+        .as_map()
+        .expect("counters serialize as a map")
+        .iter()
+        .map(|(name, _)| name.clone())
+        .collect();
+    let ones: Vec<String> = names.iter().map(|n| format!("\"{n}\":1")).collect();
+    let snap = mcp_obs::MetricsSnapshot {
+        counters: serde_json::from_str(&format!("{{{}}}", ones.join(","))).expect("counters"),
+        ..Default::default()
+    };
+    assert!(names.iter().any(|n| n == "resume_pairs_loaded"));
+    let out = render_snapshot(&snap);
+    let mut at = 0;
+    for name in &names {
+        let row = format!("\n  {name:<24} 1\n");
+        let pos = out[at..]
+            .find(&row)
+            .unwrap_or_else(|| panic!("no `{name}` row after byte {at}:\n{out}"));
+        at += pos + 1;
+    }
+}
+
+#[test]
+fn stats_reads_a_ledger_whose_last_line_was_torn() {
+    let dir = std::env::temp_dir().join("mcpath-cli-torn");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let bench_path = dir.join("m27.bench");
+    let text = run(&parse_args(argv("gen m27")).expect("parse")).expect("gen");
+    std::fs::write(&bench_path, text).expect("write");
+    let clean = dir.join("clean.ndjson");
+    let report = dir.join("report.json");
+    run(&parse_args(argv(&format!(
+        "analyze {} --trace-out {} --json {} --quiet",
+        bench_path.display(),
+        clean.display(),
+        report.display()
+    )))
+    .expect("parse"))
+    .expect("analyze");
+
+    // A SIGKILL mid-write leaves a partial final line.
+    let torn = dir.join("torn.ndjson");
+    let clean_text = std::fs::read_to_string(&clean).expect("read ledger");
+    std::fs::write(&torn, format!("{clean_text}{{\"src\":0,\"ds")).expect("write");
+    let stats = |path: &std::path::Path| {
+        run(&parse_args(argv(&format!("stats {}", path.display()))).expect("parse"))
+    };
+    assert_eq!(stats(&torn), stats(&clean), "the torn line is dropped");
+    let out = run(&parse_args(argv(&format!(
+        "stats --compare {} {}",
+        clean.display(),
+        torn.display()
+    )))
+    .expect("parse"))
+    .expect("compare a torn ledger");
+    assert!(out.contains("no counter differences"), "{out}");
+
+    // A report compacted onto one line is still a JSON document, not a
+    // ledger whose only line is torn: its counters are compared.
+    let saved: mcp_core::McReport =
+        serde_json::from_str(&std::fs::read_to_string(&report).expect("read")).expect("report");
+    let one_line = dir.join("one-line.json");
+    std::fs::write(&one_line, serde_json::to_string(&saved).expect("json")).expect("write");
+    let grown = dir.join("grown.json");
+    let mut more = saved.clone();
+    more.metrics.counters.implications += 1;
+    std::fs::write(&grown, serde_json::to_string(&more).expect("json")).expect("write");
+    let err = run(&parse_args(argv(&format!(
+        "stats --compare {} {}",
+        one_line.display(),
+        grown.display()
+    )))
+    .expect("parse"))
+    .unwrap_err();
+    assert!(err.contains("implications"), "{err}");
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let cmd = parse_args(argv("analyze /no/such/file.bench")).expect("parse");
     let err = run(&cmd).unwrap_err();
@@ -696,11 +831,7 @@ fn help_prints_usage() {
 #[test]
 fn parses_cache_and_eco_flags() {
     let cmd = parse_args(argv("analyze f.bench --cache-dir /tmp/c")).expect("parse");
-    assert_eq!(cmd.cache_dir.as_deref(), Some("/tmp/c"));
-    assert_eq!(
-        cmd.config().cache_dir,
-        Some(std::path::PathBuf::from("/tmp/c"))
-    );
+    assert_eq!(cmd.cfg.cache_dir, Some(std::path::PathBuf::from("/tmp/c")));
 
     let cmd =
         parse_args(argv("analyze f.bench --eco old.bench --cache-dir /tmp/c")).expect("parse");
@@ -721,7 +852,9 @@ fn parses_cache_and_eco_flags() {
     // `serve` requires the resident store.
     let cmd = parse_args(argv("serve /tmp/s.sock --cache-dir /tmp/c")).expect("parse");
     assert_eq!(cmd.action, Action::Serve("/tmp/s.sock".into()));
-    assert!(parse_args(argv("serve /tmp/s.sock")).is_err());
+    if std::env::var_os("MCPATH_CACHE_DIR").is_none() {
+        assert!(parse_args(argv("serve /tmp/s.sock")).is_err());
+    }
 }
 
 /// A run reads one verdict source: an explicit `--cache-dir` next to
@@ -931,7 +1064,7 @@ fn serve_answers_ndjson_requests_over_the_socket() {
     let cache = dir.join("cache");
 
     let cmd = parse_args(argv(&format!(
-        "serve {} --cache-dir {} --quiet",
+        "serve {} --cache-dir {}",
         socket.display(),
         cache.display()
     )))

@@ -386,8 +386,7 @@ fn shard_era_ledger_loads_and_resumes_as_a_partial_ledger() {
 
     let out = run_ok(&["stats", f]);
     assert!(out.contains("trace journal: 33 pair events"), "{out}");
-    let trace: ChromeTrace =
-        serde_json::from_str(&run_ok(&["trace", f, "--format", "chrome"])).expect("trace JSON");
+    let trace: ChromeTrace = serde_json::from_str(&run_ok(&["trace", f])).expect("trace JSON");
     assert_eq!(trace.traceEvents.len(), 7, "one event per journaled span");
     let out = run_ok(&["stats", "--compare", f, f]);
     assert!(out.contains("no counter differences"), "{out}");
@@ -468,7 +467,7 @@ fn trace_export_is_valid_chrome_json_with_a_track_per_worker() {
         "--quiet",
     ]);
 
-    let stdout = run_ok(&["trace", ledger.to_str().unwrap(), "--format", "chrome"]);
+    let stdout = run_ok(&["trace", ledger.to_str().unwrap()]);
     let trace: ChromeTrace = serde_json::from_str(&stdout).expect("valid trace-event JSON");
     assert_eq!(trace.displayTimeUnit, "ms");
     assert!(!trace.traceEvents.is_empty());
