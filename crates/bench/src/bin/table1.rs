@@ -281,5 +281,4 @@ fn main() {
 
     let artifact = bench_artifact("table1", &rows);
     args.drift_gate(artifact.as_deref());
-    args.dump_json(&rows);
 }

@@ -134,5 +134,4 @@ fn main() {
 
     let artifact = bench_artifact("table2", &agg);
     args.drift_gate(artifact.as_deref());
-    args.dump_json(&agg);
 }

@@ -91,5 +91,4 @@ fn main() {
     };
     let artifact = bench_artifact("table3", &rows);
     args.drift_gate(artifact.as_deref());
-    args.dump_json(&rows);
 }

@@ -16,7 +16,7 @@
 //!   conservative. The observed rate measures how loose each bound is on
 //!   this workload.
 
-use mcp_bench::HarnessArgs;
+use mcp_bench::{bench_artifact, HarnessArgs};
 use mcp_core::{analyze, check_hazards, HazardCheck, McConfig};
 use mcp_sim::sample_glitch;
 use rand::rngs::StdRng;
@@ -112,7 +112,8 @@ fn main() {
         "upper-bound check: {} (co-sensitization survivors must never glitch)",
         if violation { "FAILED" } else { "HOLDS" }
     );
-    args.dump_json(&json_rows);
+    let artifact = bench_artifact("table_glitch", &json_rows);
+    args.drift_gate(artifact.as_deref());
     if violation {
         std::process::exit(1);
     }

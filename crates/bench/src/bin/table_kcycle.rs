@@ -8,7 +8,7 @@
 //! predictable staircase that validates the multi-frame expansion, plus
 //! timing to show the cost of extra frames.
 
-use mcp_bench::{secs, HarnessArgs};
+use mcp_bench::{bench_artifact, secs, HarnessArgs};
 use mcp_core::{analyze, McConfig};
 use mcp_gen::generators::{gated_datapath, DatapathConfig};
 use serde::Serialize;
@@ -95,7 +95,8 @@ fn main() {
         "staircase {}",
         if all_ok { "REPRODUCED" } else { "MISMATCH" }
     );
-    args.dump_json(&rows);
+    let artifact = bench_artifact("table_kcycle", &rows);
+    args.drift_gate(artifact.as_deref());
     if !all_ok {
         std::process::exit(1);
     }

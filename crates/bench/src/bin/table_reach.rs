@@ -9,7 +9,7 @@
 //! restricted to states reachable from the all-zero reset — the extra
 //! pairs are those whose violating scenarios are unreachable.
 
-use mcp_bench::HarnessArgs;
+use mcp_bench::{bench_artifact, HarnessArgs};
 use mcp_core::{analyze, Engine, McConfig};
 use mcp_netlist::Netlist;
 use serde::Serialize;
@@ -102,5 +102,6 @@ fn main() {
         "reachability restriction detects ⊇ pairs, at symbolic-traversal cost —\n\
          the trade the paper describes for [8]."
     );
-    args.dump_json(&rows);
+    let artifact = bench_artifact("table_reach", &rows);
+    args.drift_gate(artifact.as_deref());
 }

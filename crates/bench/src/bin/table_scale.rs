@@ -153,6 +153,5 @@ fn main() {
     }
 
     let artifact = bench_artifact("scale", &rows);
-    args.dump_json(&rows);
     args.drift_gate(artifact.as_deref());
 }

@@ -9,9 +9,14 @@
 //! | `table2`       | Table 2 — pairs resolved and CPU per analysis step |
 //! | `table3`       | Table 3 — MC pairs before/after static-hazard checking |
 //! | `table_kcycle` | Section 4.1 extension — k-cycle detection vs counter period |
+//! | `table_reach`  | Section 3.1 remark — reachability-restricted BDD analysis vs all states |
+//! | `table_glitch` | Section 5 extension — sampled dynamic glitches vs the static hazard checks |
+//! | `table_scale`  | Pair-loop scaling over worker threads |
 //!
 //! Run with `--release`; pass `--quick` to restrict to the smaller half of
-//! the suite, `--json <path>` to also dump machine-readable rows.
+//! the suite. Every binary writes its rows to `BENCH_<name>.json` in the
+//! current directory ([`bench_artifact`]); `--baseline <BENCH.json>`
+//! diffs that artifact against an earlier run's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +29,6 @@ use mcp_netlist::Netlist;
 pub struct HarnessArgs {
     /// Use the abbreviated suite.
     pub quick: bool,
-    /// Optional JSON dump path.
-    pub json: Option<String>,
     /// Lint every suite circuit before benchmarking it, failing the run
     /// on error-level findings and propagating warning counts into the
     /// bench artifact.
@@ -44,7 +47,6 @@ impl Default for HarnessArgs {
     fn default() -> Self {
         HarnessArgs {
             quick: false,
-            json: None,
             lint: false,
             threads: 1,
             baseline: None,
@@ -54,16 +56,16 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--quick`, `--lint`, `--threads <N>`, `--json <path>`,
-    /// `--baseline <path>` and `--threshold <pct>` from
-    /// `std::env::args`, exiting with status 2 on unknown arguments
-    /// (a typo must not silently produce wrong-config numbers).
+    /// Parses `--quick`, `--lint`, `--threads <N>`, `--baseline <path>`
+    /// and `--threshold <pct>` from `std::env::args`, exiting with
+    /// status 2 on unknown arguments (a typo must not silently produce
+    /// wrong-config numbers).
     pub fn parse() -> Self {
         match Self::try_parse(std::env::args().skip(1)) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!(
-                    "error: {e}\nusage: [--quick] [--lint] [--threads <N>] [--json <path>] \
+                    "error: {e}\nusage: [--quick] [--lint] [--threads <N>] \
                      [--baseline <BENCH.json>] [--threshold <pct>]"
                 );
                 std::process::exit(2);
@@ -75,8 +77,8 @@ impl HarnessArgs {
     ///
     /// # Errors
     ///
-    /// Returns a message on an unknown argument, a `--json`/`--baseline`
-    /// without a path, a `--threshold` that is not a finite, non-negative
+    /// Returns a message on an unknown argument, a `--baseline` without a
+    /// path, a `--threshold` that is not a finite, non-negative
     /// number, or a non-numeric / zero `--threads`.
     pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = HarnessArgs::default();
@@ -85,9 +87,6 @@ impl HarnessArgs {
             match a.as_str() {
                 "--quick" => out.quick = true,
                 "--lint" => out.lint = true,
-                "--json" => {
-                    out.json = Some(args.next().ok_or("`--json` needs a path")?);
-                }
                 "--baseline" => {
                     out.baseline = Some(args.next().ok_or("`--baseline` needs a path")?);
                 }
@@ -214,20 +213,6 @@ impl HarnessArgs {
             mcp_gen::suite::standard_suite()
         }
     }
-
-    /// Writes `rows` as pretty JSON when `--json` was given.
-    pub fn dump_json<T: serde::Serialize>(&self, rows: &T) {
-        if let Some(path) = &self.json {
-            match serde_json::to_string_pretty(rows) {
-                Ok(s) => {
-                    if let Err(e) = std::fs::write(path, s) {
-                        eprintln!("cannot write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("cannot serialize results: {e}"),
-            }
-        }
-    }
 }
 
 /// Formats a duration in seconds with millisecond resolution, the way the
@@ -298,11 +283,12 @@ mod tests {
     #[test]
     fn unknown_arguments_are_rejected() {
         let argv = |s: &str| s.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
-        let args = HarnessArgs::try_parse(argv("--quick --json out.json")).expect("parse");
+        let args = HarnessArgs::try_parse(argv("--quick")).expect("parse");
         assert!(args.quick);
-        assert_eq!(args.json.as_deref(), Some("out.json"));
         assert!(HarnessArgs::try_parse(argv("--qiuck")).is_err());
-        assert!(HarnessArgs::try_parse(argv("--json")).is_err());
+        // Every binary writes its `BENCH_<name>.json`; there is no
+        // second JSON dump to ask for.
+        assert!(HarnessArgs::try_parse(argv("--json out.json")).is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::cas::{CasError, CasStore};
 use crate::config::McConfig;
 use crate::pipeline::{analyze_from, AnalyzeError, DigestKind, RunIdentity, VerdictSource};
-use crate::report::McReport;
+use crate::report::{McReport, PairClass, PairResult};
 use crate::stage::{stage_key_for, VerdictRecord, VerdictsArtifact, STAGE_VERDICTS};
 use mcp_netlist::Netlist;
 use mcp_obs::{ObsCtx, PairEvent};
@@ -49,28 +49,16 @@ impl From<CasError> for AnalyzeError {
     }
 }
 
-/// Synthesizes the splice event for one cached verdict: no engine tag,
-/// no attributable time, `cached` set. The inverse of the pipeline's
-/// own `verdict_event`, with provenance swapped from "an engine just
-/// ran" to "the store already knew".
-pub(crate) fn cached_event(r: &VerdictRecord) -> PairEvent {
+/// The splice event for one stored verdict, under the current netlist's
+/// indices `(src, dst)` of its pair: `cached` set and nothing else — no
+/// engine tag, no attributable time, and no kernel tag (a splice
+/// simulates zero words, and untagged events are exactly what per-tier
+/// throughput attribution skips).
+pub(crate) fn cached_event(r: &VerdictRecord, (src, dst): (usize, usize)) -> PairEvent {
+    let class = PairClass::from_tags(&r.step, &r.class);
     PairEvent {
-        src: r.src,
-        dst: r.dst,
-        step: r.step.clone(),
-        class: r.class.clone(),
-        engine: None,
-        assignments: Vec::new(),
-        micros: 0,
-        sim_word: None,
-        slice_nodes: None,
-        slice_vars: None,
-        resumed: false,
-        static_pass: false,
         cached: true,
-        // No kernel tag: a splice simulates zero words, and untagged
-        // events are exactly what per-tier throughput attribution skips.
-        kernel: None,
+        ..PairResult { src, dst, class }.event()
     }
 }
 
@@ -106,6 +94,31 @@ pub(crate) fn check_verdicts_identity(
         });
     }
     Ok(())
+}
+
+/// The `Verdicts` artifact's records of a run's engine verdicts: each
+/// pair by FF index and by FF name, the key ECO re-analysis maps across
+/// a netlist edit.
+pub(crate) fn verdict_records(netlist: &Netlist, verdicts: &[PairResult]) -> Vec<VerdictRecord> {
+    let names: Vec<&str> = netlist
+        .dffs()
+        .iter()
+        .map(|&id| netlist.node(id).name())
+        .collect();
+    verdicts
+        .iter()
+        .map(|r| {
+            let (step, class) = r.class.tags();
+            VerdictRecord {
+                src: r.src,
+                dst: r.dst,
+                src_name: names[r.src].to_owned(),
+                dst_name: names[r.dst].to_owned(),
+                step: step.to_owned(),
+                class: class.to_owned(),
+            }
+        })
+        .collect()
 }
 
 /// Persists a completed run's verdicts as the `Verdicts` artifact under
@@ -158,6 +171,7 @@ pub fn analyze_cached_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Engine;
     use crate::pipeline::analyze_with;
     use mcp_gen::{circuits, suite};
     use mcp_obs::MemSink;
@@ -183,31 +197,44 @@ mod tests {
         let dir = tempdir("warm");
         let store = CasStore::open(&dir).expect("open");
         let nl = suite::quick_suite().remove(0); // m27
-        let cfg = McConfig::default();
+        let bdd = Engine::Bdd {
+            node_limit: 1 << 22,
+            reachability: false,
+        };
+        for engine in [Engine::Implication, bdd] {
+            let cfg = McConfig {
+                engine,
+                ..McConfig::default()
+            };
+            let cold_obs = ObsCtx::new();
+            let cold = analyze_cached_with(&nl, &cfg, &cold_obs, &store).expect("cold");
+            assert_eq!(cold_obs.snapshot().counters.cache_misses, 1);
 
-        let cold_obs = ObsCtx::new();
-        let cold = analyze_cached_with(&nl, &cfg, &cold_obs, &store).expect("cold");
-        assert_eq!(cold_obs.snapshot().counters.cache_misses, 1);
-
-        let sink = Arc::new(MemSink::new());
-        let warm_obs = ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
-        let warm = analyze_cached_with(&nl, &cfg, &warm_obs, &store).expect("warm");
-        assert_eq!(canon(&warm), canon(&cold), "warm must equal cold");
-        // Zero engine work: every journaled event is prefilter- or
-        // cache-attributed.
-        let events = sink.drain();
-        assert!(!events.is_empty());
-        assert!(
-            events.iter().all(|e| e.engine.is_none()),
-            "a warm run must journal no engine-tagged events"
-        );
-        assert!(events.iter().any(|e| e.cached));
-        let c = warm_obs.snapshot().counters;
-        assert_eq!(c.cache_hits, 1);
-        assert!(c.cache_pairs_spliced > 0);
-        // And the plain (storeless) run agrees too.
-        let plain = analyze_with(&nl, &cfg, &ObsCtx::new()).expect("plain");
-        assert_eq!(canon(&plain), canon(&cold));
+            let sink = Arc::new(MemSink::new());
+            let warm_obs = ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
+            let warm = analyze_cached_with(&nl, &cfg, &warm_obs, &store).expect("warm");
+            assert_eq!(canon(&warm), canon(&cold), "warm must equal cold");
+            // Zero engine work: every journaled event is prefilter- or
+            // cache-attributed, and no engine was even built.
+            let events = sink.drain();
+            assert!(!events.is_empty());
+            assert!(
+                events.iter().all(|e| e.engine.is_none()),
+                "a warm {engine:?} run must journal no engine-tagged events"
+            );
+            assert!(events.iter().any(|e| e.cached));
+            let c = warm_obs.snapshot().counters;
+            assert_eq!(c.cache_hits, 1);
+            assert!(c.cache_pairs_spliced > 0);
+            assert_eq!(c.bdd_peak_nodes, 0, "a warm {engine:?} run built a BDD");
+            assert!(
+                !warm_obs.timers.totals().contains_key("analyze/pairs"),
+                "a warm {engine:?} run entered the pair loop"
+            );
+            // And the plain (storeless) run agrees too.
+            let plain = analyze_with(&nl, &cfg, &ObsCtx::new()).expect("plain");
+            assert_eq!(canon(&plain), canon(&cold));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

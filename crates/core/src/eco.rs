@@ -146,9 +146,7 @@ pub(crate) fn old_verdicts(
                     *index.get(r.src_name.as_str())?,
                     *index.get(r.dst_name.as_str())?,
                 );
-                let mut event = cached_event(r);
-                (event.src, event.dst) = pair;
-                Some((pair, event))
+                Some((pair, cached_event(r, pair)))
             })
             .collect(),
     ))

@@ -1,18 +1,18 @@
 //! The end-to-end analysis pipeline (paper Section 4.1).
 
-use crate::cache::{cached_event, check_verdicts_identity, persist_verdicts};
+use crate::cache::{cached_event, check_verdicts_identity, persist_verdicts, verdict_records};
 use crate::cas::CasStore;
 use crate::config::{Engine, McConfig};
 use crate::eco::{self, EcoSummary};
 use crate::engines::{
     classify_pair_bdd, classify_pair_implication_probed, classify_pair_sat, PairProbe, Verdict,
 };
-use crate::report::{McReport, PairClass, PairResult, Step, StepStats};
+use crate::report::{McReport, PairClass, PairResult, StepStats};
 use crate::resume;
 use crate::schedule::run_items;
 use crate::stage::{
-    group_roots, plan_sink_groups, run_prefilters, stage_key_for, step_name, Prefiltered,
-    SinkGroup, VerdictRecord, VerdictsArtifact, STAGE_VERDICTS,
+    group_roots, plan_sink_groups, run_prefilters, stage_key_for, Prefiltered, SinkGroup,
+    VerdictsArtifact, STAGE_VERDICTS,
 };
 use mcp_atpg::SearchConfig;
 use mcp_bdd::{InitStates, Ref, SymbolicFsm};
@@ -23,7 +23,7 @@ use mcp_sat::CircuitCnf;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Error produced by [`analyze`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,22 +288,6 @@ pub(crate) struct RunIdentity {
     pub(crate) pair_digest: u64,
 }
 
-/// Reconstructs an engine verdict from its journaled event — the inverse
-/// of [`verdict_event`], used by the splice step to restore known pairs.
-fn verdict_from_event(event: &PairEvent) -> Verdict {
-    let by = match event.step.as_str() {
-        "structural" => Step::Structural,
-        "random_sim" => Step::RandomSim,
-        "implication" => Step::Implication,
-        _ => Step::Atpg,
-    };
-    match event.class.as_str() {
-        "multi" => Verdict::Multi { by },
-        "single" => Verdict::Single { by },
-        _ => Verdict::Unknown,
-    }
-}
-
 /// A [`VerdictSource`] after its up-front checks. Everything that can
 /// refuse a source without the plan (headers, digests, store entries)
 /// has refused by the time one of these exists.
@@ -353,7 +337,7 @@ fn load_source<'a>(
                     known.verdicts = art
                         .verdicts
                         .iter()
-                        .map(|r| ((r.src, r.dst), cached_event(r)))
+                        .map(|r| ((r.src, r.dst), cached_event(r, (r.src, r.dst))))
                         .collect();
                 }
                 None => {
@@ -516,12 +500,15 @@ pub fn analyze_from(
     );
 
     // Steps 3-4: the engines. The sink groups are every engine's work
-    // list, hardest group first: implication and SAT share one parallel
-    // group loop, and BDD walks the same groups in the same order on its
-    // one FSM. The progress meter extrapolates its ETA over the groups'
-    // cost hints, not pair counts: groups run hardest-first, so
-    // count-based extrapolation would wildly overestimate early in the
-    // run.
+    // list, hardest group first, and one group loop runs all three:
+    // implication and SAT build their engine state per group on
+    // `cfg.threads` workers; BDD's one worker builds one symbolic FSM of
+    // the whole circuit and walks the groups in the same order. Every
+    // verdict leaves through `finish`, which journals it, ticks the
+    // progress meter and collects it. The meter extrapolates its ETA
+    // over the groups' cost hints, not pair counts: groups run
+    // hardest-first, so count-based extrapolation would wildly
+    // overestimate early in the run.
     let done = AtomicUsize::new(0);
     let done_cost = AtomicU64::new(0);
     let total = survivors.len();
@@ -532,43 +519,170 @@ pub fn analyze_from(
         let c = done_cost.fetch_add(share, Ordering::Relaxed) + share;
         obs.progress_with_cost("pairs", d, total, (c, total_cost));
     };
-    let (verdicts, busy) = if let Engine::Bdd {
-        node_limit,
-        reachability,
-    } = cfg.engine
-    {
-        let t_pairs = obs.timers.span("analyze/pairs");
-        // A model or reachable set that blows the node budget leaves
-        // every pair unknown.
-        let mut fsm = SymbolicFsm::build(netlist, node_limit).ok();
-        let reached = match fsm.as_mut() {
-            Some(fsm) if reachability => fsm.reachable(InitStates::Zero).ok(),
-            Some(_) => Some(Ref::TRUE),
-            None => None,
-        };
-        stats.time_prepare = t_prepare.stop();
-        let mut verdicts = Vec::with_capacity(total);
-        for group in &groups {
-            for &i in &group.sources {
-                let (Some(fsm), Some(r)) = (fsm.as_mut(), reached) else {
-                    verdicts.push(((i, group.sink), Verdict::Unknown));
-                    continue;
+    let bdd = matches!(cfg.engine, Engine::Bdd { .. });
+    let sat = cfg.engine == Engine::Sat;
+    // Without slicing every group's model is the whole expansion, so
+    // what the engines derive from it alone is built once, here, and
+    // billed to `prepare`: the implication engine's learned set, or
+    // SAT's template with every pair's difference literals created in
+    // canonical (sorted-pair) order.
+    let whole_learned = (cfg.engine == Engine::Implication && !cfg.slice && cfg.static_learning)
+        .then(|| learn_counted(&x, cfg, obs));
+    let template = (!cfg.slice && sat).then(|| {
+        let mut cnf = CircuitCnf::new(&x);
+        let mut sorted = survivors.clone();
+        sorted.sort_unstable();
+        for (i, j) in sorted {
+            add_diff_lits(&mut cnf, &x, &[i], j, cfg.cycles);
+        }
+        cnf
+    });
+    stats.time_prepare = t_prepare.stop();
+    let search_cfg = SearchConfig {
+        backtrack_limit: cfg.backtrack_limit,
+    };
+    let threads = if bdd { 1 } else { cfg.threads };
+    let (verdicts, busy) = run_items(&groups, threads, obs, "analyze/pairs", |feed, out| {
+        // BDD's engine state: the FSM and the states it checks pairs
+        // under. A model or reachable set that blows the node budget
+        // leaves every pair unknown.
+        let mut fsm = None;
+        let mut reached = None;
+        if let Engine::Bdd {
+            node_limit,
+            reachability,
+        } = cfg.engine
+        {
+            fsm = SymbolicFsm::build(netlist, node_limit).ok();
+            reached = match fsm.as_mut() {
+                Some(fsm) if reachability => fsm.reachable(InitStates::Zero).ok(),
+                Some(_) => Some(Ref::TRUE),
+                None => None,
+            };
+        }
+        for group in feed {
+            let _group = obs
+                .timers
+                .span(format!("analyze/pairs/sink:{}", group.sink));
+            let mut finish = |i,
+                              v: Verdict,
+                              engine: &str,
+                              assignments,
+                              t_pair: Instant,
+                              sizes: Option<(u64, u64)>| {
+                let r = PairResult {
+                    src: i,
+                    dst: group.sink,
+                    class: v.into(),
                 };
-                let t_pair = Instant::now();
-                let v = classify_pair_bdd(fsm, i, group.sink, r);
                 if obs.sink().enabled() {
-                    obs.sink().record(&verdict_event(
-                        i,
-                        group.sink,
-                        &v,
-                        "bdd",
-                        Vec::new(),
-                        t_pair.elapsed(),
-                        None,
-                    ));
+                    obs.sink().record(&PairEvent {
+                        engine: Some(engine.to_owned()),
+                        assignments,
+                        micros: t_pair.elapsed().as_micros() as u64,
+                        slice_nodes: sizes.map(|(n, _)| n),
+                        slice_vars: sizes.map(|(_, v)| v),
+                        ..r.event()
+                    });
                 }
                 tick(group);
-                verdicts.push(((i, group.sink), v));
+                out.push(r);
+            };
+            if bdd {
+                for &i in &group.sources {
+                    let t_pair = Instant::now();
+                    let v = match (fsm.as_mut(), reached) {
+                        (Some(fsm), Some(r)) => classify_pair_bdd(fsm, i, group.sink, r),
+                        _ => Verdict::Unknown,
+                    };
+                    finish(i, v, "bdd", Vec::new(), t_pair, None);
+                }
+                continue;
+            }
+            let slice = cfg
+                .slice
+                .then(|| x.build_slice(&group_roots(&x, group.sink, &group.sources, cfg.cycles)));
+            let model = slice.as_ref().map_or(&x, Slice::model);
+            if sat {
+                // One incremental solver per group, queried in
+                // ascending-source order: its variable numbering,
+                // decisions and learnt clauses do not depend on the
+                // worker that runs the group, and the group's queries
+                // share learnt clauses.
+                let mut cnf = match &template {
+                    Some(t) => t.clone(),
+                    None => {
+                        let mut cnf = CircuitCnf::new(model);
+                        add_diff_lits(&mut cnf, model, &group.sources, group.sink, cfg.cycles);
+                        cnf
+                    }
+                };
+                let sizes = slice
+                    .as_ref()
+                    .map(|s| (s.num_nodes() as u64, cnf.solver().num_vars() as u64));
+                if let Some(sizes) = sizes {
+                    note_slice_build(obs, sizes, group.sources.len());
+                }
+                for &i in &group.sources {
+                    let t_pair = Instant::now();
+                    let v = classify_pair_sat(&mut cnf, model, i, group.sink, cfg.cycles);
+                    finish(i, v, "sat", Vec::new(), t_pair, sizes);
+                }
+                // A fresh solver, or a clone of the template (whose
+                // stats are zero: building it only adds clauses), so its
+                // totals are the group's deltas.
+                flush_sat_stats(obs, &cnf);
+            } else {
+                let sizes = slice
+                    .as_ref()
+                    .map(|s| (s.num_nodes() as u64, s.num_vars() as u64));
+                if let Some(sizes) = sizes {
+                    note_slice_build(obs, sizes, group.sources.len());
+                }
+                // On a slice, learning is slice-local: the learned set
+                // is sound on slice and whole circuit alike, but only the
+                // slice's share is worth paying for here.
+                let slice_learned;
+                let learned = match (&slice, cfg.static_learning) {
+                    (_, false) => None,
+                    (Some(_), true) => {
+                        slice_learned = learn_counted(model, cfg, obs);
+                        Some(&slice_learned)
+                    }
+                    (None, true) => whole_learned.as_ref(),
+                };
+                let mut eng = new_engine(model, learned);
+                // Engine construction itself propagates (the learned
+                // forced literals); subtract that baseline so the
+                // flushed totals are pure per-group deltas.
+                let base_implications = eng.implications();
+                let base_contradictions = eng.contradictions();
+                for &i in &group.sources {
+                    let t_pair = Instant::now();
+                    let mut probe = if obs.sink().enabled() {
+                        PairProbe::traced()
+                    } else {
+                        PairProbe::default()
+                    };
+                    let v = classify_pair_implication_probed(
+                        &mut eng,
+                        i,
+                        group.sink,
+                        cfg.cycles,
+                        &search_cfg,
+                        &mut probe,
+                    );
+                    obs.metrics.atpg_decisions.add(probe.decisions);
+                    obs.metrics.atpg_backtracks.add(probe.backtracks);
+                    obs.metrics.atpg_aborts.add(probe.aborts);
+                    finish(i, v, "implication", probe.assignments, t_pair, sizes);
+                }
+                obs.metrics
+                    .implications
+                    .add(eng.implications() - base_implications);
+                obs.metrics
+                    .contradictions
+                    .add(eng.contradictions() - base_contradictions);
             }
         }
         if let Some(fsm) = &fsm {
@@ -578,193 +692,25 @@ pub fn analyze_from(
             obs.metrics.bdd_cache_lookups.add(fsm.bdd().cache_lookups());
             obs.metrics.bdd_cache_hits.add(fsm.bdd().cache_hits());
         }
-        (verdicts, t_pairs.stop())
-    } else {
-        let sat = cfg.engine == Engine::Sat;
-        // Without slicing every group's model is the whole expansion, so
-        // what the engines derive from it alone is built once, here, and
-        // billed to `prepare`: the implication engine's learned set, or
-        // SAT's template with every pair's difference literals created
-        // in canonical (sorted-pair) order.
-        let whole_learned =
-            (!cfg.slice && !sat && cfg.static_learning).then(|| learn_counted(&x, cfg, obs));
-        let template = (!cfg.slice && sat).then(|| {
-            let mut cnf = CircuitCnf::new(&x);
-            let mut sorted = survivors.clone();
-            sorted.sort_unstable();
-            for (i, j) in sorted {
-                add_diff_lits(&mut cnf, &x, &[i], j, cfg.cycles);
-            }
-            cnf
-        });
-        stats.time_prepare = t_prepare.stop();
-        let search_cfg = SearchConfig {
-            backtrack_limit: cfg.backtrack_limit,
-        };
-        run_items(&groups, cfg.threads, obs, "analyze/pairs", |feed, out| {
-            for group in feed {
-                let _group = obs
-                    .timers
-                    .span(format!("analyze/pairs/sink:{}", group.sink));
-                let slice = cfg.slice.then(|| {
-                    x.build_slice(&group_roots(&x, group.sink, &group.sources, cfg.cycles))
-                });
-                let model = slice.as_ref().map_or(&x, Slice::model);
-                let mut finish = |i, v, engine, assignments, t_pair: Instant, sizes| {
-                    if obs.sink().enabled() {
-                        obs.sink().record(&verdict_event(
-                            i,
-                            group.sink,
-                            &v,
-                            engine,
-                            assignments,
-                            t_pair.elapsed(),
-                            sizes,
-                        ));
-                    }
-                    tick(group);
-                    out.push(((i, group.sink), v));
-                };
-                if sat {
-                    // One incremental solver per group, queried in
-                    // ascending-source order: its variable numbering,
-                    // decisions and learnt clauses do not depend on the
-                    // worker that runs the group, and the group's queries
-                    // share learnt clauses.
-                    let mut cnf = match &template {
-                        Some(t) => t.clone(),
-                        None => {
-                            let mut cnf = CircuitCnf::new(model);
-                            add_diff_lits(&mut cnf, model, &group.sources, group.sink, cfg.cycles);
-                            cnf
-                        }
-                    };
-                    let sizes = slice
-                        .as_ref()
-                        .map(|s| (s.num_nodes() as u64, cnf.solver().num_vars() as u64));
-                    if let Some(sizes) = sizes {
-                        note_slice_build(obs, sizes, group.sources.len());
-                    }
-                    for &i in &group.sources {
-                        let t_pair = Instant::now();
-                        let v = classify_pair_sat(&mut cnf, model, i, group.sink, cfg.cycles);
-                        finish(i, v, "sat", Vec::new(), t_pair, sizes);
-                    }
-                    // A fresh solver, or a clone of the template (whose
-                    // stats are zero: building it only adds clauses), so
-                    // its totals are the group's deltas.
-                    flush_sat_stats(obs, &cnf);
-                } else {
-                    let sizes = slice
-                        .as_ref()
-                        .map(|s| (s.num_nodes() as u64, s.num_vars() as u64));
-                    if let Some(sizes) = sizes {
-                        note_slice_build(obs, sizes, group.sources.len());
-                    }
-                    // On a slice, learning is slice-local: the learned set
-                    // is sound on slice and whole circuit alike, but only
-                    // the slice's share is worth paying for here.
-                    let slice_learned;
-                    let learned = match (&slice, cfg.static_learning) {
-                        (_, false) => None,
-                        (Some(_), true) => {
-                            slice_learned = learn_counted(model, cfg, obs);
-                            Some(&slice_learned)
-                        }
-                        (None, true) => whole_learned.as_ref(),
-                    };
-                    let mut eng = new_engine(model, learned);
-                    // Engine construction itself propagates (the learned
-                    // forced literals); subtract that baseline so the
-                    // flushed totals are pure per-group deltas.
-                    let base_implications = eng.implications();
-                    let base_contradictions = eng.contradictions();
-                    for &i in &group.sources {
-                        let t_pair = Instant::now();
-                        let mut probe = if obs.sink().enabled() {
-                            PairProbe::traced()
-                        } else {
-                            PairProbe::default()
-                        };
-                        let v = classify_pair_implication_probed(
-                            &mut eng,
-                            i,
-                            group.sink,
-                            cfg.cycles,
-                            &search_cfg,
-                            &mut probe,
-                        );
-                        obs.metrics.atpg_decisions.add(probe.decisions);
-                        obs.metrics.atpg_backtracks.add(probe.backtracks);
-                        obs.metrics.atpg_aborts.add(probe.aborts);
-                        finish(i, v, "implication", probe.assignments, t_pair, sizes);
-                    }
-                    obs.metrics
-                        .implications
-                        .add(eng.implications() - base_implications);
-                    obs.metrics
-                        .contradictions
-                        .add(eng.contradictions() - base_contradictions);
-                }
-            }
-        })
-    };
+    });
     stats.time_pairs = busy;
 
-    // Merge the run's verdicts with the spliced ones; the final sort
-    // below makes the interleaving irrelevant. A run that persists to the
-    // store also records every merged verdict for its Verdicts artifact
-    // — keyed by FF name as well as index, so ECO re-analysis can map it
-    // across a netlist edit.
-    let persist = known.persist.zip(id.as_ref());
-    let ff_names: Option<Vec<&str>> = persist.is_some().then(|| {
-        netlist
-            .dffs()
-            .iter()
-            .map(|&id| netlist.node(id).name())
-            .collect()
+    // Merge the engines' verdicts with the spliced ones; the sort below
+    // makes the interleaving irrelevant. A run that persists to the
+    // store records each of these engine verdicts for its Verdicts
+    // artifact.
+    let engine_start = results.len();
+    results.extend(verdicts.into_iter().chain(restored));
+    let persist = known.persist.zip(id.as_ref()).map(|(store, id)| {
+        (
+            store,
+            id,
+            verdict_records(netlist, &results[engine_start..]),
+        )
     });
-    let mut records = Vec::new();
-    for ((i, j), v) in verdicts.into_iter().chain(restored) {
-        let class = match v {
-            Verdict::Multi { by } => {
-                match by {
-                    Step::Implication => stats.multi_by_implication += 1,
-                    _ => stats.multi_by_atpg += 1,
-                }
-                PairClass::MultiCycle { by }
-            }
-            Verdict::Single { by } => {
-                match by {
-                    Step::Implication => stats.single_by_implication += 1,
-                    _ => stats.single_by_atpg += 1,
-                }
-                PairClass::SingleCycle { by }
-            }
-            Verdict::Unknown => {
-                stats.unknown += 1;
-                PairClass::Unknown
-            }
-        };
-        if let Some(names) = &ff_names {
-            let (step, cls) = verdict_tags(&v);
-            records.push(VerdictRecord {
-                src: i,
-                dst: j,
-                src_name: names[i].to_owned(),
-                dst_name: names[j].to_owned(),
-                step: step.to_owned(),
-                class: cls.to_owned(),
-            });
-        }
-        results.push(PairResult {
-            src: i,
-            dst: j,
-            class,
-        });
-    }
 
     results.sort_unstable_by_key(|p| (p.src, p.dst));
+    stats.count_pairs(&results);
     stats.time_total = t_total.stop();
     // Close the ledger with the run's span log (pair verdicts are
     // already durable — they were flushed as they landed). The log
@@ -778,7 +724,7 @@ pub fn analyze_from(
     let report = McReport::new(netlist.name().to_owned(), results, stats, obs.snapshot());
     // Persisted only after the run succeeded, so a crash mid-persist can
     // only lose store entries, never report correctness.
-    if let Some((store, id)) = persist {
+    if let Some((store, id, records)) = persist {
         persist_verdicts(store, id, cfg, netlist.name(), records)?;
     }
     Ok(Analysis {
@@ -786,9 +732,6 @@ pub fn analyze_from(
         eco: known.eco,
     })
 }
-
-/// A spliced verdict, by pair.
-type SpliceVerdict = ((usize, usize), Verdict);
 
 /// The splice step: applies the source's knowledge to the run's one
 /// sink-group plan and returns the spliced verdicts. On return
@@ -807,7 +750,7 @@ fn splice(
     groups: &mut Vec<SinkGroup>,
     survivors: &mut Vec<(usize, usize)>,
     known: &mut Known<'_>,
-) -> Vec<SpliceVerdict> {
+) -> Vec<PairResult> {
     let planned = survivors.len();
     if let (Some(changed), Some(summary)) = (&known.changed, known.eco.as_mut()) {
         let invalidated = eco::drop_dirty(
@@ -835,9 +778,10 @@ fn splice(
     // zero engine work. Known verdicts for pairs outside the survivors
     // (pairs the prefilters now resolve) stay unused.
     let mut restored = Vec::new();
-    survivors.retain(|pair| match known.verdicts.get(pair) {
+    survivors.retain(|&(src, dst)| match known.verdicts.get(&(src, dst)) {
         Some(event) => {
-            restored.push((*pair, verdict_from_event(event)));
+            let class = PairClass::from_tags(&event.step, &event.class);
+            restored.push(PairResult { src, dst, class });
             if obs.sink().enabled() {
                 let mut replay = event.clone();
                 if known.cached {
@@ -868,46 +812,6 @@ fn splice(
         });
     }
     restored
-}
-
-/// The journal `(step, class)` names of a verdict.
-fn verdict_tags(v: &Verdict) -> (&'static str, &'static str) {
-    match v {
-        Verdict::Multi { by } => (step_name(*by), "multi"),
-        Verdict::Single { by } => (step_name(*by), "single"),
-        Verdict::Unknown => ("atpg", "unknown"),
-    }
-}
-
-/// Builds the journal record for one engine-classified pair. `slice` is
-/// the `(nodes, vars)` size of the cone slice the pair ran on, or `None`
-/// when the engine ran on the whole-circuit expansion.
-fn verdict_event(
-    i: usize,
-    j: usize,
-    v: &Verdict,
-    engine: &str,
-    assignments: Vec<mcp_obs::AssignmentEvent>,
-    elapsed: Duration,
-    slice: Option<(u64, u64)>,
-) -> PairEvent {
-    let (step, class) = verdict_tags(v);
-    PairEvent {
-        src: i,
-        dst: j,
-        step: step.to_owned(),
-        class: class.to_owned(),
-        engine: Some(engine.to_owned()),
-        assignments,
-        micros: elapsed.as_micros() as u64,
-        sim_word: None,
-        slice_nodes: slice.map(|(n, _)| n),
-        slice_vars: slice.map(|(_, v)| v),
-        resumed: false,
-        static_pass: false,
-        cached: false,
-        kernel: None,
-    }
 }
 
 /// An implication engine over `x`, with `learned`'s globally forced
@@ -978,7 +882,9 @@ fn flush_sat_stats(obs: &ObsCtx, cnf: &CircuitCnf) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Step;
     use mcp_gen::{circuits, generators, oracle, suite};
+    use std::time::Duration;
 
     #[test]
     fn fig1_reproduces_the_papers_walkthrough() {
@@ -1280,8 +1186,12 @@ mod tests {
 
     #[test]
     fn bdd_overflow_reports_unknown_not_panic() {
+        use mcp_obs::MemSink;
+        use std::sync::Arc;
         let nl = generators::gated_datapath(&generators::DatapathConfig::default());
-        let report = analyze(
+        let sink = Arc::new(MemSink::new());
+        let obs = mcp_obs::ObsCtx::new().with_sink(Box::new(Arc::clone(&sink)));
+        let report = analyze_with(
             &nl,
             &McConfig {
                 engine: Engine::Bdd {
@@ -1291,9 +1201,56 @@ mod tests {
                 use_sim_filter: false,
                 ..McConfig::default()
             },
+            &obs,
         )
         .expect("analyze");
+        assert!(!report.pairs.is_empty());
         assert_eq!(report.unknown_pairs().len(), report.pairs.len());
+        // Every overflowed pair is journaled like any engine verdict: a
+        // resource limit shows up as a counted `Unknown`, never as a gap
+        // in the ledger.
+        let mut journaled: Vec<(usize, usize)> = sink
+            .drain()
+            .iter()
+            .filter(|e| e.engine.as_deref() == Some("bdd") && e.class == "unknown")
+            .map(|e| (e.src, e.dst))
+            .collect();
+        journaled.sort_unstable();
+        assert_eq!(journaled, report.unknown_pairs());
+    }
+
+    #[test]
+    fn bdd_runs_in_the_shared_group_loop_after_prepare() {
+        let nl = suite::quick_suite().remove(1); // m298
+        let obs = mcp_obs::ObsCtx::new();
+        let cfg = McConfig {
+            engine: Engine::Bdd {
+                node_limit: 1 << 22,
+                reachability: true,
+            },
+            ..McConfig::default()
+        };
+        let report = analyze_with(&nl, &cfg, &obs).expect("analyze");
+        assert!(report.unknown_pairs().is_empty());
+        let spans = obs.timers.events();
+        let only = |path: &str| {
+            let found: Vec<_> = spans.iter().filter(|s| s.span == path).collect();
+            assert_eq!(found.len(), 1, "one `{path}` span");
+            found[0].clone()
+        };
+        // The FSM build and reachability belong to the pair loop's one
+        // worker, not to `prepare`: the two spans do not overlap.
+        let prepare = only("analyze/prepare");
+        let pairs = only("analyze/pairs");
+        assert!(
+            prepare.start_us + prepare.dur_us <= pairs.start_us,
+            "prepare {prepare:?} overlaps pairs {pairs:?}"
+        );
+        only("analyze/pairs/worker");
+        assert!(spans
+            .iter()
+            .any(|s| s.span.starts_with("analyze/pairs/sink:")));
+        assert!(obs.snapshot().counters.bdd_peak_nodes > 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Analysis results and per-step statistics.
 
-use mcp_obs::MetricsSnapshot;
+use crate::engines::Verdict;
+use mcp_obs::{MetricsSnapshot, PairEvent};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -45,6 +46,49 @@ impl PairClass {
     /// Whether this pair is proven multi-cycle.
     pub fn is_multi(&self) -> bool {
         matches!(self, PairClass::MultiCycle { .. })
+    }
+
+    /// The journal's `(step, class)` names of this verdict, as ledgers
+    /// and the store's `Verdicts` artifact spell them. An `Unknown` is
+    /// billed to the search (`atpg`), the step that gave up.
+    pub(crate) fn tags(self) -> (&'static str, &'static str) {
+        let step = |by| match by {
+            Step::Structural => "structural",
+            Step::RandomSim => "random_sim",
+            Step::Implication => "implication",
+            Step::Atpg => "atpg",
+        };
+        match self {
+            PairClass::MultiCycle { by } => (step(by), "multi"),
+            PairClass::SingleCycle { by } => (step(by), "single"),
+            PairClass::Unknown => ("atpg", "unknown"),
+        }
+    }
+
+    /// The inverse of [`tags`](Self::tags): an unrecognized step reads as
+    /// `atpg`, an unrecognized class as `unknown`.
+    pub(crate) fn from_tags(step: &str, class: &str) -> PairClass {
+        let by = match step {
+            "structural" => Step::Structural,
+            "random_sim" => Step::RandomSim,
+            "implication" => Step::Implication,
+            _ => Step::Atpg,
+        };
+        match class {
+            "multi" => PairClass::MultiCycle { by },
+            "single" => PairClass::SingleCycle { by },
+            _ => PairClass::Unknown,
+        }
+    }
+}
+
+impl From<Verdict> for PairClass {
+    fn from(v: Verdict) -> PairClass {
+        match v {
+            Verdict::Multi { by } => PairClass::MultiCycle { by },
+            Verdict::Single { by } => PairClass::SingleCycle { by },
+            Verdict::Unknown => PairClass::Unknown,
+        }
     }
 }
 
@@ -106,6 +150,32 @@ pub struct PairResult {
     pub class: PairClass,
 }
 
+impl PairResult {
+    /// The journal record of this verdict with every provenance field
+    /// empty: no engine, no time, no flags. Each producer (the static
+    /// pass, a sim drop, an engine verdict, a store splice) fills in its
+    /// own fields with struct update.
+    pub(crate) fn event(&self) -> PairEvent {
+        let (step, class) = self.class.tags();
+        PairEvent {
+            src: self.src,
+            dst: self.dst,
+            step: step.to_owned(),
+            class: class.to_owned(),
+            engine: None,
+            assignments: Vec::new(),
+            micros: 0,
+            sim_word: None,
+            slice_nodes: None,
+            slice_vars: None,
+            resumed: false,
+            static_pass: false,
+            cached: false,
+            kernel: None,
+        }
+    }
+}
+
 /// Counters for the paper's Table 2: pairs resolved and time spent per
 /// step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -152,6 +222,32 @@ pub struct StepStats {
 }
 
 impl StepStats {
+    /// Tallies a run's verdicts into the per-step pair counts: every pair
+    /// lands in the bucket of its class and resolving step. The pipeline
+    /// calls it once, on the final results; nothing else writes these
+    /// seven counts.
+    pub(crate) fn count_pairs(&mut self, pairs: &[PairResult]) {
+        for p in pairs {
+            let (multi, by) = match p.class {
+                PairClass::MultiCycle { by } => (true, by),
+                PairClass::SingleCycle { by } => (false, by),
+                PairClass::Unknown => {
+                    self.unknown += 1;
+                    continue;
+                }
+            };
+            let bucket = match (multi, by) {
+                (true, Step::Structural) => &mut self.multi_by_static,
+                (true, Step::Implication) => &mut self.multi_by_implication,
+                (true, _) => &mut self.multi_by_atpg,
+                (false, Step::RandomSim) => &mut self.single_by_sim,
+                (false, Step::Implication) => &mut self.single_by_implication,
+                (false, _) => &mut self.single_by_atpg,
+            };
+            *bucket += 1;
+        }
+    }
+
     /// Total multi-cycle pairs.
     pub fn multi_total(&self) -> usize {
         self.multi_by_static + self.multi_by_implication + self.multi_by_atpg
@@ -410,16 +506,60 @@ mod tests {
     }
 
     #[test]
+    fn journal_tags_round_trip_every_class() {
+        for by in [
+            Step::Structural,
+            Step::RandomSim,
+            Step::Implication,
+            Step::Atpg,
+        ] {
+            for class in [PairClass::MultiCycle { by }, PairClass::SingleCycle { by }] {
+                let (step, name) = class.tags();
+                assert_eq!(PairClass::from_tags(step, name), class);
+            }
+        }
+        assert_eq!(PairClass::Unknown.tags(), ("atpg", "unknown"));
+        assert_eq!(PairClass::from_tags("atpg", "unknown"), PairClass::Unknown);
+    }
+
+    #[test]
     fn step_totals() {
-        let s = StepStats {
-            single_by_sim: 10,
-            single_by_implication: 2,
-            single_by_atpg: 1,
-            multi_by_implication: 4,
-            multi_by_atpg: 1,
-            ..StepStats::default()
+        // Every pair lands in the bucket of its class and step.
+        let pair = |class| PairResult {
+            src: 0,
+            dst: 0,
+            class,
         };
-        assert_eq!(s.single_total(), 13);
-        assert_eq!(s.multi_total(), 5);
+        let mut s = StepStats::default();
+        s.count_pairs(&[
+            pair(PairClass::MultiCycle {
+                by: Step::Structural,
+            }),
+            pair(PairClass::MultiCycle {
+                by: Step::Implication,
+            }),
+            pair(PairClass::MultiCycle { by: Step::Atpg }),
+            pair(PairClass::SingleCycle {
+                by: Step::RandomSim,
+            }),
+            pair(PairClass::SingleCycle {
+                by: Step::Implication,
+            }),
+            pair(PairClass::SingleCycle { by: Step::Atpg }),
+            pair(PairClass::SingleCycle { by: Step::Atpg }),
+            pair(PairClass::Unknown),
+        ]);
+        let counts = [
+            s.multi_by_static,
+            s.multi_by_implication,
+            s.multi_by_atpg,
+            s.single_by_sim,
+            s.single_by_implication,
+            s.single_by_atpg,
+            s.unknown,
+        ];
+        assert_eq!(counts, [1, 1, 1, 1, 1, 2, 1]);
+        assert_eq!(s.single_total(), 4);
+        assert_eq!(s.multi_total(), 3);
     }
 }

@@ -58,7 +58,7 @@ pub struct VerdictRecord {
     pub src_name: String,
     /// Sink FF node name.
     pub dst_name: String,
-    /// Resolving step (journal name, see `step_name`).
+    /// Resolving step, by its journal name (`implication` or `atpg`).
     pub step: String,
     /// Verdict class: `multi`, `single` or `unknown`.
     pub class: String,
@@ -80,16 +80,6 @@ pub struct VerdictsArtifact {
     pub verdicts: Vec<VerdictRecord>,
 }
 
-/// Journal name of a resolving [`Step`].
-pub(crate) fn step_name(step: Step) -> &'static str {
-    match step {
-        Step::Structural => "structural",
-        Step::RandomSim => "random_sim",
-        Step::Implication => "implication",
-        Step::Atpg => "atpg",
-    }
-}
-
 /// Outcome of the deterministic prefilter stages.
 pub(crate) struct Prefiltered {
     /// Candidate pairs no prefilter could resolve, in candidate order.
@@ -101,7 +91,8 @@ pub(crate) struct Prefiltered {
 
 /// Steps 1.5–2 of the pipeline: static pre-classification followed by
 /// the random-pattern simulation prefilter. Resolved pairs land in
-/// `results`/`stats` (and the journal); the survivors come back.
+/// `results` (and the journal), the stages' times and word counts in
+/// `stats`; the survivors come back.
 ///
 /// ECO dirtiness is defined over the prefiltered survivors, and every
 /// verdict source splices onto them, so every run must derive the same
@@ -151,14 +142,13 @@ pub(crate) fn run_prefilters(
             if !frozen[j] {
                 return true;
             }
-            results.push(PairResult {
+            let r = PairResult {
                 src: i,
                 dst: j,
                 class: PairClass::MultiCycle {
                     by: Step::Structural,
                 },
-            });
-            stats.multi_by_static += 1;
+            };
             obs.metrics.static_resolved.add(1);
             if obs.sink().enabled() {
                 // Resolved before any engine ran: no engine tag, no
@@ -166,22 +156,11 @@ pub(crate) fn run_prefilters(
                 // these (the pass is cheap and deterministic), exactly
                 // like sim-prefilter drops.
                 obs.sink().record(&PairEvent {
-                    src: i,
-                    dst: j,
-                    step: "structural".to_owned(),
-                    class: "multi".to_owned(),
-                    engine: None,
-                    assignments: Vec::new(),
-                    micros: 0,
-                    sim_word: None,
-                    slice_nodes: None,
-                    slice_vars: None,
-                    resumed: false,
                     static_pass: true,
-                    cached: false,
-                    kernel: None,
+                    ..r.event()
                 });
             }
+            results.push(r);
             false
         });
         base_consts = Some(lattice.base);
@@ -212,35 +191,24 @@ pub(crate) fn run_prefilters(
         obs.metrics.jit_bytes.add(sim_stats.jit_bytes);
         obs.metrics.jit_batches.add(sim_stats.jit_batches);
         for d in &out.drops {
-            results.push(PairResult {
+            let r = PairResult {
                 src: d.src,
                 dst: d.dst,
                 class: PairClass::SingleCycle {
                     by: Step::RandomSim,
                 },
-            });
-            stats.single_by_sim += 1;
+            };
             if obs.sink().enabled() {
                 // Simulation kills pairs in bulk; elapsed time is not
                 // attributable per pair (reported as 0), but the word
                 // whose lane witnessed the violation is.
                 obs.sink().record(&PairEvent {
-                    src: d.src,
-                    dst: d.dst,
-                    step: "random_sim".to_owned(),
-                    class: "single".to_owned(),
-                    engine: None,
-                    assignments: Vec::new(),
-                    micros: 0,
                     sim_word: Some(d.word),
-                    slice_nodes: None,
-                    slice_vars: None,
-                    resumed: false,
-                    static_pass: false,
-                    cached: false,
                     kernel: Some(sim_stats.kernel.to_owned()),
+                    ..r.event()
                 });
             }
+            results.push(r);
         }
         ff_toggles = Some(out.ff_toggles);
         out.survivors

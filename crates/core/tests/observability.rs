@@ -7,7 +7,7 @@
 
 use mcp_core::{analyze, analyze_with, Engine, McConfig};
 use mcp_gen::{circuits, suite};
-use mcp_obs::{read_journal_file, FileSink, MemSink, ObsCtx};
+use mcp_obs::{read_ledger_file, FileSink, MemSink, ObsCtx};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -66,7 +66,7 @@ fn ndjson_journal_has_one_record_per_pair() {
     let obs = ObsCtx::new().with_sink(Box::new(sink));
     let report = analyze_with(&nl, &McConfig::default(), &obs).expect("analyze");
 
-    let events = read_journal_file(&path).expect("journal parses");
+    let events = read_ledger_file(&path).expect("journal parses").events;
     assert_eq!(events.len(), report.stats.candidates);
 
     // Every candidate pair appears exactly once.
@@ -247,7 +247,7 @@ fn journal_events_carry_slice_sizes_only_when_sliced() {
             ..McConfig::default()
         };
         analyze_with(&nl, &cfg, &obs).expect("analyze");
-        let events = read_journal_file(&path).expect("journal parses");
+        let events = read_ledger_file(&path).expect("journal parses").events;
         assert!(!events.is_empty());
         for e in &events {
             if e.step == "random_sim" || !slice {
@@ -355,13 +355,9 @@ fn report_and_ledger_hold_the_same_spans() {
                 "{run}: no `{path}`"
             );
         }
+        // Every engine runs in the one group loop, BDD on one worker.
         let workers = ledger.get("analyze/pairs/worker").map_or(0, |&(_, n)| n);
-        let expected = if matches!(engine, Engine::Bdd { .. }) {
-            0
-        } else {
-            threads as u64
-        };
-        assert_eq!(workers, expected, "{run}: one worker span per worker");
+        assert_eq!(workers, threads as u64, "{run}: one worker span per worker");
 
         let roots: Vec<_> = spans.iter().filter(|s| s.span == "analyze").collect();
         assert_eq!(roots.len(), 1, "{run}: one root span");

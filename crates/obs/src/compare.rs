@@ -9,7 +9,7 @@
 //! threshold as regressions, giving CI a drift gate that works where
 //! timing comparisons cannot.
 
-use crate::ledger::{read_ledger_resilient, Ledger};
+use crate::ledger::{read_ledger, Ledger};
 use serde::Content;
 use std::collections::BTreeMap;
 use std::io;
@@ -107,7 +107,7 @@ fn flatten_ledger(ledger: &Ledger, out: &mut BTreeMap<String, u64>) {
 /// ledger, though, which keeps a one-line JSON document on the JSON path.
 pub fn flatten_artifact(text: &str) -> io::Result<BTreeMap<String, u64>> {
     let mut out = BTreeMap::new();
-    match read_ledger_resilient(text.as_bytes()) {
+    match read_ledger(text.as_bytes()) {
         Ok(ledger) if ledger != Ledger::default() || text.trim().is_empty() => {
             flatten_ledger(&ledger, &mut out);
             Ok(out)

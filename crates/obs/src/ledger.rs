@@ -12,8 +12,9 @@
 //! - [`SpanEvent`] lines, written at end of run, carrying the timestamped
 //!   span tree for trace export.
 //!
-//! PR-1-era journals are bare streams of [`PairEvent`]s with neither
-//! header nor spans; every reader here accepts them.
+//! One reader, [`read_ledger`] (and [`read_ledger_file`]), parses every
+//! ledger, including the earliest journals: bare streams of
+//! [`PairEvent`]s with neither header nor spans.
 
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -286,8 +287,8 @@ impl FailAfter {
 /// Every record is flushed to the OS as soon as it is written — the
 /// whole point of the ledger is surviving a SIGKILL, and a `BufWriter`
 /// holding completed verdicts in user space would defeat it. At worst
-/// the final line is torn mid-write; [`read_ledger_resilient`] tolerates
-/// exactly that.
+/// the final line is torn mid-write; [`read_ledger`] tolerates exactly
+/// that.
 ///
 /// When a [`FailAfter`] is attached via [`FileSink::with_fault`], the
 /// sink becomes the fault-injection surface: once the budget is
@@ -444,7 +445,13 @@ fn parse_line(line: &str) -> Result<Line, serde_json::Error> {
     serde_json::from_str::<PairEvent>(line).map(Line::Pair)
 }
 
-fn read_ledger_impl(reader: impl io::Read, resilient: bool) -> io::Result<Ledger> {
+/// Parses a ledger (header, spans, pair events) from NDJSON. Blank lines
+/// are ignored. A malformed *final* line is dropped: it is the torn
+/// write a SIGKILL mid-`writeln!` leaves behind. A malformed line
+/// anywhere else is an error, since it means a corrupt ledger. Bare
+/// pair-event journals, written before ledgers had a header, also parse
+/// (`header` comes back `None`).
+pub fn read_ledger(reader: impl io::Read) -> io::Result<Ledger> {
     let mut ledger = Ledger::default();
     let mut lines = BufReader::new(reader).lines().enumerate().peekable();
     while let Some((lineno, line)) = lines.next() {
@@ -456,14 +463,8 @@ fn read_ledger_impl(reader: impl io::Read, resilient: bool) -> io::Result<Ledger
             Ok(Line::Header(h)) => ledger.header = Some(h),
             Ok(Line::Span(s)) => ledger.spans.push(s),
             Ok(Line::Pair(p)) => ledger.events.push(p),
+            Err(_) if lines.peek().is_none() => break,
             Err(e) => {
-                // A SIGKILL can tear the line being written; in resilient
-                // mode tolerate a malformed FINAL line (and only that —
-                // garbage mid-file still means a corrupt ledger).
-                let is_last = lines.peek().is_none();
-                if resilient && is_last {
-                    break;
-                }
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("journal line {}: {e}", lineno + 1),
@@ -474,43 +475,7 @@ fn read_ledger_impl(reader: impl io::Read, resilient: bool) -> io::Result<Ledger
     Ok(ledger)
 }
 
-/// Parses a complete ledger (header, spans, pair events) from NDJSON.
-/// Blank lines are ignored; malformed lines are errors. Accepts both
-/// v2 ledgers and PR-1-era bare pair-event journals (`header` comes
-/// back `None` for the latter).
-pub fn read_ledger(reader: impl io::Read) -> io::Result<Ledger> {
-    read_ledger_impl(reader, false)
-}
-
 /// Opens and parses the ledger file at `path`; see [`read_ledger`].
 pub fn read_ledger_file(path: impl AsRef<Path>) -> io::Result<Ledger> {
     read_ledger(File::open(path)?)
-}
-
-/// Like [`read_ledger`], but tolerates a malformed *final* line — the
-/// torn write a SIGKILL mid-`writeln!` leaves behind. This is the reader
-/// `--resume` uses; garbage anywhere else is still an error.
-pub fn read_ledger_resilient(reader: impl io::Read) -> io::Result<Ledger> {
-    read_ledger_impl(reader, true)
-}
-
-/// Opens and resiliently parses the ledger file at `path`; see
-/// [`read_ledger_resilient`].
-pub fn read_ledger_resilient_file(path: impl AsRef<Path>) -> io::Result<Ledger> {
-    read_ledger_resilient(File::open(path)?)
-}
-
-/// Parses an NDJSON journal back into its pair events, skipping header
-/// and span lines. Blank lines are ignored; malformed lines are errors.
-///
-/// Use [`read_ledger`] when the header or spans matter, and
-/// [`read_ledger_resilient`] (as `mcpath stats` does) to forgive a torn
-/// final line.
-pub fn read_journal(reader: impl io::Read) -> io::Result<Vec<PairEvent>> {
-    read_ledger(reader).map(|l| l.events)
-}
-
-/// Opens and parses the NDJSON journal file at `path`.
-pub fn read_journal_file(path: impl AsRef<Path>) -> io::Result<Vec<PairEvent>> {
-    read_journal(File::open(path)?)
 }

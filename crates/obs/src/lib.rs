@@ -44,9 +44,9 @@ pub use compare::{
 };
 pub use ctx::ObsCtx;
 pub use ledger::{
-    fnv1a, read_journal, read_journal_file, read_ledger, read_ledger_file, read_ledger_resilient,
-    read_ledger_resilient_file, AssignmentEvent, FailAfter, FileSink, Ledger, MemSink, NullSink,
-    ObsSink, PairEvent, RunHeader, SpanEvent, FAIL_AFTER_ENV, FAULT_EXIT_CODE, LEDGER_VERSION,
+    fnv1a, read_ledger, read_ledger_file, AssignmentEvent, FailAfter, FileSink, Ledger, MemSink,
+    NullSink, ObsSink, PairEvent, RunHeader, SpanEvent, FAIL_AFTER_ENV, FAULT_EXIT_CODE,
+    LEDGER_VERSION,
 };
 pub use metrics::{Counter, Counters, Metrics, MetricsSnapshot};
 pub use trace::{
@@ -221,7 +221,7 @@ mod tests {
         }
         let text = std::fs::read_to_string(&path).expect("read");
         assert_eq!(text.lines().count(), 3);
-        let back = read_journal_file(&path).expect("parse journal");
+        let back = read_ledger_file(&path).expect("parse journal").events;
         assert_eq!(back, events);
         std::fs::remove_file(&path).ok();
     }
@@ -256,33 +256,28 @@ mod tests {
         assert_eq!(ledger.header, Some(header));
         assert_eq!(ledger.spans, vec![span]);
         assert_eq!(ledger.events.len(), 2);
-        // The journal-level reader sees only the pair events.
-        let events = read_journal_file(&path).expect("parse as journal");
-        assert_eq!(events.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn resilient_reader_tolerates_only_a_torn_final_line() {
+    fn reader_tolerates_only_a_torn_final_line() {
         let good = format!(
             "{}\n{}\n",
             serde_json::to_string(&sample_event(0)).unwrap(),
             serde_json::to_string(&sample_event(1)).unwrap()
         );
         let torn = format!("{good}{{\"src\":9,\"dst\":10,\"st");
-        // Strict reader rejects the torn tail; resilient one drops it.
-        assert!(read_ledger(torn.as_bytes()).is_err());
-        let ledger = read_ledger_resilient(torn.as_bytes()).expect("resilient parse");
+        let ledger = read_ledger(torn.as_bytes()).expect("torn tail is dropped");
         assert_eq!(ledger.events.len(), 2);
-        // Garbage mid-file stays an error even in resilient mode.
+        // Garbage mid-file stays an error.
         let mid = format!("not json\n{good}");
-        assert!(read_ledger_resilient(mid.as_bytes()).is_err());
+        assert!(read_ledger(mid.as_bytes()).is_err());
     }
 
     #[test]
     fn journal_reader_rejects_garbage() {
         let bad = "{\"src\": 1}\nnot json\n";
-        assert!(read_journal(bad.as_bytes()).is_err());
+        assert!(read_ledger(bad.as_bytes()).is_err());
     }
 
     #[test]
@@ -312,11 +307,11 @@ mod tests {
         let old = "{\"src\":0,\"dst\":1,\"step\":\"implication\",\"class\":\"multi\",\
                    \"engine\":\"implication\",\"assignments\":[],\"micros\":3,\
                    \"sim_word\":null}\n";
-        let events = read_journal(old.as_bytes()).expect("old journal parses");
+        let ledger = read_ledger(old.as_bytes()).expect("old ledger parses");
+        let events = &ledger.events;
         assert_eq!(events[0].slice_nodes, None);
         assert_eq!(events[0].slice_vars, None);
         assert!(!events[0].resumed);
-        let ledger = read_ledger(old.as_bytes()).expect("old ledger parses");
         assert_eq!(ledger.header, None);
         assert!(ledger.spans.is_empty());
 
@@ -432,7 +427,7 @@ mod tests {
             }
             sink.flush().expect("flush");
         }
-        let events = read_journal_file(&path).expect("parse");
+        let events = read_ledger_file(&path).expect("parse").events;
         assert_eq!(events.len(), 3);
         std::fs::remove_file(&path).ok();
     }

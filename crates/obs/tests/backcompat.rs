@@ -14,10 +14,7 @@
 //! caught even if the unit tests' literals are updated alongside the
 //! code.
 
-use mcp_obs::{
-    compare_artifacts, read_journal_file, read_ledger_file, read_ledger_resilient_file,
-    CompareConfig, LEDGER_VERSION,
-};
+use mcp_obs::{compare_artifacts, read_ledger_file, CompareConfig, LEDGER_VERSION};
 use std::path::PathBuf;
 
 fn fixture() -> PathBuf {
@@ -30,7 +27,9 @@ fn shard_fixture() -> PathBuf {
 
 #[test]
 fn the_pr1_fixture_loads_as_a_journal_with_defaulted_fields() {
-    let events = read_journal_file(fixture()).expect("PR-1 journal parses");
+    let events = read_ledger_file(fixture())
+        .expect("PR-1 journal parses")
+        .events;
     assert_eq!(events.len(), 5);
 
     // Every record predates the slice/resume fields: all defaulted.
@@ -58,14 +57,10 @@ fn the_pr1_fixture_loads_as_a_journal_with_defaulted_fields() {
 
 #[test]
 fn the_pr1_fixture_loads_as_a_headerless_ledger() {
-    for ledger in [
-        read_ledger_file(fixture()).expect("strict read"),
-        read_ledger_resilient_file(fixture()).expect("resilient read"),
-    ] {
-        assert_eq!(ledger.header, None, "PR-1 journals carry no run header");
-        assert!(ledger.spans.is_empty(), "PR-1 journals carry no spans");
-        assert_eq!(ledger.events.len(), 5);
-    }
+    let ledger = read_ledger_file(fixture()).expect("read");
+    assert_eq!(ledger.header, None, "PR-1 journals carry no run header");
+    assert!(ledger.spans.is_empty(), "PR-1 journals carry no spans");
+    assert_eq!(ledger.events.len(), 5);
 }
 
 #[test]
@@ -84,20 +79,16 @@ fn the_pr1_fixture_feeds_the_compare_gate() {
 
 #[test]
 fn the_shard_era_fixture_loads_with_its_header() {
-    for ledger in [
-        read_ledger_file(shard_fixture()).expect("strict read"),
-        read_ledger_resilient_file(shard_fixture()).expect("resilient read"),
-    ] {
-        let header = ledger.header.expect("shard-era ledgers carry a v2 header");
-        assert_eq!(header.ledger, LEDGER_VERSION);
-        assert_eq!(header.circuit, "m298.bench");
-        assert_eq!(header.pairs, 39, "committed to the full candidate set");
-        // 26 sim drops plus the 7 survivors shard 0 verified.
-        assert_eq!(ledger.events.len(), 33);
-        assert_eq!(
-            ledger.events.iter().filter(|e| e.engine.is_some()).count(),
-            7
-        );
-        assert_eq!(ledger.spans.len(), 7);
-    }
+    let ledger = read_ledger_file(shard_fixture()).expect("read");
+    let header = ledger.header.expect("shard-era ledgers carry a v2 header");
+    assert_eq!(header.ledger, LEDGER_VERSION);
+    assert_eq!(header.circuit, "m298.bench");
+    assert_eq!(header.pairs, 39, "committed to the full candidate set");
+    // 26 sim drops plus the 7 survivors shard 0 verified.
+    assert_eq!(ledger.events.len(), 33);
+    assert_eq!(
+        ledger.events.iter().filter(|e| e.engine.is_some()).count(),
+        7
+    );
+    assert_eq!(ledger.spans.len(), 7);
 }

@@ -4,7 +4,7 @@
 //! process. The variable is process-global, which is why this check
 //! runs in a test binary of its own.
 
-use mcp_obs::{read_journal_file, FileSink, ObsSink, PairEvent, FAIL_AFTER_ENV};
+use mcp_obs::{read_ledger_file, FileSink, ObsSink, PairEvent, FAIL_AFTER_ENV};
 
 #[test]
 fn file_sink_create_ignores_the_fault_hook_variable() {
@@ -35,7 +35,7 @@ fn file_sink_create_ignores_the_fault_hook_variable() {
         sink.record(&event);
         sink.flush().expect("flush");
     }
-    let events = read_journal_file(&path).expect("parse");
+    let events = read_ledger_file(&path).expect("parse").events;
     std::fs::remove_file(&path).ok();
     assert_eq!(events, vec![event]);
 }

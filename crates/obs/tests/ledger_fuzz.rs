@@ -1,6 +1,6 @@
 //! Property-based fuzzing of ledger ingestion.
 //!
-//! The resume path trusts [`mcp_obs::read_ledger_resilient`] to turn
+//! The resume path trusts [`mcp_obs::read_ledger`] to turn
 //! whatever a crashed (or hostile) process left on disk into either a
 //! clean resume point or a typed error. These properties pin that
 //! contract against the failure shapes killed and resumed runs actually
@@ -9,9 +9,7 @@
 //! loss of a verdict that was durably written before the corruption
 //! point.
 
-use mcp_obs::{
-    read_ledger, read_ledger_resilient, PairEvent, RunHeader, SpanEvent, LEDGER_VERSION,
-};
+use mcp_obs::{read_ledger, PairEvent, RunHeader, SpanEvent, LEDGER_VERSION};
 use proptest::prelude::*;
 
 fn event(src: usize, dst: usize, resolved: bool) -> PairEvent {
@@ -95,7 +93,7 @@ proptest! {
         cut in 1usize..200,
     ) {
         let full = render(&events, dup_every, with_span);
-        let parsed = read_ledger(full.as_bytes()).expect("well-formed ledger parses strictly");
+        let parsed = read_ledger(full.as_bytes()).expect("well-formed ledger parses");
         prop_assert_eq!(parsed.header.as_ref(), Some(&header()));
 
         // Tear the final line at an arbitrary byte offset strictly
@@ -106,13 +104,13 @@ proptest! {
         let torn_len = last_start + 1 + cut % (last_len - 2);
         let torn = &full[..torn_len];
 
-        let ledger = read_ledger_resilient(torn.as_bytes())
-            .expect("a torn final line is the one corruption resilient mode accepts");
+        let ledger = read_ledger(torn.as_bytes())
+            .expect("a torn final line is the one corruption the reader accepts");
         // Every line that was durably completed before the tear is
         // still there: the only loss is the torn line itself.
         let durable = full[..torn_len].matches('\n').count();
         let kept = ledger.header.iter().count() + ledger.spans.len() + ledger.events.len();
-        prop_assert_eq!(kept, durable, "durable lines lost during resilient ingestion");
+        prop_assert_eq!(kept, durable, "durable lines lost during ingestion");
     }
 
     #[test]
@@ -132,14 +130,12 @@ proptest! {
         let garbage_at = at % lines.len();
         lines.insert(garbage_at, &garbage);
         let corrupt = lines.join("\n") + "\n";
-        // Both readers refuse mid-file garbage with an io::Error; the
-        // resilient reader only forgives the final line.
-        let strict = read_ledger(corrupt.as_bytes());
-        prop_assert!(strict.is_err());
+        // The reader refuses mid-file garbage with an io::Error and
+        // forgives only the final line.
         if garbage_at + 1 == lines.len() {
-            prop_assert!(read_ledger_resilient(corrupt.as_bytes()).is_ok());
+            prop_assert!(read_ledger(corrupt.as_bytes()).is_ok());
         } else {
-            let err = read_ledger_resilient(corrupt.as_bytes());
+            let err = read_ledger(corrupt.as_bytes());
             prop_assert!(err.is_err());
             prop_assert!(
                 err.unwrap_err().to_string().contains("journal line"),

@@ -7,7 +7,7 @@ use super::render::{render_snapshot, render_step_table};
 use super::{load, pair_name, Command};
 use mcp_core::{analyze_from, CasStore, McReport, PairClass, Step, VerdictSource};
 use mcp_netlist::Netlist;
-use mcp_obs::{read_ledger_resilient_file, Ledger};
+use mcp_obs::{read_ledger_file, Ledger};
 use std::fmt::Write as _;
 
 /// Opens the artifact store named by `--cache-dir` / `MCPATH_CACHE_DIR`.
@@ -24,7 +24,7 @@ pub(crate) fn open_store(cmd: &Command) -> Result<Option<CasStore>, String> {
 /// Reads a ledger resiliently, so a final line torn by a SIGKILL does
 /// not block a restart.
 fn read_ledger(p: &str) -> Result<Ledger, String> {
-    read_ledger_resilient_file(p).map_err(|e| format!("cannot read ledger `{p}`: {e}"))
+    read_ledger_file(p).map_err(|e| format!("cannot read ledger `{p}`: {e}"))
 }
 
 /// `analyze`: single-process, `--resume` replay, `--cache-dir` warm

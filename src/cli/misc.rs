@@ -9,8 +9,8 @@ use mcp_core::{
 };
 use mcp_netlist::bench;
 use mcp_obs::{
-    chrome_trace, chrome_trace_from_totals, compare_artifacts, read_ledger_resilient_file,
-    CompareConfig, MetricsSnapshot,
+    chrome_trace, chrome_trace_from_totals, compare_artifacts, read_ledger_file, CompareConfig,
+    MetricsSnapshot,
 };
 use std::fmt::Write as _;
 
@@ -20,8 +20,8 @@ pub(crate) fn stats(path: &str, out: &mut String) -> Result<(), String> {
     if path.ends_with(".ndjson") {
         // Like `trace` and `--resume`, tolerate the final line a SIGKILL
         // tore.
-        let ledger = read_ledger_resilient_file(path)
-            .map_err(|e| format!("cannot read journal `{path}`: {e}"))?;
+        let ledger =
+            read_ledger_file(path).map_err(|e| format!("cannot read journal `{path}`: {e}"))?;
         out.push_str(&render_journal(&ledger.events));
     } else if path.ends_with(".json") {
         let text =
@@ -70,8 +70,8 @@ pub(crate) fn compare(cmd: &Command, old: &str, new: &str, out: &mut String) -> 
 /// `trace`: export an artifact's span tree as Chrome trace-event JSON.
 pub(crate) fn trace(path: &str, out: &mut String) -> Result<(), String> {
     let doc = if path.ends_with(".ndjson") {
-        let ledger = read_ledger_resilient_file(path)
-            .map_err(|e| format!("cannot read ledger `{path}`: {e}"))?;
+        let ledger =
+            read_ledger_file(path).map_err(|e| format!("cannot read ledger `{path}`: {e}"))?;
         if ledger.spans.is_empty() {
             return Err(format!(
                 "`{path}` carries no span events — the span tree is written \

@@ -909,7 +909,9 @@ fn warm_cache_rerun_is_byte_identical_with_zero_engine_events() {
 
     // The warm journal shows zero engine-tagged events: every verdict
     // was spliced from the verdicts artifact.
-    let events = mcp_obs::read_journal_file(&journal).expect("read journal");
+    let events = mcp_obs::read_ledger_file(&journal)
+        .expect("read journal")
+        .events;
     assert!(
         events.iter().all(|e| e.engine.is_none()),
         "warm rerun must perform zero engine verifications"

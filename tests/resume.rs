@@ -7,7 +7,7 @@
 //! the `trace` exporter must emit valid Chrome trace-event JSON with one
 //! track per worker thread.
 
-use mcp_obs::{read_ledger_resilient_file, ChromeTrace, Ledger, FAIL_AFTER_ENV, FAULT_EXIT_CODE};
+use mcp_obs::{read_ledger_file, ChromeTrace, Ledger, FAIL_AFTER_ENV, FAULT_EXIT_CODE};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -147,7 +147,7 @@ fn sigkill_mid_run_loses_no_verdicts_and_resume_is_byte_identical() {
 
     // What survived the kill: the restorable verdicts are exactly the
     // engine-resolved events (sim drops are recomputed on resume).
-    let partial = read_ledger_resilient_file(&ledger).expect("partial ledger readable");
+    let partial = read_ledger_file(&ledger).expect("partial ledger readable");
     assert!(partial.header.is_some(), "header must be written up front");
     let restorable = engine_pairs(&partial);
     assert!(
@@ -185,7 +185,7 @@ fn sigkill_mid_run_loses_no_verdicts_and_resume_is_byte_identical() {
     // Zero re-verified pairs: in the resumed run's ledger, the restored
     // set is exactly the `resumed`-flagged records, and every freshly
     // computed engine verdict lies outside it.
-    let replay = read_ledger_resilient_file(&ledger2).expect("resumed ledger readable");
+    let replay = read_ledger_file(&ledger2).expect("resumed ledger readable");
     let fresh = assert_replayed_verbatim(&replay, &restorable);
     if killed_mid_run {
         assert!(
@@ -270,8 +270,8 @@ fn fault_injected_kill_is_deterministic_and_resume_loses_nothing() {
             .map(|e| (e.src, e.dst, e.class.clone(), e.engine.clone()))
             .collect()
     };
-    let clean = read_ledger_resilient_file(&clean).expect("clean ledger readable");
-    let survived = read_ledger_resilient_file(&killed).expect("killed ledger readable");
+    let clean = read_ledger_file(&clean).expect("clean ledger readable");
+    let survived = read_ledger_file(&killed).expect("killed ledger readable");
     assert_eq!(survived.header, clean.header, "same run identity");
     let (survived_ids, clean_ids) = (identity(&survived), identity(&clean));
     assert_eq!(
@@ -306,7 +306,7 @@ fn fault_injected_kill_is_deterministic_and_resume_loses_nothing() {
         stdout.contains(&format!("resumed: {} verdicts", restorable.len())),
         "stdout must report the restored count:\n{stdout}"
     );
-    let replay = read_ledger_resilient_file(&resumed).expect("resumed ledger readable");
+    let replay = read_ledger_file(&resumed).expect("resumed ledger readable");
     let fresh = assert_replayed_verbatim(&replay, &restorable);
     assert!(
         !fresh.is_empty(),
@@ -424,10 +424,9 @@ fn shard_era_ledger_loads_and_resumes_as_a_partial_ledger() {
         ],
     );
     assert!(stdout.contains("resumed: 7 verdicts"), "{stdout}");
-    let restored = engine_pairs(&read_ledger_resilient_file(&fixture).expect("fixture"));
+    let restored = engine_pairs(&read_ledger_file(&fixture).expect("fixture"));
     assert_eq!(restored.len(), 7);
-    let replay =
-        read_ledger_resilient_file(dir.join("resumed.ndjson")).expect("resumed ledger readable");
+    let replay = read_ledger_file(dir.join("resumed.ndjson")).expect("resumed ledger readable");
     let fresh = assert_replayed_verbatim(&replay, &restored);
     assert_eq!(fresh.len(), 6, "the other shard's survivors are verified");
     assert!(
