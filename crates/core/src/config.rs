@@ -50,9 +50,13 @@ pub struct McConfig {
     /// Analyze self pairs `(i, i)` (the paper reports them; the SAT
     /// baseline \[9\] excluded them).
     pub include_self_pairs: bool,
-    /// Run the error-level structural lints (`mcp-lint`) before the
-    /// engines and refuse corrupt netlists. Disable (`--no-lint`) only to
-    /// push a known-suspect netlist through anyway.
+    /// Check the netlist's structure ([`Netlist::defects`]) before
+    /// anything else runs and refuse a corrupt one with
+    /// `AnalyzeError::CorruptNetlist` (default: on). The CLI has no
+    /// switch: its strict parser refuses the same defects. Turn it off
+    /// only for a netlist already known to be free of them.
+    ///
+    /// [`Netlist::defects`]: mcp_netlist::Netlist::defects
     pub lint: bool,
     /// Scope per-pair engine work to the pair's cone of influence: the
     /// survivors are grouped by sink FF and each group is classified on a

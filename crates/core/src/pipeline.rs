@@ -45,12 +45,12 @@ pub enum AnalyzeError {
         /// The rejected value.
         got: u32,
     },
-    /// The pre-flight lint pass found error-level structural defects
-    /// (combinational cycles, unconnected DFFs, ...). Engine verdicts on
-    /// such a netlist would be meaningless; fix the netlist or disable
-    /// the gate with [`McConfig::lint`]` = false`.
+    /// The admission gate found structural defects
+    /// ([`Netlist::defects`]: combinational cycles, unconnected DFFs,
+    /// ...). Engine verdicts on such a netlist would be meaningless; fix
+    /// the netlist or disable the gate with [`McConfig::lint`]` = false`.
     CorruptNetlist {
-        /// The error-level findings.
+        /// One Error finding per defect, as `mcp-lint` reports them.
         report: mcp_lint::Diagnostics,
     },
     /// `--resume` was handed a ledger that does not belong to this run:
@@ -384,8 +384,8 @@ fn load_source<'a>(
 
 /// [`analyze_with`], answering what it can from `source`.
 ///
-/// The pipeline runs lint, the prefilters, the expansion and the
-/// sink-group plan over all survivors once. One splice step then
+/// The pipeline runs the admission gate, the prefilters, the expansion
+/// and the sink-group plan over all survivors once. One splice step then
 /// applies the plan: ECO dirtiness from each group's cone, and the
 /// source's verdicts for every pair it may answer. The engines verify
 /// the rest. Spliced verdicts are journaled with `resumed` set (the
@@ -421,10 +421,25 @@ pub fn analyze_from(
     // included, lies inside it.
     let t_total = obs.timers.span("analyze");
 
-    // Step 1: structural candidates. They come before the lint gate
-    // because a source is checked against their digest, and refused,
-    // before anything is journaled. The run identity is hashed only when
-    // something reads it: a source to check, or a ledger header.
+    // Step 0: admission. A structural defect (a combinational cycle, a
+    // gate of the wrong arity, an unconnected or multi-driven DFF, a
+    // duplicated name) voids every assumption the rest of the pipeline
+    // makes about the netlist, candidate enumeration included, so refuse
+    // outright.
+    if cfg.lint {
+        let t_lint = obs.timers.span("analyze/lint");
+        let defects = netlist.defects();
+        t_lint.stop();
+        if !defects.is_empty() {
+            let report = mcp_lint::structural_report(netlist, &defects);
+            return Err(AnalyzeError::CorruptNetlist { report });
+        }
+    }
+
+    // Step 1: structural candidates. A source is checked against their
+    // digest, and refused, before anything is journaled. The run
+    // identity is hashed only when something reads it: a source to
+    // check, or a ledger header.
     let candidates = candidate_pairs(netlist, cfg);
     let id =
         (!matches!(source, VerdictSource::Fresh) || obs.sink().enabled()).then(|| RunIdentity {
@@ -436,22 +451,6 @@ pub fn analyze_from(
         Some(id) => load_source(netlist, cfg, obs, source, id, &candidates)?,
         None => Known::default(),
     };
-
-    // Step 0: admission lint. Error-level findings (combinational cycles,
-    // unconnected or multi-driven DFFs, zero-width gates) void every
-    // assumption the engines make about the netlist, so refuse outright.
-    if cfg.lint {
-        let t_lint = obs.timers.span("analyze/lint");
-        let report = mcp_lint::Registry::with_default_rules().run_with_metrics(
-            netlist,
-            &mcp_lint::LintConfig::errors_only(),
-            Some(&obs.metrics),
-        );
-        t_lint.stop();
-        if report.has_errors() {
-            return Err(AnalyzeError::CorruptNetlist { report });
-        }
-    }
 
     let mut stats = StepStats::default();
     let mut results: Vec<PairResult> = Vec::new();
@@ -1110,16 +1109,30 @@ mod tests {
         )
         .expect("analyze");
         assert!(report.pairs.is_empty());
+
+        // A NOT or BUFF with two inputs, feeding a DFF: refused with a
+        // typed error naming the rule, where the evaluators would panic.
+        for kind in ["NOT", "BUFF"] {
+            let src = format!("INPUT(a)\nOUTPUT(q)\nq = DFF(g)\ng = {kind}(a, q)\n");
+            let nl = mcp_netlist::bench::parse_unchecked("arity", &src).expect("parse");
+            match analyze(&nl, &McConfig::default()) {
+                Err(AnalyzeError::CorruptNetlist { report }) => {
+                    assert_eq!(report.len(), 1, "{report:?}");
+                    assert_eq!(report.diagnostics[0].rule, "bad-arity");
+                }
+                other => panic!("expected CorruptNetlist, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn lint_gate_admits_clean_netlists_and_counts_rules() {
+    fn lint_gate_admits_clean_netlists_inside_its_span() {
         let nl = circuits::fig1();
         let obs = mcp_obs::ObsCtx::new();
         analyze_with(&nl, &McConfig::default(), &obs).expect("analyze");
-        let c = obs.snapshot().counters;
-        assert!(c.lint_rules_run > 0);
-        assert_eq!(c.lint_violations, 0);
+        let spans = obs.snapshot().spans;
+        assert_eq!(spans["analyze/lint"].count, 1);
+        assert!(spans["analyze/lint"].total <= spans["analyze"].total);
     }
 
     #[test]

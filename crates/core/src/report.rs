@@ -296,8 +296,8 @@ impl McReport {
     /// and multi-cycle attribution folded into a single bucket.
     ///
     /// Everything that remains — verdicts, per-step pair counts, the
-    /// input-side counters (lint) — describes *what was decided about
-    /// the circuit*, not *how hard the engine worked for it*, so two
+    /// prefilter's drop count — describes *what was decided about the
+    /// circuit*, not *how hard the engine worked for it*, so two
     /// runs differing only in thread count, cone
     /// slicing (`McConfig::slice`), or the static dataflow pre-pass
     /// (`McConfig::static_classify`) serialize to **byte-identical**
@@ -338,9 +338,6 @@ impl McReport {
         let c = &r.metrics.counters;
         r.metrics.counters = mcp_obs::Counters {
             sim_pairs_dropped: c.sim_pairs_dropped,
-            lint_rules_run: c.lint_rules_run,
-            lint_violations: c.lint_violations,
-            lint_nodes_visited: c.lint_nodes_visited,
             ..mcp_obs::Counters::default()
         };
         r
@@ -461,7 +458,6 @@ mod tests {
         r.metrics.counters.slice_builds = 7;
         r.metrics.counters.sim_words = 9;
         r.metrics.counters.static_resolved = 2;
-        r.metrics.counters.lint_rules_run = 4;
         r.metrics.counters.sim_fused_ops = 11;
         r.metrics.counters.jit_compiles = 1;
         r.metrics.counters.jit_bytes = 640;
@@ -500,8 +496,6 @@ mod tests {
         );
         assert_eq!(c.class_of(1, 0), r.class_of(1, 0), "single `by` survives");
         assert_eq!(c.multi_cycle_pairs(), r.multi_cycle_pairs());
-        // Input-side lint work survives.
-        assert_eq!(c.metrics.counters.lint_rules_run, 4);
         assert_eq!(c.circuit, r.circuit);
     }
 

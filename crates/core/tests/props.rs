@@ -1,8 +1,9 @@
 //! Property-based invariants of the pipeline and the hazard checks on
 //! random circuits.
 
-use mcp_core::{analyze, check_hazards, HazardCheck, McConfig};
+use mcp_core::{analyze, check_hazards, AnalyzeError, HazardCheck, McConfig};
 use mcp_gen::random::{random_netlist, RandomCircuitConfig};
+use mcp_lint::{LintConfig, Registry};
 use proptest::prelude::*;
 
 fn cfg_strategy() -> impl Strategy<Value = (u64, RandomCircuitConfig)> {
@@ -123,6 +124,66 @@ proptest! {
                     prop_assert!(!sat_class.is_multi(), "({}, {})", p.src, p.dst);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Untrusted `.bench` text reaches the library through the permissive
+    /// parser too. Statement soups — the parser fuzzer's token mix, plus
+    /// lines over a small alphabet (inputs `a`, `b`; signals `c`..`f`)
+    /// with wrong-arity NOT/BUFF/DFF lines, empty argument lists and
+    /// stray CONST values — give every structural defect: lint must
+    /// report it and `analyze` must refuse it with a typed error, never a
+    /// panic.
+    #[test]
+    fn analyze_refuses_exactly_what_lint_reports_as_an_error(
+        (noise, lines) in (
+            proptest::collection::vec(
+                prop_oneof![
+                    "[A-Za-z][A-Za-z0-9]{0,4}",
+                    "INPUT\\([A-Za-z][A-Za-z0-9]{0,3}\\)",
+                    "OUTPUT\\([A-Za-z][A-Za-z0-9]{0,3}\\)",
+                    "[A-Za-z][0-9]? = (AND|OR|NAND|NOR|XOR|NOT|BUFF|DFF|CONST)\\([A-Za-z0-9, ]{0,12}\\)",
+                    "# [ -~]{0,20}",
+                ],
+                0..2,
+            ),
+            proptest::collection::vec(
+                prop_oneof![
+                    "OUTPUT\\([a-f]\\)",
+                    "[c-f] = DFF\\([a-f]\\)",
+                    "[c-f] = (AND|NAND|OR|NOR|XOR|XNOR|NOT|BUFF)\\([a-f]\\)",
+                    "[c-f] = (AND|NAND|OR|NOR|XOR|XNOR)\\([a-f], [a-f]\\)",
+                    "[c-f] = (NOT|BUFF|DFF)\\([a-f], [a-f]\\)",
+                    "[c-f] = (AND|NOT|BUFF|DFF)\\(\\)",
+                    "[c-f] = CONST\\([0-9]\\)",
+                ],
+                1..8,
+            ),
+        )
+    ) {
+        let src = ["INPUT(a)", "INPUT(b)"]
+            .into_iter()
+            .map(str::to_owned)
+            .chain(lines)
+            .chain(noise)
+            .collect::<Vec<_>>()
+            .join("\n");
+        let Ok(nl) = mcp_netlist::bench::parse_unchecked("soup", &src) else {
+            return Ok(());
+        };
+        let lint = Registry::with_default_rules().run(&nl, &LintConfig::default());
+        match analyze(&nl, &McConfig::default()) {
+            Err(AnalyzeError::CorruptNetlist { report }) => {
+                prop_assert!(lint.has_errors(), "refused a netlist lint passes: {}", src);
+                let errors = Registry::with_default_rules().run(&nl, &LintConfig::errors_only());
+                prop_assert_eq!(report, errors);
+            }
+            Err(e) => prop_assert!(false, "{}: {}", src, e),
+            Ok(_) => prop_assert!(!lint.has_errors(), "analyzed a netlist lint refuses: {}", src),
         }
     }
 }

@@ -1,11 +1,12 @@
 //! Shared fixed-point dataflow analysis over a [`Netlist`].
 //!
 //! Every semantic lint rule used to re-derive its own facts — constant
-//! propagation three times, two backward reachability walks, one SCC
-//! pass, one cone walk per FF. This module computes all of it **once**
-//! per netlist into an [`AnalysisIndex`] that the rule registry hands to
-//! every rule, and exposes the constant lattice standalone
-//! ([`const_lattice`]) for the pipeline's static pair pre-classification.
+//! propagation three times, two backward reachability walks, one cone
+//! walk per FF. This module computes all of it **once** per netlist into
+//! an [`AnalysisIndex`] that the rule registry hands to every rule, next
+//! to the netlist's structural defects ([`Netlist::defects`]), and
+//! exposes the constant lattice standalone ([`const_lattice`]) for the
+//! pipeline's static pair pre-classification.
 //!
 //! # The ternary constant lattice
 //!
@@ -41,7 +42,7 @@
 //! first iterate is valid.
 
 use mcp_logic::V3;
-use mcp_netlist::{Netlist, NodeId, NodeKind};
+use mcp_netlist::{Defect, Netlist, NodeId, NodeKind};
 
 /// Candidate control nets probed per FF during domain inference; bounds
 /// the per-FF probing cost on cones with many sources.
@@ -82,33 +83,13 @@ impl ConstLattice {
 /// This is the entry point for the pipeline's static pair pre-pass,
 /// which needs the lattice but none of the index's backward passes.
 pub fn const_lattice(netlist: &Netlist) -> ConstLattice {
-    let mut visited = 0u64;
-    kleene(netlist, &mut visited)
-}
-
-/// One topological evaluation sweep over the gates. Zero-fanin gates
-/// (`zero-width-gate`'s Error) and gates outside the topological order
-/// (cyclic, unchecked netlists) keep their current value.
-fn eval_gates(netlist: &Netlist, values: &mut [V3], visited: &mut u64) {
-    for &g in netlist.topo_gates() {
-        *visited += 1;
-        let node = netlist.node(g);
-        if node.fanins().is_empty() {
-            continue;
-        }
-        let kind = node.kind().gate_kind().expect("topo holds gates");
-        values[g.index()] = kind.eval_v3(node.fanins().iter().map(|f| values[f.index()]));
-    }
-}
-
-fn kleene(netlist: &Netlist, visited: &mut u64) -> ConstLattice {
     let mut values = vec![V3::X; netlist.num_nodes()];
     for (id, node) in netlist.nodes() {
         if let NodeKind::Const(v) = node.kind() {
             values[id.index()] = V3::from(v);
         }
     }
-    eval_gates(netlist, &mut values, visited);
+    eval_gates(netlist, &mut values);
     let base = values.clone();
     let mut iterations = 0u32;
     loop {
@@ -132,7 +113,7 @@ fn kleene(netlist: &Netlist, visited: &mut u64) -> ConstLattice {
             break;
         }
         iterations += 1;
-        eval_gates(netlist, &mut values, visited);
+        eval_gates(netlist, &mut values);
     }
     ConstLattice {
         base,
@@ -141,100 +122,35 @@ fn kleene(netlist: &Netlist, visited: &mut u64) -> ConstLattice {
     }
 }
 
+/// One topological evaluation sweep over the gates. Gates of a wrong
+/// arity (an Error defect) and gates outside the topological order
+/// (cyclic, unchecked netlists) keep their current value.
+fn eval_gates(netlist: &Netlist, values: &mut [V3]) {
+    for &g in netlist.topo_gates() {
+        if let Some(v) = eval(netlist, g, values) {
+            values[g.index()] = v;
+        }
+    }
+}
+
+/// Ternary-evaluates gate `g` over `values`, or `None` when its fanin
+/// count is one its kind does not allow: such a gate reads X.
+fn eval(netlist: &Netlist, g: NodeId, values: &[V3]) -> Option<V3> {
+    let node = netlist.node(g);
+    let kind = node.kind().gate_kind().expect("evaluated nodes are gates");
+    kind.takes(node.fanins().len())
+        .then(|| kind.eval_v3(node.fanins().iter().map(|f| values[f.index()])))
+}
+
 // ---------------------------------------------------------------------
 // Structural passes shared by the rules
 // ---------------------------------------------------------------------
-
-/// Tarjan's SCC algorithm (iterative) over the gate-only subgraph, with
-/// edges gate → gate-fanin. Returns the components that actually contain
-/// a cycle — more than one node, or a single gate reading itself — each
-/// sorted by node id, in a deterministic component order.
-pub fn cyclic_gate_sccs(netlist: &Netlist) -> Vec<Vec<NodeId>> {
-    let mut visited = 0u64;
-    cyclic_gate_sccs_counted(netlist, &mut visited)
-}
-
-fn cyclic_gate_sccs_counted(netlist: &Netlist, visited: &mut u64) -> Vec<Vec<NodeId>> {
-    const UNVISITED: u32 = u32::MAX;
-    let n = netlist.num_nodes();
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0u32;
-    let mut sccs: Vec<Vec<NodeId>> = Vec::new();
-
-    // Explicit DFS state: (node, next fanin position to visit).
-    let mut work: Vec<(usize, usize)> = Vec::new();
-
-    for (root, node) in netlist.nodes() {
-        if !node.kind().is_gate() || index[root.index()] != UNVISITED {
-            continue;
-        }
-        work.push((root.index(), 0));
-        while let Some(&mut (v, ref mut fi)) = work.last_mut() {
-            if *fi == 0 {
-                *visited += 1;
-                index[v] = next_index;
-                lowlink[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            let fanins = netlist.node(NodeId::from_index(v)).fanins();
-            let mut descended = false;
-            while *fi < fanins.len() {
-                let w = fanins[*fi].index();
-                *fi += 1;
-                if !netlist.node(NodeId::from_index(w)).kind().is_gate() {
-                    continue;
-                }
-                if index[w] == UNVISITED {
-                    work.push((w, 0));
-                    descended = true;
-                    break;
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            }
-            if descended {
-                continue;
-            }
-            // v is finished: pop, close its SCC if it is a root, and
-            // propagate its lowlink to the parent.
-            work.pop();
-            if lowlink[v] == index[v] {
-                let mut comp: Vec<NodeId> = Vec::new();
-                loop {
-                    let w = stack.pop().expect("tarjan stack non-empty");
-                    on_stack[w] = false;
-                    comp.push(NodeId::from_index(w));
-                    if w == v {
-                        break;
-                    }
-                }
-                let self_loop = comp.len() == 1 && {
-                    let id = comp[0];
-                    netlist.node(id).fanins().contains(&id)
-                };
-                if comp.len() > 1 || self_loop {
-                    comp.sort_unstable();
-                    sccs.push(comp);
-                }
-            }
-            if let Some(&mut (p, _)) = work.last_mut() {
-                lowlink[p] = lowlink[p].min(lowlink[v]);
-            }
-        }
-    }
-    sccs
-}
 
 /// Backward reachability from the primary outputs and every FF D input.
 /// With `fix` given, the walk is *semantic*: it does not descend through
 /// gates whose fixpoint value is definite — a constant gate transmits no
 /// information, so its cone cannot influence anything through it.
-fn backward_reach(netlist: &Netlist, fix: Option<&[V3]>, visited: &mut u64) -> Vec<bool> {
+fn backward_reach(netlist: &Netlist, fix: Option<&[V3]>) -> Vec<bool> {
     let mut reached = vec![false; netlist.num_nodes()];
     let mut stack: Vec<NodeId> = Vec::new();
     let mark = |id: NodeId, reached: &mut Vec<bool>, stack: &mut Vec<NodeId>| {
@@ -253,7 +169,6 @@ fn backward_reach(netlist: &Netlist, fix: Option<&[V3]>, visited: &mut u64) -> V
         }
     }
     while let Some(n) = stack.pop() {
-        *visited += 1;
         if !netlist.node(n).kind().is_gate() {
             continue;
         }
@@ -317,7 +232,7 @@ impl FfDomain {
     }
 }
 
-fn build_cones(netlist: &Netlist, visited: &mut u64) -> Vec<FfCone> {
+fn build_cones(netlist: &Netlist) -> Vec<FfCone> {
     // Topological position of each gate, for sorting cone gates into
     // evaluation order.
     let mut topo_pos = vec![u32::MAX; netlist.num_nodes()];
@@ -335,7 +250,6 @@ fn build_cones(netlist: &Netlist, visited: &mut u64) -> Vec<FfCone> {
         let mut stack = vec![d];
         seen[d.index()] = true;
         while let Some(id) = stack.pop() {
-            *visited += 1;
             cone.all.push(id);
             let node = netlist.node(id);
             match node.kind() {
@@ -391,14 +305,11 @@ fn eval_cone(
         scratch[id.index()] = v;
     }
     for &g in &cone.gates {
-        let node = netlist.node(g);
-        if node.fanins().is_empty() {
-            continue;
-        }
         // A cyclic cone (unchecked netlist) evaluates in discovery order;
         // unresolved fanins read X, which is sound.
-        let kind = node.kind().gate_kind().expect("cone gates are gates");
-        scratch[g.index()] = kind.eval_v3(node.fanins().iter().map(|f| scratch[f.index()]));
+        if let Some(v) = eval(netlist, g, scratch) {
+            scratch[g.index()] = v;
+        }
     }
     scratch[d.index()]
 }
@@ -466,33 +377,30 @@ fn infer_domains(netlist: &Netlist, cones: &[FfCone]) -> Vec<FfDomain> {
 /// Everything the lint rules need to know about a netlist, computed once
 /// per [`Registry::run`](crate::Registry::run) instead of once per rule.
 ///
-/// Holds the forward constant lattice, the cyclic gate SCCs, structural
-/// liveness and semantic observability, per-FF D cones with their source
-/// FF/PI frontiers, the transitive PI-influence closure over the FF
-/// graph, and each FF's inferred clock/reset/enable domain.
+/// Holds the netlist's structural defects, the forward constant lattice,
+/// structural liveness and semantic observability, per-FF D cones with
+/// their source FF/PI frontiers, the transitive PI-influence closure over
+/// the FF graph, and each FF's inferred clock/reset/enable domain.
 #[derive(Debug, Clone)]
 pub struct AnalysisIndex {
+    defects: Vec<Defect>,
     lattice: ConstLattice,
-    cyclic_sccs: Vec<Vec<NodeId>>,
     live: Vec<bool>,
     observable: Vec<bool>,
     cones: Vec<FfCone>,
     seq_has_pi: Vec<bool>,
     domains: Vec<FfDomain>,
-    nodes_visited: u64,
 }
 
 impl AnalysisIndex {
     /// Builds the index. Safe on corrupt (`finish_unchecked`) netlists:
-    /// cyclic gates simply stay `X`, unconnected DFFs contribute empty
-    /// cones.
+    /// cyclic gates and gates of a wrong arity simply stay `X`,
+    /// unconnected DFFs contribute empty cones.
     pub fn build(netlist: &Netlist) -> AnalysisIndex {
-        let mut visited = 0u64;
-        let lattice = kleene(netlist, &mut visited);
-        let cyclic_sccs = cyclic_gate_sccs_counted(netlist, &mut visited);
-        let live = backward_reach(netlist, None, &mut visited);
-        let observable = backward_reach(netlist, Some(&lattice.fix), &mut visited);
-        let cones = build_cones(netlist, &mut visited);
+        let lattice = const_lattice(netlist);
+        let live = backward_reach(netlist, None);
+        let observable = backward_reach(netlist, Some(&lattice.fix));
+        let cones = build_cones(netlist);
 
         // Transitive closure of PI influence over the FF graph: an FF is
         // PI-driven if a PI reaches its own cone or any source FF is.
@@ -512,15 +420,20 @@ impl AnalysisIndex {
 
         let domains = infer_domains(netlist, &cones);
         AnalysisIndex {
+            defects: netlist.defects(),
             lattice,
-            cyclic_sccs,
             live,
             observable,
             cones,
             seq_has_pi,
             domains,
-            nodes_visited: visited,
         }
+    }
+
+    /// The netlist's structural defects ([`Netlist::defects`]), which the
+    /// Error rules report.
+    pub fn defects(&self) -> &[Defect] {
+        &self.defects
     }
 
     /// The forward constant lattice.
@@ -536,11 +449,6 @@ impl AnalysisIndex {
     /// Fixpoint value of a node (holds once the widening settles).
     pub fn fix_value(&self, id: NodeId) -> V3 {
         self.lattice.fix[id.index()]
-    }
-
-    /// The cyclic gate SCCs (each sorted by node id).
-    pub fn cyclic_sccs(&self) -> &[Vec<NodeId>] {
-        &self.cyclic_sccs
     }
 
     /// Whether a node has a structural backward path from an output or
@@ -575,15 +483,6 @@ impl AnalysisIndex {
     /// The inferred clock/reset/enable domain of FF `j`.
     pub fn domain(&self, j: usize) -> &FfDomain {
         &self.domains[j]
-    }
-
-    /// Graph-node visits of the shared traversals (fixpoint sweeps, SCC
-    /// pass, both backward walks, cone walks). Domain-inference probe
-    /// evaluations are bounded separately (candidate cap) and excluded:
-    /// the counter exists to compare against what the rules used to
-    /// re-traverse individually.
-    pub fn nodes_visited(&self) -> u64 {
-        self.nodes_visited
     }
 }
 
@@ -749,9 +648,21 @@ mod tests {
         b.mark_output(q);
         let nl = b.finish_unchecked();
         let idx = AnalysisIndex::build(&nl);
-        assert_eq!(idx.cyclic_sccs().len(), 1);
+        assert_eq!(idx.defects().len(), 2, "{:?}", idx.defects());
         assert_eq!(idx.base_value(g1), V3::X);
         assert!(idx.cone_ffs(0).is_empty());
-        assert!(idx.nodes_visited() > 0);
+    }
+
+    #[test]
+    fn wrong_arity_gates_read_x() {
+        // g = NOT(a, q) feeds q's D input; the evaluators must not panic
+        // on it, and it stays X however its fanins settle.
+        let src = "INPUT(a)\nOUTPUT(q)\nk = CONST(1)\nq = DFF(g)\ng = NOT(k, q)\n";
+        let nl = mcp_netlist::bench::parse_unchecked("arity", src).unwrap();
+        let idx = AnalysisIndex::build(&nl);
+        let g = nl.find_node("g").unwrap();
+        assert_eq!(idx.defects(), &[Defect::BadArity(g)]);
+        assert_eq!(idx.fix_value(g), V3::X);
+        assert!(idx.domain(0).reset.is_none());
     }
 }

@@ -4,9 +4,10 @@
 //! The multi-cycle analysis is only sound on well-formed circuits: a
 //! combinational cycle breaks the 2-frame expansion, an unconnected DFF
 //! has no next-state function, and a duplicated name makes `-from`/`-to`
-//! constraints ambiguous. Rather than trusting the input (and silently
-//! producing wrong answers), the pipeline runs this crate's Error-level
-//! rules first and refuses corrupt netlists with diagnostics.
+//! constraints ambiguous. Those defects are what [`Netlist::defects`]
+//! lists; this crate's Error rules report them, one finding each, and the
+//! pipeline refuses a corrupt netlist with the same findings
+//! ([`structural_report`]) rather than silently producing wrong answers.
 //!
 //! # Architecture
 //!
@@ -21,10 +22,10 @@
 //!   cross-checks it against the netlist and the verified pair list.
 //!
 //! Netlists that went through `NetlistBuilder::finish` are already
-//! guaranteed free of the Error-level defects (the builder rejects them);
-//! the lint pass exists for netlists from other sources —
-//! `finish_unchecked`, deserializers, external tools — and for the
-//! Warn/Info hygiene rules the builder deliberately permits.
+//! guaranteed free of the Error-level defects (the builder rejects them
+//! with the same check); the lint pass exists for netlists from other
+//! sources — `finish_unchecked`, deserializers, external tools — and for
+//! the Warn/Info hygiene rules the builder deliberately permits.
 //!
 //! ```
 //! use mcp_lint::{LintConfig, Registry, Severity};
@@ -57,7 +58,7 @@ pub mod rules;
 pub mod sdc;
 
 pub use dataflow::{const_lattice, AnalysisIndex, ConstLattice, FfDomain};
-pub use rules::default_rules;
+pub use rules::{default_rules, structural_report};
 pub use sdc::{parse_sdc, validate_sdc, SdcConstraint};
 
 // ---------------------------------------------------------------------
@@ -245,8 +246,9 @@ impl Diagnostics {
 /// the registry applies [`LintConfig`] overrides afterwards.
 ///
 /// Every rule receives the shared [`AnalysisIndex`] the registry computed
-/// once for the run — constant lattice, SCCs, liveness/observability,
-/// per-FF cones, FF domains — instead of re-deriving those facts itself.
+/// once for the run — structural defects, constant lattice,
+/// liveness/observability, per-FF cones, FF domains — instead of
+/// re-deriving those facts itself.
 pub trait LintRule {
     /// Stable kebab-case identifier, used in config and output.
     fn id(&self) -> &'static str;
@@ -276,8 +278,10 @@ pub struct LintConfig {
 }
 
 impl LintConfig {
-    /// Keeps only [`Severity::Error`] findings — the pipeline's admission
-    /// check: hygiene warnings must not block analysis.
+    /// Keeps only [`Severity::Error`] findings. Under the default rules
+    /// these are the structural defects, as [`structural_report`] lists
+    /// them for the pipeline's admission gate; hygiene warnings must not
+    /// block analysis.
     pub fn errors_only() -> LintConfig {
         LintConfig {
             min_severity: Some(Severity::Error),
@@ -346,31 +350,13 @@ impl Registry {
 
     /// Runs every enabled rule and collects the surviving findings.
     pub fn run(&self, netlist: &Netlist, cfg: &LintConfig) -> Diagnostics {
-        self.run_with_metrics(netlist, cfg, None)
-    }
-
-    /// [`run`](Self::run), additionally bumping the `lint_rules_run` /
-    /// `lint_violations` / `lint_nodes_visited` counters of an
-    /// observability context.
-    pub fn run_with_metrics(
-        &self,
-        netlist: &Netlist,
-        cfg: &LintConfig,
-        metrics: Option<&mcp_obs::Metrics>,
-    ) -> Diagnostics {
         // One shared analysis per run; every rule reads from it instead
         // of re-traversing the graph.
         let index = AnalysisIndex::build(netlist);
-        if let Some(m) = metrics {
-            m.lint_nodes_visited.add(index.nodes_visited());
-        }
         let mut report = Diagnostics::default();
         for rule in &self.rules {
             if cfg.disabled.contains(rule.id()) {
                 continue;
-            }
-            if let Some(m) = metrics {
-                m.lint_rules_run.add(1);
             }
             let severity = cfg
                 .severity_overrides
@@ -383,9 +369,6 @@ impl Registry {
                 d.severity = severity;
                 if cfg.min_severity.is_some_and(|min| d.severity < min) {
                     continue;
-                }
-                if let Some(m) = metrics {
-                    m.lint_violations.add(1);
                 }
                 report.push(d);
             }

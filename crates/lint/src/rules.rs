@@ -4,6 +4,7 @@
 //! |----|----------|---------|
 //! | `comb-cycle` | Error | combinational cycle (SCC over the gate graph) |
 //! | `zero-width-gate` | Error | gate with an empty fanin list |
+//! | `bad-arity` | Error | NOT/BUF gate with more than one fanin |
 //! | `unconnected-dff` | Error | DFF whose D input was never connected |
 //! | `multi-driven-dff` | Error | DFF with more than one D driver |
 //! | `duplicate-name` | Error | two nodes sharing one name |
@@ -18,9 +19,11 @@
 //! | `x-prop-to-dff` | Info | FF forever dependent on its power-up X |
 //! | `domain-mixing` | Info | FF pair crossing different inferred enable domains |
 //!
-//! The Error rules are exactly the defects `NetlistBuilder::finish`
-//! rejects: they can only occur in netlists from `finish_unchecked` or
-//! external deserializers, and they make analysis results meaningless.
+//! The Error rules report the structural defects [`Netlist::defects`]
+//! lists, one finding per defect: the check `NetlistBuilder::finish`
+//! refuses with and the pipeline's admission gate runs. The defects can
+//! only occur in netlists from `finish_unchecked` or external
+//! deserializers, and they make analysis results meaningless.
 //! The Warn rules flag hygiene problems that a [`sweep`] would remove or
 //! that the dataflow analysis proves semantically dead. The Info rules
 //! mark structure the multi-cycle analysis treats specially (constant
@@ -34,18 +37,12 @@
 //!
 //! [`sweep`]: mod@mcp_netlist::sweep
 
-use crate::{AnalysisIndex, Diagnostic, LintRule, Severity};
-use mcp_netlist::{Netlist, NodeId};
-use std::collections::HashMap;
+use crate::{AnalysisIndex, Diagnostic, Diagnostics, LintRule, Severity};
+use mcp_netlist::{Defect, Netlist, NodeId};
 
 /// All built-in rules, Error rules first.
 pub fn default_rules() -> Vec<Box<dyn LintRule>> {
-    vec![
-        Box::new(CombCycle),
-        Box::new(ZeroWidthGate),
-        Box::new(UnconnectedDff),
-        Box::new(MultiDrivenDff),
-        Box::new(DuplicateName),
+    let hygiene: [Box<dyn LintRule>; 10] = [
         Box::new(FloatingNet),
         Box::new(UnreachableLogic),
         Box::new(ConstantDff),
@@ -56,7 +53,12 @@ pub fn default_rules() -> Vec<Box<dyn LintRule>> {
         Box::new(SelfLoopDff),
         Box::new(XPropToDff),
         Box::new(DomainMixing),
-    ]
+    ];
+    STRUCTURAL
+        .into_iter()
+        .map(|(id, description)| Box::new(Structural { id, description }) as Box<dyn LintRule>)
+        .chain(hygiene)
+        .collect()
 }
 
 /// Formats up to `cap` node names for a message, eliding the rest.
@@ -76,162 +78,114 @@ fn name_list(netlist: &Netlist, nodes: &[NodeId], cap: usize) -> String {
 // Error rules
 // ---------------------------------------------------------------------
 
-/// `comb-cycle`: a cycle through combinational gates only.
+/// An Error rule: reports one class of the netlist's structural defects
+/// ([`Netlist::defects`], read from the shared index), one finding per
+/// defect.
 ///
 /// The 2-frame expansion and every engine assume the combinational part
-/// is a DAG; a gate loop makes "the value of the cone" ill-defined.
-/// Reads the Tarjan SCC condensation from the shared index.
-pub struct CombCycle;
+/// is a DAG, that every gate has a fanin count its kind allows (the
+/// evaluators panic otherwise), and that every FF has exactly one D
+/// driver (`Netlist::ff_d_input` panics on an unconnected one). Two
+/// nodes with one name make name-based lookups (`find_node`, SDC
+/// `-from`/`-to` cells) ambiguous.
+struct Structural {
+    id: &'static str,
+    description: &'static str,
+}
 
-impl LintRule for CombCycle {
+/// The Error rules, in report order: `(id, description)`.
+const STRUCTURAL: [(&str, &str); 6] = [
+    ("comb-cycle", "combinational cycle in the gate graph"),
+    ("zero-width-gate", "gate with an empty fanin list"),
+    ("bad-arity", "NOT/BUF gate with more than one fanin"),
+    ("unconnected-dff", "DFF whose D input was never connected"),
+    ("multi-driven-dff", "DFF with more than one D driver"),
+    ("duplicate-name", "two nodes sharing one name"),
+];
+
+/// The id of the Error rule that reports `defect`.
+fn rule_of(netlist: &Netlist, defect: &Defect) -> &'static str {
+    match defect {
+        Defect::CombinationalCycle(_) => "comb-cycle",
+        Defect::BadArity(id) if netlist.node(*id).fanins().is_empty() => "zero-width-gate",
+        Defect::BadArity(_) => "bad-arity",
+        Defect::UnconnectedDff(_) => "unconnected-dff",
+        Defect::MultiDrivenDff(_) => "multi-driven-dff",
+        Defect::DuplicateName(_) => "duplicate-name",
+    }
+}
+
+/// Pushes one finding for each of `defects` that `rule` reports.
+fn push_findings(
+    rule: &'static str,
+    netlist: &Netlist,
+    defects: &[Defect],
+    out: &mut Vec<Diagnostic>,
+) {
+    let name = |id: NodeId| netlist.node(id).name();
+    for defect in defects.iter().filter(|d| rule_of(netlist, d) == rule) {
+        let (nodes, message) = match *defect {
+            Defect::CombinationalCycle(ref gates) => (
+                gates.clone(),
+                format!(
+                    "combinational cycle through {} gate(s): {}",
+                    gates.len(),
+                    name_list(netlist, gates, 8)
+                ),
+            ),
+            Defect::BadArity(id) => {
+                let node = netlist.node(id);
+                let message = match node.fanins().len() {
+                    0 => format!("gate `{}` has no fanins", node.name()),
+                    got => format!(
+                        "gate `{}` of kind {} cannot take {got} inputs",
+                        node.name(),
+                        node.kind().gate_kind().expect("arity defects are gates")
+                    ),
+                };
+                (vec![id], message)
+            }
+            Defect::UnconnectedDff(id) => (vec![id], format!("DFF `{}` has no D input", name(id))),
+            Defect::MultiDrivenDff(id) => {
+                let drivers = netlist.node(id).fanins().len();
+                (
+                    vec![id],
+                    format!("DFF `{}` has {drivers} D drivers", name(id)),
+                )
+            }
+            Defect::DuplicateName(ref ids) => (
+                ids.clone(),
+                format!("{} nodes named `{}`", ids.len(), name(ids[0])),
+            ),
+        };
+        out.push(Diagnostic::new(rule, Severity::Error, nodes, message));
+    }
+}
+
+impl LintRule for Structural {
     fn id(&self) -> &'static str {
-        "comb-cycle"
+        self.id
     }
     fn default_severity(&self) -> Severity {
         Severity::Error
     }
     fn description(&self) -> &'static str {
-        "combinational cycle in the gate graph"
+        self.description
     }
     fn check(&self, netlist: &Netlist, index: &AnalysisIndex, out: &mut Vec<Diagnostic>) {
-        for scc in index.cyclic_sccs() {
-            let msg = format!(
-                "combinational cycle through {} gate(s): {}",
-                scc.len(),
-                name_list(netlist, scc, 8)
-            );
-            out.push(Diagnostic::new(
-                self.id(),
-                self.default_severity(),
-                scc.iter().copied(),
-                msg,
-            ));
-        }
+        push_findings(self.id, netlist, index.defects(), out);
     }
 }
 
-/// `zero-width-gate`: a combinational gate with no fanins computes
-/// nothing; every evaluator in the workspace would panic or guess.
-pub struct ZeroWidthGate;
-
-impl LintRule for ZeroWidthGate {
-    fn id(&self) -> &'static str {
-        "zero-width-gate"
+/// The Error findings for a netlist's structural `defects`, in rule
+/// order: the findings the default registry reports for them, and the
+/// report the pipeline's admission gate refuses a corrupt netlist with.
+pub fn structural_report(netlist: &Netlist, defects: &[Defect]) -> Diagnostics {
+    let mut report = Diagnostics::default();
+    for (rule, _) in STRUCTURAL {
+        push_findings(rule, netlist, defects, &mut report.diagnostics);
     }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "gate with an empty fanin list"
-    }
-    fn check(&self, netlist: &Netlist, _index: &AnalysisIndex, out: &mut Vec<Diagnostic>) {
-        for (id, node) in netlist.nodes() {
-            if node.kind().is_gate() && node.fanins().is_empty() {
-                out.push(Diagnostic::new(
-                    self.id(),
-                    self.default_severity(),
-                    [id],
-                    format!("gate `{}` has no fanins", node.name()),
-                ));
-            }
-        }
-    }
-}
-
-/// `unconnected-dff`: a DFF whose D input was never connected has no
-/// next-state function — `Netlist::ff_d_input` would panic on it.
-pub struct UnconnectedDff;
-
-impl LintRule for UnconnectedDff {
-    fn id(&self) -> &'static str {
-        "unconnected-dff"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "DFF whose D input was never connected"
-    }
-    fn check(&self, netlist: &Netlist, _index: &AnalysisIndex, out: &mut Vec<Diagnostic>) {
-        for (id, node) in netlist.nodes() {
-            if node.kind().is_dff() && node.fanins().is_empty() {
-                out.push(Diagnostic::new(
-                    self.id(),
-                    self.default_severity(),
-                    [id],
-                    format!("DFF `{}` has no D input", node.name()),
-                ));
-            }
-        }
-    }
-}
-
-/// `multi-driven-dff`: a DFF with more than one fanin is multiply
-/// driven; the model defines exactly one D driver per FF.
-pub struct MultiDrivenDff;
-
-impl LintRule for MultiDrivenDff {
-    fn id(&self) -> &'static str {
-        "multi-driven-dff"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "DFF with more than one D driver"
-    }
-    fn check(&self, netlist: &Netlist, _index: &AnalysisIndex, out: &mut Vec<Diagnostic>) {
-        for (id, node) in netlist.nodes() {
-            if node.kind().is_dff() && node.fanins().len() > 1 {
-                out.push(Diagnostic::new(
-                    self.id(),
-                    self.default_severity(),
-                    [id],
-                    format!(
-                        "DFF `{}` has {} D drivers",
-                        node.name(),
-                        node.fanins().len()
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// `duplicate-name`: two nodes with one name make name-based lookups
-/// (`find_node`, SDC `-from`/`-to` cells) ambiguous.
-pub struct DuplicateName;
-
-impl LintRule for DuplicateName {
-    fn id(&self) -> &'static str {
-        "duplicate-name"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "two nodes sharing one name"
-    }
-    fn check(&self, netlist: &Netlist, _index: &AnalysisIndex, out: &mut Vec<Diagnostic>) {
-        let mut by_name: HashMap<&str, Vec<NodeId>> = HashMap::new();
-        for (id, node) in netlist.nodes() {
-            by_name.entry(node.name()).or_default().push(id);
-        }
-        let mut dups: Vec<(&str, Vec<NodeId>)> = by_name
-            .into_iter()
-            .filter(|(_, ids)| ids.len() > 1)
-            .collect();
-        dups.sort_unstable_by_key(|(_, ids)| ids[0]);
-        for (name, ids) in dups {
-            let msg = format!("{} nodes named `{}`", ids.len(), name);
-            out.push(Diagnostic::new(
-                self.id(),
-                self.default_severity(),
-                ids,
-                msg,
-            ));
-        }
-    }
+    report
 }
 
 // ---------------------------------------------------------------------

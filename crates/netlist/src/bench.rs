@@ -129,6 +129,18 @@ fn lex(src: &str) -> Result<Vec<(usize, Stmt)>, ParseBenchError> {
     Ok(stmts)
 }
 
+/// The value of a `CONST(0|1)` definition at `line`.
+fn const_value(line: usize, args: &[String]) -> Result<bool, ParseBenchError> {
+    match args {
+        [a] if a == "0" => Ok(false),
+        [a] if a == "1" => Ok(true),
+        _ => Err(ParseBenchError {
+            line,
+            message: "CONST takes a single 0 or 1".to_owned(),
+        }),
+    }
+}
+
 fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
     let upper = line.to_ascii_uppercase();
     if upper.starts_with(keyword) {
@@ -192,16 +204,7 @@ pub fn parse(name: &str, src: &str) -> Result<Netlist, ParseBenchError> {
                     ids.insert(name.clone(), id);
                     dff_inputs.push((*line, id, args[0].clone()));
                 } else if fu == "CONST" {
-                    let v = match args.as_slice() {
-                        [a] if a == "0" => false,
-                        [a] if a == "1" => true,
-                        _ => {
-                            return Err(ParseBenchError {
-                                line: *line,
-                                message: "CONST takes a single 0 or 1".to_owned(),
-                            })
-                        }
-                    };
+                    let v = const_value(*line, args)?;
                     ids.insert(name.clone(), b.constant(name.clone(), v));
                 } else {
                     let kind: GateKind = fu.parse().map_err(|e| ParseBenchError {
@@ -272,35 +275,37 @@ pub fn parse(name: &str, src: &str) -> Result<Netlist, ParseBenchError> {
 }
 
 /// Parses a `.bench` source **permissively**, deferring structural
-/// judgement to the `mcp-lint` rules.
+/// judgement to [`Netlist::defects`] and the `mcp-lint` rules.
 ///
-/// Where [`parse`] rejects combinational cycles, unconnected flip-flops
-/// and duplicate definitions outright, this variant reconstructs the
-/// netlist exactly as written (via
-/// [`NetlistBuilder::raw_node`]/[`NetlistBuilder::finish_unchecked`]) so
-/// a linter can *report* the defects instead. Lexical errors and unknown
-/// gate keywords are still hard errors — there is no netlist to lint
-/// without a parse.
+/// Where [`parse`] rejects combinational cycles, wrong gate arities,
+/// unconnected or multi-driven flip-flops and duplicate definitions
+/// outright, this variant reconstructs the netlist exactly as written
+/// (via [`NetlistBuilder::raw_node`]/[`NetlistBuilder::finish_unchecked`])
+/// so a linter can *report* the defects instead. Lexical errors, unknown
+/// gate keywords and malformed `CONST`s are still hard errors — there is
+/// no netlist to lint without a parse.
 ///
 /// Permissive readings of otherwise-rejected input:
 ///
 /// * cyclic gate definitions are wired as written (gates are assigned ids
 ///   in textual order, so any gate may reference any other);
+/// * a gate keeps every argument, whatever its kind allows;
 /// * a duplicated signal name creates a second node; references resolve
 ///   to the first definition;
-/// * a `DFF` whose data signal is undefined (or missing) stays
-///   unconnected;
+/// * a `DFF` is driven by each of its arguments that names a signal: one
+///   with several is multi-driven, one with none stays unconnected;
 /// * an `OUTPUT` naming an undefined signal is dropped.
 ///
 /// # Errors
 ///
 /// Returns [`ParseBenchError`] on syntax errors, unknown gate keywords,
-/// or gate fanins that no statement defines.
+/// a `CONST` other than `CONST(0)`/`CONST(1)`, or gate fanins that no
+/// statement defines.
 pub fn parse_unchecked(name: &str, src: &str) -> Result<Netlist, ParseBenchError> {
     let stmts = lex(src)?;
     let mut b = NetlistBuilder::new(name);
     let mut ids: HashMap<String, NodeId> = HashMap::new();
-    let mut dff_inputs: Vec<(NodeId, String)> = Vec::new();
+    let mut dff_inputs: Vec<(NodeId, &[String])> = Vec::new();
     let mut gate_defs: Vec<(usize, String, GateKind, Vec<String>)> = Vec::new();
     let mut outputs: Vec<String> = Vec::new();
     let mut created = 0usize;
@@ -319,11 +324,9 @@ pub fn parse_unchecked(name: &str, src: &str) -> Result<Netlist, ParseBenchError
                     let id = b.dff(name.clone());
                     created += 1;
                     ids.entry(name.clone()).or_insert(id);
-                    if let Some(d) = args.first() {
-                        dff_inputs.push((id, d.clone()));
-                    }
+                    dff_inputs.push((id, args));
                 } else if fu == "CONST" {
-                    let v = matches!(args.as_slice(), [a] if a == "1");
+                    let v = const_value(*line, args)?;
                     let id = b.constant(name.clone(), v);
                     created += 1;
                     ids.entry(name.clone()).or_insert(id);
@@ -357,9 +360,11 @@ pub fn parse_unchecked(name: &str, src: &str) -> Result<Netlist, ParseBenchError
             .collect::<Result<Vec<NodeId>, ParseBenchError>>()?;
         b.raw_node(gname, NodeKind::Gate(kind), fanins);
     }
-    for (id, d) in dff_inputs {
-        if let Some(&d_id) = ids.get(&d) {
-            let _ = b.add_dff_driver(id, d_id);
+    for (id, args) in dff_inputs {
+        for d in args {
+            if let Some(&d_id) = ids.get(d) {
+                b.add_dff_driver(id, d_id)?;
+            }
         }
     }
     for sig in outputs {
@@ -526,8 +531,19 @@ mod tests {
         assert_eq!(nl.num_ffs(), 1);
         assert!(nl.node(nl.dffs()[0]).fanins().is_empty());
 
-        // Truly undefined gate fanins are still hard errors.
+        // Every DFF argument becomes a driver, and gates keep every
+        // argument: both are defects for `Netlist::defects` to list.
+        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(q)\nq = DFF(a, b)\ng = NOT(a, q)\n";
+        assert!(parse("bad", src).is_err());
+        let nl = parse_unchecked("bad", src).expect("parse");
+        assert_eq!(nl.node(nl.dffs()[0]).fanins().len(), 2);
+        assert_eq!(nl.defects().len(), 2);
+
+        // Truly undefined gate fanins and malformed constants are still
+        // hard errors, with the strict parser's message.
         assert!(parse_unchecked("bad", "OUTPUT(g)\ng = NOT(ghost)\n").is_err());
+        let err = parse_unchecked("bad", "OUTPUT(k)\nk = CONST(7)\n").unwrap_err();
+        assert_eq!(err, parse("bad", "OUTPUT(k)\nk = CONST(7)\n").unwrap_err());
     }
 
     #[test]

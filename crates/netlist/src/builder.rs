@@ -1,5 +1,6 @@
 //! Netlist construction with validation.
 
+use crate::check::Defect;
 use crate::model::{Netlist, Node, NodeId, NodeKind};
 use mcp_logic::GateKind;
 use std::collections::HashMap;
@@ -34,6 +35,30 @@ pub enum BuildError {
     NotADff(String),
 }
 
+impl BuildError {
+    /// The error `finish` reports for a structural defect of `netlist`.
+    fn of(netlist: &Netlist, defect: &Defect) -> BuildError {
+        let name = |id: NodeId| netlist.node(id).name().to_owned();
+        match defect {
+            Defect::CombinationalCycle(gates) => {
+                BuildError::CombinationalCycle { on: name(gates[0]) }
+            }
+            &Defect::BadArity(id) => BuildError::BadArity {
+                name: name(id),
+                kind: netlist
+                    .node(id)
+                    .kind()
+                    .gate_kind()
+                    .expect("arity defects are gates"),
+                got: netlist.node(id).fanins().len(),
+            },
+            &Defect::UnconnectedDff(id) => BuildError::UnconnectedDff(name(id)),
+            &Defect::MultiDrivenDff(id) => BuildError::MultiDrivenDff(name(id)),
+            Defect::DuplicateName(ids) => BuildError::DuplicateName(name(ids[0])),
+        }
+    }
+}
+
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -65,7 +90,8 @@ impl std::error::Error for BuildError {}
 /// convenience helpers). Flip-flop D inputs may be connected after the
 /// driving logic exists via [`set_dff_input`](Self::set_dff_input), which
 /// is what makes sequential loops expressible. [`finish`](Self::finish)
-/// validates the whole circuit and computes the derived structures.
+/// computes the derived structures and validates the whole circuit with
+/// [`Netlist::defects`].
 ///
 /// # Example
 ///
@@ -91,7 +117,6 @@ pub struct NetlistBuilder {
     outputs: Vec<NodeId>,
     dffs: Vec<NodeId>,
     name_index: HashMap<String, NodeId>,
-    errors: Vec<BuildError>,
     auto_counter: u64,
 }
 
@@ -105,16 +130,13 @@ impl NetlistBuilder {
             outputs: Vec::new(),
             dffs: Vec::new(),
             name_index: HashMap::new(),
-            errors: Vec::new(),
             auto_counter: 0,
         }
     }
 
     fn add_node(&mut self, name: String, kind: NodeKind, fanins: Vec<NodeId>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        if self.name_index.insert(name.clone(), id).is_some() {
-            self.errors.push(BuildError::DuplicateName(name.clone()));
-        }
+        self.name_index.insert(name.clone(), id);
         self.nodes.push(Node { name, kind, fanins });
         id
     }
@@ -154,16 +176,11 @@ impl NetlistBuilder {
 
     /// Adds a flip-flop whose D input is already known.
     ///
-    /// A `d` that does not belong to this builder is recorded as a
-    /// deferred [`BuildError::ForeignNode`] reported by
-    /// [`finish`](Self::finish).
+    /// A `d` that does not belong to this builder is a
+    /// [`BuildError::ForeignNode`] reported by [`finish`](Self::finish).
     pub fn dff_with_input(&mut self, name: impl Into<String>, d: NodeId) -> NodeId {
         let id = self.dff(name);
-        if d.index() >= self.nodes.len() {
-            self.errors.push(BuildError::ForeignNode);
-        } else {
-            self.nodes[id.index()].fanins = vec![d];
-        }
+        self.nodes[id.index()].fanins = vec![d];
         id
     }
 
@@ -203,11 +220,7 @@ impl NetlistBuilder {
     {
         let name = name.into();
         let fanins: Vec<NodeId> = fanins.into_iter().collect();
-        let ok = match kind.fixed_arity() {
-            Some(n) => fanins.len() == n,
-            None => !fanins.is_empty(),
-        };
-        if !ok {
+        if !kind.takes(fanins.len()) {
             return Err(BuildError::BadArity {
                 name,
                 kind,
@@ -290,7 +303,7 @@ impl NetlistBuilder {
     /// The usual invariants (gate arity, single DFF driver, unique names)
     /// are **not** enforced here; [`finish`](Self::finish) validates them
     /// all at the end, and [`finish_unchecked`](Self::finish_unchecked)
-    /// defers judgement to the `mcp-lint` rules.
+    /// leaves them to [`Netlist::defects`].
     ///
     /// Inputs and flip-flops are registered in declaration order, exactly
     /// like [`input`](Self::input) and [`dff`](Self::dff).
@@ -374,106 +387,65 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns the first of: a deferred [`BuildError::DuplicateName`] or
-    /// [`BuildError::ForeignNode`], a [`BuildError::UnconnectedDff`] (a
-    /// flip-flop whose D input was never connected via
-    /// [`set_dff_input`](Self::set_dff_input) or
+    /// Returns [`BuildError::ForeignNode`] if a fanin id (one given to
+    /// [`dff_with_input`](Self::dff_with_input) included) does not belong
+    /// to this builder, and otherwise the first of the netlist's
+    /// structural defects ([`Netlist::defects`]): a
+    /// [`BuildError::CombinationalCycle`], a [`BuildError::BadArity`]
+    /// (only [`raw_node`](Self::raw_node) can create one), a
+    /// [`BuildError::UnconnectedDff`] (a flip-flop whose D input was never
+    /// connected via [`set_dff_input`](Self::set_dff_input) or
     /// [`dff_with_input`](Self::dff_with_input)), a
     /// [`BuildError::MultiDrivenDff`] (extra drivers added via
-    /// [`add_dff_driver`](Self::add_dff_driver)), a fanin id out of range
-    /// ([`BuildError::ForeignNode`]), or a
-    /// [`BuildError::CombinationalCycle`].
-    pub fn finish(mut self) -> Result<Netlist, BuildError> {
-        if let Some(e) = std::mem::take(&mut self.errors).into_iter().next() {
-            return Err(e);
-        }
-        for &ff in &self.dffs {
-            match self.nodes[ff.index()].fanins.len() {
-                0 => {
-                    return Err(BuildError::UnconnectedDff(
-                        self.nodes[ff.index()].name.clone(),
-                    ))
-                }
-                1 => {}
-                _ => {
-                    return Err(BuildError::MultiDrivenDff(
-                        self.nodes[ff.index()].name.clone(),
-                    ))
-                }
-            }
-        }
-        let n = self.nodes.len();
-        if self
-            .nodes
-            .iter()
-            .any(|node| node.fanins.iter().any(|f| f.index() >= n))
-        {
+    /// [`add_dff_driver`](Self::add_dff_driver)) or a
+    /// [`BuildError::DuplicateName`].
+    pub fn finish(self) -> Result<Netlist, BuildError> {
+        if !self.fanins_in_range() {
             return Err(BuildError::ForeignNode);
         }
-        // Re-check gate arity: `gate` enforces it at creation, but
-        // `raw_node` defers everything to here.
-        for node in &self.nodes {
-            if let NodeKind::Gate(kind) = node.kind {
-                let ok = match kind.fixed_arity() {
-                    Some(k) => node.fanins.len() == k,
-                    None => !node.fanins.is_empty(),
-                };
-                if !ok {
-                    return Err(BuildError::BadArity {
-                        name: node.name.clone(),
-                        kind,
-                        got: node.fanins.len(),
-                    });
-                }
-            }
+        let netlist = self.into_netlist();
+        match netlist.defects().first() {
+            None => Ok(netlist),
+            Some(defect) => Err(BuildError::of(&netlist, defect)),
         }
-
-        let (fanouts, topo, level, cyclic) = derive_structures(&self.nodes);
-        if let Some(i) = cyclic {
-            return Err(BuildError::CombinationalCycle {
-                on: self.nodes[i].name.clone(),
-            });
-        }
-
-        Ok(self.into_netlist(fanouts, topo, level))
     }
 
     /// Produces a [`Netlist`] **without validating it**.
     ///
-    /// Deferred errors (duplicate names), unconnected flip-flops and
-    /// combinational cycles are all let through; the derived structures are
-    /// computed best-effort (gates on or downstream of a combinational
-    /// cycle are missing from the topological order and keep level 0).
+    /// Duplicate names, wrong gate arities, unconnected or multi-driven
+    /// flip-flops and combinational cycles are all let through; the
+    /// derived structures are computed best-effort (gates on or
+    /// downstream of a combinational cycle are missing from the
+    /// topological order and keep level 0).
     ///
     /// This is the entry point for layers that must represent a circuit
     /// *before* judging it — deserializers, repair flows, and above all the
     /// `mcp-lint` static-analysis pass, whose negative-test corpus is built
     /// of exactly the malformed circuits [`finish`](Self::finish) rejects.
-    /// Run the lint rules over the result before trusting any analysis on
-    /// it.
+    /// Check [`Netlist::defects`] (or run the lint rules) before trusting
+    /// any analysis on the result.
     ///
     /// # Panics
     ///
     /// Panics if any fanin id is out of range (a foreign [`NodeId`] cannot
     /// be represented even permissively).
     pub fn finish_unchecked(self) -> Netlist {
-        let n = self.nodes.len();
         assert!(
-            self.nodes
-                .iter()
-                .all(|node| node.fanins.iter().all(|f| f.index() < n)),
+            self.fanins_in_range(),
             "finish_unchecked: fanin id out of range"
         );
-        let (fanouts, topo, level, _cyclic) = derive_structures(&self.nodes);
-        self.into_netlist(fanouts, topo, level)
+        self.into_netlist()
     }
 
-    fn into_netlist(
-        self,
-        fanouts: Vec<Vec<NodeId>>,
-        topo: Vec<NodeId>,
-        level: Vec<u32>,
-    ) -> Netlist {
+    fn fanins_in_range(&self) -> bool {
+        let n = self.nodes.len();
+        self.nodes
+            .iter()
+            .all(|node| node.fanins.iter().all(|f| f.index() < n))
+    }
+
+    fn into_netlist(self) -> Netlist {
+        let (fanouts, topo, level) = derive_structures(&self.nodes);
         let ff_index_of = self
             .dffs
             .iter()
@@ -496,12 +468,9 @@ impl NetlistBuilder {
 }
 
 /// Computes fanouts, the combinational topological order and per-node
-/// levels. Returns `(fanouts, topo, level, cyclic)` where `cyclic` is the
-/// index of some gate on (or fed by) a combinational cycle, if any — in
-/// that case `topo` covers only the acyclic portion and the stranded gates
-/// keep level 0.
-#[allow(clippy::type_complexity)]
-fn derive_structures(nodes: &[Node]) -> (Vec<Vec<NodeId>>, Vec<NodeId>, Vec<u32>, Option<usize>) {
+/// levels. On a combinational cycle the order covers only the acyclic
+/// portion, and the gates on or fed by the cycle keep level 0.
+fn derive_structures(nodes: &[Node]) -> (Vec<Vec<NodeId>>, Vec<NodeId>, Vec<u32>) {
     let n = nodes.len();
 
     // Kahn's algorithm over combinational gates. DFF outputs, inputs and
@@ -542,15 +511,6 @@ fn derive_structures(nodes: &[Node]) -> (Vec<Vec<NodeId>>, Vec<NodeId>, Vec<u32>
             }
         }
     }
-    let num_gates = nodes.iter().filter(|nd| nd.kind.is_gate()).count();
-    let cyclic = if topo.len() != num_gates {
-        nodes
-            .iter()
-            .enumerate()
-            .position(|(i, nd)| nd.kind.is_gate() && indeg[i] > 0)
-    } else {
-        None
-    };
 
     let mut level = vec![0u32; n];
     for &g in &topo {
@@ -562,7 +522,7 @@ fn derive_structures(nodes: &[Node]) -> (Vec<Vec<NodeId>>, Vec<NodeId>, Vec<u32>
             .unwrap_or(0);
     }
 
-    (fanouts, topo, level, cyclic)
+    (fanouts, topo, level)
 }
 
 #[cfg(test)]

@@ -10,6 +10,9 @@
 //!
 //! * [`NetlistBuilder`] — programmatic construction with full validation
 //!   (arity checks, combinational-cycle detection, dangling D inputs).
+//! * [`Netlist::defects`] — the one structural check behind that
+//!   validation, `mcp-lint`'s Error rules and the pipeline's admission
+//!   gate: every [`Defect`] of a netlist, however it was built.
 //! * [`mod bench`](mod@bench) — ISCAS89 `.bench` format parser and writer, so the real
 //!   benchmark suite can be analyzed when the files are available.
 //! * [`Netlist`] — the immutable circuit with precomputed topological
@@ -48,6 +51,7 @@
 
 pub mod bench;
 pub mod builder;
+pub mod check;
 pub mod diff;
 pub mod dot;
 pub mod expand;
@@ -56,6 +60,7 @@ pub mod model;
 pub mod sweep;
 
 pub use builder::{BuildError, NetlistBuilder};
+pub use check::Defect;
 pub use diff::{diff, NetlistDiff};
 pub use expand::{Expanded, Slice, VarOrigin, XId, XKind};
 pub use model::{Netlist, Node, NodeId, NodeKind, Stats};

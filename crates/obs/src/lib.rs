@@ -327,7 +327,6 @@ mod tests {
         assert_eq!(c.slice_nodes_mean(), 0.0);
         assert_eq!(c.sim_passes, 0);
         assert_eq!(c.resume_pairs_loaded, 0);
-        assert_eq!(c.lint_nodes_visited, 0);
         assert_eq!(c.dataflow_consts, 0);
         assert_eq!(c.dataflow_iters, 0);
         assert_eq!(c.static_resolved, 0);

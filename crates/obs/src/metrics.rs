@@ -84,14 +84,6 @@ pub struct Metrics {
     pub jit_bytes: Counter,
     /// JIT kernel: calls into jitted code (two per wide pass).
     pub jit_batches: Counter,
-    /// Lint: rules executed over netlists.
-    pub lint_rules_run: Counter,
-    /// Lint: diagnostics (violations) reported by executed rules.
-    pub lint_violations: Counter,
-    /// Lint/dataflow: nodes visited building the shared analysis index
-    /// (one Kleene fixpoint + one Tarjan pass + two backward sweeps per
-    /// netlist — the traversals the rules used to repeat individually).
-    pub lint_nodes_visited: Counter,
     /// Dataflow: nodes the ternary interpreter proved constant at the
     /// sequential fixpoint.
     pub dataflow_consts: Counter,
@@ -165,9 +157,6 @@ impl Metrics {
             jit_compiles: self.jit_compiles.get(),
             jit_bytes: self.jit_bytes.get(),
             jit_batches: self.jit_batches.get(),
-            lint_rules_run: self.lint_rules_run.get(),
-            lint_violations: self.lint_violations.get(),
-            lint_nodes_visited: self.lint_nodes_visited.get(),
             dataflow_consts: self.dataflow_consts.get(),
             dataflow_iters: self.dataflow_iters.get(),
             static_resolved: self.static_resolved.get(),
@@ -225,12 +214,8 @@ pub struct Counters {
     pub jit_bytes: u64,
     #[serde(default)]
     pub jit_batches: u64,
-    pub lint_rules_run: u64,
-    pub lint_violations: u64,
     // Dataflow-analysis counters arrived with the static pre-pass;
     // `default` keeps old saved reports parseable.
-    #[serde(default)]
-    pub lint_nodes_visited: u64,
     #[serde(default)]
     pub dataflow_consts: u64,
     #[serde(default)]

@@ -35,8 +35,8 @@
 //! Flags parse straight into the library's [`McConfig`] ([`Command::cfg`]):
 //! the analysis options `--engine implication|sat|bdd`, `--cycles K`,
 //! `--backtracks N`, `--learn`, `--threads N`, `--no-sim`,
-//! `--no-self-pairs`, `--no-lint` and `--no-slice` each write one field,
-//! and `--cache-dir <dir>` (or the `MCPATH_CACHE_DIR` env var) writes its
+//! `--no-self-pairs` and `--no-slice` each write one field, and
+//! `--cache-dir <dir>` (or the `MCPATH_CACHE_DIR` env var) writes its
 //! store directory. The other flags pick outputs and modes: `--json
 //! <path>`, `--canonical`, `--eco <old.bench>`, `--resume <ledger>`,
 //! `--metrics`, `--trace-out <path>`, `--progress`, `--quiet`, `--max-k
@@ -169,7 +169,7 @@ pub enum Action {
 }
 
 /// The analysis options: each writes one [`McConfig`] field.
-const ANALYSIS: [&str; 9] = [
+const ANALYSIS: [&str; 8] = [
     "--engine",
     "--cycles",
     "--backtracks",
@@ -177,7 +177,6 @@ const ANALYSIS: [&str; 9] = [
     "--threads",
     "--no-sim",
     "--no-self-pairs",
-    "--no-lint",
     "--no-slice",
 ];
 
@@ -309,7 +308,6 @@ ANALYSIS OPTIONS:
   --threads <N>                  parallel pair workers (default: {threads})
   --no-sim                       skip the random-simulation prefilter
   --no-self-pairs                exclude (FFi, FFi) pairs ([9]'s convention)
-  --no-lint                      analyze even if structural lints fail
   --no-slice                     engines run on the whole-circuit expansion
                                  instead of per-sink-group cone slices
 
@@ -413,7 +411,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             "--threads" => cfg.threads = number(&mut args, &flag)?,
             "--no-sim" => cfg.use_sim_filter = false,
             "--no-self-pairs" => cfg.include_self_pairs = false,
-            "--no-lint" => cfg.lint = false,
             "--no-slice" => cfg.slice = false,
             "--cache-dir" => cfg.cache_dir = Some(value(&mut args, &flag)?.into()),
             "--json" => cmd.json = Some(value(&mut args, &flag)?),
