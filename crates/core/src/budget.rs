@@ -33,8 +33,8 @@ pub enum CycleBudget {
         /// The limit up to which the budget was verified.
         at_least: u32,
     },
-    /// The search aborted within its backtrack limit before the budget
-    /// could be bracketed.
+    /// A search hit its backtrack limit at a sink time below the earliest
+    /// violation (or with none found), so no budget is verified.
     Unknown,
 }
 
@@ -122,9 +122,10 @@ fn budget_for_pair(
     search_cfg: &SearchConfig,
 ) -> CycleBudget {
     // For each scenario, the earliest m in 2..=limit where the sink can
-    // differ from FFj(t+1); the pair's budget is (min over scenarios) - 1.
+    // differ from FFj(t+1); the pair's budget is (min over scenarios) - 1,
+    // verified only if no search aborted below that m.
     let mut earliest_violation: Option<u32> = None;
-    let mut any_unknown = false;
+    let mut earliest_abort: Option<u32> = None;
 
     for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
         let cp = eng.checkpoint();
@@ -138,7 +139,11 @@ fn budget_for_pair(
             eng.backtrack(cp);
             continue;
         }
-        let scan_to = earliest_violation.unwrap_or(limit + 1).min(limit);
+        // Sink times past a violation or an abort cannot change the verdict.
+        let scan_to = earliest_violation
+            .into_iter()
+            .chain(earliest_abort)
+            .fold(limit, u32::min);
         for m in 2..=scan_to {
             let cp2 = eng.checkpoint();
             let ok = eng
@@ -157,7 +162,10 @@ fn budget_for_pair(
                     break; // later m in this scenario cannot improve the min
                 }
                 SearchOutcome::Unsat => {}
-                SearchOutcome::Aborted => any_unknown = true,
+                SearchOutcome::Aborted => {
+                    earliest_abort = Some(m);
+                    break;
+                }
             }
         }
         eng.backtrack(cp);
@@ -166,11 +174,11 @@ fn budget_for_pair(
         }
     }
 
-    match earliest_violation {
-        Some(2) => CycleBudget::SingleCycle,
-        Some(m) => CycleBudget::Exact { verified: m - 1 },
-        None if any_unknown => CycleBudget::Unknown,
-        None => CycleBudget::AtLeast { at_least: limit },
+    match (earliest_violation, earliest_abort) {
+        (Some(2), _) => CycleBudget::SingleCycle,
+        (Some(m), abort) if abort.is_none_or(|a| a >= m) => CycleBudget::Exact { verified: m - 1 },
+        (None, None) => CycleBudget::AtLeast { at_least: limit },
+        _ => CycleBudget::Unknown,
     }
 }
 

@@ -4,7 +4,10 @@
 use mcp_core::{analyze, check_hazards, AnalyzeError, HazardCheck, McConfig};
 use mcp_gen::random::{random_netlist, RandomCircuitConfig};
 use mcp_lint::{LintConfig, Registry};
+use mcp_netlist::bench;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn cfg_strategy() -> impl Strategy<Value = (u64, RandomCircuitConfig)> {
     (0u64..100_000, 1usize..6, 0usize..4, 2usize..35).prop_map(|(seed, ffs, pis, gates)| {
@@ -20,8 +23,56 @@ fn cfg_strategy() -> impl Strategy<Value = (u64, RandomCircuitConfig)> {
     })
 }
 
+/// `.bench` text with its gate statements permuted among their own
+/// lines; inputs, outputs, flip-flops and constants stay put.
+fn shuffle_gates(text: &str, seed: u64) -> String {
+    let mut lines: Vec<&str> = text.lines().collect();
+    let slots: Vec<usize> = (0..lines.len())
+        .filter(|&i| {
+            let l = lines[i];
+            l.contains(" = ") && !l.contains("= DFF(") && !l.contains("= CONST(")
+        })
+        .collect();
+    let mut gates: Vec<&str> = slots.iter().map(|&i| lines[i]).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..gates.len()).rev() {
+        gates.swap(i, rng.random_range(0..=i));
+    }
+    for (&slot, gate) in slots.iter().zip(gates) {
+        lines[slot] = gate;
+    }
+    lines.join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Gate ids follow the file, not the dependency order, and neither
+    /// reader nor analysis depends on which.
+    #[test]
+    fn gate_statement_order_changes_no_reader_and_no_report(
+        (seed, cfg) in cfg_strategy(),
+        shuffle in any::<u64>(),
+    ) {
+        let nl = random_netlist(seed, &cfg);
+        let ordered = bench::to_bench(&nl);
+        let shuffled = shuffle_gates(&ordered, shuffle);
+        let strict = bench::parse(nl.name(), &shuffled).expect("shuffled text parses");
+        let loose = bench::parse_unchecked(nl.name(), &shuffled).expect("shuffled text reads");
+        prop_assert_eq!(bench::to_bench(&strict), bench::to_bench(&loose));
+
+        // At this limit nothing aborts, so every verdict is exact.
+        let cfg = McConfig {
+            backtrack_limit: 100_000,
+            ..McConfig::default()
+        };
+        let canonical = |nl: &mcp_netlist::Netlist| {
+            let report = analyze(nl, &cfg).expect("analyze");
+            serde_json::to_string(&report.canonical()).expect("report serializes")
+        };
+        let dependency_ordered = bench::parse(nl.name(), &ordered).expect("ordered text parses");
+        prop_assert_eq!(canonical(&strict), canonical(&dependency_ordered));
+    }
 
     #[test]
     fn hazard_checks_partition_and_nest(
@@ -172,7 +223,7 @@ proptest! {
             .chain(noise)
             .collect::<Vec<_>>()
             .join("\n");
-        let Ok(nl) = mcp_netlist::bench::parse_unchecked("soup", &src) else {
+        let Ok(nl) = bench::parse_unchecked("soup", &src) else {
             return Ok(());
         };
         let lint = Registry::with_default_rules().run(&nl, &LintConfig::default());
@@ -190,7 +241,7 @@ proptest! {
 
 #[test]
 fn circuits_without_ffs_produce_empty_reports() {
-    let nl = mcp_netlist::bench::parse("comb", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)").expect("parse");
+    let nl = bench::parse("comb", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)").expect("parse");
     let report = analyze(&nl, &McConfig::default()).expect("analyze");
     assert!(report.pairs.is_empty());
     assert_eq!(report.stats.candidates, 0);
@@ -205,7 +256,7 @@ fn constant_driven_ffs_are_handled() {
     // An FF fed by a constant never changes: its self pair (if any) and
     // incoming pairs are trivially multi-cycle; an FF watching it can
     // never see a transition.
-    let nl = mcp_netlist::bench::parse(
+    let nl = bench::parse(
         "const",
         "OUTPUT(q2)\nc1 = CONST(1)\nq1 = DFF(c1)\nn = NOT(q1)\nq2 = DFF(n)",
     )
@@ -221,7 +272,7 @@ fn constant_driven_ffs_are_handled() {
 #[test]
 fn single_ff_self_loop_through_xor_constant() {
     // q = DFF(XOR(q, CONST(0))) is a hold register in disguise.
-    let nl = mcp_netlist::bench::parse(
+    let nl = bench::parse(
         "xor-hold",
         "OUTPUT(q)\nz = CONST(0)\nd = XOR(q, z)\nq = DFF(d)",
     )

@@ -1,6 +1,6 @@
 //! Combinational gate functions and their structural properties.
 
-use crate::{V3, V5};
+use crate::V3;
 use std::fmt;
 use std::str::FromStr;
 
@@ -151,29 +151,6 @@ impl GateKind {
     pub fn eval_v3<I>(self, inputs: I) -> V3
     where
         I: IntoIterator<Item = V3>,
-    {
-        let mut it = inputs.into_iter();
-        let first = it.next().expect("gate must have at least one input");
-        let base = match self {
-            GateKind::And | GateKind::Nand => it.fold(first, |acc, b| acc.and(b)),
-            GateKind::Or | GateKind::Nor => it.fold(first, |acc, b| acc.or(b)),
-            GateKind::Xor | GateKind::Xnor => it.fold(first, |acc, b| acc.xor(b)),
-            GateKind::Not | GateKind::Buf => {
-                assert!(it.next().is_none(), "NOT/BUF take exactly one input");
-                first
-            }
-        };
-        base.invert_if(self.output_inversion())
-    }
-
-    /// Evaluates the gate over the five-valued D-calculus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty, or has length ≠ 1 for NOT/BUF.
-    pub fn eval_v5<I>(self, inputs: I) -> V5
-    where
-        I: IntoIterator<Item = V5>,
     {
         let mut it = inputs.into_iter();
         let first = it.next().expect("gate must have at least one input");
@@ -392,18 +369,6 @@ mod tests {
         }
         assert_eq!(GateKind::Not.eval_word(&[a]) & 0xF, !a & 0xF);
         assert_eq!(GateKind::Buf.eval_word(&[a]), a);
-    }
-
-    #[test]
-    fn eval_v5_propagates_transitions() {
-        // A falling transition through AND with stable non-controlling side
-        // input propagates; through NOR with a stable controlling side input
-        // it is blocked.
-        assert_eq!(GateKind::And.eval_v5([V5::D, V5::One]), V5::D);
-        assert_eq!(GateKind::Nand.eval_v5([V5::D, V5::One]), V5::Dbar);
-        assert_eq!(GateKind::Nor.eval_v5([V5::D, V5::One]), V5::Zero);
-        assert_eq!(GateKind::Xor.eval_v5([V5::D, V5::Zero]), V5::D);
-        assert_eq!(GateKind::Xor.eval_v5([V5::D, V5::D]), V5::Zero);
     }
 
     #[test]

@@ -4,19 +4,13 @@
 //! value domains and gate functions every other crate (simulation,
 //! implication, ATPG, SAT encoding, BDD construction) agrees on.
 //!
-//! Three domains are provided:
+//! Two domains are provided:
 //!
 //! * [`V3`] — the classic ternary domain `{0, 1, X}` used by the implication
-//!   engine and the event-driven simulator. `X` means *unassigned /
-//!   unknown*, and all operations are the strongest monotone extensions of
-//!   the Boolean functions (e.g. `AND(0, X) = 0`).
-//! * [`V5`] — Roth's five-valued D-calculus `{0, 1, X, D, D̄}` for
-//!   reasoning about the propagation of a *transition* (a value that
-//!   differs between a "before" and an "after" copy of the circuit). The
-//!   componentwise-evaluation theorem — over definite values, forward V5
-//!   evaluation equals the pair of V3 evaluations (and is a sound
-//!   abstraction of it under unknowns) — is property-tested in `mcp-sim`;
-//!   it licenses the hazard checker's two-frame value formulation.
+//!   engine, the event-driven simulator and the hazard checks (which read
+//!   frame-1 values). `X` means *unassigned / unknown*, and all operations
+//!   are the strongest monotone extensions of the Boolean functions (e.g.
+//!   `AND(0, X) = 0`).
 //! * Bit-parallel 64-lane Boolean words (`u64`), evaluated by
 //!   [`GateKind::eval_word`], used by the random-pattern simulator.
 //!
@@ -44,8 +38,6 @@
 
 pub mod gate;
 pub mod v3;
-pub mod v5;
 
 pub use gate::GateKind;
 pub use v3::V3;
-pub use v5::V5;

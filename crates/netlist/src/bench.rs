@@ -16,6 +16,11 @@
 //! forward references, `BUF`/`BUFF` spellings) plus a `CONST(0|1)`
 //! extension so every [`Netlist`] round-trips through [`to_bench`].
 //!
+//! One reader turns the statements into a netlist built exactly as
+//! written; [`parse_unchecked`] returns it, and [`parse`] refuses its
+//! first structural defect ([`Netlist::defects`]) at the line of the
+//! statement that defines the defect's node.
+//!
 //! # Example
 //!
 //! ```
@@ -35,6 +40,7 @@
 //! ```
 
 use crate::builder::{BuildError, NetlistBuilder};
+use crate::check::Defect;
 use crate::model::{Netlist, NodeId, NodeKind};
 use mcp_logic::GateKind;
 use std::collections::HashMap;
@@ -44,8 +50,7 @@ use std::fmt::Write as _;
 /// Error produced while parsing a `.bench` file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseBenchError {
-    /// 1-based line number of the offending line (0 when the error is
-    /// global, e.g. an undefined signal discovered at link time).
+    /// 1-based line number of the statement at fault.
     pub line: usize,
     /// Explanation of what went wrong.
     pub message: String,
@@ -53,41 +58,28 @@ pub struct ParseBenchError {
 
 impl fmt::Display for ParseBenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "bench parse error: {}", self.message)
-        } else {
-            write!(
-                f,
-                "bench parse error at line {}: {}",
-                self.line, self.message
-            )
-        }
+        write!(
+            f,
+            "bench parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
 impl std::error::Error for ParseBenchError {}
 
-impl From<BuildError> for ParseBenchError {
-    fn from(e: BuildError) -> Self {
-        ParseBenchError {
-            line: 0,
-            message: e.to_string(),
-        }
-    }
-}
-
 #[derive(Debug)]
-enum Stmt {
-    Input(String),
-    Output(String),
+enum Stmt<'a> {
+    Input(&'a str),
+    Output(&'a str),
     Def {
-        name: String,
-        func: String,
-        args: Vec<String>,
+        name: &'a str,
+        func: &'a str,
+        args: Vec<&'a str>,
     },
 }
 
-fn lex(src: &str) -> Result<Vec<(usize, Stmt)>, ParseBenchError> {
+fn lex(src: &str) -> Result<Vec<(usize, Stmt<'_>)>, ParseBenchError> {
     let mut stmts = Vec::new();
     for (idx, raw) in src.lines().enumerate() {
         let lineno = idx + 1;
@@ -100,11 +92,11 @@ fn lex(src: &str) -> Result<Vec<(usize, Stmt)>, ParseBenchError> {
             message,
         };
         if let Some(rest) = strip_call(line, "INPUT") {
-            stmts.push((lineno, Stmt::Input(rest.trim().to_owned())));
+            stmts.push((lineno, Stmt::Input(rest.trim())));
         } else if let Some(rest) = strip_call(line, "OUTPUT") {
-            stmts.push((lineno, Stmt::Output(rest.trim().to_owned())));
+            stmts.push((lineno, Stmt::Output(rest.trim())));
         } else if let Some(eq) = line.find('=') {
-            let name = line[..eq].trim().to_owned();
+            let name = line[..eq].trim();
             let rhs = line[eq + 1..].trim();
             let open = rhs
                 .find('(')
@@ -112,10 +104,10 @@ fn lex(src: &str) -> Result<Vec<(usize, Stmt)>, ParseBenchError> {
             if !rhs.ends_with(')') {
                 return Err(err(format!("missing `)` in `{rhs}`")));
             }
-            let func = rhs[..open].trim().to_owned();
-            let args: Vec<String> = rhs[open + 1..rhs.len() - 1]
+            let func = rhs[..open].trim();
+            let args: Vec<&str> = rhs[open + 1..rhs.len() - 1]
                 .split(',')
-                .map(|a| a.trim().to_owned())
+                .map(str::trim)
                 .filter(|a| !a.is_empty())
                 .collect();
             if name.is_empty() {
@@ -130,10 +122,10 @@ fn lex(src: &str) -> Result<Vec<(usize, Stmt)>, ParseBenchError> {
 }
 
 /// The value of a `CONST(0|1)` definition at `line`.
-fn const_value(line: usize, args: &[String]) -> Result<bool, ParseBenchError> {
+fn const_value(line: usize, args: &[&str]) -> Result<bool, ParseBenchError> {
     match args {
-        [a] if a == "0" => Ok(false),
-        [a] if a == "1" => Ok(true),
+        ["0"] => Ok(false),
+        ["1"] => Ok(true),
         _ => Err(ParseBenchError {
             line,
             message: "CONST takes a single 0 or 1".to_owned(),
@@ -142,237 +134,133 @@ fn const_value(line: usize, args: &[String]) -> Result<bool, ParseBenchError> {
 }
 
 fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let upper = line.to_ascii_uppercase();
-    if upper.starts_with(keyword) {
-        let rest = line[keyword.len()..].trim();
-        rest.strip_prefix('(')?.strip_suffix(')')
-    } else {
-        None
+    if !line.get(..keyword.len())?.eq_ignore_ascii_case(keyword) {
+        return None;
     }
+    let rest = line[keyword.len()..].trim();
+    rest.strip_prefix('(')?.strip_suffix(')')
+}
+
+/// Reads the statements into a netlist built exactly as written, with
+/// the line of the statement that defines each node, indexed by node id.
+///
+/// Inputs, flip-flops and constants take ids in file order, then the
+/// gates in file order. Every argument of a gate or a `DFF` becomes a
+/// fanin, and a name resolves to the lowest id defining it. Structure is
+/// left to [`Netlist::defects`].
+fn read(name: &str, src: &str) -> Result<(Netlist, Vec<usize>), ParseBenchError> {
+    let stmts = lex(src)?;
+    let mut defs: Vec<(usize, &str, NodeKind, &[&str])> = Vec::with_capacity(stmts.len());
+    let mut gates = Vec::new();
+    let mut outputs = Vec::new();
+    for &(line, ref stmt) in &stmts {
+        match stmt {
+            Stmt::Input(sig) => defs.push((line, sig, NodeKind::Input, &[])),
+            Stmt::Output(sig) => outputs.push((line, *sig)),
+            Stmt::Def { name, func, args } => match func.to_ascii_uppercase().as_str() {
+                "DFF" => defs.push((line, name, NodeKind::Dff, args)),
+                "CONST" => defs.push((line, name, NodeKind::Const(const_value(line, args)?), &[])),
+                keyword => {
+                    let kind: GateKind = keyword.parse().map_err(|e| ParseBenchError {
+                        line,
+                        message: format!("{e}"),
+                    })?;
+                    gates.push((line, *name, NodeKind::Gate(kind), args.as_slice()));
+                }
+            },
+        }
+    }
+    defs.append(&mut gates);
+
+    let mut ids: HashMap<&str, NodeId> = HashMap::with_capacity(defs.len());
+    for (i, &(_, name, _, _)) in defs.iter().enumerate() {
+        ids.entry(name).or_insert(NodeId::from_index(i));
+    }
+    let resolve = |line: usize, sig: &str| {
+        ids.get(sig).copied().ok_or_else(|| ParseBenchError {
+            line,
+            message: format!("signal `{sig}` is undefined"),
+        })
+    };
+    let mut b = NetlistBuilder::new(name);
+    let mut lines = Vec::with_capacity(defs.len());
+    for &(line, name, kind, args) in &defs {
+        let fanins = args
+            .iter()
+            .map(|a| resolve(line, a))
+            .collect::<Result<Vec<NodeId>, ParseBenchError>>()?;
+        b.raw_node(name, kind, fanins);
+        lines.push(line);
+    }
+    for (line, sig) in outputs {
+        b.mark_output(resolve(line, sig)?);
+    }
+    Ok((b.finish_unchecked(), lines))
 }
 
 /// Parses a `.bench` source into a [`Netlist`].
 ///
-/// Signals referenced before (or without) a definition are resolved in a
-/// second pass; a referenced but never-defined, never-declared signal is an
-/// error. Keywords are case-insensitive. The non-standard `CONST(0)` /
-/// `CONST(1)` definition is accepted for round-tripping constant drivers.
+/// Signals may be referenced before their definition. Keywords are
+/// case-insensitive. The non-standard `CONST(0)` / `CONST(1)` definition
+/// is accepted for round-tripping constant drivers. Node ids follow
+/// [`parse_unchecked`]'s order (inputs, flip-flops and constants, then
+/// gates, each in file order), so [`to_bench`] output parses back to the
+/// netlist it was written from, up to that ordering of sources before
+/// gates.
 ///
 /// # Errors
 ///
-/// Returns [`ParseBenchError`] on syntax errors, unknown gate keywords,
-/// undefined signals, duplicate definitions, or any structural
-/// [`BuildError`] (bad arity, combinational cycle, ...).
+/// Returns [`ParseBenchError`] on everything [`parse_unchecked`] refuses,
+/// and otherwise on the netlist's first structural defect
+/// ([`Netlist::defects`]: a combinational cycle, a wrong gate arity, an
+/// unconnected or multi-driven flip-flop, a duplicated name), with
+/// [`BuildError`]'s message, at the line that defines the defect's node:
+/// the first gate of the cycle, the second definition of the name.
 pub fn parse(name: &str, src: &str) -> Result<Netlist, ParseBenchError> {
-    let stmts = lex(src)?;
-    let mut b = NetlistBuilder::new(name);
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
-    let mut dff_inputs: Vec<(usize, NodeId, String)> = Vec::new();
-    let mut gate_defs: Vec<(usize, String, GateKind, Vec<String>)> = Vec::new();
-    let mut outputs: Vec<(usize, String)> = Vec::new();
-
-    // Pass 1: create all named nodes (inputs, FFs, constants); record gate
-    // definitions for pass 2 so forward references work.
-    for (line, stmt) in &stmts {
-        match stmt {
-            Stmt::Input(sig) => {
-                if ids.contains_key(sig) {
-                    return Err(ParseBenchError {
-                        line: *line,
-                        message: format!("signal `{sig}` defined twice"),
-                    });
-                }
-                ids.insert(sig.clone(), b.input(sig.clone()));
-            }
-            Stmt::Output(sig) => outputs.push((*line, sig.clone())),
-            Stmt::Def { name, func, args } => {
-                if ids.contains_key(name) {
-                    return Err(ParseBenchError {
-                        line: *line,
-                        message: format!("signal `{name}` defined twice"),
-                    });
-                }
-                let fu = func.to_ascii_uppercase();
-                if fu == "DFF" {
-                    if args.len() != 1 {
-                        return Err(ParseBenchError {
-                            line: *line,
-                            message: format!("DFF takes one input, got {}", args.len()),
-                        });
-                    }
-                    let id = b.dff(name.clone());
-                    ids.insert(name.clone(), id);
-                    dff_inputs.push((*line, id, args[0].clone()));
-                } else if fu == "CONST" {
-                    let v = const_value(*line, args)?;
-                    ids.insert(name.clone(), b.constant(name.clone(), v));
-                } else {
-                    let kind: GateKind = fu.parse().map_err(|e| ParseBenchError {
-                        line: *line,
-                        message: format!("{e}"),
-                    })?;
-                    gate_defs.push((*line, name.clone(), kind, args.clone()));
-                }
-            }
+    let (netlist, lines) = read(name, src)?;
+    let Some(defect) = netlist.defects().into_iter().next() else {
+        return Ok(netlist);
+    };
+    let line = match &defect {
+        Defect::CombinationalCycle(ids) => lines[ids[0].index()],
+        Defect::DuplicateName(ids) => {
+            let mut at: Vec<usize> = ids.iter().map(|id| lines[id.index()]).collect();
+            at.sort_unstable();
+            at[1]
         }
-    }
-
-    // Pass 2: create gates in dependency order (iterate until fixpoint;
-    // gates whose fanins are all known can be created). `.bench` files may
-    // list definitions in any order.
-    let mut remaining = gate_defs;
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        let mut next = Vec::new();
-        for (line, gname, kind, args) in remaining {
-            if args.iter().all(|a| ids.contains_key(a)) {
-                let fanins: Vec<NodeId> = args.iter().map(|a| ids[a]).collect();
-                let id = b
-                    .gate(gname.clone(), kind, fanins)
-                    .map_err(|e| ParseBenchError {
-                        line,
-                        message: e.to_string(),
-                    })?;
-                ids.insert(gname, id);
-            } else {
-                next.push((line, gname, kind, args));
-            }
+        &Defect::BadArity(id) | &Defect::UnconnectedDff(id) | &Defect::MultiDrivenDff(id) => {
+            lines[id.index()]
         }
-        remaining = next;
-        if remaining.len() == before {
-            // No progress: an undefined signal or a combinational cycle.
-            let (line, gname, _, args) = &remaining[0];
-            let missing: Vec<&str> = args
-                .iter()
-                .filter(|a| !ids.contains_key(a.as_str()))
-                .map(String::as_str)
-                .collect();
-            return Err(ParseBenchError {
-                line: *line,
-                message: format!(
-                    "cannot resolve inputs of `{gname}`: undefined or cyclic signal(s) {}",
-                    missing.join(", ")
-                ),
-            });
-        }
-    }
-
-    for (line, id, d) in dff_inputs {
-        let d_id = *ids.get(&d).ok_or_else(|| ParseBenchError {
-            line,
-            message: format!("DFF input `{d}` is undefined"),
-        })?;
-        b.set_dff_input(id, d_id)?;
-    }
-    for (line, sig) in outputs {
-        let id = *ids.get(&sig).ok_or_else(|| ParseBenchError {
-            line,
-            message: format!("OUTPUT signal `{sig}` is undefined"),
-        })?;
-        b.mark_output(id);
-    }
-    Ok(b.finish()?)
+    };
+    Err(ParseBenchError {
+        line,
+        message: BuildError::of(&netlist, &defect).to_string(),
+    })
 }
 
-/// Parses a `.bench` source **permissively**, deferring structural
-/// judgement to [`Netlist::defects`] and the `mcp-lint` rules.
+/// Parses a `.bench` source **permissively**: the netlist is built as
+/// written, and its structure is left to [`Netlist::defects`] and the
+/// `mcp-lint` rules, so a linter can *report* what [`parse`] refuses.
 ///
-/// Where [`parse`] rejects combinational cycles, wrong gate arities,
-/// unconnected or multi-driven flip-flops and duplicate definitions
-/// outright, this variant reconstructs the netlist exactly as written
-/// (via [`NetlistBuilder::raw_node`]/[`NetlistBuilder::finish_unchecked`])
-/// so a linter can *report* the defects instead. Lexical errors, unknown
-/// gate keywords and malformed `CONST`s are still hard errors — there is
-/// no netlist to lint without a parse.
+/// Permissive readings of input [`parse`] refuses:
 ///
-/// Permissive readings of otherwise-rejected input:
-///
-/// * cyclic gate definitions are wired as written (gates are assigned ids
-///   in textual order, so any gate may reference any other);
+/// * cyclic gate definitions are wired as written (gates take ids in
+///   file order after every input, flip-flop and constant, so any gate
+///   may read any other, itself included);
 /// * a gate keeps every argument, whatever its kind allows;
 /// * a duplicated signal name creates a second node; references resolve
-///   to the first definition;
-/// * a `DFF` is driven by each of its arguments that names a signal: one
-///   with several is multi-driven, one with none stays unconnected;
-/// * an `OUTPUT` naming an undefined signal is dropped.
+///   to the node of that name with the lowest id;
+/// * a `DFF` is driven by each of its arguments: one with several is
+///   multi-driven, `DFF()` stays unconnected.
 ///
 /// # Errors
 ///
-/// Returns [`ParseBenchError`] on syntax errors, unknown gate keywords,
-/// a `CONST` other than `CONST(0)`/`CONST(1)`, or gate fanins that no
-/// statement defines.
+/// Returns [`ParseBenchError`] at the line at fault on a syntax error, an
+/// unknown gate keyword, a `CONST` other than `CONST(0)`/`CONST(1)`, or a
+/// signal that a gate, a `DFF` or an `OUTPUT` reads but no statement
+/// defines.
 pub fn parse_unchecked(name: &str, src: &str) -> Result<Netlist, ParseBenchError> {
-    let stmts = lex(src)?;
-    let mut b = NetlistBuilder::new(name);
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
-    let mut dff_inputs: Vec<(NodeId, &[String])> = Vec::new();
-    let mut gate_defs: Vec<(usize, String, GateKind, Vec<String>)> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut created = 0usize;
-
-    for (line, stmt) in &stmts {
-        match stmt {
-            Stmt::Input(sig) => {
-                let id = b.input(sig.clone());
-                created += 1;
-                ids.entry(sig.clone()).or_insert(id);
-            }
-            Stmt::Output(sig) => outputs.push(sig.clone()),
-            Stmt::Def { name, func, args } => {
-                let fu = func.to_ascii_uppercase();
-                if fu == "DFF" {
-                    let id = b.dff(name.clone());
-                    created += 1;
-                    ids.entry(name.clone()).or_insert(id);
-                    dff_inputs.push((id, args));
-                } else if fu == "CONST" {
-                    let v = const_value(*line, args)?;
-                    let id = b.constant(name.clone(), v);
-                    created += 1;
-                    ids.entry(name.clone()).or_insert(id);
-                } else {
-                    let kind: GateKind = fu.parse().map_err(|e| ParseBenchError {
-                        line: *line,
-                        message: format!("{e}"),
-                    })?;
-                    gate_defs.push((*line, name.clone(), kind, args.clone()));
-                }
-            }
-        }
-    }
-
-    // Gates receive the next ids in textual order. Precomputing the
-    // name→id map up front lets a gate reference any other gate —
-    // including itself — so cyclic definitions parse.
-    for (i, (_, gname, _, _)) in gate_defs.iter().enumerate() {
-        ids.entry(gname.clone())
-            .or_insert_with(|| NodeId::from_index(created + i));
-    }
-    for (line, gname, kind, args) in gate_defs {
-        let fanins = args
-            .iter()
-            .map(|a| {
-                ids.get(a).copied().ok_or_else(|| ParseBenchError {
-                    line,
-                    message: format!("signal `{a}` is undefined"),
-                })
-            })
-            .collect::<Result<Vec<NodeId>, ParseBenchError>>()?;
-        b.raw_node(gname, NodeKind::Gate(kind), fanins);
-    }
-    for (id, args) in dff_inputs {
-        for d in args {
-            if let Some(&d_id) = ids.get(d) {
-                b.add_dff_driver(id, d_id)?;
-            }
-        }
-    }
-    for sig in outputs {
-        if let Some(&id) = ids.get(&sig) {
-            b.mark_output(id);
-        }
-    }
-    Ok(b.finish_unchecked())
+    read(name, src).map(|(netlist, _)| netlist)
 }
 
 /// Serializes a netlist to `.bench` source.
@@ -480,29 +368,56 @@ mod tests {
 
     #[test]
     fn undefined_signal_is_an_error() {
-        let err = parse("bad", "OUTPUT(y)\ny = AND(a, b)\n").unwrap_err();
-        assert!(err.message.contains("cannot resolve"), "{err}");
+        // Whatever reads it, a gate, an OUTPUT or a DFF, in both readers.
+        let gate = "OUTPUT(y)\ny = AND(a, b)\n";
+        let typo = "INPUT(x)\nOUTPUT(c)\nOUTPUT(typo)\nq = DFF(c)\nc = AND(q, x)\n";
+        let ghost = "INPUT(x)\nOUTPUT(q)\nq = DFF(ghost)\n";
+        for (src, line, sig) in [(gate, 2, "a"), (typo, 3, "typo"), (ghost, 3, "ghost")] {
+            let err = parse_unchecked("bad", src).unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert_eq!(err.message, format!("signal `{sig}` is undefined"));
+            assert_eq!(parse("bad", src).unwrap_err(), err);
+        }
     }
 
     #[test]
     fn duplicate_definition_is_an_error() {
-        let err = parse("bad", "INPUT(a)\na = NOT(a)\n").unwrap_err();
-        assert!(err.message.contains("defined twice"), "{err}");
+        // Refused at the second definition in the file, whichever kind of
+        // node takes the lower id.
+        let gates = "INPUT(x)\nOUTPUT(c)\nq = DFF(c)\nc = AND(q, x)\nc = OR(q, x)\n";
+        for (src, line, sig) in [
+            ("INPUT(a)\na = NOT(a)\n", 2, "a"),
+            (gates, 5, "c"),
+            ("INPUT(x)\nOUTPUT(a)\na = NOT(x)\nINPUT(a)\n", 4, "a"),
+        ] {
+            let err = parse("bad", src).unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert_eq!(err.message, format!("duplicate node name `{sig}`"));
+        }
     }
 
     #[test]
     fn combinational_cycle_is_an_error() {
-        let err = parse("bad", "OUTPUT(a)\na = NOT(b)\nb = NOT(a)\n").unwrap_err();
-        assert!(
-            err.message.contains("cyclic") || err.message.contains("cycle"),
-            "{err}"
-        );
+        // Refused at a gate on the cycle, not at `c`, which only reads it.
+        let reader_above = "INPUT(x)\nOUTPUT(c)\nc = AND(a, x)\na = NOT(b)\nb = NOT(a)\n";
+        for (src, line) in [
+            ("OUTPUT(a)\na = NOT(b)\nb = NOT(a)\n", 2),
+            (reader_above, 4),
+        ] {
+            let err = parse("bad", src).unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert_eq!(err.message, "combinational cycle through node `a`");
+        }
     }
 
     #[test]
     fn dff_arity_is_checked() {
         let err = parse("bad", "INPUT(a)\nINPUT(b)\nq = DFF(a, b)\n").unwrap_err();
-        assert!(err.message.contains("DFF takes one input"), "{err}");
+        assert_eq!(err.line, 3);
+        assert_eq!(err.message, "flip-flop `q` has more than one D driver");
+        let err = parse("bad", "INPUT(a)\nOUTPUT(q)\nq = DFF()\n").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.message, "flip-flop `q` has no D input connected");
     }
 
     #[test]
@@ -527,7 +442,7 @@ mod tests {
         assert_eq!(nl.node(b).fanins(), &[a]);
 
         // An unconnected DFF stays unconnected instead of erroring.
-        let nl = parse_unchecked("bad", "OUTPUT(q)\nq = DFF(ghost)\n").expect("parse");
+        let nl = parse_unchecked("bad", "OUTPUT(q)\nq = DFF()\n").expect("parse");
         assert_eq!(nl.num_ffs(), 1);
         assert!(nl.node(nl.dffs()[0]).fanins().is_empty());
 

@@ -36,8 +36,9 @@ pub enum BuildError {
 }
 
 impl BuildError {
-    /// The error `finish` reports for a structural defect of `netlist`.
-    fn of(netlist: &Netlist, defect: &Defect) -> BuildError {
+    /// The error `finish` (and `bench::parse`) reports for a structural
+    /// defect of `netlist`.
+    pub(crate) fn of(netlist: &Netlist, defect: &Defect) -> BuildError {
         let name = |id: NodeId| netlist.node(id).name().to_owned();
         match defect {
             Defect::CombinationalCycle(gates) => {

@@ -84,8 +84,9 @@ pub struct Metrics {
     pub jit_bytes: Counter,
     /// JIT kernel: calls into jitted code (two per wide pass).
     pub jit_batches: Counter,
-    /// Dataflow: nodes the ternary interpreter proved constant at the
-    /// sequential fixpoint.
+    /// Dataflow: nodes the ternary interpreter proved constant at its
+    /// first iterate (every FF output X), the only constants the static
+    /// pre-classification may use.
     pub dataflow_consts: Counter,
     /// Dataflow: Kleene rounds the FF widening needed to converge.
     pub dataflow_iters: Counter,

@@ -274,106 +274,3 @@ mod tests {
         assert_eq!(sim.evals(), full);
     }
 }
-
-#[cfg(test)]
-mod v5_theorem {
-    //! The D-calculus componentwise-evaluation theorem: over **definite**
-    //! source values, evaluating a circuit once over
-    //! [`V5`](mcp_logic::V5) equals evaluating it twice over the
-    //! `(before, after)` [`V3`] components — which is what justifies
-    //! analyzing the two frames of a clock edge separately (as the hazard
-    //! checker does) while still speaking of "transitions". With unknowns
-    //! among the sources, `V5` is a sound *abstraction*: it may answer `X`
-    //! where the componentwise evaluation still knows one frame (the pair
-    //! `(0, X)` collapses to `X`), but it never answers a definite value
-    //! the components contradict.
-
-    use mcp_logic::{V3, V5};
-    use mcp_netlist::{Netlist, NodeKind};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn eval_both(nl: &Netlist, seed: u64, allow_x: bool) -> (Vec<V3>, Vec<V3>, Vec<V5>) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5E5E);
-        let n = nl.num_nodes();
-        let mut before = vec![V3::X; n];
-        let mut after = vec![V3::X; n];
-        let mut five = vec![V5::X; n];
-        let values: &[V3] = if allow_x {
-            &[V3::Zero, V3::One, V3::X]
-        } else {
-            &[V3::Zero, V3::One]
-        };
-        for &src in nl.inputs().iter().chain(nl.dffs().iter()) {
-            let b = values[rng.random_range(0..values.len())];
-            let a = values[rng.random_range(0..values.len())];
-            before[src.index()] = b;
-            after[src.index()] = a;
-            five[src.index()] = V5::from_components(b, a);
-        }
-        for (id, node) in nl.nodes() {
-            if let NodeKind::Const(v) = node.kind() {
-                before[id.index()] = V3::from(v);
-                after[id.index()] = V3::from(v);
-                five[id.index()] = V5::from(v);
-            }
-        }
-        for &g in nl.topo_gates() {
-            let node = nl.node(g);
-            let kind = node.kind().gate_kind().expect("gate");
-            before[g.index()] = kind.eval_v3(node.fanins().iter().map(|f| before[f.index()]));
-            after[g.index()] = kind.eval_v3(node.fanins().iter().map(|f| after[f.index()]));
-            five[g.index()] = kind.eval_v5(node.fanins().iter().map(|f| five[f.index()]));
-        }
-        (before, after, five)
-    }
-
-    fn test_netlist(seed: u64) -> Netlist {
-        mcp_gen::random::random_netlist(
-            seed,
-            &mcp_gen::random::RandomCircuitConfig {
-                ffs: 3,
-                pis: 3,
-                gates: 25,
-                max_arity: 3,
-            },
-        )
-    }
-
-    #[test]
-    fn exact_on_definite_sources() {
-        for seed in 0..40u64 {
-            let nl = test_netlist(seed);
-            let (before, after, five) = eval_both(&nl, seed, false);
-            for (id, node) in nl.nodes() {
-                assert_eq!(
-                    five[id.index()],
-                    V5::from_components(before[id.index()], after[id.index()]),
-                    "seed {seed}, node {}",
-                    node.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sound_abstraction_with_unknown_sources() {
-        for seed in 0..40u64 {
-            let nl = test_netlist(seed);
-            let (before, after, five) = eval_both(&nl, seed, true);
-            for (id, node) in nl.nodes() {
-                let v5 = five[id.index()];
-                if v5 != V5::X {
-                    let (b, a) = v5.components();
-                    let name = node.name();
-                    if before[id.index()].is_definite() {
-                        assert_eq!(b, before[id.index()], "seed {seed}, node {name}");
-                    }
-                    if after[id.index()].is_definite() {
-                        assert_eq!(a, after[id.index()], "seed {seed}, node {name}");
-                    }
-                }
-            }
-        }
-    }
-}

@@ -302,10 +302,34 @@ fn lint_subcommand_reports_and_gates() {
         run(&parse_args(argv(&format!("lint {}", cyclic.display()))).expect("parse")).unwrap_err();
     assert!(err.contains("comb-cycle"), "{err}");
 
-    // ...while `analyze` refuses the same file already at load time.
+    // ...while `analyze` refuses the same file already at load time,
+    // at the line of a gate on the cycle.
     let err = run(&parse_args(argv(&format!("analyze {}", cyclic.display()))).expect("parse"))
         .unwrap_err();
-    assert!(err.contains("cyclic"), "{err}");
+    assert!(
+        err.contains("line 2: combinational cycle through node `a`"),
+        "{err}"
+    );
+}
+
+#[test]
+fn lint_and_analyze_both_refuse_an_undefined_output() {
+    let dir = std::env::temp_dir().join("mcpath-cli-typo");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let typo = dir.join("typo.bench");
+    std::fs::write(
+        &typo,
+        "INPUT(x)\nOUTPUT(c)\nOUTPUT(typo)\nq = DFF(c)\nc = AND(q, x)\n",
+    )
+    .expect("write");
+    for sub in ["lint", "analyze"] {
+        let err = run(&parse_args(argv(&format!("{sub} {}", typo.display()))).expect("parse"))
+            .unwrap_err();
+        assert!(
+            err.contains("line 3: signal `typo` is undefined"),
+            "{sub}: {err}"
+        );
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //!
 //! This crate re-exports the member crates under stable names:
 //!
-//! * [`logic`] — ternary / five-valued logic and gate semantics
+//! * [`logic`] — ternary logic and gate semantics
 //! * [`netlist`] — sequential netlists, `.bench` I/O, time-frame expansion
 //! * [`sim`] — bit-parallel and event-driven simulation
 //! * [`implication`] — the implication engine with static learning

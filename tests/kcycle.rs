@@ -1,6 +1,6 @@
 //! Integration tests for the k-cycle extension (Section 4.1).
 
-use mcpath::core::{analyze, Engine, McConfig};
+use mcpath::core::{analyze, max_cycle_budgets, CycleBudget, Engine, McConfig};
 use mcpath::gen::generators::{gated_datapath, DatapathConfig};
 
 fn datapath_pair(latency: u64, counter_bits: usize) -> (mcpath::netlist::Netlist, usize, usize) {
@@ -137,5 +137,43 @@ fn self_hold_pairs_are_k_cycle_for_every_k() {
         )
         .expect("analyze");
         assert!(r.class_of(0, 0).expect("pair exists").is_multi(), "k={k}");
+    }
+}
+
+#[test]
+fn verified_budgets_hold_in_analyze_at_the_same_backtrack_limit() {
+    // At a starved backtrack limit some searches abort. A budget verified
+    // through `v` must then still be proved: the pair is multi-cycle in
+    // `analyze`, at the same limit, for every `k <= v`.
+    let nl = mcpath::gen::suite::quick_suite()
+        .into_iter()
+        .find(|nl| nl.name() == "m820")
+        .expect("m820 is in the quick suite");
+    for backtrack_limit in [1u64, 5] {
+        let cfg = |cycles| McConfig {
+            cycles,
+            backtrack_limit,
+            ..McConfig::default()
+        };
+        let reports: Vec<_> = (2..=5u32)
+            .map(|k| analyze(&nl, &cfg(k)).expect("analyze"))
+            .collect();
+        let budgets = max_cycle_budgets(&nl, &reports[0].multi_cycle_pairs(), 5, &cfg(2))
+            .expect("valid limit");
+        for ((i, j), budget) in budgets {
+            let verified = match budget {
+                CycleBudget::Exact { verified } => verified,
+                CycleBudget::AtLeast { at_least } => at_least,
+                CycleBudget::SingleCycle | CycleBudget::Unknown => continue,
+            };
+            for k in 2..=verified {
+                let class = reports[k as usize - 2].class_of(i, j);
+                assert!(
+                    class.is_some_and(|c| c.is_multi()),
+                    "backtracks {backtrack_limit}: ({i}, {j}) verified through {verified}, \
+                     but {class:?} at k={k}"
+                );
+            }
+        }
     }
 }
