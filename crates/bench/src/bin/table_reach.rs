@@ -24,10 +24,14 @@ struct Row {
     gained: usize,
 }
 
+/// Sized to the rows that are kept: the largest of their runs, m526's
+/// all-states one, peaks at 716,191 nodes. m820 overflows even at
+/// `1 << 22` and its row is skipped, so a larger limit only spends time
+/// and memory on that overflow.
 fn bdd_config(reachability: bool) -> McConfig {
     McConfig {
         engine: Engine::Bdd {
-            node_limit: 1 << 22,
+            node_limit: 1 << 20,
             reachability,
         },
         // The random-sim prefilter assumes all states reachable, so it

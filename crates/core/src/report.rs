@@ -94,15 +94,16 @@ impl From<Verdict> for PairClass {
 
 /// The kernel that ran the random-pattern prefilter, recorded in
 /// [`StepStats::sim_kernel`] and the `stats` table. The host decides it:
-/// native code from one of the two emitters where the JIT targets the
-/// host, the fused interpreter elsewhere. `Tape` and `Reference` are
-/// never produced any more; they stay decodable so reports saved by
-/// older binaries, which could run those kernels, still load.
+/// native AVX2 code where the JIT targets the host, the fused
+/// interpreter elsewhere. `JitScalar`, `Tape` and `Reference` are never
+/// produced any more; they stay decodable so reports saved by older
+/// binaries, which could run those kernels, still load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimKernelTier {
     /// Native code from the AVX2 emitter.
     JitAvx2,
-    /// Native code from the scalar-`u64` emitter.
+    /// Native code from the retired scalar-`u64` emitter (older reports
+    /// only).
     JitScalar,
     /// The fused-tape interpreter.
     Fused,
@@ -459,9 +460,7 @@ mod tests {
         r.metrics.counters.sim_words = 9;
         r.metrics.counters.static_resolved = 2;
         r.metrics.counters.sim_fused_ops = 11;
-        r.metrics.counters.jit_compiles = 1;
         r.metrics.counters.jit_bytes = 640;
-        r.metrics.counters.jit_batches = 6;
         r.stats.sim_words = 9;
         r.stats.sim_kernel = Some(SimKernelTier::JitAvx2);
         r.stats.multi_by_implication = 1;
@@ -481,9 +480,7 @@ mod tests {
         // jit falls back per host): projected out.
         assert_eq!(c.stats.sim_kernel, None);
         assert_eq!(c.metrics.counters.sim_fused_ops, 0);
-        assert_eq!(c.metrics.counters.jit_compiles, 0);
         assert_eq!(c.metrics.counters.jit_bytes, 0);
-        assert_eq!(c.metrics.counters.jit_batches, 0);
         // Multi attribution folds into one bucket; the verdict survives.
         assert_eq!(c.stats.multi_by_atpg, 3);
         assert_eq!(c.stats.multi_by_static, 0);

@@ -22,7 +22,7 @@ use crate::config::McConfig;
 use crate::report::{PairClass, PairResult, SimKernelTier, Step, StepStats};
 use mcp_netlist::{Expanded, Netlist, XId};
 use mcp_obs::{ObsCtx, PairEvent};
-use mcp_sim::mc_filter_stats_seeded;
+use mcp_sim::mc_filter_stats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -124,7 +124,6 @@ pub(crate) fn run_prefilters(
     // the widening horizon, not at frame 0, and feed the lint rules
     // instead. Without a CONST node the lattice has no seeds, so the
     // whole pass is skipped as a no-op.
-    let mut base_consts: Option<Vec<mcp_logic::V3>> = None;
     let has_consts = netlist
         .nodes()
         .any(|(_, n)| matches!(n.kind(), mcp_netlist::NodeKind::Const(_)));
@@ -163,7 +162,6 @@ pub(crate) fn run_prefilters(
             results.push(r);
             false
         });
-        base_consts = Some(lattice.base);
         stats.time_static = t_static.stop();
     }
 
@@ -174,12 +172,9 @@ pub(crate) fn run_prefilters(
     let mut ff_toggles: Option<Vec<u64>> = None;
     let survivors: Vec<(usize, usize)> = if cfg.use_sim_filter {
         let t_sim = obs.timers.span("analyze/sim");
-        // The base lattice (when the pre-pass computed one) seeds the
-        // tape compiler: provably constant gates are pinned and their
-        // instructions folded away. Outcome-identical — the constants
-        // hold under every stimulus — so only kernel effort shrinks.
-        let consts = base_consts.as_deref().unwrap_or(&[]);
-        let (out, sim_stats) = mc_filter_stats_seeded(netlist, &candidates, &cfg.sim, consts);
+        // The kernel compiler folds every constant the static pass's
+        // base lattice proves, so a seed would change nothing.
+        let (out, sim_stats) = mc_filter_stats(netlist, &candidates, &cfg.sim);
         stats.time_sim = t_sim.stop();
         stats.sim_words = out.words_simulated;
         stats.sim_kernel = SimKernelTier::from_tag(sim_stats.kernel);
@@ -187,9 +182,7 @@ pub(crate) fn run_prefilters(
         obs.metrics.sim_pairs_dropped.add(out.dropped() as u64);
         obs.metrics.sim_passes.add(sim_stats.passes);
         obs.metrics.sim_fused_ops.add(sim_stats.fused_ops);
-        obs.metrics.jit_compiles.add(sim_stats.jit_compiles);
         obs.metrics.jit_bytes.add(sim_stats.jit_bytes);
-        obs.metrics.jit_batches.add(sim_stats.jit_batches);
         for d in &out.drops {
             let r = PairResult {
                 src: d.src,

@@ -2,9 +2,10 @@
 //! random circuits.
 
 use mcp_core::{analyze, check_hazards, AnalyzeError, HazardCheck, McConfig};
-use mcp_gen::random::{random_netlist, RandomCircuitConfig};
+use mcp_gen::random::{constant_heavy_netlist, random_netlist, RandomCircuitConfig};
 use mcp_lint::{LintConfig, Registry};
-use mcp_netlist::bench;
+use mcp_netlist::{bench, Netlist};
+use mcp_sim::{mc_filter_stats, mc_filter_stats_seeded, FilterConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,8 +45,42 @@ fn shuffle_gates(text: &str, seed: u64) -> String {
     lines.join("\n")
 }
 
+/// Seeding the kernel compiler with the constant lattice's base iterate
+/// changes neither the prefilter's outcome nor its kernel: the
+/// compiler's own folder derives every constant that iterate proves.
+fn seed_is_a_no_op(nl: &Netlist) -> Result<(), proptest::test_runner::TestCaseError> {
+    let pairs = nl.connected_ff_pairs();
+    let cfg = FilterConfig::default();
+    let base = mcp_lint::const_lattice(nl).base;
+    let (plain, plain_stats) = mc_filter_stats(nl, &pairs, &cfg);
+    let (seeded, seeded_stats) = mc_filter_stats_seeded(nl, &pairs, &cfg, &base);
+    prop_assert_eq!(&seeded, &plain, "{}: outcome", nl.name());
+    prop_assert_eq!(
+        seeded_stats.fused_ops,
+        plain_stats.fused_ops,
+        "{}",
+        nl.name()
+    );
+    Ok(())
+}
+
+#[test]
+fn lattice_seed_changes_no_filter_run_on_the_suite_and_frozen_sinks() {
+    let demos = [1, 4, 16, 64].map(mcp_gen::generators::frozen_sink_demo);
+    for nl in mcp_gen::suite::standard_suite().iter().chain(&demos) {
+        seed_is_a_no_op(nl).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn lattice_seed_changes_no_filter_run_on_constant_heavy_netlists(
+        (seed, cfg) in cfg_strategy(),
+    ) {
+        seed_is_a_no_op(&constant_heavy_netlist(seed, &cfg))?;
+    }
 
     /// Gate ids follow the file, not the dependency order, and neither
     /// reader nor analysis depends on which.

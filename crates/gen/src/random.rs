@@ -47,13 +47,6 @@ impl Default for RandomCircuitConfig {
 /// `cfg.max_arity == 0`.
 pub fn random_netlist(seed: u64, cfg: &RandomCircuitConfig) -> Netlist {
     assert!(cfg.ffs + cfg.pis > 0, "need at least one source");
-    assert!(cfg.max_arity >= 1, "arity must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = NetlistBuilder::new(format!("rand{seed}"));
-    let mut pool: Vec<NodeId> = (0..cfg.pis).map(|i| b.input(format!("I{i}"))).collect();
-    let ffs: Vec<NodeId> = (0..cfg.ffs).map(|i| b.dff(format!("F{i}"))).collect();
-    pool.extend(&ffs);
-
     let kinds = [
         GateKind::And,
         GateKind::Or,
@@ -64,6 +57,52 @@ pub fn random_netlist(seed: u64, cfg: &RandomCircuitConfig) -> Netlist {
         GateKind::Not,
         GateKind::Buf,
     ];
+    build(format!("rand{seed}"), seed, cfg, &kinds, false)
+}
+
+/// [`random_netlist`] biased toward what constant folding and NOT fusion
+/// exercise, which `random_netlist` never does: a `CONST` 0 and a
+/// `CONST` 1 join the sources every gate draws from, and `NOT`/`BUF` are
+/// drawn twice as often, so constant cascades, alias chains and inverter
+/// stacks appear.
+///
+/// # Panics
+///
+/// Panics if `cfg.max_arity == 0`.
+pub fn constant_heavy_netlist(seed: u64, cfg: &RandomCircuitConfig) -> Netlist {
+    let kinds = [
+        GateKind::And,
+        GateKind::Or,
+        GateKind::Nand,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Not,
+        GateKind::Buf,
+        GateKind::Buf,
+    ];
+    build(format!("fold{seed}"), seed, cfg, &kinds, true)
+}
+
+fn build(
+    name: String,
+    seed: u64,
+    cfg: &RandomCircuitConfig,
+    kinds: &[GateKind],
+    consts: bool,
+) -> Netlist {
+    assert!(cfg.max_arity >= 1, "arity must be positive");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = NetlistBuilder::new(name);
+    let mut pool: Vec<NodeId> = (0..cfg.pis).map(|i| b.input(format!("I{i}"))).collect();
+    let ffs: Vec<NodeId> = (0..cfg.ffs).map(|i| b.dff(format!("F{i}"))).collect();
+    pool.extend(&ffs);
+    if consts {
+        pool.push(b.constant("c0", false));
+        pool.push(b.constant("c1", true));
+    }
+
     for _ in 0..cfg.gates {
         let kind = kinds[rng.random_range(0..kinds.len())];
         let arity = kind

@@ -57,8 +57,6 @@ pub struct ImpEngine<'a> {
     queue: VecDeque<XId>,
     in_queue: Vec<bool>,
     learned: Option<&'a LearnedImplications>,
-    /// Total direct-implication gate examinations (instrumentation).
-    examinations: u64,
     /// Definite values placed on the trail so far (instrumentation).
     implications: u64,
     /// Conflicts discovered so far (instrumentation).
@@ -82,7 +80,6 @@ impl<'a> ImpEngine<'a> {
             queue: VecDeque::new(),
             in_queue: vec![false; x.num_nodes()],
             learned: None,
-            examinations: 0,
             implications: 0,
             contradictions: 0,
         }
@@ -111,12 +108,6 @@ impl<'a> ImpEngine<'a> {
     #[inline]
     pub fn trail_len(&self) -> usize {
         self.trail.len()
-    }
-
-    /// Gate examinations performed so far (instrumentation for benches).
-    #[inline]
-    pub fn examinations(&self) -> u64 {
-        self.examinations
     }
 
     /// Definite values placed on the trail so far, counting both asserted
@@ -226,7 +217,6 @@ impl<'a> ImpEngine<'a> {
 
     /// Performs all direct implications available at gate `g`.
     fn examine(&mut self, g: XId) -> Result<(), Conflict> {
-        self.examinations += 1;
         let node = self.x.node(g);
         let kind = match node.kind() {
             XKind::Gate(k) => k,

@@ -161,7 +161,7 @@ pub struct PairEvent {
     #[serde(default, skip_serializing_if = "is_false")]
     pub cached: bool,
     /// For `random_sim` drops: which kernel simulated the witness
-    /// (`jit-avx2`, `jit-scalar` or `fused`; older ledgers may also say
+    /// (`jit-avx2` or `fused`; older ledgers may also say `jit-scalar`,
     /// `tape` or `reference`). `None` for every other step — cached
     /// splices and static-resolved pairs simulate zero words, and
     /// tagging only real sim work is what lets per-kernel throughput

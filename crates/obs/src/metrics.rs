@@ -77,13 +77,8 @@ pub struct Metrics {
     /// Random simulation: fused instructions executed (after NOT fusion
     /// and dead-slot elimination): instructions per eval × evals.
     pub sim_fused_ops: Counter,
-    /// JIT kernel: native-code compilations performed (one per filter
-    /// run on a host with native code).
-    pub jit_compiles: Counter,
     /// JIT kernel: bytes of machine code emitted.
     pub jit_bytes: Counter,
-    /// JIT kernel: calls into jitted code (two per wide pass).
-    pub jit_batches: Counter,
     /// Dataflow: nodes the ternary interpreter proved constant at its
     /// first iterate (every FF output X), the only constants the static
     /// pre-classification may use.
@@ -155,9 +150,7 @@ impl Metrics {
             sim_pairs_dropped: self.sim_pairs_dropped.get(),
             sim_passes: self.sim_passes.get(),
             sim_fused_ops: self.sim_fused_ops.get(),
-            jit_compiles: self.jit_compiles.get(),
             jit_bytes: self.jit_bytes.get(),
-            jit_batches: self.jit_batches.get(),
             dataflow_consts: self.dataflow_consts.get(),
             dataflow_iters: self.dataflow_iters.get(),
             static_resolved: self.static_resolved.get(),
@@ -210,11 +203,7 @@ pub struct Counters {
     #[serde(default)]
     pub sim_fused_ops: u64,
     #[serde(default)]
-    pub jit_compiles: u64,
-    #[serde(default)]
     pub jit_bytes: u64,
-    #[serde(default)]
-    pub jit_batches: u64,
     // Dataflow-analysis counters arrived with the static pre-pass;
     // `default` keeps old saved reports parseable.
     #[serde(default)]

@@ -8,13 +8,20 @@
 //!   by the retired `shard` subcommand, whose header carries the
 //!   `shard_index`, `shard_count` and `run_digest` keys.
 //!
+//! One case pins inline artifacts instead: metrics and journal lines
+//! written while the scalar JIT emitter and its `jit_compiles` /
+//! `jit_batches` counters existed.
+//!
 //! The in-crate unit tests cover the *shape* with synthetic lines; these
 //! tests cover the *artifacts* — real multi-line fixture files that must
 //! never be regenerated, so reader drift against historical journals is
 //! caught even if the unit tests' literals are updated alongside the
 //! code.
 
-use mcp_obs::{compare_artifacts, read_ledger_file, CompareConfig, LEDGER_VERSION};
+use mcp_obs::{
+    compare_artifacts, read_ledger, read_ledger_file, CompareConfig, MetricsSnapshot,
+    LEDGER_VERSION,
+};
 use std::path::PathBuf;
 
 fn fixture() -> PathBuf {
@@ -91,4 +98,37 @@ fn the_shard_era_fixture_loads_with_its_header() {
         7
     );
     assert_eq!(ledger.spans.len(), 7);
+}
+
+#[test]
+fn artifacts_with_the_retired_jit_counters_and_scalar_kernel_still_load() {
+    // The metrics of a saved m27 report, written while `jit_compiles`
+    // and `jit_batches` were counters: the decoder skips both keys.
+    let old_metrics = r#"{"counters":{"implications":328,"contradictions":8,
+        "learned_implications":0,"atpg_decisions":0,"atpg_backtracks":0,"atpg_aborts":0,
+        "sat_decisions":0,"sat_propagations":0,"sat_conflicts":0,"sat_learned":0,
+        "sat_restarts":0,"bdd_peak_nodes":0,"bdd_cache_lookups":0,"bdd_cache_hits":0,
+        "sim_words":129,"sim_pairs_dropped":5,"sim_passes":33,"sim_fused_ops":594,
+        "jit_compiles":1,"jit_bytes":266,"jit_batches":66,"dataflow_consts":0,
+        "dataflow_iters":0,"static_resolved":0,"slice_builds":4,"slice_cache_hits":2,
+        "slice_nodes":63,"slice_vars":16,"slice_nodes_peak":24,"resume_pairs_loaded":0,
+        "cache_hits":0,"cache_misses":0,"cache_invalidations":0,"cache_pairs_spliced":0,
+        "eco_groups_reverified":0,"eco_groups_spliced":0},"spans":{}}"#;
+    let m: MetricsSnapshot = serde_json::from_str(old_metrics).expect("old metrics parse");
+    assert_eq!(m.counters.implications, 328);
+    assert_eq!(m.counters.sim_passes, 33);
+    assert_eq!(m.counters.sim_fused_ops, 594);
+    assert_eq!(m.counters.jit_bytes, 266);
+    assert_eq!(m.counters.slice_nodes_peak, 24);
+    let cmp =
+        compare_artifacts(old_metrics, old_metrics, CompareConfig::default()).expect("old vs old");
+    assert_eq!(cmp.regressions(), 0);
+
+    // A journal whose sim drops name the retired emitter.
+    let old_journal = "{\"src\":0,\"dst\":1,\"step\":\"random_sim\",\"class\":\"single\",\
+        \"engine\":null,\"assignments\":[],\"micros\":0,\"sim_word\":2,\"kernel\":\"jit-scalar\"}\n";
+    let ledger = read_ledger(old_journal.as_bytes()).expect("old journal parses");
+    assert_eq!(ledger.events.len(), 1);
+    assert_eq!(ledger.events[0].kernel.as_deref(), Some("jit-scalar"));
+    assert_eq!(ledger.events[0].sim_word, Some(2));
 }

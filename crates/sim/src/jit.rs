@@ -1,4 +1,4 @@
-//! Native-code kernel: a self-contained x86-64 emitter over the
+//! Native-code kernel: a self-contained x86-64 AVX2 emitter over the
 //! fused tape.
 //!
 //! [`JitKernel::compile`] turns a [`FusedTape`] into one flat machine
@@ -6,21 +6,13 @@
 //! (`rdi` on the SysV ABI) points at the slot buffer, laid out exactly
 //! as [`JitSim`] stores it: `num_slots` consecutive `[u64; W]` batches,
 //! so slot `s` lane-word `l` lives at byte offset `(s*W + l) * 8`. Each
-//! fused instruction becomes a load/load/logic-op/store group; there is
-//! no register allocation beyond two scratch registers because the slot
-//! buffer *is* the register file — the fused tape's dense renumbering
-//! already guarantees a gap-free straight-line block.
-//!
-//! Two emitters share that skeleton:
-//!
-//! * **AVX2** (when the host supports it and `W % 4 == 0`): each
-//!   instruction processes the batch in 256-bit chunks of four lane
-//!   words with `vpand`/`vpor`/`vpxor`/`vpandn`; `ymm15` holds all-ones
-//!   for the complementing opcodes. At the default 256 lanes
-//!   (`W = 4`) one chunk covers the whole batch.
-//! * **Scalar** (fallback): the same structure over 64-bit `mov`/
-//!   `and`/`or`/`xor`/`not` — still branch-free straight-line code,
-//!   used when AVX2 is absent.
+//! fused instruction becomes a load/load/logic-op/store group per
+//! 256-bit chunk of four lane words (`vpand`/`vpor`/`vpxor`/`vpandn`,
+//! with `ymm15` holding all-ones for the complementing opcodes); at the
+//! default 256 lanes (`W = 4`) one chunk covers the whole batch. There
+//! is no register allocation beyond two scratch registers because the
+//! slot buffer *is* the register file — the fused tape's dense
+//! renumbering already guarantees a gap-free straight-line block.
 //!
 //! # The `unsafe` audit boundary
 //!
@@ -41,19 +33,21 @@
 //!    guards the contract the emitted code assumes (slot buffer at
 //!    least `num_slots * W` words) with a hard assert.
 //!
-//! On non-x86-64 or non-Linux hosts (or when `mmap` fails),
-//! [`JitKernel::compile`] returns `None` and the filter runs the same
-//! fused stream on the [`FusedSim`](crate::FusedSim) interpreter.
+//! Everywhere else — a non-x86-64 or non-Linux host, a CPU without
+//! AVX2, a batch that is not whole 256-bit chunks (`W % 4 != 0`), or a
+//! refused `mmap` — [`JitKernel::compile`] returns `None` and the filter
+//! runs the same fused stream on the [`FusedSim`](crate::FusedSim)
+//! interpreter.
 
 // The one audited exception to the crate-level `#![deny(unsafe_code)]`.
 #![allow(unsafe_code)]
 
 use crate::lower::{FusedOp, FusedRef, FusedTape};
 
-/// Upper bound on the emitted code size, preflighted before mapping.
-/// Scalar groups are ≤ 22 bytes, AVX2 groups ≤ 26 bytes per chunk;
-/// 32 covers both plus prologue/epilogue slack.
-const MAX_GROUP_BYTES: usize = 32;
+/// Largest code group the emitter writes per fused instruction and
+/// 256-bit chunk: two 8-byte loads, a 4-byte logic op, a 5-byte
+/// complement and an 8-byte store. Sizes the code buffer up front.
+const MAX_GROUP_BYTES: usize = 33;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod exec {
@@ -167,8 +161,9 @@ mod exec {
 /// Holds the executable mapping plus the contract metadata
 /// ([`required_words`](Self::required_words)) the call-site assert
 /// checks. Construction is fallible: `None` means "this host cannot run
-/// jitted code" (wrong arch/OS, mapping refused, or an offset overflowed
-/// the addressing mode) and the caller falls back to [`FusedSim`].
+/// jitted code at this width" (wrong arch/OS, no AVX2, `W % 4 != 0`,
+/// mapping refused, or an offset overflowed the addressing mode) and the
+/// caller falls back to [`FusedSim`].
 ///
 /// [`FusedSim`]: crate::FusedSim
 pub struct JitKernel {
@@ -176,13 +171,11 @@ pub struct JitKernel {
     buf: exec::ExecBuf,
     required_words: usize,
     code_bytes: usize,
-    tag: &'static str,
 }
 
 impl core::fmt::Debug for JitKernel {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("JitKernel")
-            .field("tag", &self.tag)
             .field("code_bytes", &self.code_bytes)
             .field("required_words", &self.required_words)
             .finish()
@@ -190,25 +183,22 @@ impl core::fmt::Debug for JitKernel {
 }
 
 impl JitKernel {
-    /// Compiles `fused` for batches of `W` lane words, or `None` when
-    /// native code is unavailable on this host (the caller then uses
-    /// the fused interpreter).
+    /// Compiles `fused` for batches of `W` lane words, or `None` unless
+    /// the host is x86-64 Linux with AVX2 and `W % 4 == 0` (the caller
+    /// then uses the fused interpreter).
     pub fn compile<const W: usize>(fused: &FusedTape) -> Option<JitKernel> {
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
-            let avx2 = W.is_multiple_of(4) && std::is_x86_feature_detected!("avx2");
-            let code = if avx2 {
-                emit_avx2::<W>(fused)?
-            } else {
-                emit_scalar::<W>(fused)?
-            };
+            if !W.is_multiple_of(4) || !std::is_x86_feature_detected!("avx2") {
+                return None;
+            }
+            let code = emit_avx2::<W>(fused)?;
             let code_bytes = code.len();
             let buf = exec::ExecBuf::new(&code)?;
             Some(JitKernel {
                 buf,
                 required_words: fused.num_slots() * W,
                 code_bytes,
-                tag: if avx2 { "jit-avx2" } else { "jit-scalar" },
             })
         }
         #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
@@ -246,11 +236,10 @@ impl JitKernel {
         self.required_words
     }
 
-    /// Which emitter produced this kernel: `"jit-avx2"` or
-    /// `"jit-scalar"`.
+    /// The kernel tag filter stats and journals record: `"jit-avx2"`.
     #[inline]
     pub fn tag(&self) -> &'static str {
-        self.tag
+        "jit-avx2"
     }
 }
 
@@ -262,88 +251,9 @@ fn disp32<const W: usize>(slot: u32, lane_word: usize) -> Option<i32> {
     i32::try_from(byte).ok()
 }
 
-/// Emits the scalar-`u64` kernel: per fused instruction, per lane word,
-/// a `mov`/logic/`mov` group on `rax`/`rdx` addressed off `rdi`.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn emit_scalar<const W: usize>(fused: &FusedTape) -> Option<Vec<u8>> {
-    let base = (fused.num_inputs() + fused.num_ffs()) as u32;
-    let mut code = Vec::with_capacity(fused.num_ops() * W * MAX_GROUP_BYTES + 8);
-    // mov rax, [rdi + d]  —  REX.W 8B /r, modrm 0x87 (rax ← [rdi+disp32]).
-    let load_rax = |code: &mut Vec<u8>, d: i32| {
-        code.extend_from_slice(&[0x48, 0x8B, 0x87]);
-        code.extend_from_slice(&d.to_le_bytes());
-    };
-    // op rax, [rdi + d] with the given /r opcode (23=and, 0B=or, 33=xor).
-    let op_rax_mem = |code: &mut Vec<u8>, opc: u8, d: i32| {
-        code.extend_from_slice(&[0x48, opc, 0x87]);
-        code.extend_from_slice(&d.to_le_bytes());
-    };
-    // not rax — REX.W F7 /2.
-    let not_rax = |code: &mut Vec<u8>| code.extend_from_slice(&[0x48, 0xF7, 0xD0]);
-    // mov [rdi + d], rax — REX.W 89 /r.
-    let store_rax = |code: &mut Vec<u8>, d: i32| {
-        code.extend_from_slice(&[0x48, 0x89, 0x87]);
-        code.extend_from_slice(&d.to_le_bytes());
-    };
-
-    for i in 0..fused.num_ops() {
-        let (op, a, b) = (fused.opcode[i], fused.lhs[i], fused.rhs[i]);
-        let out = base + i as u32;
-        for l in 0..W {
-            let da = disp32::<W>(a, l)?;
-            let db = disp32::<W>(b, l)?;
-            let dout = disp32::<W>(out, l)?;
-            // The AndN/OrN forms complement the *first* operand, so load
-            // it, `not` it, then combine with the second from memory.
-            match op {
-                FusedOp::And => {
-                    load_rax(&mut code, da);
-                    op_rax_mem(&mut code, 0x23, db);
-                }
-                FusedOp::Nand => {
-                    load_rax(&mut code, da);
-                    op_rax_mem(&mut code, 0x23, db);
-                    not_rax(&mut code);
-                }
-                FusedOp::Or => {
-                    load_rax(&mut code, da);
-                    op_rax_mem(&mut code, 0x0B, db);
-                }
-                FusedOp::Nor => {
-                    load_rax(&mut code, da);
-                    op_rax_mem(&mut code, 0x0B, db);
-                    not_rax(&mut code);
-                }
-                FusedOp::Xor => {
-                    load_rax(&mut code, da);
-                    op_rax_mem(&mut code, 0x33, db);
-                }
-                FusedOp::Xnor => {
-                    load_rax(&mut code, da);
-                    op_rax_mem(&mut code, 0x33, db);
-                    not_rax(&mut code);
-                }
-                FusedOp::AndN => {
-                    load_rax(&mut code, da);
-                    not_rax(&mut code);
-                    op_rax_mem(&mut code, 0x23, db);
-                }
-                FusedOp::OrN => {
-                    load_rax(&mut code, da);
-                    not_rax(&mut code);
-                    op_rax_mem(&mut code, 0x0B, db);
-                }
-            }
-            store_rax(&mut code, dout);
-        }
-    }
-    code.push(0xC3); // ret
-    Some(code)
-}
-
 /// Emits the AVX2 kernel: 256-bit chunks of four lane words per group,
 /// `ymm15` pinned to all-ones for the complementing opcodes. Requires
-/// `W % 4 == 0` (checked by the caller via the feature gate).
+/// `W % 4 == 0` (checked by the caller).
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn emit_avx2<const W: usize>(fused: &FusedTape) -> Option<Vec<u8>> {
     debug_assert_eq!(W % 4, 0);
@@ -563,11 +473,24 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Whether this host runs the AVX2 emitter (at whole 256-bit
+    /// chunks).
+    fn avx2_host() -> bool {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            std::is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+        {
+            false
+        }
+    }
+
     fn diff_against_fused<const W: usize>(nl: &Netlist) {
         let tape = Tape::compile(nl);
         let fused = FusedTape::lower(&tape);
         let Some(mut jit) = JitSim::<W>::new(&fused) else {
-            // Non-x86-64 host: the filter runs the fused interpreter.
+            // No AVX2 code here: the filter runs the fused interpreter.
             return;
         };
         let mut int = FusedSim::<W>::new(&fused);
@@ -601,10 +524,14 @@ mod tests {
     }
 
     #[test]
-    fn jit_matches_fused_interpreter_at_w1() {
-        // W=1 is not divisible by 4, so this exercises the scalar
-        // emitter even on AVX2 hosts.
-        diff_against_fused::<1>(&alu_ish());
+    fn batches_narrower_than_one_avx2_chunk_never_compile() {
+        // 64 and 128 lanes are not whole 256-bit chunks: there is no
+        // emitter for them on any host, so the filter runs `FusedSim`.
+        let fused = FusedTape::lower(&Tape::compile(&alu_ish()));
+        assert!(JitKernel::compile::<1>(&fused).is_none());
+        assert!(JitKernel::compile::<2>(&fused).is_none());
+        assert!(JitSim::<1>::new(&fused).is_none());
+        assert!(JitSim::<2>::new(&fused).is_none());
     }
 
     #[test]
@@ -626,10 +553,10 @@ mod tests {
         let fused = FusedTape::lower(&tape);
         if let Some(k) = JitKernel::compile::<4>(&fused) {
             assert!(k.code_bytes() > 0);
-            assert!(k.tag().starts_with("jit-"));
+            assert_eq!(k.tag(), "jit-avx2");
             assert_eq!(k.required_words(), fused.num_slots() * 4);
-        } else if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
-            panic!("compile() must succeed on x86-64 Linux");
+        } else if avx2_host() {
+            panic!("compile() must succeed on x86-64 Linux with AVX2");
         }
     }
 
@@ -647,19 +574,23 @@ mod tests {
         assert!(r.is_err(), "short buffer must be rejected");
     }
 
-    /// The graceful-fallback contract: on a non-x86-64 (or non-Linux)
-    /// host `compile` returns `None` rather than emitting anything —
-    /// this is what the filter's fused fallback relies on. On the JIT's
-    /// own target this asserts the inverse.
+    /// The graceful-fallback contract: off x86-64 Linux, or on a CPU
+    /// without AVX2, `compile` returns `None` rather than emitting
+    /// anything — this is what the filter's fused fallback relies on. On
+    /// the JIT's own target this asserts the inverse.
     #[test]
     fn non_native_hosts_fall_back_gracefully() {
         let tape = Tape::compile(&alu_ish());
         let fused = FusedTape::lower(&tape);
-        let compiled = JitKernel::compile::<4>(&fused).is_some();
-        assert_eq!(
-            compiled,
-            cfg!(all(target_arch = "x86_64", target_os = "linux")),
-            "JIT availability must exactly track the supported target"
-        );
+        for compiled in [
+            JitKernel::compile::<4>(&fused).is_some(),
+            JitKernel::compile::<8>(&fused).is_some(),
+        ] {
+            assert_eq!(
+                compiled,
+                avx2_host(),
+                "JIT availability must exactly track the supported target"
+            );
+        }
     }
 }

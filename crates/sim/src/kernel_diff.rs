@@ -17,17 +17,17 @@
 //!   [`ParallelSim`] on every node, across evaluation and clocking.
 //! * **Folding soundness** — the three-valued [`EventSim`] evaluates the
 //!   netlist *without* any compile-time folding, so agreement on
-//!   netlists dense with constants and buffer chains shows the tape's
-//!   folding and the lowering's NOT fusion preserve semantics.
+//!   netlists dense with constants and buffer chains shows the
+//!   compiler's folding and NOT fusion preserve semantics.
 //!
-//! `mcp_gen::random_netlist` never emits `Const` nodes or long buffer
-//! chains, so a local generator builds folding-heavy netlists here.
+//! `random_netlist` never emits `Const` nodes or long buffer chains, so
+//! the folding checks draw from `constant_heavy_netlist`.
 
 use crate::filter::{filter_on_lanes, mc_filter_reference};
 use crate::{mc_filter_stats, EventSim, FilterConfig, FusedSim, FusedTape, ParallelSim, Tape};
-use mcp_gen::random::{random_netlist, RandomCircuitConfig};
+use mcp_gen::random::{constant_heavy_netlist, random_netlist, RandomCircuitConfig};
 use mcp_logic::{GateKind, V3};
-use mcp_netlist::{Netlist, NetlistBuilder, NodeId};
+use mcp_netlist::NodeId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,73 +48,25 @@ fn cfg_strategy() -> impl Strategy<Value = (u64, RandomCircuitConfig)> {
     )
 }
 
-/// Random netlist biased toward what the compiler folds and the lowering
-/// fuses: constant nodes feed the gate pool, and `Buf`/`Not` are drawn
-/// twice as often as in [`random_netlist`] so alias chains and inverter
-/// stacking appear.
-fn folding_netlist(seed: u64, cfg: &RandomCircuitConfig) -> Netlist {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = NetlistBuilder::new(format!("fold{seed}"));
-    let mut pool: Vec<NodeId> = (0..cfg.pis).map(|i| b.input(format!("I{i}"))).collect();
-    let ffs: Vec<NodeId> = (0..cfg.ffs).map(|i| b.dff(format!("F{i}"))).collect();
-    pool.extend(&ffs);
-    pool.push(b.constant("c0", false));
-    pool.push(b.constant("c1", true));
-
-    let kinds = [
-        GateKind::And,
-        GateKind::Or,
-        GateKind::Nand,
-        GateKind::Nor,
-        GateKind::Xor,
-        GateKind::Xnor,
-        GateKind::Not,
-        GateKind::Not,
-        GateKind::Buf,
-        GateKind::Buf,
-    ];
-    for _ in 0..cfg.gates {
-        let kind = kinds[rng.random_range(0..kinds.len())];
-        let arity = kind
-            .fixed_arity()
-            .unwrap_or_else(|| rng.random_range(1..=cfg.max_arity));
-        let ins: Vec<NodeId> = (0..arity)
-            .map(|_| pool[rng.random_range(0..pool.len())])
-            .collect();
-        let g = b.gate_auto(kind, ins).expect("valid arity");
-        pool.push(g);
-    }
-    for &ff in &ffs {
-        let d = pool[rng.random_range(0..pool.len())];
-        b.set_dff_input(ff, d).expect("valid dff");
-    }
-    b.mark_output(*pool.last().expect("non-empty pool"));
-    b.finish().expect("folding circuit is well-formed")
-}
-
 /// The kernel the production path must report at `lanes` on this host:
 /// the AVX2 emitter needs whole 256-bit chunks, so it fires at 256 and
-/// 512 lanes when the CPU has AVX2.
+/// 512 lanes when the CPU has AVX2; 64 and 128 lanes, and every other
+/// host, run the fused interpreter.
 fn host_kernel(lanes: u32) -> &'static str {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     {
         if lanes.is_multiple_of(256) && std::is_x86_feature_detected!("avx2") {
-            "jit-avx2"
-        } else {
-            "jit-scalar"
+            return "jit-avx2";
         }
     }
-    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-    {
-        let _ = lanes;
-        "fused"
-    }
+    let _ = lanes;
+    "fused"
 }
 
-/// Node `id`'s value in lane word 0 of a keep-all lowering of `tape`.
+/// Node `id`'s value in lane word 0 of a keep-all lowering of `tape`,
+/// which keeps every slot in place.
 fn node_word(sim: &FusedSim<'_, 1>, tape: &Tape, id: NodeId) -> u64 {
-    let r = sim.fused().tape_ref(tape.slot_of(id));
-    sim.resolve(r.expect("keep-all lowering maps every node"))[0]
+    sim.resolve(tape.slot_of(id))[0]
 }
 
 proptest! {
@@ -155,7 +107,7 @@ proptest! {
         }
     }
 
-    /// Per-node values: with every tape slot kept live, a 1-word
+    /// Per-node values: with every compiled slot kept live, a 1-word
     /// `FusedSim` tracks `ParallelSim` on every netlist node of
     /// folding-heavy netlists, across evaluation and clocking — so the
     /// folding, fusion and polarity rules are semantics-preserving per
@@ -165,7 +117,7 @@ proptest! {
         (seed, cfg) in cfg_strategy(),
         stimulus in any::<u64>(),
     ) {
-        let nl = folding_netlist(seed, &cfg);
+        let nl = constant_heavy_netlist(seed, &cfg);
         let tape = Tape::compile(&nl);
         let fused = FusedTape::lower_keep_all(&tape);
         let mut fsim = FusedSim::<1>::new(&fused);
@@ -212,16 +164,15 @@ proptest! {
         (seed, cfg) in cfg_strategy(),
         stimulus in any::<u64>(),
     ) {
-        let nl = folding_netlist(seed, &cfg);
+        let nl = constant_heavy_netlist(seed, &cfg);
         let tape = Tape::compile(&nl);
         // An n-input gate decomposes into at most n-1 binary
-        // instructions (1 for NOT, 0 for BUF); folding only shrinks it.
+        // instructions (0 for NOT and BUF); folding only shrinks it.
         let bound: usize = nl
             .nodes()
             .filter_map(|(_, n)| {
                 n.kind().gate_kind().map(|k| match k {
-                    GateKind::Buf => 0,
-                    GateKind::Not => 1,
+                    GateKind::Buf | GateKind::Not => 0,
                     _ => n.fanins().len().saturating_sub(1).max(1),
                 })
             })

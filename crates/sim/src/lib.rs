@@ -7,15 +7,16 @@
 //!   single pass over the levelized gates simulates 64 input vectors.
 //!   This is the paper's "parallel pattern simulation", and the
 //!   graph-walking oracle the compiled kernel is tested against.
-//! * The compiled kernel: [`Tape::compile`] lowers the netlist once into
-//!   a flat, levelized binary instruction tape (constants folded,
-//!   buffers chained away); [`FusedTape::lower`] fuses NOT/NAND chains
-//!   into operand polarity bits, folds constants, and dead-slot-eliminates
-//!   logic that cannot reach an FF; [`JitKernel::compile`] emits native
-//!   x86-64 (AVX2 or scalar-`u64`) machine code for that stream, run by
-//!   [`JitSim`]. On hosts the emitter does not target, [`FusedSim`]
-//!   interprets the same stream. A const-generic `[u64; W]` word
-//!   evaluates `64 × W` patterns per pass.
+//! * The compiled kernel: [`Tape::compile`] lowers the netlist in one
+//!   topological sweep into a flat, levelized stream of fused binary
+//!   instructions (constants folded, buffers chained away, NOTs riding
+//!   on operand polarity bits); [`FusedTape::lower`] drops the
+//!   instructions that cannot reach an FF and renumbers the rest;
+//!   [`JitKernel::compile`] emits native x86-64 AVX2 code for that
+//!   stream, run by [`JitSim`]. Everywhere the emitter does not target
+//!   — no AVX2, or fewer than 256 lanes — [`FusedSim`] interprets the
+//!   same stream. A const-generic `[u64; W]` word evaluates `64 × W`
+//!   patterns per pass.
 //! * [`filter::mc_filter`] — the paper's step 2: repeated 2-clock random
 //!   simulation that *disproves* the multi-cycle condition for most
 //!   single-cycle FF pairs cheaply, stopping once no pair has been dropped
@@ -73,4 +74,4 @@ pub use filter::{
 pub use jit::{JitKernel, JitSim};
 pub use lower::{FusedOp, FusedRef, FusedSim, FusedTape};
 pub use parallel::ParallelSim;
-pub use tape::{SlotRef, Tape};
+pub use tape::Tape;

@@ -1,37 +1,25 @@
-//! Fusing/vectorizing lowering tier over the compiled [`Tape`].
+//! Dead-slot elimination over the compiled [`Tape`], and the fused
+//! instruction set both back ends run.
 //!
-//! The tape is already a flat three-address stream of binary ops, but it
-//! still spends instructions on artifacts of gate-level decomposition:
-//! every `NOT` is a `NAND(a, a)` occupying a slot, and inverters feeding
-//! inverting gates chain two instructions where the target ISA (and the
-//! wide interpreter) can express the composition in one. [`FusedTape`]
-//! lowers the tape **once more**, at compile time:
-//!
-//! * **NOT fusion** — `NAND(a, a)` emits nothing; the inversion rides on
-//!   the operand reference as a polarity bit and is folded into the
-//!   *consuming* instruction's opcode. The fused opcode set
-//!   ([`FusedOp`]) is closed under operand and output negation (De
-//!   Morgan), so any combination of input/output polarities lowers to
-//!   exactly one fused instruction — `AND(¬a, b)` becomes `ANDN`
-//!   (x86 `vpandn`), `¬(a ∨ ¬b)` becomes `ANDN` with swapped operands,
-//!   XOR polarities fold into the XOR/XNOR parity, and so on.
-//! * **Constant/degenerate cascade** — operand constants (and
-//!   same-slot operand pairs like `XOR(a, a)`) fold exactly as the
-//!   tape's own compile-time folder does, and the fold cascades through
-//!   downstream references.
-//! * **Dead-slot elimination** — instructions not reachable backward
-//!   from any FF D input are dropped, and the surviving slots are
-//!   densely renumbered so `[u64; W]` batches form one straight-line,
-//!   gap-free block (the layout the JIT emitter and the
-//!   autovectorizer both want). [`FusedTape::lower_keep_all`] keeps
-//!   every slot live instead, for per-node differential tests.
+//! [`Tape::compile`] already emits fused instructions: NOTs ride on
+//! operand references as polarity bits ([`FusedRef`]), and the fused
+//! opcode set ([`FusedOp`]) is closed under operand and output negation
+//! (De Morgan), so any combination of input/output polarities is exactly
+//! one instruction — `AND(¬a, b)` is `ANDN` (x86 `vpandn`), `¬(a ∨ ¬b)`
+//! is `ANDN` with swapped operands, XOR polarities fold into the
+//! XOR/XNOR parity, and so on. [`FusedTape::lower`] only drops the
+//! instructions not reachable backward from any FF D input and densely
+//! renumbers the survivors, so `[u64; W]` batches form one
+//! straight-line, gap-free block (the layout the JIT emitter and the
+//! autovectorizer both want). [`FusedTape::lower_keep_all`] keeps every
+//! slot in place instead, for per-node differential tests.
 //!
 //! [`FusedSim`] interprets the fused stream; the JIT (`crate::jit`)
 //! emits native code for the same stream. Both read their FF D values
 //! through [`FusedRef`]s, whose polarity bit applies any residual output
 //! inversion at readout — never during the hot loop.
 
-use crate::tape::{Op, SlotRef, Tape};
+use crate::tape::Tape;
 
 /// Fused binary opcodes. The set is the And/Or/Xor families closed
 /// under operand and output negation: `AndN(a, b) = ¬a ∧ b` and
@@ -58,17 +46,17 @@ pub enum FusedOp {
     OrN,
 }
 
-/// Where a value lives after fusion: a compile-time constant, or a
-/// fused slot read with an optional polarity flip (the residue of a
-/// fused trailing NOT that no downstream instruction absorbed — e.g. an
-/// inverter feeding an FF D input directly).
+/// Where a value lives: a compile-time constant, or a slot read with an
+/// optional polarity flip (the residue of a `NOT` that no downstream
+/// instruction absorbed — e.g. an inverter feeding an FF D input
+/// directly).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusedRef {
     /// The value folded to a compile-time constant.
     Const(bool),
-    /// The value lives in a fused slot, complemented when `inv` is set.
+    /// The value lives in a slot, complemented when `inv` is set.
     Slot {
-        /// Fused slot index.
+        /// Slot index.
         slot: u32,
         /// Whether the reader complements the slot value.
         inv: bool,
@@ -76,7 +64,7 @@ pub enum FusedRef {
 }
 
 impl FusedRef {
-    fn invert(self) -> FusedRef {
+    pub(crate) fn invert(self) -> FusedRef {
         match self {
             FusedRef::Const(v) => FusedRef::Const(!v),
             FusedRef::Slot { slot, inv } => FusedRef::Slot { slot, inv: !inv },
@@ -84,19 +72,9 @@ impl FusedRef {
     }
 }
 
-/// The base Boolean function of a tape opcode, with its output polarity
-/// split off so fusion can re-fold it.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Base {
-    And,
-    Or,
-    Xor,
-}
-
-/// A [`Tape`] lowered through NOT fusion, constant cascading and
-/// dead-slot elimination. Slot layout matches the tape's convention:
-/// slots `0 .. num_inputs` are the primary inputs, slots
-/// `num_inputs .. num_inputs + num_ffs` the FF states, and fused
+/// A [`Tape`] after dead-slot elimination. Slot layout matches the
+/// tape's convention: slots `0 .. num_inputs` are the primary inputs,
+/// slots `num_inputs .. num_inputs + num_ffs` the FF states, and
 /// instruction `i` writes slot `num_inputs + num_ffs + i`.
 #[derive(Debug, Clone)]
 pub struct FusedTape {
@@ -110,10 +88,6 @@ pub struct FusedTape {
     pub(crate) rhs: Vec<u32>,
     /// Resolved location of every FF's D-input value, by FF index.
     pub(crate) ff_d: Vec<FusedRef>,
-    /// Resolved location of every original *tape* slot, or `None` for a
-    /// slot whose instruction dead-slot elimination removed. Fully
-    /// populated under [`lower_keep_all`](Self::lower_keep_all).
-    slot_map: Vec<Option<FusedRef>>,
 }
 
 impl FusedTape {
@@ -124,167 +98,91 @@ impl FusedTape {
         Self::lower_with(tape, false)
     }
 
-    /// Lowers `tape` keeping **every** tape slot live (no dead-slot
-    /// elimination), so the value of any original node remains
-    /// recoverable through [`tape_ref`](Self::tape_ref). Used by the
-    /// per-node differential tests; the production path uses
+    /// Lowers `tape` keeping **every** instruction in its slot (no
+    /// dead-slot elimination), so the value of any original node stays
+    /// readable through [`Tape::slot_of`]. Used by the per-node
+    /// differential tests; the production path uses
     /// [`lower`](Self::lower).
     pub fn lower_keep_all(tape: &Tape) -> FusedTape {
         Self::lower_with(tape, true)
     }
 
     fn lower_with(tape: &Tape, keep_all: bool) -> FusedTape {
-        let base = tape.num_inputs() + tape.num_ffs();
-        // Resolution of every tape slot into the *pre-liveness* fused
-        // value space: ids `0 .. base` are the base slots, id `base + j`
-        // is pre-liveness fused instruction `j`.
-        let mut res: Vec<FusedRef> = (0..base as u32)
-            .map(|s| FusedRef::Slot {
-                slot: s,
-                inv: false,
-            })
-            .collect();
-        let mut ops: Vec<(FusedOp, u32, u32)> = Vec::with_capacity(tape.num_ops());
-
-        for i in 0..tape.num_ops() {
-            let (op, a, b) = (tape.opcode[i], tape.lhs[i], tape.rhs[i]);
-            let ra = res[a as usize];
-            let rb = res[b as usize];
-            // The tape spells NOT as NAND(a, a): fuse it into a
-            // polarity flip on the operand reference.
-            let r = if op == Op::Nand && a == b {
-                ra.invert()
-            } else {
-                let (base_fn, out_inv) = match op {
-                    Op::And => (Base::And, false),
-                    Op::Nand => (Base::And, true),
-                    Op::Or => (Base::Or, false),
-                    Op::Nor => (Base::Or, true),
-                    Op::Xor => (Base::Xor, false),
-                    Op::Xnor => (Base::Xor, true),
-                };
-                lower_bin(&mut ops, base as u32, base_fn, out_inv, ra, rb)
-            };
-            res.push(r);
-        }
-
+        let base = tape.num_inputs + tape.num_ffs;
+        let ops = &tape.ops;
         // Liveness, rooted at the FF D inputs (or everywhere in
-        // keep-all mode). Operand ids are always smaller than the
-        // instruction's own id, so one reverse sweep propagates.
-        let mut live = vec![false; ops.len()];
-        let mark = |r: FusedRef, live: &mut Vec<bool>| {
-            if let FusedRef::Slot { slot, .. } = r {
-                if slot as usize >= base {
-                    live[slot as usize - base] = true;
-                }
+        // keep-all mode). Operand slots are always below the
+        // instruction's own, so one reverse sweep propagates.
+        let mut live = vec![keep_all; ops.len()];
+        let mark = |slot: u32, live: &mut [bool]| {
+            if let Some(j) = (slot as usize).checked_sub(base) {
+                live[j] = true;
             }
         };
-        for ff in 0..tape.num_ffs() {
-            mark(resolve_tape_ref(&res, tape.ff_d[ff]), &mut live);
-        }
-        if keep_all {
-            for &r in &res {
-                mark(r, &mut live);
+        for &r in &tape.ff_d {
+            if let FusedRef::Slot { slot, .. } = r {
+                mark(slot, &mut live);
             }
         }
         for j in (0..ops.len()).rev() {
             if live[j] {
                 let (_, a, b) = ops[j];
-                if a as usize >= base {
-                    live[a as usize - base] = true;
-                }
-                if b as usize >= base {
-                    live[b as usize - base] = true;
-                }
+                mark(a, &mut live);
+                mark(b, &mut live);
             }
         }
 
         // Dense renumbering of the survivors.
         let mut new_slot = vec![u32::MAX; ops.len()];
-        let mut next = base as u32;
-        for (j, &alive) in live.iter().enumerate() {
-            if alive {
-                new_slot[j] = next;
-                next += 1;
-            }
-        }
-        let renumber = |id: u32| -> u32 {
-            if (id as usize) < base {
-                id
-            } else {
-                new_slot[id as usize - base]
-            }
+        let survivors = live.iter().filter(|&&l| l).count();
+        let mut opcode = Vec::with_capacity(survivors);
+        let mut lhs = Vec::with_capacity(survivors);
+        let mut rhs = Vec::with_capacity(survivors);
+        let renumber = |s: u32, new_slot: &[u32]| match (s as usize).checked_sub(base) {
+            Some(j) => new_slot[j],
+            None => s,
         };
-        let remap = |r: FusedRef| -> Option<FusedRef> {
-            match r {
-                FusedRef::Const(v) => Some(FusedRef::Const(v)),
-                FusedRef::Slot { slot, inv } => {
-                    if (slot as usize) < base {
-                        Some(FusedRef::Slot { slot, inv })
-                    } else if live[slot as usize - base] {
-                        Some(FusedRef::Slot {
-                            slot: new_slot[slot as usize - base],
-                            inv,
-                        })
-                    } else {
-                        None
-                    }
-                }
-            }
-        };
-
-        let mut opcode = Vec::with_capacity(next as usize - base);
-        let mut lhs = Vec::with_capacity(opcode.capacity());
-        let mut rhs = Vec::with_capacity(opcode.capacity());
         for (j, &(op, a, b)) in ops.iter().enumerate() {
             if live[j] {
+                new_slot[j] = (base + opcode.len()) as u32;
                 opcode.push(op);
-                lhs.push(renumber(a));
-                rhs.push(renumber(b));
+                lhs.push(renumber(a, &new_slot));
+                rhs.push(renumber(b, &new_slot));
             }
         }
-        let ff_d: Vec<FusedRef> = (0..tape.num_ffs())
-            .map(|ff| {
-                remap(resolve_tape_ref(&res, tape.ff_d[ff]))
-                    .expect("FF D inputs root the liveness sweep")
-            })
-            .collect();
-        let slot_map: Vec<Option<FusedRef>> = (0..tape.num_slots())
-            .map(|s| {
-                remap(if s < base {
-                    FusedRef::Slot {
-                        slot: s as u32,
-                        inv: false,
-                    }
-                } else {
-                    res[s]
-                })
+        let ff_d = tape
+            .ff_d
+            .iter()
+            .map(|&r| match r {
+                FusedRef::Slot { slot, inv } => FusedRef::Slot {
+                    slot: renumber(slot, &new_slot),
+                    inv,
+                },
+                r => r,
             })
             .collect();
 
         FusedTape {
-            num_slots: next as usize,
-            num_inputs: tape.num_inputs(),
-            num_ffs: tape.num_ffs(),
+            num_slots: base + opcode.len(),
+            num_inputs: tape.num_inputs,
+            num_ffs: tape.num_ffs,
             opcode,
             lhs,
             rhs,
             ff_d,
-            slot_map,
         }
     }
 
-    /// Number of runtime value slots (inputs + FF states + fused
-    /// instruction outputs).
+    /// Number of runtime value slots (inputs + FF states + instruction
+    /// outputs).
     #[inline]
     pub fn num_slots(&self) -> usize {
         self.num_slots
     }
 
     /// Number of fused instructions — the per-pass work of the fused
-    /// interpreter and the JIT. Never more than the unfused
-    /// [`Tape::num_ops`]; NOT fusion and dead-slot elimination only
-    /// shrink it.
+    /// interpreter and the JIT. Never more than [`Tape::num_ops`]:
+    /// dead-slot elimination only shrinks it.
     #[inline]
     pub fn num_ops(&self) -> usize {
         self.opcode.len()
@@ -320,115 +218,6 @@ impl FusedTape {
     #[inline]
     pub fn ff_d(&self, ff: usize) -> FusedRef {
         self.ff_d[ff]
-    }
-
-    /// Maps an original tape [`SlotRef`] into the fused value space, or
-    /// `None` when the referenced slot was dead-slot-eliminated (never
-    /// under [`lower_keep_all`](Self::lower_keep_all)).
-    pub fn tape_ref(&self, r: SlotRef) -> Option<FusedRef> {
-        match r {
-            SlotRef::Const(v) => Some(FusedRef::Const(v)),
-            SlotRef::Slot(s) => self.slot_map[s as usize],
-        }
-    }
-}
-
-/// Maps a tape-level [`SlotRef`] through the per-slot resolution table.
-fn resolve_tape_ref(res: &[FusedRef], r: SlotRef) -> FusedRef {
-    match r {
-        SlotRef::Const(v) => FusedRef::Const(v),
-        SlotRef::Slot(s) => res[s as usize],
-    }
-}
-
-/// Folds or emits one binary instruction of base function `base_fn`
-/// with output polarity `out_inv` over resolved operands. Constants and
-/// same-slot operand pairs fold; everything else emits exactly one
-/// fused instruction whose opcode absorbs all three polarities.
-fn lower_bin(
-    ops: &mut Vec<(FusedOp, u32, u32)>,
-    first_op_slot: u32,
-    base_fn: Base,
-    out_inv: bool,
-    ra: FusedRef,
-    rb: FusedRef,
-) -> FusedRef {
-    use FusedRef::{Const, Slot};
-    let apply_out = |r: FusedRef| if out_inv { r.invert() } else { r };
-    let folded = match (base_fn, ra, rb) {
-        (Base::And, Const(a), Const(b)) => Some(Const(a && b)),
-        (Base::And, Const(false), _) | (Base::And, _, Const(false)) => Some(Const(false)),
-        (Base::And, Const(true), x) | (Base::And, x, Const(true)) => Some(x),
-        (Base::Or, Const(a), Const(b)) => Some(Const(a || b)),
-        (Base::Or, Const(true), _) | (Base::Or, _, Const(true)) => Some(Const(true)),
-        (Base::Or, Const(false), x) | (Base::Or, x, Const(false)) => Some(x),
-        (Base::Xor, Const(a), Const(b)) => Some(Const(a ^ b)),
-        (Base::Xor, Const(c), x) | (Base::Xor, x, Const(c)) => Some(if c { x.invert() } else { x }),
-        (_, Slot { slot: a, inv: ia }, Slot { slot: b, inv: ib }) if a == b => {
-            Some(match base_fn {
-                // AND(x, x) = x; AND(x, ¬x) = 0.
-                Base::And => {
-                    if ia == ib {
-                        ra
-                    } else {
-                        Const(false)
-                    }
-                }
-                Base::Or => {
-                    if ia == ib {
-                        ra
-                    } else {
-                        Const(true)
-                    }
-                }
-                Base::Xor => Const(ia != ib),
-            })
-        }
-        _ => None,
-    };
-    if let Some(r) = folded {
-        return apply_out(r);
-    }
-    let (Slot { slot: a, inv: ia }, Slot { slot: b, inv: ib }) = (ra, rb) else {
-        unreachable!("const operands fold above");
-    };
-    // Every (input polarity, input polarity, output polarity)
-    // combination of the And/Or families maps to one fused opcode; XOR
-    // polarities collapse into the output parity.
-    let (op, a, b) = match base_fn {
-        Base::And => match (ia, ib, out_inv) {
-            (false, false, false) => (FusedOp::And, a, b),
-            (false, false, true) => (FusedOp::Nand, a, b),
-            (true, false, false) => (FusedOp::AndN, a, b),
-            (true, false, true) => (FusedOp::OrN, b, a), // ¬(¬a∧b) = ¬b∨a
-            (false, true, false) => (FusedOp::AndN, b, a),
-            (false, true, true) => (FusedOp::OrN, a, b), // ¬(a∧¬b) = ¬a∨b
-            (true, true, false) => (FusedOp::Nor, a, b), // ¬a∧¬b
-            (true, true, true) => (FusedOp::Or, a, b),
-        },
-        Base::Or => match (ia, ib, out_inv) {
-            (false, false, false) => (FusedOp::Or, a, b),
-            (false, false, true) => (FusedOp::Nor, a, b),
-            (true, false, false) => (FusedOp::OrN, a, b),
-            (true, false, true) => (FusedOp::AndN, b, a), // ¬(¬a∨b) = ¬b∧a
-            (false, true, false) => (FusedOp::OrN, b, a),
-            (false, true, true) => (FusedOp::AndN, a, b), // ¬(a∨¬b) = ¬a∧b
-            (true, true, false) => (FusedOp::Nand, a, b), // ¬a∨¬b
-            (true, true, true) => (FusedOp::And, a, b),
-        },
-        Base::Xor => {
-            if out_inv ^ ia ^ ib {
-                (FusedOp::Xnor, a, b)
-            } else {
-                (FusedOp::Xor, a, b)
-            }
-        }
-    };
-    let out = first_op_slot + ops.len() as u32;
-    ops.push((op, a, b));
-    Slot {
-        slot: out,
-        inv: false,
     }
 }
 
@@ -608,12 +397,12 @@ mod tests {
     fn not_chains_fuse_to_a_single_instruction() {
         let nl = de_morgan();
         let tape = Tape::compile(&nl);
-        // Unfused: NOT, NOT, AND, NOT = 4 instructions.
-        assert_eq!(tape.num_ops(), 4);
+        // The compile sweep fuses as it goes: the two input inverters
+        // fold into the AND's opcode (¬a ∧ ¬b = NOR), and the trailing
+        // inverter rides the FF D reference's polarity bit — one
+        // instruction total, where NOT, NOT, AND, NOT spell four gates.
+        assert_eq!(tape.num_ops(), 1);
         let fused = FusedTape::lower(&tape);
-        // Fused: the two input inverters fold into the AND's opcode
-        // (¬a ∧ ¬b = NOR), and the trailing inverter rides the FF D
-        // reference's polarity bit — one instruction total.
         assert_eq!(fused.num_ops(), 1);
         assert_eq!(fused.opcode[0], FusedOp::Nor);
         assert!(
@@ -638,7 +427,7 @@ mod tests {
         b.mark_output(ff);
         let nl = b.finish().unwrap();
         let tape = Tape::compile(&nl);
-        assert_eq!(tape.num_ops(), 1, "the unfused tape spends a NAND");
+        assert_eq!(tape.num_ops(), 0, "a NOT compiles to no instruction");
         let fused = FusedTape::lower(&tape);
         assert_eq!(fused.num_ops(), 0, "the inversion fuses into the D ref");
         assert_eq!(
@@ -671,21 +460,24 @@ mod tests {
 
         let pruned = FusedTape::lower(&tape);
         assert_eq!(pruned.num_ops(), 1, "the XOR cannot reach any FF");
+        assert_eq!(pruned.opcode, [FusedOp::And], "only the live AND survives");
         assert_eq!(
-            pruned.tape_ref(tape.slot_of(dead)),
-            None,
-            "eliminated slots resolve to None"
+            pruned.ff_d(0),
+            FusedRef::Slot {
+                slot: 3,
+                inv: false
+            },
+            "the survivor is renumbered to the first instruction slot"
         );
-        assert!(pruned.tape_ref(tape.slot_of(live)).is_some());
 
         let kept = FusedTape::lower_keep_all(&tape);
         assert_eq!(kept.num_ops(), 2);
-        let r = kept.tape_ref(tape.slot_of(dead)).expect("kept alive");
         let mut sim = FusedSim::<1>::new(&kept);
         sim.set_input(0, [0b0011]);
         sim.set_input(1, [0b0101]);
         sim.eval();
-        assert_eq!(sim.resolve(r), [0b0110]);
+        assert_eq!(sim.resolve(tape.slot_of(dead)), [0b0110]);
+        assert_eq!(sim.next_state(0), [0b0001]);
     }
 
     #[test]
@@ -719,13 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_never_exceeds_unfused_op_count_on_the_suite() {
+    fn dead_slot_elimination_never_adds_instructions_on_the_suite() {
         for nl in mcp_gen::suite::quick_suite() {
             let tape = Tape::compile(&nl);
             let fused = FusedTape::lower(&tape);
             assert!(
                 fused.num_ops() <= tape.num_ops(),
-                "{}: fused {} > unfused {}",
+                "{}: lowered {} > compiled {}",
                 nl.name(),
                 fused.num_ops(),
                 tape.num_ops()
