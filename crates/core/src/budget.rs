@@ -2,11 +2,11 @@
 //!
 //! The k-cycle extension (paper Section 4.1) asks a per-`k` question; a
 //! timing flow usually wants the answer the other way around: *how many
-//! cycles can this pair be given?* [`max_cycle_budget`] answers it with
-//! one expansion at the limit and one scenario sweep, finding for each
-//! `(FFi(t), FFj(t+1))` assignment the earliest sink time that can differ
-//! and taking the minimum — instead of re-running the whole analysis per
-//! `k` as a naive sweep would.
+//! cycles can this pair be given?* [`max_cycle_budgets`] answers it
+//! with one expansion at the limit and one scenario sweep per pair,
+//! finding for each `(FFi(t), FFj(t+1))` assignment the earliest sink
+//! time that can differ and taking the minimum — instead of re-running
+//! the whole analysis per `k` as a naive sweep would.
 
 use crate::config::McConfig;
 use crate::pipeline::AnalyzeError;
@@ -38,43 +38,17 @@ pub enum CycleBudget {
     Unknown,
 }
 
-/// Computes the maximal verified cycle budget of pair `(i, j)`, searching
-/// sink times up to `limit` (the expansion uses `limit` frames).
-///
-/// # Errors
-///
-/// Returns [`AnalyzeError::InvalidCycles`] when `limit < 2`.
-///
-/// # Panics
-///
-/// Panics if `i` or `j` is out of range for `netlist`.
-pub fn max_cycle_budget(
-    netlist: &Netlist,
-    i: usize,
-    j: usize,
-    limit: u32,
-    cfg: &McConfig,
-) -> Result<CycleBudget, AnalyzeError> {
-    if limit < 2 {
-        return Err(AnalyzeError::InvalidCycles { got: limit });
-    }
-    let x = Expanded::build(netlist, limit);
-    let mut eng = ImpEngine::new(&x);
-    let search_cfg = SearchConfig {
-        backtrack_limit: cfg.backtrack_limit,
-    };
-    Ok(budget_for_pair(&mut eng, &x, i, j, limit, &search_cfg))
-}
-
 /// A pair list with each pair's verified budget, sorted by pair.
 pub type PairBudgets = Vec<((usize, usize), CycleBudget)>;
 
-/// [`max_cycle_budget`] for a whole pair list at once: one shared
-/// expansion, and the per-pair sweeps distributed over `cfg.threads`
-/// workers in list order (each worker owns an engine; the sweep
-/// fully restores engine state between pairs, so results are independent
-/// of which worker handles which pair). Results come back sorted by
-/// pair, making the output deterministic for any thread count.
+/// Computes the maximal verified cycle budget of each pair of a list,
+/// searching sink times up to `limit` (the expansion uses `limit`
+/// frames): one shared expansion, and the per-pair sweeps distributed
+/// over `cfg.threads` workers in list order (each worker owns an
+/// engine; the sweep fully restores engine state between pairs, so
+/// results are independent of which worker handles which pair).
+/// Results come back sorted by pair, making the output deterministic
+/// for any thread count.
 ///
 /// # Errors
 ///
@@ -194,6 +168,12 @@ mod tests {
         }
     }
 
+    /// The budget of one pair, through the batch entry point.
+    fn max_cycle_budget(nl: &Netlist, i: usize, j: usize, limit: u32) -> CycleBudget {
+        let budgets = max_cycle_budgets(nl, &[(i, j)], limit, &cfg()).expect("valid limit");
+        budgets[0].1
+    }
+
     #[test]
     fn datapath_budgets_equal_their_latency() {
         for latency in [2u64, 3, 5, 6] {
@@ -205,7 +185,7 @@ mod tests {
             });
             let a = nl.ff_index(nl.find_node("D0_A0").unwrap()).unwrap();
             let b = nl.ff_index(nl.find_node("D0_B0").unwrap()).unwrap();
-            let budget = max_cycle_budget(&nl, a, b, 8, &cfg()).expect("valid limit");
+            let budget = max_cycle_budget(&nl, a, b, 8);
             assert_eq!(
                 budget,
                 CycleBudget::Exact {
@@ -220,7 +200,7 @@ mod tests {
     fn hold_register_budget_is_unbounded() {
         let nl = mcp_netlist::bench::parse("hold", "INPUT(a)\nOUTPUT(q)\nq = DFF(d)\nd = BUFF(q)")
             .expect("parse");
-        let budget = max_cycle_budget(&nl, 0, 0, 6, &cfg()).expect("valid limit");
+        let budget = max_cycle_budget(&nl, 0, 0, 6);
         assert_eq!(budget, CycleBudget::AtLeast { at_least: 6 });
     }
 
@@ -228,7 +208,7 @@ mod tests {
     fn toggle_register_is_single_cycle() {
         let nl = mcp_netlist::bench::parse("toggle", "INPUT(a)\nOUTPUT(q)\nq = DFF(d)\nd = NOT(q)")
             .expect("parse");
-        let budget = max_cycle_budget(&nl, 0, 0, 4, &cfg()).expect("valid limit");
+        let budget = max_cycle_budget(&nl, 0, 0, 4);
         assert_eq!(budget, CycleBudget::SingleCycle);
     }
 
@@ -243,7 +223,7 @@ mod tests {
         });
         let a = nl.ff_index(nl.find_node("D0_A0").unwrap()).unwrap();
         let b = nl.ff_index(nl.find_node("D0_B0").unwrap()).unwrap();
-        let budget = max_cycle_budget(&nl, a, b, 6, &cfg()).expect("valid limit");
+        let budget = max_cycle_budget(&nl, a, b, 6);
         let CycleBudget::Exact { verified } = budget else {
             panic!("expected exact budget, got {budget:?}");
         };
@@ -268,7 +248,6 @@ mod tests {
     #[test]
     fn invalid_limit_is_rejected() {
         let nl = mcp_gen::circuits::fig1();
-        assert!(max_cycle_budget(&nl, 0, 1, 1, &cfg()).is_err());
         assert!(max_cycle_budgets(&nl, &[(0, 1)], 1, &cfg()).is_err());
     }
 
@@ -278,12 +257,7 @@ mod tests {
         let pairs = nl.connected_ff_pairs();
         let mut expected: Vec<((usize, usize), CycleBudget)> = pairs
             .iter()
-            .map(|&(i, j)| {
-                (
-                    (i, j),
-                    max_cycle_budget(&nl, i, j, 6, &cfg()).expect("valid limit"),
-                )
-            })
+            .map(|&(i, j)| ((i, j), max_cycle_budget(&nl, i, j, 6)))
             .collect();
         expected.sort_unstable_by_key(|&(p, _)| p);
         for threads in [1usize, 2, 8] {

@@ -8,12 +8,13 @@
 //! verdict-affecting config finds the `Verdicts` artifact under its
 //! stage key, validates its identity digests, and
 //! splices every verdict into the pipeline without constructing a
-//! single engine. The cheap deterministic stages — lint, expansion, the
-//! prefilters — still run fresh on the warm path, which is what keeps
-//! the canonical report *byte-identical* to a cold run: their surviving
-//! counters (`sim_pairs_dropped`, the lint counters) are recomputed
-//! rather than guessed, and the spliced verdicts preserve the exact
-//! step attribution the engines produced.
+//! single engine. The cheap deterministic stages — the admission check,
+//! expansion, the prefilters — still run fresh on the warm path, which
+//! is what keeps the canonical report *byte-identical* to a cold run:
+//! the prefilters' verdicts (the static pre-pass's multi-cycle pairs,
+//! the simulation's `single_by_sim` drops) are recomputed rather than
+//! stored, and the spliced verdicts preserve the exact step attribution
+//! the engines produced.
 //!
 //! Spliced pairs are journaled with `cached: true` and **no engine
 //! tag**, so a warm run's ledger provably contains zero engine events —

@@ -79,24 +79,12 @@ impl PairProbe {
 }
 
 /// Classifies one pair with the paper's engine: per-assignment implication
-/// followed, only where needed, by the bounded backtrack search.
+/// followed, only where needed, by the bounded backtrack search. Search
+/// effort and (when `probe.trace`) per-assignment outcomes are
+/// accumulated into `probe`.
 ///
 /// `eng` must be an engine over the `k`-frame expansion with an empty
 /// trail; it is returned in that state.
-pub fn classify_pair_implication(
-    eng: &mut ImpEngine<'_>,
-    i: usize,
-    j: usize,
-    k: u32,
-    search_cfg: &SearchConfig,
-) -> Verdict {
-    let mut probe = PairProbe::default();
-    classify_pair_implication_probed(eng, i, j, k, search_cfg, &mut probe)
-}
-
-/// [`classify_pair_implication`] with instrumentation: search effort and
-/// (when `probe.trace`) per-assignment outcomes are accumulated into
-/// `probe`.
 pub fn classify_pair_implication_probed(
     eng: &mut ImpEngine<'_>,
     i: usize,
@@ -269,6 +257,18 @@ mod tests {
     use mcp_gen::{circuits, oracle};
     use mcp_netlist::bench;
 
+    /// Classifies one pair with the implication engine, discarding the
+    /// probe.
+    fn classify_implication(
+        eng: &mut ImpEngine<'_>,
+        i: usize,
+        j: usize,
+        k: u32,
+        search_cfg: &SearchConfig,
+    ) -> Verdict {
+        classify_pair_implication_probed(eng, i, j, k, search_cfg, &mut PairProbe::default())
+    }
+
     #[test]
     fn implication_engine_matches_oracle_on_fig1() {
         let nl = circuits::fig1();
@@ -276,14 +276,14 @@ mod tests {
         let mut eng = ImpEngine::new(&x);
         let (multi, single) = oracle::exhaustive_mc_pairs(&nl);
         for &(i, j) in &multi {
-            let v = classify_pair_implication(&mut eng, i, j, 2, &SearchConfig::default());
+            let v = classify_implication(&mut eng, i, j, 2, &SearchConfig::default());
             assert!(
                 matches!(v, Verdict::Multi { .. }),
                 "({i},{j}) should be multi"
             );
         }
         for &(i, j) in &single {
-            let v = classify_pair_implication(&mut eng, i, j, 2, &SearchConfig::default());
+            let v = classify_implication(&mut eng, i, j, 2, &SearchConfig::default());
             assert!(
                 matches!(v, Verdict::Single { .. }),
                 "({i},{j}) should be single"
@@ -298,7 +298,7 @@ mod tests {
         let nl = circuits::fig1();
         let x = Expanded::build(&nl, 2);
         let mut eng = ImpEngine::new(&x);
-        let v = classify_pair_implication(&mut eng, 0, 1, 2, &SearchConfig::default());
+        let v = classify_implication(&mut eng, 0, 1, 2, &SearchConfig::default());
         assert_eq!(
             v,
             Verdict::Multi {
@@ -361,7 +361,7 @@ mod tests {
         for (k, expect_multi) in [(2, true), (3, true), (4, false)] {
             let x = Expanded::build(&nl, k);
             let mut eng = ImpEngine::new(&x);
-            let v = classify_pair_implication(
+            let v = classify_implication(
                 &mut eng,
                 a0,
                 b0,
@@ -399,7 +399,7 @@ mod tests {
         .expect("parse");
         let x = Expanded::build(&nl, 2);
         let mut eng = ImpEngine::new(&x);
-        let v = classify_pair_implication(&mut eng, 0, 1, 2, &SearchConfig { backtrack_limit: 0 });
+        let v = classify_implication(&mut eng, 0, 1, 2, &SearchConfig { backtrack_limit: 0 });
         // With no search budget the XOR cones cannot be justified either
         // way: the honest answer is Unknown or a genuine early verdict —
         // never a wrong one. Check against the oracle.

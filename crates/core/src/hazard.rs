@@ -81,6 +81,15 @@ pub fn check_hazards(netlist: &Netlist, report: &McReport, check: HazardCheck) -
 /// [`check_hazards`] with an explicit observability context: the check's
 /// wall-clock lands in the `hazard/check` span and the implication work
 /// it performs is flushed into the shared counters.
+///
+/// The check covers the 2-cycle relaxation only: it builds a 2-frame
+/// expansion and reads the settled values of frame 1, the one capture
+/// edge a 2-cycle relaxation leaves between launch and capture. A
+/// k-cycle relaxation has k − 1 such edges, and the other k − 2 go
+/// unchecked, so a report analyzed at [`McConfig::cycles`] above 2 gets
+/// no hazard guarantee from it (the CLI refuses that combination).
+///
+/// [`McConfig::cycles`]: crate::McConfig::cycles
 pub fn check_hazards_with(
     netlist: &Netlist,
     report: &McReport,

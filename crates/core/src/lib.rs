@@ -57,7 +57,7 @@ pub mod sdc;
 pub mod stage;
 
 pub use borrowing::condition2_candidates;
-pub use budget::{max_cycle_budget, max_cycle_budgets, CycleBudget, PairBudgets};
+pub use budget::{max_cycle_budgets, CycleBudget, PairBudgets};
 pub use cache::analyze_cached_with;
 pub use cas::{CacheStats, CasError, CasLock, CasStore, GcOutcome, StageUsage};
 pub use config::{Engine, McConfig};

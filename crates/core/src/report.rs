@@ -271,7 +271,9 @@ pub struct McReport {
     /// Aggregated per-step statistics.
     pub stats: StepStats,
     /// Observability snapshot at the end of the run: engine counters plus
-    /// span timings (see [`mcp_obs`]).
+    /// span timings (see [`mcp_obs`]). Empty, and left out of the JSON,
+    /// in the [`canonical`](Self::canonical) form.
+    #[serde(default, skip_serializing_if = "MetricsSnapshot::is_empty")]
     pub metrics: MetricsSnapshot,
 }
 
@@ -291,23 +293,24 @@ impl McReport {
     }
 
     /// The strategy-independent projection of the report: a copy with
-    /// every wall-clock field zeroed, the span-timing map emptied, the
-    /// engine *effort* counters (implication/ATPG/SAT/BDD work, slice
-    /// sizes, learned-implication counts, simulated word counts) cleared,
-    /// and multi-cycle attribution folded into a single bucket.
+    /// every wall-clock field zeroed, the simulated word count and the
+    /// kernel tier cleared, [`metrics`](Self::metrics) emptied (so its
+    /// JSON has no `metrics` member), and multi-cycle attribution folded
+    /// into a single bucket.
     ///
-    /// Everything that remains — verdicts, per-step pair counts, the
-    /// prefilter's drop count — describes *what was decided about the
-    /// circuit*, not *how hard the engine worked for it*, so two
-    /// runs differing only in thread count, cone
-    /// slicing (`McConfig::slice`), or the static dataflow pre-pass
-    /// (`McConfig::static_classify`) serialize to **byte-identical**
-    /// JSON. Effort counters cannot share that property across slice
-    /// modes (a sliced engine examines fewer nodes by design), and word
-    /// counts cannot share it across static modes (statically resolved
-    /// pairs let the prefilter's alive set drain sooner); they remain
-    /// available — and still deterministic for a fixed config — in
-    /// [`McReport::metrics`].
+    /// Everything that remains — verdicts and per-step pair counts, the
+    /// prefilter's drop count among them as [`StepStats::single_by_sim`]
+    /// — describes *what was decided about the circuit*, not *how hard
+    /// the engine worked for it*, so two runs differing only in thread
+    /// count, cone slicing (`McConfig::slice`), or the static dataflow
+    /// pre-pass (`McConfig::static_classify`) serialize to
+    /// **byte-identical** JSON, and adding or removing an effort counter
+    /// leaves that JSON as it was. Effort counters cannot share that
+    /// property across slice modes (a sliced engine examines fewer nodes
+    /// by design), and word counts cannot share it across static modes
+    /// (statically resolved pairs let the prefilter's alive set drain
+    /// sooner); they remain available — and still deterministic for a
+    /// fixed config — in the full report's [`McReport::metrics`].
     ///
     /// Multi-cycle verdicts are attribution-folded (`by` rewritten to
     /// [`Step::Atpg`], the per-step multi counts summed into one) because
@@ -335,12 +338,7 @@ impl McReport {
                 *by = Step::Atpg;
             }
         }
-        r.metrics.spans.clear();
-        let c = &r.metrics.counters;
-        r.metrics.counters = mcp_obs::Counters {
-            sim_pairs_dropped: c.sim_pairs_dropped,
-            ..mcp_obs::Counters::default()
-        };
+        r.metrics = MetricsSnapshot::default();
         r
     }
 

@@ -5,7 +5,7 @@
 //! report and the ledger carry the same spans, and two same-seed runs
 //! produce identical counter snapshots.
 
-use mcp_core::{analyze, analyze_with, Engine, McConfig};
+use mcp_core::{analyze, analyze_with, Engine, McConfig, McReport};
 use mcp_gen::{circuits, suite};
 use mcp_obs::{read_ledger_file, FileSink, MemSink, ObsCtx};
 use std::collections::BTreeMap;
@@ -54,6 +54,26 @@ fn fig1_counters_are_nonzero_for_every_resolving_step() {
         assert!(spans.contains_key(key), "missing span `{key}`");
     }
     assert!(spans["analyze"].total >= spans["analyze/pairs"].total);
+}
+
+/// The canonical report carries only what was decided: its JSON has no
+/// metrics (so adding an effort counter leaves its bytes alone), and it
+/// still loads back as a report. The full report keeps its metrics.
+#[test]
+fn canonical_json_has_no_metrics_and_loads_back() {
+    let nl = circuits::fig1();
+    let report = analyze(&nl, &McConfig::default()).expect("analyze");
+    let json = serde_json::to_string(&report.canonical()).expect("serialize");
+    for key in ["\"metrics\"", "\"counters\"", "\"spans\""] {
+        assert!(!json.contains(key), "canonical JSON has {key}: {json}");
+    }
+    let back: McReport = serde_json::from_str(&json).expect("canonical report loads");
+    assert!(back.metrics.is_empty());
+    assert_eq!(back.pairs, report.canonical().pairs);
+    assert_eq!(back.stats.single_by_sim, report.stats.single_by_sim);
+
+    let full = serde_json::to_string(&report).expect("serialize");
+    assert!(full.contains("\"metrics\""), "{full}");
 }
 
 #[test]
@@ -108,11 +128,10 @@ fn same_seed_runs_produce_identical_counter_snapshots() {
 }
 
 /// The tentpole determinism guarantee: the serialized canonical report —
-/// verdicts, per-step stats, and the strategy-independent counter
-/// projection — is byte-identical whether the pair loop ran on 1 worker
-/// or 8, **with cone slicing on or off**, for both parallel engines.
-/// Only wall-clock, spans and engine effort (all projected out by
-/// `canonical()`) may differ between runs.
+/// verdicts and per-step stats — is byte-identical whether the pair
+/// loop ran on 1 worker or 8, **with cone slicing on or off**, for both
+/// parallel engines. Only wall-clock, spans and engine effort (all
+/// projected out by `canonical()`) may differ between runs.
 #[test]
 fn reports_are_byte_identical_across_thread_counts_and_slice_modes() {
     let nl = suite::quick_suite().remove(1); // m298: survivors for every step

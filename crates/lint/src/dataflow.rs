@@ -430,6 +430,25 @@ impl AnalysisIndex {
         }
     }
 
+    /// An index that holds only `defects`, for running the Error rules
+    /// alone ([`structural_report`](crate::structural_report)): they read
+    /// nothing else, and every other accessor panics on it.
+    pub(crate) fn of_defects(defects: Vec<Defect>) -> AnalysisIndex {
+        AnalysisIndex {
+            defects,
+            lattice: ConstLattice {
+                base: Vec::new(),
+                fix: Vec::new(),
+                iterations: 0,
+            },
+            live: Vec::new(),
+            observable: Vec::new(),
+            cones: Vec::new(),
+            seq_has_pi: Vec::new(),
+            domains: Vec::new(),
+        }
+    }
+
     /// The netlist's structural defects ([`Netlist::defects`]), which the
     /// Error rules report.
     pub fn defects(&self) -> &[Defect] {

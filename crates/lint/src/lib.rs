@@ -11,11 +11,12 @@
 //!
 //! # Architecture
 //!
-//! * [`LintRule`] — one structural check over a [`Netlist`]; pushes
-//!   [`Diagnostic`]s.
-//! * [`Registry`] — the rule set; [`Registry::with_default_rules`] holds
-//!   the built-in rules, [`Registry::run`] applies them under a
-//!   [`LintConfig`] (per-rule enable/deny, severity floor).
+//! * [`RULES`] — the one table of built-in rules. Each [`Rule`] is an
+//!   id, a default severity and a plain check function over a
+//!   [`Netlist`] and the shared [`AnalysisIndex`].
+//! * [`Registry`] — runs the table: [`Registry::run`] applies a
+//!   [`LintConfig`] (per-rule enable/deny, severity floor) and gives
+//!   each finding its rule id and severity.
 //! * [`Diagnostics`] — the report: renderable as text or JSON, with
 //!   severity roll-ups.
 //! * [`sdc`] — parses `set_multicycle_path` constraint text back and
@@ -58,7 +59,7 @@ pub mod rules;
 pub mod sdc;
 
 pub use dataflow::{const_lattice, AnalysisIndex, ConstLattice, FfDomain};
-pub use rules::{default_rules, structural_report};
+pub use rules::{structural_report, RULES};
 pub use sdc::{parse_sdc, validate_sdc, SdcConstraint};
 
 // ---------------------------------------------------------------------
@@ -156,10 +157,11 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// A lint report: the findings of one run, in rule registration order.
+/// A lint report: the findings of one run ([`Registry::run`] lists them
+/// in [`RULES`] order).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diagnostics {
-    /// All findings that survived the [`LintConfig`] filters.
+    /// Every finding of the run, in report order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -238,29 +240,25 @@ impl Diagnostics {
 // Rules and registry
 // ---------------------------------------------------------------------
 
-/// One structural or semantic check over a [`Netlist`].
+/// One finding of a rule's check: the nodes it is anchored to and a
+/// message with node names resolved. [`Registry::run`] gives it the
+/// rule's id and severity.
+pub(crate) type Finding = (Vec<NodeId>, String);
+
+/// One built-in lint rule: an entry of [`RULES`].
 ///
-/// Rules must be pure: no ordering dependencies between rules, and a rule
-/// must behave identically whether run alone or with the full registry.
-/// A rule pushes findings at its [`default_severity`](Self::default_severity);
-/// the registry applies [`LintConfig`] overrides afterwards.
-///
-/// Every rule receives the shared [`AnalysisIndex`] the registry computed
-/// once for the run — structural defects, constant lattice,
-/// liveness/observability, per-FF cones, FF domains — instead of
-/// re-deriving those facts itself.
-pub trait LintRule {
+/// A check is pure: it reads only the netlist and the [`AnalysisIndex`]
+/// the registry computes once per run (structural defects, constant
+/// lattice, liveness/observability, per-FF cones, FF domains), so it
+/// finds the same whether other rules run or not.
+#[derive(Debug, Clone, Copy)]
+pub struct Rule {
     /// Stable kebab-case identifier, used in config and output.
-    fn id(&self) -> &'static str;
-
-    /// Severity of this rule's findings unless overridden.
-    fn default_severity(&self) -> Severity;
-
-    /// One-line description of what the rule checks.
-    fn description(&self) -> &'static str;
-
-    /// Runs the check, pushing one [`Diagnostic`] per finding.
-    fn check(&self, netlist: &Netlist, index: &AnalysisIndex, out: &mut Vec<Diagnostic>);
+    pub id: &'static str,
+    /// Severity of the rule's findings unless [`LintConfig`] overrides it.
+    pub(crate) severity: Severity,
+    /// Pushes one [`Finding`] per finding.
+    pub(crate) check: fn(&Netlist, &AnalysisIndex, &mut Vec<Finding>),
 }
 
 /// Per-run lint configuration: which rules run and how their findings are
@@ -272,16 +270,15 @@ pub struct LintConfig {
     /// Rule id → severity replacing the rule's default (a `deny` list is
     /// a set of overrides to [`Severity::Error`]).
     pub severity_overrides: BTreeMap<String, Severity>,
-    /// Findings strictly below this severity are dropped from the report.
-    /// `None` keeps everything.
+    /// Rules whose severity is strictly below this do not run. `None`
+    /// runs every rule.
     pub min_severity: Option<Severity>,
 }
 
 impl LintConfig {
-    /// Keeps only [`Severity::Error`] findings. Under the default rules
-    /// these are the structural defects, as [`structural_report`] lists
-    /// them for the pipeline's admission gate; hygiene warnings must not
-    /// block analysis.
+    /// Runs only the [`Severity::Error`] rules: the structural defects,
+    /// as [`structural_report`] lists them for the pipeline's admission
+    /// gate; hygiene warnings must not block analysis.
     pub fn errors_only() -> LintConfig {
         LintConfig {
             min_severity: Some(Severity::Error),
@@ -301,89 +298,57 @@ impl LintConfig {
             .insert(rule.to_owned(), Severity::Error);
         self
     }
-
-    /// Overrides a rule's severity.
-    pub fn set_severity(mut self, rule: &str, severity: Severity) -> LintConfig {
-        self.severity_overrides.insert(rule.to_owned(), severity);
-        self
-    }
 }
 
-/// The set of lint rules to run.
-pub struct Registry {
-    rules: Vec<Box<dyn LintRule>>,
-}
+/// The rule set: the [`RULES`] table.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Registry;
 
 impl Registry {
-    /// A registry with no rules; populate with [`register`](Self::register).
-    pub fn empty() -> Registry {
-        Registry { rules: Vec::new() }
-    }
-
-    /// The built-in rule set (see [`rules`] for the list).
+    /// The built-in rule set, [`RULES`].
     pub fn with_default_rules() -> Registry {
-        let mut r = Registry::empty();
-        for rule in rules::default_rules() {
-            r.register(rule);
-        }
-        r
+        Registry
     }
 
-    /// Adds a rule. Rule ids must be unique.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a rule with the same id is already registered.
-    pub fn register(&mut self, rule: Box<dyn LintRule>) {
-        assert!(
-            self.rules.iter().all(|r| r.id() != rule.id()),
-            "duplicate lint rule id `{}`",
-            rule.id()
-        );
-        self.rules.push(rule);
+    /// The rules, in report order.
+    pub fn rules(&self) -> &'static [Rule] {
+        &RULES
     }
 
-    /// The registered rules, in registration order.
-    pub fn rules(&self) -> impl Iterator<Item = &dyn LintRule> {
-        self.rules.iter().map(|r| r.as_ref())
-    }
-
-    /// Runs every enabled rule and collects the surviving findings.
+    /// Runs every enabled rule at or above the severity floor and
+    /// collects the findings, in table order.
     pub fn run(&self, netlist: &Netlist, cfg: &LintConfig) -> Diagnostics {
         // One shared analysis per run; every rule reads from it instead
         // of re-traversing the graph.
-        let index = AnalysisIndex::build(netlist);
+        self.run_on(netlist, &AnalysisIndex::build(netlist), cfg)
+    }
+
+    /// [`run`](Self::run) over a given index, and the one place a finding
+    /// gets its rule id and severity. A disabled rule, or one whose
+    /// severity after overrides is below the floor, does not run.
+    pub(crate) fn run_on(
+        &self,
+        netlist: &Netlist,
+        index: &AnalysisIndex,
+        cfg: &LintConfig,
+    ) -> Diagnostics {
         let mut report = Diagnostics::default();
-        for rule in &self.rules {
-            if cfg.disabled.contains(rule.id()) {
-                continue;
-            }
+        let mut found = Vec::new();
+        for rule in self.rules() {
             let severity = cfg
                 .severity_overrides
-                .get(rule.id())
+                .get(rule.id)
                 .copied()
-                .unwrap_or_else(|| rule.default_severity());
-            let mut found = Vec::new();
-            rule.check(netlist, &index, &mut found);
-            for mut d in found {
-                d.severity = severity;
-                if cfg.min_severity.is_some_and(|min| d.severity < min) {
-                    continue;
-                }
-                report.push(d);
+                .unwrap_or(rule.severity);
+            if cfg.disabled.contains(rule.id) || cfg.min_severity.is_some_and(|min| severity < min)
+            {
+                continue;
+            }
+            (rule.check)(netlist, index, &mut found);
+            for (nodes, message) in found.drain(..) {
+                report.push(Diagnostic::new(rule.id, severity, nodes, message));
             }
         }
         report
-    }
-}
-
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Registry")
-            .field(
-                "rules",
-                &self.rules.iter().map(|r| r.id()).collect::<Vec<_>>(),
-            )
-            .finish()
     }
 }

@@ -1,28 +1,24 @@
 //! Negative corpus: one hand-built corrupt netlist per rule, asserting
 //! the rule fires exactly once and is anchored to the right nodes.
 //!
-//! Each case runs its rule in isolation (a registry of one) so overlap
-//! between rules — a floating gate is usually also unreachable — cannot
-//! mask a miscount, then re-runs the full default registry to check the
-//! rule still fires among its peers.
+//! Each case runs its rule in isolation (every other rule disabled) so
+//! overlap between rules — a floating gate is usually also unreachable —
+//! cannot mask a miscount, then re-runs the full default registry to
+//! check the rule still fires among its peers.
 
-use mcp_lint::{Diagnostic, Diagnostics, LintConfig, LintRule, Registry, Severity};
+use mcp_lint::{Diagnostic, Diagnostics, LintConfig, Registry, Severity, RULES};
 use mcp_logic::GateKind;
 use mcp_netlist::{Netlist, NetlistBuilder, NodeId, NodeKind};
 
-/// Runs exactly one rule over the netlist.
-fn run_rule(rule: Box<dyn LintRule>, nl: &Netlist) -> Diagnostics {
-    let mut r = Registry::empty();
-    r.register(rule);
-    r.run(nl, &LintConfig::default())
-}
-
-/// The built-in rule with this id (the Error rules share one type).
-fn rule(id: &str) -> Box<dyn LintRule> {
-    mcp_lint::default_rules()
-        .into_iter()
-        .find(|r| r.id() == id)
-        .unwrap_or_else(|| panic!("no rule `{id}`"))
+/// Runs exactly one rule over the netlist: the default registry with
+/// every other rule disabled.
+fn run_rule(id: &str, nl: &Netlist) -> Diagnostics {
+    assert!(RULES.iter().any(|r| r.id == id), "no rule `{id}`");
+    let cfg = RULES
+        .iter()
+        .filter(|r| r.id != id)
+        .fold(LintConfig::default(), |cfg, r| cfg.disable(r.id));
+    Registry::with_default_rules().run(nl, &cfg)
 }
 
 /// Asserts `report` is a single finding of `rule` at `severity`, anchored
@@ -60,7 +56,7 @@ fn comb_cycle_fires_once() {
     b.mark_output(q);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(rule("comb-cycle"), &nl);
+    let report = run_rule("comb-cycle", &nl);
     let d = the_one(&report, "comb-cycle", Severity::Error, &[g1, g2]);
     assert!(d.message.contains("g1") && d.message.contains("g2"));
     default_registry_agrees(&nl, "comb-cycle");
@@ -74,7 +70,7 @@ fn self_loop_gate_is_a_cycle() {
     b.rewire_fanin(g, 1, g).unwrap();
     b.mark_output(g);
     let nl = b.finish_unchecked();
-    let report = run_rule(rule("comb-cycle"), &nl);
+    let report = run_rule("comb-cycle", &nl);
     the_one(&report, "comb-cycle", Severity::Error, &[g]);
 }
 
@@ -89,7 +85,7 @@ fn unconnected_dff_fires_once() {
     b.mark_output(ok);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(rule("unconnected-dff"), &nl);
+    let report = run_rule("unconnected-dff", &nl);
     the_one(&report, "unconnected-dff", Severity::Error, &[q]);
     default_registry_agrees(&nl, "unconnected-dff");
 }
@@ -99,13 +95,11 @@ fn multi_driven_dff_fires_once() {
     let mut b = NetlistBuilder::new("md");
     let a = b.input("a");
     let c = b.input("b");
-    let q = b.dff("q");
-    b.set_dff_input(q, a).unwrap();
-    b.add_dff_driver(q, c).unwrap();
+    let q = b.raw_node("q", NodeKind::Dff, vec![a, c]);
     b.mark_output(q);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(rule("multi-driven-dff"), &nl);
+    let report = run_rule("multi-driven-dff", &nl);
     let d = the_one(&report, "multi-driven-dff", Severity::Error, &[q]);
     assert!(d.message.contains("2 D drivers"), "{d:?}");
     default_registry_agrees(&nl, "multi-driven-dff");
@@ -121,7 +115,7 @@ fn duplicate_name_fires_once() {
     b.mark_output(q);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(rule("duplicate-name"), &nl);
+    let report = run_rule("duplicate-name", &nl);
     let d = the_one(&report, "duplicate-name", Severity::Error, &[a, g]);
     assert!(d.message.contains("`x`"), "{d:?}");
     default_registry_agrees(&nl, "duplicate-name");
@@ -141,7 +135,7 @@ fn floating_net_fires_once() {
     b.mark_output(q);
     let nl = b.finish().expect("well-formed apart from hygiene");
 
-    let report = run_rule(Box::new(mcp_lint::rules::FloatingNet), &nl);
+    let report = run_rule("floating-net", &nl);
     the_one(&report, "floating-net", Severity::Warn, &[tail]);
     default_registry_agrees(&nl, "floating-net");
 }
@@ -158,7 +152,7 @@ fn unreachable_logic_fires_once_covering_the_dead_cone() {
     b.mark_output(q);
     let nl = b.finish().expect("well-formed apart from hygiene");
 
-    let report = run_rule(Box::new(mcp_lint::rules::UnreachableLogic), &nl);
+    let report = run_rule("unreachable-logic", &nl);
     let d = the_one(&report, "unreachable-logic", Severity::Warn, &[mid, tail]);
     assert!(d.message.contains("2 gate(s)"), "{d:?}");
     default_registry_agrees(&nl, "unreachable-logic");
@@ -176,7 +170,7 @@ fn zero_width_gate_fires_once() {
     b.mark_output(q);
     let nl = b.finish_unchecked();
 
-    let report = run_rule(rule("zero-width-gate"), &nl);
+    let report = run_rule("zero-width-gate", &nl);
     let d = the_one(&report, "zero-width-gate", Severity::Error, &[zw]);
     assert!(d.message.contains("`zw`"), "{d:?}");
     default_registry_agrees(&nl, "zero-width-gate");
@@ -191,7 +185,7 @@ fn bad_arity_fires_once() {
     let nl = mcp_netlist::bench::parse_unchecked("arity", src).expect("parse");
     let g = nl.find_node("g").unwrap();
 
-    let report = run_rule(rule("bad-arity"), &nl);
+    let report = run_rule("bad-arity", &nl);
     let d = the_one(&report, "bad-arity", Severity::Error, &[g]);
     assert_eq!(d.message, "gate `g` of kind NOT cannot take 2 inputs");
     default_registry_agrees(&nl, "bad-arity");
@@ -216,7 +210,7 @@ fn constant_dff_fires_once() {
     b.mark_output(ok);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::ConstantDff), &nl);
+    let report = run_rule("constant-dff", &nl);
     let d = the_one(&report, "constant-dff", Severity::Warn, &[q]);
     assert!(d.message.contains("constant 1"), "{d:?}");
     default_registry_agrees(&nl, "constant-dff");
@@ -233,7 +227,7 @@ fn dangling_ff_fires_once() {
     b.mark_output(ok);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::DanglingFf), &nl);
+    let report = run_rule("dangling-ff", &nl);
     the_one(&report, "dangling-ff", Severity::Warn, &[q]);
     default_registry_agrees(&nl, "dangling-ff");
 }
@@ -253,7 +247,7 @@ fn const_foldable_fires_once_aggregated() {
     b.mark_output(q);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::ConstFoldable), &nl);
+    let report = run_rule("const-foldable", &nl);
     let d = the_one(&report, "const-foldable", Severity::Info, &[g1, g2]);
     assert!(d.message.contains("2 gate(s)"), "{d:?}");
 }
@@ -271,7 +265,7 @@ fn const_foldable_count_matches_sweep() {
     b.mark_output(q);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::ConstFoldable), &nl);
+    let report = run_rule("const-foldable", &nl);
     let flagged = report.iter().next().map_or(0, |d| d.nodes.len());
     let (_, stats) = mcp_netlist::sweep(&nl);
     // sweep folds exactly the provably-constant gates the lint flags
@@ -297,7 +291,7 @@ fn self_loop_dff_fires_once() {
     b.mark_output(ok);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::SelfLoopDff), &nl);
+    let report = run_rule("self-loop-dff", &nl);
     the_one(&report, "self-loop-dff", Severity::Info, &[q]);
 }
 
@@ -316,7 +310,7 @@ fn x_prop_to_dff_fires_on_a_pi_free_counter() {
     b.mark_output(ok);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::XPropToDff), &nl);
+    let report = run_rule("x-prop-to-dff", &nl);
     let d = the_one(&report, "x-prop-to-dff", Severity::Info, &[q]);
     assert!(d.message.contains("power-up X"), "{d:?}");
     default_registry_agrees(&nl, "x-prop-to-dff");
@@ -329,7 +323,7 @@ fn x_prop_to_dff_fires_on_a_pi_free_counter() {
     b.set_dff_input(q, n).unwrap();
     b.mark_output(q);
     let nl = b.finish().unwrap();
-    assert!(run_rule(Box::new(mcp_lint::rules::XPropToDff), &nl).is_empty());
+    assert!(run_rule("x-prop-to-dff", &nl).is_empty());
 }
 
 #[test]
@@ -346,7 +340,7 @@ fn unobservable_logic_fires_behind_a_constant_shadow() {
     b.mark_output(q);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::UnobservableLogic), &nl);
+    let report = run_rule("unobservable-logic", &nl);
     let d = the_one(&report, "unobservable-logic", Severity::Warn, &[dead]);
     assert!(d.message.contains("shadowed by constants"), "{d:?}");
     default_registry_agrees(&nl, "unobservable-logic");
@@ -361,7 +355,7 @@ fn unobservable_logic_fires_behind_a_constant_shadow() {
     b.set_dff_input(q, forced).unwrap();
     b.mark_output(q);
     let nl = b.finish().unwrap();
-    assert!(run_rule(Box::new(mcp_lint::rules::UnobservableLogic), &nl).is_empty());
+    assert!(run_rule("unobservable-logic", &nl).is_empty());
 }
 
 #[test]
@@ -381,7 +375,7 @@ fn const_implied_net_fires_on_a_register_ladder() {
     b.mark_output(live);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::ConstImpliedNet), &nl);
+    let report = run_rule("const-implied-net", &nl);
     let d = the_one(&report, "const-implied-net", Severity::Warn, &[q1, q2, g2]);
     assert!(d.message.contains("after 2 clock edge(s)"), "{d:?}");
     default_registry_agrees(&nl, "const-implied-net");
@@ -393,7 +387,7 @@ fn const_implied_net_fires_on_a_register_ladder() {
     b.set_dff_input(q, a).unwrap();
     b.mark_output(q);
     let nl = b.finish().unwrap();
-    assert!(run_rule(Box::new(mcp_lint::rules::ConstImpliedNet), &nl).is_empty());
+    assert!(run_rule("const-implied-net", &nl).is_empty());
 }
 
 /// Builds one load-enabled FF: `q.D = OR(AND(q, NOT en), AND(data, en))`.
@@ -424,7 +418,7 @@ fn domain_mixing_fires_across_enable_domains() {
     b.mark_output(q2);
     let nl = b.finish().unwrap();
 
-    let report = run_rule(Box::new(mcp_lint::rules::DomainMixing), &nl);
+    let report = run_rule("domain-mixing", &nl);
     let d = the_one(&report, "domain-mixing", Severity::Info, &[q1, q2]);
     assert!(d.message.contains("q1 -> q2"), "{d:?}");
     default_registry_agrees(&nl, "domain-mixing");
@@ -437,7 +431,7 @@ fn domain_mixing_fires_across_enable_domains() {
     let q2 = load_enabled_ff(&mut b, "2", q1, en);
     b.mark_output(q2);
     let nl = b.finish().unwrap();
-    assert!(run_rule(Box::new(mcp_lint::rules::DomainMixing), &nl).is_empty());
+    assert!(run_rule("domain-mixing", &nl).is_empty());
 }
 
 // ---------------------------------------------------------------------

@@ -73,12 +73,6 @@ impl GateKind {
         }
     }
 
-    /// The complement of the controlling value, when one exists.
-    #[inline]
-    pub fn noncontrolling_value(self) -> Option<bool> {
-        self.controlling_value().map(|c| !c)
-    }
-
     /// The output value produced when some input carries the controlling
     /// value (the *controlled* output), when the gate has a controlling
     /// value.

@@ -323,28 +323,6 @@ impl NetlistBuilder {
         id
     }
 
-    /// Appends an **additional** D driver to a flip-flop — netlist surgery
-    /// for deserializers that must represent a multiply-driven register
-    /// before judging it. [`finish`](Self::finish) rejects the result with
-    /// [`BuildError::MultiDrivenDff`]; only
-    /// [`finish_unchecked`](Self::finish_unchecked) lets it through, for
-    /// `mcp-lint` to diagnose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::ForeignNode`] if either id is out of range and
-    /// [`BuildError::NotADff`] if `ff` is not a flip-flop.
-    pub fn add_dff_driver(&mut self, ff: NodeId, d: NodeId) -> Result<(), BuildError> {
-        if ff.index() >= self.nodes.len() || d.index() >= self.nodes.len() {
-            return Err(BuildError::ForeignNode);
-        }
-        if !self.nodes[ff.index()].kind.is_dff() {
-            return Err(BuildError::NotADff(self.nodes[ff.index()].name.clone()));
-        }
-        self.nodes[ff.index()].fanins.push(d);
-        Ok(())
-    }
-
     /// Replaces fanin `position` of an existing gate — netlist surgery for
     /// deserializers, rewriters and the lint-rule test corpus.
     ///
@@ -397,8 +375,8 @@ impl NetlistBuilder {
     /// [`BuildError::UnconnectedDff`] (a flip-flop whose D input was never
     /// connected via [`set_dff_input`](Self::set_dff_input) or
     /// [`dff_with_input`](Self::dff_with_input)), a
-    /// [`BuildError::MultiDrivenDff`] (extra drivers added via
-    /// [`add_dff_driver`](Self::add_dff_driver)) or a
+    /// [`BuildError::MultiDrivenDff`] (a [`raw_node`](Self::raw_node)
+    /// flip-flop with several fanins) or a
     /// [`BuildError::DuplicateName`].
     pub fn finish(self) -> Result<Netlist, BuildError> {
         if !self.fanins_in_range() {
@@ -701,9 +679,7 @@ mod tests {
         let mut b = NetlistBuilder::new("md");
         let a = b.input("A");
         let c = b.input("B");
-        let q = b.dff("Q");
-        b.set_dff_input(q, a).unwrap();
-        b.add_dff_driver(q, c).unwrap();
+        let q = b.raw_node("Q", NodeKind::Dff, vec![a, c]);
         assert!(matches!(
             b.rewire_fanin(q, 0, a),
             Err(BuildError::ForeignNode)

@@ -73,19 +73,12 @@ impl ObsCtx {
     }
 
     /// Emits a progress line if a meter is attached and the throttle
-    /// allows it.
-    pub fn progress(&self, label: &str, done: usize, total: usize) {
-        if let Some(meter) = &self.progress {
-            meter.tick(label, done, total, None);
-        }
-    }
-
-    /// Like [`ObsCtx::progress`], with work-weighted cost totals for an
-    /// ETA estimate (`(completed_cost, total_cost)` in the scheduler's
-    /// slice-node cost units).
+    /// allows it, with work-weighted cost totals for an ETA estimate
+    /// (`(completed_cost, total_cost)` in the scheduler's slice-node cost
+    /// units).
     pub fn progress_with_cost(&self, label: &str, done: usize, total: usize, cost: (u64, u64)) {
         if let Some(meter) = &self.progress {
-            meter.tick(label, done, total, Some(cost));
+            meter.tick(label, done, total, cost);
         }
     }
 

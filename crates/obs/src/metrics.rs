@@ -282,6 +282,12 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// No counter moved and no span was recorded: the snapshot of a
+    /// canonical report, which its JSON leaves out.
+    pub fn is_empty(&self) -> bool {
+        self.counters == Counters::default() && self.spans.is_empty()
+    }
+
     /// Random-simulation throughput: 64-pattern words per wall-clock
     /// second of the `analyze/sim` span, or 0.0 when no sim time was
     /// recorded. Wall-clock-derived, so (unlike the counters) not

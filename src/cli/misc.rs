@@ -112,9 +112,23 @@ pub(crate) fn gen(name: &str, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
+/// Refuses a cycle budget above 2, which the hazard checks do not cover
+/// (see `check_hazards_with`): vouching for k-cycle pairs on one capture
+/// edge's check would hide a hazard on the others behind an exemption.
+fn two_cycle_hazards_only(what: &str, cmd: &Command) -> Result<(), String> {
+    let k = cmd.cfg.cycles;
+    if k > 2 {
+        return Err(format!(
+            "`{what}` checks the 2-cycle condition only, got --cycles {k}"
+        ));
+    }
+    Ok(())
+}
+
 /// `hazard`: analyze, then validate the multi-cycle pairs against static
 /// hazards with both criteria.
 pub(crate) fn hazard(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
+    two_cycle_hazards_only("hazard", cmd)?;
     let nl = load(path)?;
     let report = analyze(&nl, &cmd.cfg).map_err(|e| e.to_string())?;
     let _ = writeln!(
@@ -178,7 +192,7 @@ pub(crate) fn lint(cmd: &Command, path: &str, out: &mut String) -> Result<(), St
     // `--deny`/`--allow` must name real rules — a typo silently doing
     // nothing would defeat the point of a CI gate.
     for rule in cmd.deny.iter().chain(&cmd.allow) {
-        if !registry.rules().any(|r| r.id() == rule) {
+        if !registry.rules().iter().any(|r| r.id == rule) {
             return Err(format!("unknown lint rule `{rule}`"));
         }
     }
@@ -226,6 +240,9 @@ pub(crate) fn sdc(
     robust: Option<HazardCheck>,
     out: &mut String,
 ) -> Result<(), String> {
+    if robust.is_some() {
+        two_cycle_hazards_only("sdc --robust", cmd)?;
+    }
     let nl = load(path)?;
     let report = analyze(&nl, &cmd.cfg).map_err(|e| e.to_string())?;
     let robust_only = robust.map(|check| check_hazards(&nl, &report, check));
@@ -256,6 +273,7 @@ pub(crate) fn sdc(
 /// `deps`: report the cross-pair dependencies of the
 /// sensitization-validated multi-cycle pairs.
 pub(crate) fn deps(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
+    two_cycle_hazards_only("deps", cmd)?;
     let nl = load(path)?;
     let report = analyze(&nl, &cmd.cfg).map_err(|e| e.to_string())?;
     let deps = sensitization_dependencies(&nl, &report);

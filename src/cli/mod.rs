@@ -79,8 +79,9 @@ pub struct Command {
     pub format: OutputFormat,
     /// Optional JSON report path.
     pub json: Option<String>,
-    /// Write the `--json` report in canonical form (wall-clock and
-    /// machine-dependent fields projected out) for byte comparison.
+    /// Write the `--json` report in canonical form (wall-clock,
+    /// machine-dependent fields and the metrics projected out) for byte
+    /// comparison.
     pub canonical: bool,
     /// Baseline netlist for ECO-incremental re-analysis
     /// (`analyze --eco <old.bench>`; needs a store).
@@ -315,7 +316,8 @@ OTHER OPTIONS:
   --json <path>                  dump the report (`deps`: the dependencies)
                                  as JSON
   --canonical                    write the --json report in canonical form
-                                 (timings zeroed; byte-comparable)
+                                 (verdicts and per-step counts only: timings
+                                 zeroed, no metrics; byte-comparable)
   --cache-dir <dir>              persist the staged pipeline artifacts so a
                                  warm rerun answers from cache (also via the
                                  MCPATH_CACHE_DIR env var); refused with

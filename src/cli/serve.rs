@@ -16,7 +16,8 @@
 //! server's lifetime, so a repeat request for an unchanged netlist is a
 //! pure cache replay and an `eco` request re-verifies only the touched
 //! sink groups. The `report` field is the canonical form (timings
-//! zeroed), byte-identical to `analyze --json --canonical` output.
+//! zeroed, no metrics), byte-identical to `analyze --json --canonical`
+//! output.
 //! Malformed requests get an `{"ok":false,"error":...}` line; they never
 //! take the server down.
 

@@ -201,6 +201,35 @@ fn analyze_runs_on_a_generated_file() {
 }
 
 #[test]
+fn hazard_checks_refuse_budgets_beyond_two_cycles() {
+    let dir = std::env::temp_dir().join("mcpath-cli-cycles");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("m27.bench");
+    let text = run(&parse_args(argv("gen m27")).expect("parse")).expect("gen");
+    std::fs::write(&path, text).expect("write");
+
+    // The hazard checks read one capture edge: a 3-cycle relaxation
+    // is refused at run time (exit 1), not checked on that one edge.
+    for (sub, what) in [
+        ("hazard", "hazard"),
+        ("deps", "deps"),
+        ("sdc --robust cosens", "sdc --robust"),
+    ] {
+        let cmd = parse_args(argv(&format!("{sub} {} --cycles 3", path.display())))
+            .expect("the flags parse");
+        let err = run(&cmd).unwrap_err();
+        assert_eq!(
+            err,
+            format!("`{what}` checks the 2-cycle condition only, got --cycles 3")
+        );
+    }
+    // Plain `sdc` emits only pairs the 3-cycle MC condition verified.
+    let cmd = parse_args(argv(&format!("sdc {} --cycles 3", path.display()))).expect("parse");
+    let out = run(&cmd).expect("sdc at 3 cycles");
+    assert!(out.contains("# multi-cycle constraints"), "{out}");
+}
+
+#[test]
 fn dot_and_glitch_subcommands_work() {
     let dir = std::env::temp_dir().join("mcpath-cli-test2");
     std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -653,6 +682,13 @@ fn resume_trace_and_compare_round_trip() {
     )))
     .expect("parse"))
     .expect("analyze canonical");
+    // The canonical report carries no metrics, and `stats` and `trace`
+    // still load it.
+    let canonical = std::fs::read_to_string(&c1).expect("read c1");
+    assert!(!canonical.contains("\"metrics\""), "{canonical}");
+    for sub in ["stats", "trace"] {
+        run(&parse_args(argv(&format!("{sub} {}", c1.display()))).expect("parse")).expect(sub);
+    }
 
     // `trace` exports the ledger's span tree as Chrome trace JSON.
     let out = run(&parse_args(argv(&format!("trace {}", full.display()))).expect("parse"))
