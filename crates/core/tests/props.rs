@@ -72,6 +72,58 @@ fn lattice_seed_changes_no_filter_run_on_the_suite_and_frozen_sinks() {
     }
 }
 
+/// The production prefilter on each suite circuit, in suite order,
+/// pinned from the per-word pair scan that the once-per-pass scan
+/// replaced: `(words_simulated, drops, survivors, passes, fused_ops,
+/// digest)`. The digest is FNV-1a over every drop's `(src, dst, word)`,
+/// every survivor and `ff_toggles`, in order, as little-endian `u64`s.
+const SUITE_FILTER_PINS: [(u64, usize, usize, u64, u64, u64); 12] = [
+    (129, 5, 6, 33, 594, 2186181457321952863),          // m27
+    (129, 26, 13, 33, 2376, 17209465142600171287),      // m298
+    (130, 54, 40, 33, 5082, 1571418902071583914),       // m526
+    (373, 136, 74, 94, 32900, 13502446608737395810),    // m820
+    (661, 159, 119, 166, 79348, 15089591525030213129),  // m1238
+    (808, 206, 145, 202, 112716, 58553938391415070),    // m1423
+    (1000, 615, 326, 250, 362500, 1187374087211151858), // m5378
+    (625, 898, 499, 157, 315256, 8692736250255076311),  // m9234
+    (2275, 1308, 742, 569, 1644410, 12831007394267275345), // m13207
+    (1865, 1488, 874, 467, 1547638, 3308094735309159220), // m15850
+    (2748, 3844, 1517, 687, 5126394, 9111541918076261908), // m35932
+    (2206, 4494, 1948, 552, 4874160, 621263091316567004), // m38584
+];
+
+#[test]
+fn production_prefilter_matches_its_pins_on_the_suite() {
+    let suite = mcp_gen::suite::standard_suite();
+    assert_eq!(suite.len(), SUITE_FILTER_PINS.len());
+    for (nl, pin) in suite.iter().zip(SUITE_FILTER_PINS) {
+        let pairs = nl.connected_ff_pairs();
+        let (out, stats) = mc_filter_stats(nl, &pairs, &FilterConfig::default());
+        let drops = out
+            .drops
+            .iter()
+            .flat_map(|d| [d.src as u64, d.dst as u64, d.word]);
+        let survivors = out
+            .survivors
+            .iter()
+            .flat_map(|&(i, j)| [i as u64, j as u64]);
+        let bytes: Vec<u8> = drops
+            .chain(survivors)
+            .chain(out.ff_toggles.iter().copied())
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        let got = (
+            out.words_simulated,
+            out.dropped(),
+            out.survivors.len(),
+            stats.passes,
+            stats.fused_ops,
+            mcp_obs::fnv1a(&bytes),
+        );
+        assert_eq!(got, pin, "{}", nl.name());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 

@@ -19,9 +19,14 @@
 //!
 //! The wide path draws the RNG stream in 64-bit words in exactly the
 //! reference order (per word: FF states, first-cycle inputs,
-//! second-cycle inputs), evaluates a `W`-word batch at once, then
-//! *replays* the batch word by word under the reference stop condition.
-//! Drops, witness word indices, survivor order, `words_simulated`, and
+//! second-cycle inputs) and evaluates a `W`-word batch at once. One scan
+//! per pass then finds each alive pair's *first* violating word of the
+//! batch, and the batch is *replayed* word by word from those hits under
+//! the reference stop condition. The reference drops a pair at exactly
+//! that word, since the pair is alive and unviolated until then; a pair
+//! whose first hit lies past the stop point stays alive, and
+//! `ff_toggles` counts only the words the replay observed. Drops,
+//! witness word indices, survivor order, `words_simulated`, and
 //! `ff_toggles` are therefore byte-identical to the 64-lane reference
 //! for the same seed at every supported lane width **and on either
 //! kernel** — RNG words drawn past the stop point are simply never
@@ -313,8 +318,6 @@ trait KernelExec<const W: usize> {
     fn set_state(&mut self, ff: usize, words: [u64; W]);
     /// Evaluates the combinational logic for the current inputs/state.
     fn eval(&mut self);
-    /// Latches every FF's D input (positive clock edge).
-    fn clock(&mut self);
     /// FF `ff`'s D-input value from the most recent `eval`.
     fn next_state(&self, ff: usize) -> [u64; W];
     /// Instructions executed per `eval`, for the op counters.
@@ -330,9 +333,6 @@ impl<const W: usize> KernelExec<W> for FusedSim<'_, W> {
     }
     fn eval(&mut self) {
         FusedSim::eval(self);
-    }
-    fn clock(&mut self) {
-        FusedSim::clock(self);
     }
     fn next_state(&self, ff: usize) -> [u64; W] {
         FusedSim::next_state(self, ff)
@@ -352,9 +352,6 @@ impl<const W: usize> KernelExec<W> for JitSim<'_, W> {
     fn eval(&mut self) {
         JitSim::eval(self);
     }
-    fn clock(&mut self) {
-        JitSim::clock(self);
-    }
     fn next_state(&self, ff: usize) -> [u64; W] {
         JitSim::next_state(self, ff)
     }
@@ -363,13 +360,13 @@ impl<const W: usize> KernelExec<W> for JitSim<'_, W> {
     }
 }
 
-/// Alive pairs sharing one source FF. A word in which the source never
-/// toggled between `t` and `t+1` cannot violate any pair of the group —
-/// the whole group is skipped with one word compare.
+/// Alive pairs sharing one source FF. A batch in which the source never
+/// toggled between `t` and `t+1`, in any of its words, cannot violate
+/// any pair of the group — the whole group is skipped with one compare
+/// per word. A group leaves the scan once its last pair is dropped.
 struct SourceGroup {
     src: usize,
-    /// `(input position, destination FF)` of each alive pair, in input
-    /// order (positions are strictly increasing within a group).
+    /// `(input position, destination FF)` of each alive pair.
     pairs: Vec<(usize, usize)>,
 }
 
@@ -410,9 +407,11 @@ fn mc_filter_wide<const W: usize>(
 }
 
 /// The shared wide path: simulate `W` words per pass on the given
-/// kernel, then replay the batch word by word under the reference stop
-/// condition. Returns the outcome plus `(passes, ops_executed)`. See
-/// the module docs for the determinism contract.
+/// kernel, find each alive pair's first violating word of the batch in
+/// one scan, then replay the batch word by word from those hits under
+/// the reference stop condition. Returns the outcome plus
+/// `(passes, ops_executed)`. See the module docs for the determinism
+/// contract.
 fn filter_batch<const W: usize, K: KernelExec<W>>(
     sim: &mut K,
     netlist: &Netlist,
@@ -423,9 +422,8 @@ fn filter_batch<const W: usize, K: KernelExec<W>>(
     let npis = netlist.num_inputs();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    // Group alive pairs by source FF, preserving input order both within
-    // groups (positions ascend) and across the run (drops are re-sorted
-    // by position per word, survivors by position at the end).
+    // Group alive pairs by source FF; `dropped` marks pairs by input
+    // position, so survivors come out in input order.
     let mut group_of: Vec<Option<usize>> = vec![None; nffs];
     let mut groups: Vec<SourceGroup> = Vec::new();
     for (pos, &(i, j)) in pairs.iter().enumerate() {
@@ -439,14 +437,16 @@ fn filter_batch<const W: usize, K: KernelExec<W>>(
         groups[g].pairs.push((pos, j));
     }
     let mut alive_count = pairs.len();
+    let mut dropped = vec![false; pairs.len()];
 
-    // Per-word-slot random draws and captured FF trajectories, one
-    // `[u64; W]` per FF / PI.
-    let mut state = vec![[0u64; W]; nffs];
+    // Per-pass random draws and captured FF transitions, one `[u64; W]`
+    // per FF / PI. `launch` holds the drawn `FF(t)` until the first eval
+    // turns it into `FF(t) ^ FF(t+1)`; `capture` holds `FF(t+1)` until
+    // the second eval turns it into `FF(t+1) ^ FF(t+2)`.
+    let mut launch = vec![[0u64; W]; nffs];
     let mut in0 = vec![[0u64; W]; npis];
     let mut in1 = vec![[0u64; W]; npis];
-    let mut s1 = vec![[0u64; W]; nffs];
-    let mut s2 = vec![[0u64; W]; nffs];
+    let mut capture = vec![[0u64; W]; nffs];
 
     let mut words = 0u64;
     let mut idle = 0u32;
@@ -454,15 +454,18 @@ fn filter_batch<const W: usize, K: KernelExec<W>>(
     let mut ff_toggles = vec![0u64; nffs];
     let mut passes = 0u64;
     let mut ops = 0u64;
-    // Per-word drop candidates, re-sorted into input order before being
-    // appended so drop order matches the reference exactly.
-    let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
+    // `(word of the batch, input position, src, dst)` of each alive
+    // pair's first violation in the pass, sorted into drop order.
+    let mut hits: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let running = |alive: usize, idle: u32, words: u64| {
+        alive > 0 && idle < cfg.idle_words && words < cfg.max_words
+    };
 
-    'run: while alive_count > 0 && idle < cfg.idle_words && words < cfg.max_words {
+    while running(alive_count, idle, words) {
         // Draw the RNG stream word-slot-major in the reference order:
         // per word, FF states, then cycle-1 inputs, then cycle-2 inputs.
         for w in 0..W {
-            for s in state.iter_mut() {
+            for s in launch.iter_mut() {
                 s[w] = rng.random();
             }
             for i in in0.iter_mut() {
@@ -472,76 +475,95 @@ fn filter_batch<const W: usize, K: KernelExec<W>>(
                 i[w] = rng.random();
             }
         }
-        for (k, s) in state.iter().enumerate() {
+        for (k, s) in launch.iter().enumerate() {
             sim.set_state(k, *s);
         }
         for (p, i) in in0.iter().enumerate() {
             sim.set_input(p, *i);
         }
         sim.eval();
-        for (k, s) in s1.iter_mut().enumerate() {
-            *s = sim.next_state(k);
+        for (k, (l, c)) in launch.iter_mut().zip(capture.iter_mut()).enumerate() {
+            *c = sim.next_state(k);
+            xor_into(l, c);
         }
-        sim.clock();
+        // Latch `FF(t+1)`. Every D value was read above before any state
+        // slot is written, so a D ref aliasing another FF's state slot
+        // latches exactly as through the kernels' `clock`.
+        for (k, c) in capture.iter().enumerate() {
+            sim.set_state(k, *c);
+        }
         for (p, i) in in1.iter().enumerate() {
             sim.set_input(p, *i);
         }
         sim.eval();
-        for (k, s) in s2.iter_mut().enumerate() {
-            *s = sim.next_state(k);
+        for (k, c) in capture.iter_mut().enumerate() {
+            xor_into(c, &sim.next_state(k));
         }
         passes += 1;
         ops += 2 * sim.ops_per_eval();
 
-        // Replay the batch word by word under the reference stop
-        // condition; words past the stop point are never observed.
-        for w in 0..W {
-            if !(alive_count > 0 && idle < cfg.idle_words && words < cfg.max_words) {
-                break 'run;
+        hits.clear();
+        for group in &groups {
+            let l = &launch[group.src];
+            if *l == [0; W] {
+                continue;
             }
-            words += 1;
-            let word = words - 1;
-            for k in 0..nffs {
-                ff_toggles[k] += u64::from((state[k][w] ^ s1[k][w]).count_ones());
-            }
-            candidates.clear();
-            for group in groups.iter_mut() {
-                let src = group.src;
-                let src_toggle = state[src][w] ^ s1[src][w];
-                if src_toggle == 0 {
-                    continue;
+            for &(pos, dst) in &group.pairs {
+                let hit: [u64; W] = std::array::from_fn(|w| l[w] & capture[dst][w]);
+                // One wide compare settles the common case of no hit.
+                if hit != [0; W] {
+                    let w = hit.iter().take_while(|&&m| m == 0).count();
+                    hits.push((w, pos, group.src, dst));
                 }
-                group.pairs.retain(|&(pos, dst)| {
-                    let violated = src_toggle & (s1[dst][w] ^ s2[dst][w]) != 0;
-                    if violated {
-                        candidates.push((pos, src, dst));
-                    }
-                    !violated
+            }
+        }
+        hits.sort_unstable_by_key(|&(w, pos, _, _)| (w, pos));
+
+        // Replay the batch word by word under the reference stop
+        // condition; words past the stop point are never observed, and
+        // a pair whose first hit lies there stays alive.
+        let mut seen = 0;
+        let mut taken = 0;
+        while seen < W && running(alive_count, idle, words) {
+            let n = hits[taken..].iter().take_while(|h| h.0 == seen).count();
+            for &(_, _, src, dst) in &hits[taken..taken + n] {
+                drops.push(PairDrop {
+                    src,
+                    dst,
+                    word: words,
                 });
             }
-            if candidates.is_empty() {
-                idle += 1;
-            } else {
-                idle = 0;
-                alive_count -= candidates.len();
-                candidates.sort_unstable_by_key(|&(pos, _, _)| pos);
-                drops.extend(
-                    candidates
-                        .iter()
-                        .map(|&(_, src, dst)| PairDrop { src, dst, word }),
-                );
+            idle = if n == 0 { idle + 1 } else { 0 };
+            alive_count -= n;
+            words += 1;
+            taken += n;
+            seen += 1;
+        }
+        // Unobserved words count no toggles. Masking them, rather than
+        // slicing, keeps the count fixed-width, which vectorizes.
+        let observed: [u64; W] = std::array::from_fn(|w| if w < seen { !0 } else { 0 });
+        for (t, l) in ff_toggles.iter_mut().zip(&launch) {
+            *t += (0..W)
+                .map(|w| u64::from((l[w] & observed[w]).count_ones()))
+                .sum::<u64>();
+        }
+        if taken > 0 {
+            for &(_, pos, _, _) in &hits[..taken] {
+                dropped[pos] = true;
             }
+            for group in groups.iter_mut() {
+                group.pairs.retain(|&(pos, _)| !dropped[pos]);
+            }
+            groups.retain(|g| !g.pairs.is_empty());
         }
     }
 
-    let mut survivors: Vec<(usize, usize)> = Vec::with_capacity(alive_count);
-    let mut positions: Vec<(usize, (usize, usize))> = groups
+    let survivors = pairs
         .iter()
-        .flat_map(|g| g.pairs.iter().map(|&(pos, dst)| (pos, (g.src, dst))))
+        .zip(&dropped)
+        .filter(|&(_, &d)| !d)
+        .map(|(&pair, _)| pair)
         .collect();
-    positions.sort_unstable_by_key(|&(pos, _)| pos);
-    survivors.extend(positions.into_iter().map(|(_, pair)| pair));
-
     (
         FilterOutcome {
             survivors,
@@ -552,6 +574,13 @@ fn filter_batch<const W: usize, K: KernelExec<W>>(
         passes,
         ops,
     )
+}
+
+/// `acc ^= v`, lane word by lane word.
+fn xor_into<const W: usize>(acc: &mut [u64; W], v: &[u64; W]) {
+    for (a, b) in acc.iter_mut().zip(v) {
+        *a ^= b;
+    }
 }
 
 #[cfg(test)]
@@ -617,6 +646,22 @@ mod tests {
         assert_eq!(out.words_simulated, 5);
         assert_eq!(out.survivors, vec![(2, 2)]);
         assert_eq!(out.dropped(), 0);
+    }
+
+    #[test]
+    fn a_stop_inside_a_batch_observes_no_later_word() {
+        let nl = mixed();
+        let pairs = nl.connected_ff_pairs();
+        // The undroppable (C,C) keeps the run alive until `max_words`,
+        // which falls on the second word of the second 4-word pass.
+        let cfg = FilterConfig {
+            max_words: 5,
+            ..cfg_with_lanes(256)
+        };
+        let (out, stats) = mc_filter_stats(&nl, &pairs, &cfg);
+        assert_eq!(out.words_simulated, 5);
+        assert_eq!(stats.passes, 2);
+        assert_eq!(out, mc_filter_reference(&nl, &pairs, &cfg));
     }
 
     #[test]

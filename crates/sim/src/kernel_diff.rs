@@ -73,20 +73,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The prefilter's outcome is byte-identical between the reference
-    /// loop and both kernels at every tested lane width. Small
-    /// `idle_words` keeps runs short while still crossing several batch
-    /// boundaries at the widest width.
+    /// loop and both kernels at every tested lane width. Small drawn
+    /// `idle_words` and `max_words` keep runs short and land each of
+    /// the replay's three stop reasons (no pair alive, the idle limit,
+    /// the word cap) at every word offset of a 4- and an 8-word batch.
     #[test]
     fn host_and_fused_kernels_match_reference_at_every_lane_width(
         (seed, cfg) in cfg_strategy(),
         filter_seed in any::<u64>(),
+        idle_words in 1u32..10,
+        max_words in 1u64..48,
     ) {
         let nl = random_netlist(seed, &cfg);
         let pairs = nl.connected_ff_pairs();
         let reference_cfg = FilterConfig {
             seed: filter_seed,
-            idle_words: 6,
-            max_words: 512,
+            idle_words,
+            max_words,
             lanes: 64,
         };
         let reference = mc_filter_reference(&nl, &pairs, &reference_cfg);
